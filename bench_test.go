@@ -335,3 +335,63 @@ func BenchmarkRecoveryScan(b *testing.B) {
 		l.ApplyTo(img, 4)
 	}
 }
+
+// --- durable store benchmarks -----------------------------------------------
+
+// durableLines is the footprint of the durable benchmarks: 2^16 lines,
+// a 1 MB image file, larger than the simulated caches.
+const durableLines = 1 << 16
+
+// BenchmarkDurableCommit times one durable commit on a picl.Open store:
+// 64 writes spread over the footprint, then Sync (log fsync, image
+// fsync, marker Set).
+func BenchmarkDurableCommit(b *testing.B) {
+	m, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	line := uint64(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			line = (line*6364136223846793005 + 1442695040888963407) % durableLines
+			if err := m.Write(line*mem.LineSize, uint64(i)|1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := m.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDurableOpen times picl.Open of a store holding every line of
+// the footprint, then Close: recovery (image load, log scan) and the
+// compaction into a fresh baseline. Each Open finds the compacted store
+// the previous iteration's Close left.
+func BenchmarkDurableOpen(b *testing.B) {
+	dir := b.TempDir()
+	m, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for l := uint64(0); l < durableLines; l++ {
+		if err := m.Write(l*mem.LineSize, l|1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -29,6 +29,9 @@ func auditStore(dir string) int {
 	}
 	fmt.Printf("durable store audit: %s\n", dir)
 	fmt.Printf("  marker epoch:       %d\n", info.Marker)
+	if info.MarkerTorn {
+		fmt.Printf("  marker slot torn:   an interrupted Set was discarded\n")
+	}
 	fmt.Printf("  log blocks read:    %d (torn tail bytes dropped: %d)\n", info.BlocksRead, info.TornBytes)
 	fmt.Printf("  undo scan:          %d entries applied over %d blocks\n", info.Applied, info.Scanned)
 	fmt.Printf("  recovered lines:    %d\n", img.Len())

@@ -1,11 +1,14 @@
 package picl
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"picl/internal/mem"
 	"picl/internal/storage"
 	"picl/internal/undolog"
 )
@@ -116,6 +119,22 @@ func TestOpenErrors(t *testing.T) {
 	// sentinels: a caller can branch on "unusable log" specifically.
 	if _, err := Open(dir); errors.Is(err, ErrBackend) {
 		t.Fatalf("corrupt super wrongly matches ErrBackend: %v", err)
+	}
+
+	// A 16-byte marker of the older rename-replaced format is not read
+	// as epoch 0: Open refuses the store with ErrBackend.
+	legacy := filepath.Join(t.TempDir(), "legacy")
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, 16) // epoch 7, its CRC32C, padding
+	binary.LittleEndian.PutUint64(rec[0:8], 7)
+	binary.LittleEndian.PutUint32(rec[8:12], crc32.Checksum(rec[0:8], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(legacy, storage.MarkerFileName), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(legacy); !errors.Is(err, ErrBackend) {
+		t.Fatalf("legacy marker: err = %v, want ErrBackend", err)
 	}
 
 	// WithBackend cannot combine with Open.
@@ -310,5 +329,119 @@ func TestOpenReleasesStoreOnNewError(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// markerCounter is a storage.Wrapper that counts the marker operations
+// of a picl.Open store.
+type markerCounter struct{ sets, syncDirs int }
+
+func (w *markerCounter) WrapLog(l storage.LogStore) storage.LogStore        { return l }
+func (w *markerCounter) WrapImage(im storage.ImageStore) storage.ImageStore { return im }
+func (w *markerCounter) WrapMarker(mk storage.MarkerStore) storage.MarkerStore {
+	return &countedMarker{mk, w}
+}
+
+type countedMarker struct {
+	storage.MarkerStore
+	w *markerCounter
+}
+
+func (mk *countedMarker) Set(e mem.EpochID) error {
+	mk.w.sets++
+	return mk.MarkerStore.Set(e)
+}
+
+func (mk *countedMarker) SyncDir() error {
+	mk.w.syncDirs++
+	return mk.MarkerStore.SyncDir()
+}
+
+// TestDurableCommitMarkerInPlace: a durable commit (64 writes, Sync)
+// advances the marker with exactly one Set and no directory fsync, and
+// the marker file keeps its inode across commits — nothing renames it.
+func TestDurableCommitMarkerInPlace(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	w := &markerCounter{}
+	m, err := Open(dir, WithStoreWrapper(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	path := filepath.Join(dir, storage.MarkerFileName)
+	first, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := uint64(1)
+	for c := 0; c < 8; c++ {
+		w.sets, w.syncDirs = 0, 0
+		for i := 0; i < 64; i++ {
+			line = line * 6364136223846793005 % (1 << 16)
+			if err := m.Write(line*64, uint64(c*64+i)|1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if w.sets != 1 || w.syncDirs != 0 {
+			t.Fatalf("commit %d: %d marker Sets and %d directory fsyncs, want 1 and 0", c, w.sets, w.syncDirs)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(first, fi) {
+			t.Fatalf("commit %d: the marker file was replaced", c)
+		}
+	}
+}
+
+// TestReopenMarkerRot: the compaction on Open leaves epoch 0 in both
+// marker slots, so rot in either slot before the new machine commits
+// anything recovers epoch 0 — never the previous machine's marker,
+// whose log the compaction deleted.
+func TestReopenMarkerRot(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeWorkload(t, m, 56, 300)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, e := m2.Recovered(); e < 7 {
+		t.Fatalf("first machine's marker recovered as %d, want >= 7", e)
+	}
+	m2.Crash() // no commit in the new numbering
+	if err := m2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storage.MarkerFileName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 2; slot++ {
+		rot := append([]byte(nil), raw...)
+		rot[slot*4096+3] ^= 0x10 // slots sit at offsets 0 and 4096
+		if err := os.WriteFile(path, rot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		img, info, err := storage.RecoverDir(dir)
+		if err != nil || !info.Marker.AtMost(0) || !info.MarkerTorn {
+			t.Fatalf("rot in slot %d: marker %d torn=%v err=%v, want 0 torn", slot, info.Marker, info.MarkerTorn, err)
+		}
+		for i := 0; i < 56; i++ {
+			if got := img.Read(mem.LineAddr(i)); got != mem.Word(300+i) {
+				t.Fatalf("rot in slot %d: line %d = %d, want %d", slot, i, got, 300+i)
+			}
+		}
 	}
 }

@@ -144,7 +144,7 @@ func (p *PiCL) SetLogSink(s LogSink) { p.logSink = s }
 // SetDurable attaches a durable store directory: undo blocks mirror to
 // its log file, in-place line writes to its image file, and the
 // persisted-epoch marker advances it via the full ordering protocol
-// (image sync, log sync, atomic marker replace). The machine must be
+// (image sync, log sync, in-place marker write). The machine must be
 // functional. Install before the run starts — typically right after
 // seeding the recovered image with SeedImage.
 func (p *PiCL) SetDurable(d *storage.Dir) {
@@ -389,7 +389,7 @@ func (p *PiCL) runACS(now uint64, target mem.EpochID) {
 		// Durable marker advance under the full ordering protocol: every
 		// in-place write of epochs <= target was mirrored above (ACS
 		// writebacks) or earlier (evictions, behind their synced undo
-		// blocks), so image sync + log sync + atomic marker replace makes
+		// blocks), so image sync + log sync + in-place marker write makes
 		// target recoverable on disk. The disk marker can run ahead of the
 		// simulated one (mirror-at-submit); both are valid recovery points.
 		// Gated on a healthy mirror: advancing the marker past writes that

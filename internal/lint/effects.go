@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"os"
 	"strings"
 )
 
@@ -17,7 +18,7 @@ import (
 // interface — and interprocedurally, from the bottom-up summary of a
 // statically resolved module function. Summaries record both what a
 // function provides (a synced undo append, an image or log sync) and
-// what it still owes its callers (an image write or marker replacement
+// what it still owes its callers (an image write or marker advance
 // that is not ordered within the function itself). walorder.go turns
 // unresolved obligations at call-graph roots into diagnostics.
 //
@@ -41,10 +42,12 @@ const (
 	effImageWrite
 	effImageSync
 	effMarkerSet
-	effFileSync // fsync of a plain *os.File (temp-file staging)
-	effDirSync  // directory-handle fsync (SyncDir, dirf.Sync)
-	effRename   // os.Rename
-	effCall     // statically resolved call into the module (summary applies)
+	effFileSync    // fsync of a plain *os.File (temp-file staging, in-place marker)
+	effDirSync     // directory-handle fsync (SyncDir, dirf.Sync)
+	effRename      // os.Rename
+	effRewrite     // a file created or truncated (os.Create, os.WriteFile, O_CREATE/O_TRUNC, Truncate)
+	effFileWriteAt // positional write to an open *os.File
+	effCall        // statically resolved call into the module (summary applies)
 )
 
 // effEvent is one effect occurrence in a function body, in source
@@ -76,9 +79,12 @@ type effSummary struct {
 	// unordered*: obligations the function exports to its callers.
 	unorderedImage  []obligation
 	unorderedMarker []obligation
-	// sawMarkerSet/sawRename feed walorder's marker-atomicity check.
-	sawMarkerSet bool
-	sawRename    bool
+	// rewrites and writesInPlace feed walorder's marker shape check:
+	// rewrites is any rename, create or truncate; writesInPlace a
+	// positional write followed by an fsync of the same file. Both hold
+	// for a function or any callee.
+	rewrites      bool
+	writesInPlace bool
 }
 
 // receiver type classes for intrinsic effect classification.
@@ -135,12 +141,25 @@ func intrinsicEffect(fn *types.Func, recvExpr ast.Expr) effKind {
 		return effNone
 	}
 	name := fn.Name()
-	if fn.Pkg() != nil && fn.Pkg().Path() == "os" && name == "Rename" {
-		return effRename
-	}
 	cls := clsNone
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		cls = classOf(sig.Recv().Type())
+	} else if fn.Pkg() != nil && fn.Pkg().Path() == "os" {
+		switch name {
+		case "Rename":
+			return effRename
+		case "Create", "WriteFile", "Truncate":
+			return effRewrite
+		}
+		return effNone
+	}
+	if cls == clsOSFile {
+		switch name {
+		case "WriteAt":
+			return effFileWriteAt
+		case "Truncate":
+			return effRewrite
+		}
 	}
 	switch name {
 	case "AppendBlock":
@@ -240,7 +259,11 @@ func (e *effEngine) collectEvents(node *FuncNode) []effEvent {
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
 				recvExpr = sel.X
 			}
-			if kind := intrinsicEffect(callee, recvExpr); kind != effNone {
+			kind := intrinsicEffect(callee, recvExpr)
+			if kind == effNone && opensForRewrite(info, callee, n) {
+				kind = effRewrite
+			}
+			if kind != effNone {
 				ev := effEvent{kind: kind, pos: n.Pos(), call: n, callee: callee}
 				if kind == effMarkerSet && len(n.Args) > 0 {
 					if tv, ok := info.Types[n.Args[0]]; ok && tv.Value != nil &&
@@ -272,6 +295,32 @@ func (e *effEngine) collectEvents(node *FuncNode) []effEvent {
 	return events
 }
 
+// opensForRewrite reports whether call is os.OpenFile with O_CREATE or
+// O_TRUNC in a constant flag argument.
+func opensForRewrite(info *types.Info, fn *types.Func, call *ast.CallExpr) bool {
+	if fn.Pkg() == nil || fn.Pkg().Path() != "os" || fn.Name() != "OpenFile" || len(call.Args) < 2 {
+		return false
+	}
+	tv, ok := info.Types[call.Args[1]]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
+		return false
+	}
+	flag, exact := constant.Int64Val(tv.Value)
+	return exact && flag&int64(os.O_CREATE|os.O_TRUNC) != 0
+}
+
+// fileOf names the file a method call on an *os.File acts on: its
+// receiver expression as written ("" for a method value).
+func fileOf(ev effEvent) string {
+	if ev.call == nil {
+		return ""
+	}
+	if sel, ok := ast.Unparen(ev.call.Fun).(*ast.SelectorExpr); ok {
+		return types.ExprString(sel.X)
+	}
+	return ""
+}
+
 // summary computes (and memoizes) fn's effect summary. Recursive call
 // cycles contribute nothing: the first frame on the cycle sees an empty
 // summary for the back edge, which is sound for obligations (a cycle
@@ -292,6 +341,7 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 	mkPrim := isMarkerPrimitive(fn)
 
 	var seenAppend, writeAhead, imgSync, logSync bool
+	written := make(map[string]bool) // files positionally written so far
 	for _, ev := range s.events {
 		switch ev.kind {
 		case effLogAppend:
@@ -303,10 +353,16 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 			}
 		case effImageSync:
 			imgSync = true
-		case effFileSync, effDirSync:
-			// W3 shape events; no ordering state here.
-		case effRename:
-			s.sawRename = true
+		case effFileWriteAt:
+			written[fileOf(ev)] = true
+		case effFileSync:
+			if f := fileOf(ev); f != "" && written[f] {
+				s.writesInPlace = true
+			}
+		case effDirSync:
+			// W3 shape event; no ordering state here.
+		case effRename, effRewrite:
+			s.rewrites = true
 		case effImageWrite:
 			if !writeAhead && !imgPrim {
 				s.unorderedImage = append(s.unorderedImage, obligation{
@@ -318,13 +374,12 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 				})
 			}
 		case effMarkerSet:
-			s.sawMarkerSet = true
 			if !ev.zeroArg && !mkPrim && !(imgSync && logSync) {
 				s.unorderedMarker = append(s.unorderedMarker, obligation{
 					pos: ev.pos,
 					chain: []Related{{
 						Pos:     e.fset.Position(ev.pos),
-						Message: "the marker replacement (" + ev.callee.FullName() + ")",
+						Message: "the marker advance (" + ev.callee.FullName() + ")",
 					}},
 				})
 			}
@@ -349,9 +404,8 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 					s.unorderedMarker = append(s.unorderedMarker, e.propagate(ev, ob))
 				}
 			}
-			if cs.sawMarkerSet {
-				s.sawMarkerSet = true
-			}
+			s.rewrites = s.rewrites || cs.rewrites
+			s.writesInPlace = s.writesInPlace || cs.writesInPlace
 		}
 	}
 	s.providesWriteAhead = writeAhead

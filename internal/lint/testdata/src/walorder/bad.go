@@ -89,7 +89,7 @@ func (s *store) HalfMarker(e uint64) error {
 	return s.mk.Set(e)
 }
 
-// GoodMarker orders both syncs before the marker replacement.
+// GoodMarker orders both syncs before the marker advance.
 func (s *store) GoodMarker(e uint64) error {
 	if err := s.img.Sync(); err != nil {
 		return err
@@ -113,20 +113,34 @@ func (s *store) migrateRaw(b []byte) error {
 	return s.img.WriteLine(0, b)
 }
 
-// goodMarker is the atomic replace shape rule 3 requires: staging
-// *.tmp, file fsync, rename, directory fsync.
+// goodMarker is the in-place shape rule 3 requires: one positional
+// write of the slot record into the already-open file, then an fsync of
+// that file; no temp file, rename or directory fsync.
 type goodMarker struct {
-	path string
-	dirf *os.File
+	f    *os.File
+	next int64
 }
 
 func (m *goodMarker) Set(e uint64) error {
-	tmp := m.path + ".tmp"
+	if _, err := m.f.WriteAt([]byte{byte(e)}, m.next*4096); err != nil {
+		return err
+	}
+	if err := m.f.Sync(); err != nil {
+		return err
+	}
+	m.next ^= 1
+	return nil
+}
+
+// createLayout is the one-time creation of a marker file, the clean
+// atomic replace: staging *.tmp, file fsync, rename, directory fsync.
+func createLayout(path string, dirf *os.File) error {
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write([]byte{byte(e)}); err != nil {
+	if _, err := f.Write(make([]byte, 8192)); err != nil {
 		return err
 	}
 	if err := f.Sync(); err != nil {
@@ -135,14 +149,14 @@ func (m *goodMarker) Set(e uint64) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, m.path); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return m.dirf.Sync()
+	return dirf.Sync()
 }
 
-// tornMarker rewrites the marker file in place — rule 3's
-// marker-not-atomic violation, reported at the method name.
+// tornMarker rewrites the marker file with a truncating write and no
+// fsync — rule 3's marker-rewrite, reported at the method name.
 type tornMarker struct{ path string }
 
 func (m *tornMarker) Set(e uint64) error {
@@ -150,7 +164,8 @@ func (m *tornMarker) Set(e uint64) error {
 }
 
 // lazyMarker stages and renames but never fsyncs the staging file or
-// the directory: two rule-3 findings on the rename.
+// the directory: two rule-3 findings on the rename, and marker-rewrite
+// on the method (a marker Set never renames).
 type lazyMarker struct{ path string }
 
 func (m *lazyMarker) Set(e uint64) error {
@@ -159,6 +174,15 @@ func (m *lazyMarker) Set(e uint64) error {
 		return err
 	}
 	return os.Rename(tmp, m.path)
+}
+
+// looseMarker writes its slot in place but returns before fsyncing the
+// file: rule 3's marker-not-in-place.
+type looseMarker struct{ f *os.File }
+
+func (m *looseMarker) Set(e uint64) error {
+	_, err := m.f.WriteAt([]byte{byte(e)}, 0)
+	return err
 }
 
 // publish fsyncs and dir-fsyncs correctly but renames a non-staging
@@ -171,4 +195,20 @@ func publish(f *os.File, dirf *os.File, from, to string) error {
 		return err
 	}
 	return dirf.Sync()
+}
+
+// truncMarker reopens the marker with O_TRUNC before its positional
+// write and fsync: the fsync does not undo the truncation, which can
+// leave an empty marker after a crash — rule 3's marker-rewrite.
+type truncMarker struct{ path string }
+
+func (m *truncMarker) Set(e uint64) error {
+	f, err := os.OpenFile(m.path, os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteAt([]byte{byte(e)}, 0); err != nil {
+		return err
+	}
+	return f.Sync()
 }

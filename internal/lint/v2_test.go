@@ -11,11 +11,13 @@ import (
 
 // TestWALOrderGolden covers all three ordering rules: W1 directly (29,
 // 38) and through a call chain (60), W2 with no syncs (81) and half
-// the syncs (89), W3's in-place rewrite (148), unsynced rename (161,
-// twice: no file fsync and no dir fsync) and non-staging rename (170).
-// The clean shapes — GoodDirect, evictOrdered, GoodMarker, the
-// zero-marker reset, goodMarker.Set and the suppressed migrateRaw —
-// are asserted by absence.
+// the syncs (89), W3's truncating rewrite (162), renaming marker (171,
+// plus its rename at 176 twice: no file fsync and no dir fsync),
+// unsynced positional write (183), non-staging rename (194) and
+// O_TRUNC reopen (205). The clean shapes — GoodDirect, evictOrdered,
+// GoodMarker, the zero-marker reset, the in-place goodMarker.Set, the
+// createLayout replace and the suppressed migrateRaw — are asserted by
+// absence.
 func TestWALOrderGolden(t *testing.T) {
 	runGolden(t, "walorder", "picl/internal/storage/wtest", WALOrder, []expect{
 		{29, "walorder"},  // BadDirect: write, no undo coverage
@@ -23,10 +25,13 @@ func TestWALOrderGolden(t *testing.T) {
 		{60, "walorder"},  // evictViaHelper -> mirror chain
 		{81, "walorder"},  // BadMarker: no syncs before Set
 		{89, "walorder"},  // HalfMarker: log sync missing
-		{148, "walorder"}, // tornMarker.Set rewrites in place
-		{161, "walorder"}, // lazyMarker rename: staging file not fsynced
-		{161, "walorder"}, // lazyMarker rename: no directory fsync
-		{170, "walorder"}, // publish renames a non-staging source
+		{162, "walorder"}, // tornMarker.Set: truncating rewrite
+		{171, "walorder"}, // lazyMarker.Set: renames the marker
+		{176, "walorder"}, // lazyMarker rename: staging file not fsynced
+		{176, "walorder"}, // lazyMarker rename: no directory fsync
+		{183, "walorder"}, // looseMarker.Set: positional write, no fsync
+		{194, "walorder"}, // publish renames a non-staging source
+		{205, "walorder"}, // truncMarker.Set reopens with O_TRUNC
 	})
 }
 

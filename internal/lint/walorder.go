@@ -17,14 +17,18 @@ import (
 //	    can see, by an undo-log AppendBlock followed by a log Sync —
 //	    otherwise a crash mid-write leaves a torn line with no durable
 //	    undo coverage.
-//	W2 (marker-unordered): replacing the persisted-epoch marker
+//	W2 (marker-unordered): advancing the persisted-epoch marker
 //	    (marker Set) must be preceded by both an image Sync and a log
 //	    Sync — the marker asserts everything at or below it is durable.
-//	W3 (marker-not-atomic and friends): inside internal/storage, the
-//	    marker file must be replaced atomically: write a *.tmp staging
-//	    file, fsync it, os.Rename over the live name, fsync the
-//	    directory. A bare rewrite can tear; an unsynced rename can
-//	    vanish.
+//	W3 (marker-not-in-place, marker-rewrite, replace-*): inside
+//	    internal/storage, a marker Set writes its slot record in place —
+//	    a positional write to the already-open file, then an fsync of
+//	    that file — and never creates, truncates or renames the marker
+//	    (a truncating rewrite can tear the only copy). Every os.Rename
+//	    (Reset's image compaction, the marker's one-time creation) must
+//	    be the atomic replace: write a *.tmp staging file, fsync it,
+//	    rename over the live name, fsync the directory. An unsynced
+//	    rename can vanish or publish a torn file.
 //
 // W1 and W2 are interprocedural: effects.go propagates unordered
 // writes bottom-up through the call graph, a caller that establishes
@@ -33,7 +37,7 @@ import (
 // with the call chain to the primitive attached as related positions.
 var WALOrder = &Analyzer{
 	Name:      "walorder",
-	Doc:       "write-ahead ordering: undo append+sync before image writes, image+log sync before marker replacement, atomic tmp/fsync/rename/dir-fsync marker replace",
+	Doc:       "write-ahead ordering: undo append+sync before image writes, image+log sync before marker advance, in-place positional-write+fsync marker Set, atomic tmp/fsync/rename/dir-fsync file replace",
 	RunModule: runWALOrder,
 }
 
@@ -78,14 +82,14 @@ func runWALOrder(mp *ModulePass) {
 			for _, ob := range s.unorderedMarker {
 				mp.Report(ob.pos, Diagnostic{
 					Code: "marker-unordered",
-					Message: "persisted-epoch marker is replaced without a preceding image sync and log sync; " +
+					Message: "persisted-epoch marker is advanced without a preceding image sync and log sync; " +
 						"sync both stores before advancing the marker (ordering rule 2)",
 					Related: relatedTail(mp.Mod.Fset.Position(ob.pos), ob),
 				})
 			}
 		}
 		if strings.HasPrefix(node.Pkg.Path, walStoragePrefix) {
-			checkReplaceShape(mp, eng, node, s)
+			checkReplaceShape(mp, node, s)
 		}
 	}
 }
@@ -116,9 +120,10 @@ func relatedTail(at token.Position, ob obligation) []Related {
 
 // checkReplaceShape enforces W3 on one storage-layer function: every
 // os.Rename must sit inside the write-tmp / fsync / rename / dir-fsync
-// sequence, and every marker Set implementation must either be that
-// sequence or delegate to a marker store that is.
-func checkReplaceShape(mp *ModulePass, eng *effEngine, node *FuncNode, s *effSummary) {
+// sequence, and every marker Set implementation must write its slot in
+// place and fsync it (or delegate to a marker store that does), without
+// creating, truncating or renaming anything.
+func checkReplaceShape(mp *ModulePass, node *FuncNode, s *effSummary) {
 	tmpSrcs := tmpTainted(node)
 	var sawFileSync bool
 	for i, ev := range s.events {
@@ -149,13 +154,30 @@ func checkReplaceShape(mp *ModulePass, eng *effEngine, node *FuncNode, s *effSum
 			}
 		}
 	}
-	// A marker-class Set must be (or delegate to) the atomic shape.
-	if isMarkerPrimitive(node.Fn) && !s.sawRename && !delegatesMarkerSet(eng, node, s) {
+	if !isMarkerPrimitive(node.Fn) {
+		return
+	}
+	switch {
+	case s.rewrites:
 		mp.Report(node.Decl.Name.Pos(), Diagnostic{
-			Code: "marker-not-atomic",
-			Message: fmt.Sprintf("%s must replace the marker file atomically "+
-				"(write *.tmp, fsync, os.Rename, fsync directory) or delegate to a marker store that does",
+			Code: "marker-rewrite",
+			Message: fmt.Sprintf("%s creates, truncates or renames a file; a marker Set must overwrite "+
+				"its older slot in place so a crash can never tear the newest marker (in-place marker rule 3)",
 				node.Fn.FullName()),
+		})
+	case !s.writesInPlace && !delegatesMarkerSet(node, s):
+		what := "does not write its slot record in place"
+		for _, ev := range s.events {
+			if ev.kind == effFileWriteAt {
+				what = "writes its slot but never fsyncs that file before returning"
+				break
+			}
+		}
+		mp.Report(node.Decl.Name.Pos(), Diagnostic{
+			Code: "marker-not-in-place",
+			Message: fmt.Sprintf("%s %s; write the record with WriteAt on the open marker file, "+
+				"then fsync that file, or delegate to a marker store that does (in-place marker rule 3)",
+				node.Fn.FullName(), what),
 		})
 	}
 }
@@ -171,21 +193,13 @@ func dirSyncFollows(events []effEvent) bool {
 	return false
 }
 
-// delegatesMarkerSet reports whether a marker Set forwards the
-// replacement to another marker store's Set or to a helper performing
-// the rename (the fault-injection wrapper pattern).
-func delegatesMarkerSet(eng *effEngine, node *FuncNode, s *effSummary) bool {
+// delegatesMarkerSet reports whether a marker Set forwards the write
+// to another marker store's Set (the fault-injection wrapper pattern).
+// A helper that writes in place is already covered by writesInPlace.
+func delegatesMarkerSet(node *FuncNode, s *effSummary) bool {
 	for _, ev := range s.events {
-		switch ev.kind {
-		case effMarkerSet:
-			if ev.callee != node.Fn {
-				return true
-			}
-		case effCall:
-			cs := eng.summary(ev.callee)
-			if cs.sawMarkerSet || cs.sawRename {
-				return true
-			}
+		if ev.kind == effMarkerSet && ev.callee != node.Fn {
+			return true
 		}
 	}
 	return false

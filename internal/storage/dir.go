@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"os"
@@ -30,6 +31,7 @@ type Dir struct {
 	Log  LogStore
 	Img  ImageStore
 	Mk   MarkerStore
+	mk   *Marker // the unwrapped marker, for Recover's torn-slot report
 	wrap Wrapper // re-applied to components reopened by Reset
 }
 
@@ -53,7 +55,7 @@ func OpenDir(path string) (*Dir, error) {
 		img.Close()
 		return nil, err
 	}
-	return &Dir{path: path, Log: lg, Img: img, Mk: mk}, nil
+	return &Dir{path: path, Log: lg, Img: img, Mk: mk, mk: mk}, nil
 }
 
 // Path returns the directory the store lives in.
@@ -82,6 +84,9 @@ type RecoverInfo struct {
 	// TornBytes is how many partial log tail bytes the crash left
 	// behind (discarded at open).
 	TornBytes uint64
+	// MarkerTorn reports a marker slot that failed validation: a Set the
+	// crash interrupted, discarded in favor of the other slot.
+	MarkerTorn bool
 	// Applied and Scanned report the backward undo scan's work.
 	Applied, Scanned int
 	// Lines is the recovered image's non-zero line count.
@@ -117,6 +122,7 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 		Marker:     marker,
 		BlocksRead: read,
 		TornBytes:  d.Log.TornBytes(),
+		MarkerTorn: d.mk.Torn(),
 		Applied:    applied,
 		Scanned:    scanned,
 		Lines:      img.Len(),
@@ -124,11 +130,10 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 }
 
 // removeStaleTmp discards *.tmp files a crash left between a temp write
-// and its atomic rename (Marker.Set, Reset's image compaction). They are
-// never part of durable state — the rename is the commit point — but
-// without cleanup a crashed store carries them forever, and a stale
-// marker.tmp would block the next Set's own temp file on some
-// filesystems. The removal is fsynced through the directory handle so it
+// and its atomic rename (the marker's one-time creation, Reset's image
+// compaction). They are never part of durable state — the rename is the
+// commit point — but without cleanup a crashed store carries them
+// forever. The removal is fsynced through the directory handle so it
 // cannot itself be undone by a crash.
 func (d *Dir) removeStaleTmp() error {
 	stale, err := filepath.Glob(filepath.Join(d.path, "*.tmp"))
@@ -156,7 +161,13 @@ func (d *Dir) removeStaleTmp() error {
 // log's covering entries to the compacted image is the identity (they
 // patch lines to exactly the end-of-marker values the compaction wrote);
 // once the log is emptied the marker value no longer matters because
-// there are no entries left to apply.
+// there are no entries left to apply. The log swap (remove, create) is
+// a directory change, so the directory is fsynced before the marker
+// enters the new numbering: otherwise a power cut after the new
+// session's first commits could bring the old log back, or leave none,
+// beside a new-session marker. Epoch 0 then goes into both marker
+// slots, so the slot Get falls back to when the newest is torn or rots
+// never holds the old session's marker, whose log is gone.
 func (d *Dir) Reset(img *mem.Image) error {
 	imgPath := filepath.Join(d.path, ImageFileName)
 	tmp := imgPath + ".tmp"
@@ -164,6 +175,7 @@ func (d *Dir) Reset(img *mem.Image) error {
 	if err != nil {
 		return err
 	}
+	bw := bufio.NewWriterSize(f, imageIOBytes)
 	var rec [imageRecBytes]byte
 	werr := error(nil)
 	img.Each(func(l mem.LineAddr, w mem.Word) {
@@ -172,8 +184,11 @@ func (d *Dir) Reset(img *mem.Image) error {
 		}
 		binary.LittleEndian.PutUint64(rec[0:8], uint64(l))
 		binary.LittleEndian.PutUint64(rec[8:16], uint64(w))
-		_, werr = f.Write(rec[:])
+		_, werr = bw.Write(rec[:])
 	})
+	if werr == nil {
+		werr = bw.Flush()
+	}
 	if werr != nil {
 		f.Close()
 		return werr
@@ -221,12 +236,20 @@ func (d *Dir) Reset(img *mem.Image) error {
 	if d.wrap != nil {
 		d.Log = d.wrap.WrapLog(d.Log)
 	}
-	return d.Mk.Set(0)
+	if err := d.Mk.SyncDir(); err != nil {
+		return err
+	}
+	for slot := 0; slot < 2; slot++ {
+		if err := d.Mk.Set(0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PersistMarker durably advances the persisted-epoch marker, enforcing
-// the ordering contract: image first, then log, then the atomic marker
-// replace.
+// the ordering contract: image first, then log, then the in-place
+// marker write.
 func (d *Dir) PersistMarker(e mem.EpochID) error {
 	if err := d.Img.Sync(); err != nil {
 		return err

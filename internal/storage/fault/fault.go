@@ -30,8 +30,9 @@
 //   - A power cut truncates the log to the last acknowledged-sync
 //     watermark, optionally leaves a torn prefix of the first
 //     unacknowledged block (a mid-row tear), optionally tears the image
-//     tail record, and optionally leaves a stale marker .tmp file (a
-//     crash between tmp-write and rename). After the cut every
+//     tail record, and optionally tears the marker slot the next Set
+//     would write (never the slot holding the newest completed marker,
+//     which an in-place Set never touches). After the cut every
 //     intercepted call fails with storage.ErrPowerLost.
 package fault
 
@@ -65,7 +66,7 @@ type Profile struct {
 	LineENOSPCEvery int // image line write fails with ENOSPC
 
 	// Marker faults.
-	MarkerFailEvery int // marker replace fails with EIO (retryable)
+	MarkerFailEvery int // marker slot write or fsync fails with EIO (retryable)
 
 	// Power cut: when CrashWindow > 0 the injector schedules a cut at
 	// operation CrashAtMin + seededRand%CrashWindow (the sentinel is
@@ -95,7 +96,7 @@ func Default() Profile {
 }
 
 // Transient returns a profile limited to classes the machine retries
-// (failing syncs, dropped syncs, marker replace failures): a run under
+// (failing syncs, dropped syncs, marker write failures): a run under
 // it usually survives to a clean close, exercising the bounded-retry
 // path rather than degradation.
 func Transient() Profile {
@@ -120,7 +121,7 @@ type Counts struct {
 	PowerCuts   uint64
 	TornAppends uint64 // torn log block left behind by the power cut
 	ImageTears  uint64
-	MarkerTears uint64 // stale marker .tmp left behind by the power cut
+	MarkerTears uint64 // marker slot torn by the power cut
 }
 
 // String renders the counts as one stable line.
@@ -168,7 +169,8 @@ const (
 	classCrashImgTear
 	classCrashImgTearLen
 	classCrashMarkerTear
-	classCrashMarkerEpoch
+	classCrashMarkerTearLen
+	classCrashMarkerGarbage
 )
 
 // splitmix64 is the standard 64-bit mixer (Steele et al.); one round
@@ -255,9 +257,9 @@ func (in *Injector) step() error {
 // crash simulates the power cut across all wrapped components: the log
 // rewinds to its acknowledged-sync watermark (optionally with a torn
 // partial block), the image may lose the tail record mid-write, and the
-// marker may leave a stale .tmp behind. Teardown I/O errors are
-// swallowed — there is no one left to report them to after a power cut,
-// and recovery verifies the resulting directory either way.
+// marker may tear the slot its next Set would write. Teardown I/O errors
+// are swallowed — there is no one left to report them to after a power
+// cut, and recovery verifies the resulting directory either way.
 func (in *Injector) crash() {
 	in.crashed = true
 	in.counts.PowerCuts++
@@ -483,27 +485,36 @@ type Marker struct {
 	f  *storage.Marker
 }
 
-// Set implements storage.MarkerStore with injected replace failures
-// (retryable upstream through the PersistMarker protocol).
+// Set implements storage.MarkerStore with injected slot write or fsync
+// failures (retryable upstream through the PersistMarker protocol). The
+// failed Set wrote only the older slot, so the newest marker stands.
 func (mk *Marker) Set(e mem.EpochID) error {
 	if err := mk.in.step(); err != nil {
 		return err
 	}
 	if mk.in.roll(classMarkerFail, mk.in.prof.MarkerFailEvery) {
 		mk.in.counts.MarkerFails++
-		return fmt.Errorf("%w: marker replace: %w", ErrInjected, syscall.EIO)
+		return fmt.Errorf("%w: marker slot write: %w", ErrInjected, syscall.EIO)
 	}
 	return mk.b.Set(e)
 }
 
-// crash leaves a stale marker .tmp a quarter of the time — the artifact
-// of a cut between tmp-write and rename, which Dir.Recover must sweep.
+// crash tears the marker's next slot a quarter of the time: a 1..19-byte
+// prefix of a record, or as many garbage bytes, lands in the slot the
+// next Set would write. The record re-records the newest completed
+// epoch, so a prefix that happens to complete it still recovers that
+// epoch; Dir.Recover must discard the torn slot and report it.
 func (mk *Marker) crash() {
 	if mk.f == nil || mk.in.rand(classCrashMarkerTear)%4 != 0 {
 		return
 	}
-	e := mem.EpochID(mk.in.rand(classCrashMarkerEpoch) % 1024)
-	if mk.f.TearSet(e) == nil {
+	e, err := mk.f.Get()
+	if err != nil {
+		return
+	}
+	n := 1 + int(mk.in.rand(classCrashMarkerTearLen)%19) // 20 B records: tear 1..19 bytes
+	garbage := mk.in.rand(classCrashMarkerGarbage)%2 == 0
+	if mk.f.TearSet(e, n, garbage) == nil {
 		mk.in.counts.MarkerTears++
 	}
 }

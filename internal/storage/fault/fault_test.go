@@ -208,40 +208,42 @@ func TestPermanentSyncFailure(t *testing.T) {
 	}
 }
 
-// TestStaleMarkerTmpSwept: a cut that leaves a stale marker .tmp file
-// behind is cleaned by the next Recover — the crash-between-tmp-and-
-// rename artifact never accumulates.
-func TestStaleMarkerTmpSwept(t *testing.T) {
+// TestMarkerTearRecovers: a cut that tears the marker's next slot
+// recovers the last marker Set that completed before the cut, reports
+// the tear, and leaves no file behind to sweep.
+func TestMarkerTearRecovers(t *testing.T) {
+	tears := 0
 	for seed := uint64(0); seed < 64; seed++ {
-		prof := Profile{CrashAtMin: 10, CrashWindow: 20}
+		prof := Profile{CrashAtMin: 10, CrashWindow: 40}
 		d, in := openWrapped(t, seed, prof)
-		driveOps(d, 60)
+		trace := driveOps(d, 60)
 		c := in.Counts()
 		path := d.Path()
 		d.Close()
 		if c.MarkerTears == 0 {
 			continue
 		}
-		tmps, err := filepath.Glob(filepath.Join(path, "*.tmp"))
+		tears++
+		// driveOps sets epoch k at op 8k-1; the last nil one completed.
+		var last mem.EpochID
+		for i := 7; i < len(trace); i += 8 {
+			if trace[i] == nil {
+				last = mem.EpochID(i/8 + 1)
+			}
+		}
+		_, info, err := storage.RecoverDir(path)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tmps) == 0 {
-			t.Fatalf("seed %d: MarkerTears=%d but no .tmp on disk", seed, c.MarkerTears)
-		}
-		d2, err := storage.OpenDir(path)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if _, _, err := d2.Recover(); err != nil {
 			t.Fatalf("seed %d: recover: %v", seed, err)
 		}
-		d2.Close()
-		tmps, _ = filepath.Glob(filepath.Join(path, "*.tmp"))
-		if len(tmps) != 0 {
-			t.Fatalf("seed %d: stale tmp files survive Recover: %v", seed, tmps)
+		if info.Marker != last || !info.MarkerTorn {
+			t.Fatalf("seed %d: recovered marker %d torn=%v, want %d with the tear reported (%v)",
+				seed, info.Marker, info.MarkerTorn, last, c)
 		}
-		return // one tearing seed is enough
+		if tmps, _ := filepath.Glob(filepath.Join(path, "*.tmp")); len(tmps) != 0 {
+			t.Fatalf("seed %d: tmp files after a marker tear: %v", seed, tmps)
+		}
 	}
-	t.Fatal("no seed in 0..63 produced a marker tear; widen the window")
+	if tears == 0 {
+		t.Fatal("no seed in 0..63 produced a marker tear; widen the window")
+	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,6 +13,11 @@ import (
 // imageRecBytes is the on-disk footprint of one image record: the line
 // address and its current content word.
 const imageRecBytes = 16
+
+// imageIOBytes is the buffer the whole-file passes (open, Load, Reset's
+// compaction) read or write records through: one syscall per 4096
+// records instead of one per record.
+const imageIOBytes = 64 << 10
 
 // ImageFile is the durable line-granular memory image: the on-disk
 // stand-in for the NVM array itself. Each line ever written owns one
@@ -51,15 +57,28 @@ func OpenImage(path string) (*ImageFile, error) {
 			return nil, err
 		}
 	}
-	buf := make([]byte, imageRecBytes)
-	for i := int64(0); i < im.n; i++ {
-		if _, err := io.ReadFull(io.NewSectionReader(f, i*imageRecBytes, imageRecBytes), buf); err != nil {
-			f.Close()
-			return nil, err
-		}
-		im.slots[mem.LineAddr(binary.LittleEndian.Uint64(buf))] = i
+	err = im.eachRecord(func(i int64, rec []byte) {
+		im.slots[mem.LineAddr(binary.LittleEndian.Uint64(rec))] = i
+	})
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return im, nil
+}
+
+// eachRecord reads the n whole records in order through one buffered
+// reader and calls fn with each record's index and bytes.
+func (im *ImageFile) eachRecord(fn func(i int64, rec []byte)) error {
+	br := bufio.NewReaderSize(io.NewSectionReader(im.f, 0, im.n*imageRecBytes), imageIOBytes)
+	var rec [imageRecBytes]byte
+	for i := int64(0); i < im.n; i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			return err
+		}
+		fn(i, rec[:])
+	}
+	return nil
 }
 
 // WriteLine durably mirrors one in-place line write (staged until
@@ -103,13 +122,12 @@ func (im *ImageFile) Sync() error {
 // matching mem.Image semantics exactly.
 func (im *ImageFile) Load() (*mem.Image, error) {
 	out := mem.NewImage()
-	buf := make([]byte, imageRecBytes)
-	for i := int64(0); i < im.n; i++ {
-		if _, err := io.ReadFull(io.NewSectionReader(im.f, i*imageRecBytes, imageRecBytes), buf); err != nil {
-			return nil, err
-		}
-		out.Write(mem.LineAddr(binary.LittleEndian.Uint64(buf[0:8])),
-			mem.Word(binary.LittleEndian.Uint64(buf[8:16])))
+	err := im.eachRecord(func(_ int64, rec []byte) {
+		out.Write(mem.LineAddr(binary.LittleEndian.Uint64(rec[0:8])),
+			mem.Word(binary.LittleEndian.Uint64(rec[8:16])))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

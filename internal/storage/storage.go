@@ -1,7 +1,7 @@
 // Package storage provides durable backends for PiCL's undo log and the
 // pieces a real on-disk deployment needs around it: a line-granular
-// durable memory image and an atomically replaced persisted-epoch
-// marker. It is the first layer of the stack whose state outlives the
+// durable memory image and a persisted-epoch marker written in place.
+// It is the first layer of the stack whose state outlives the
 // simulator process — `picl.Open` builds a crash-consistent store on it,
 // cmd/picl-crash SIGKILLs real child processes against it, and
 // cmd/picl-recover audits what it left behind.
@@ -29,19 +29,28 @@
 //  2. Marker ordering: the persisted-epoch marker for epoch E is
 //     written only after the log and every in-place write of epochs
 //     <= E have been synced.
-//  3. Marker atomicity: the marker is replaced via write-temp + rename
-//     + directory fsync, so a crash observes either the old or the new
-//     marker, never a torn one.
+//  3. Marker in place: the marker file holds two CRC'd slots, and Set
+//     overwrites only the slot not holding the newest marker, with one
+//     positional write and one fsync — no temp file, rename or directory
+//     fsync on the commit path. A crash can tear only that slot, which
+//     Get discards in favor of the other, so recovery observes the last
+//     completed Set. Files replaced whole (the marker's one-time
+//     creation, Reset's image compaction) go through write-temp + fsync
+//     + rename + directory fsync; Reset also fsyncs the directory after
+//     recreating the log, before it writes epoch 0 into both slots.
 //
 // # Torn-tail semantics
 //
-// A crash can tear the final log block (partial write) or the final
-// image record. Both are survivable by construction: a torn log block
-// is dropped by undolog.ReadLog's CRC scan, and the in-place writes it
-// would have covered were never issued (rule 1), so recovery does not
-// need its entries. A torn image record belongs to a write issued after
-// the last marker sync (rule 2), so recovery's backward undo scan
-// overwrites it. Only a corrupt superblock is unrecoverable.
+// A crash can tear the final log block (partial write), the final
+// image record, or the marker slot an in-flight Set was writing. All
+// are survivable by construction: a torn log block is dropped by
+// undolog.ReadLog's CRC scan, and the in-place writes it would have
+// covered were never issued (rule 1), so recovery does not need its
+// entries. A torn image record belongs to a write issued after the last
+// marker sync (rule 2), so recovery's backward undo scan overwrites it.
+// A torn marker slot fails its CRC and the other slot holds the last
+// completed Set (rule 3). Only a corrupt superblock, or a marker with
+// both slots invalid, is unrecoverable.
 package storage
 
 import (

@@ -275,28 +275,64 @@ func TestImageFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarker: a fresh marker reads epoch 0; each Set is read back by
+// Get and by a second handle on the file; Set writes the same 8 KB file
+// in place (one inode throughout); corruption of both slots is an error.
 func TestMarker(t *testing.T) {
 	dir := t.TempDir()
-	mk, err := OpenMarker(filepath.Join(dir, "marker"))
+	path := filepath.Join(dir, "marker")
+	mk, err := OpenMarker(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mk.Close()
-	if e, err := mk.Get(); err != nil || !e.AtMost(0) {
-		t.Fatalf("fresh marker = %d err=%v, want 0", e, err)
+	if e, err := mk.Get(); err != nil || !e.AtMost(0) || mk.Torn() {
+		t.Fatalf("fresh marker = %d torn=%v err=%v, want 0", e, mk.Torn(), err)
 	}
-	for _, e := range []mem.EpochID{1, 2, 5, 9} {
+	created, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := mem.EpochID(0)
+	for k, e := range []mem.EpochID{1, 2, 5, 9} {
 		if err := mk.Set(e); err != nil {
 			t.Fatal(err)
 		}
 		got, err := mk.Get()
-		if err != nil || got != e {
-			t.Fatalf("get after set(%d) = %d err=%v", e, got, err)
+		if err != nil || got != e || mk.Torn() {
+			t.Fatalf("get after set(%d) = %d torn=%v err=%v", e, got, mk.Torn(), err)
 		}
+		// The other slot still holds the previous marker: Set never
+		// overwrites the newest one.
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now, before := encodeMarker(e, uint64(k+1)), encodeMarker(prev, uint64(k))
+		s0, s1 := raw[:markerRecBytes], raw[markerSlotStride:markerSlotStride+markerRecBytes]
+		if !(bytes.Equal(s0, now[:]) && bytes.Equal(s1, before[:])) &&
+			!(bytes.Equal(s1, now[:]) && bytes.Equal(s0, before[:])) {
+			t.Fatalf("after set(%d) the slots are %x and %x, want set(%d) beside set(%d)", e, s0, s1, e, prev)
+		}
+		prev = e
 	}
-	// Corruption (not a crash artifact, thanks to rename atomicity) is
-	// reported, never silently read.
-	if err := os.WriteFile(filepath.Join(dir, "marker"), bytes.Repeat([]byte{9}, 16), 0o644); err != nil {
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(created, fi) || fi.Size() != markerFileBytes {
+		t.Fatalf("marker replaced or resized by Set: same=%v size=%d", os.SameFile(created, fi), fi.Size())
+	}
+	mk2, err := OpenMarker(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := mk2.Get(); err != nil || e != 9 {
+		t.Fatalf("second handle reads %d err=%v, want 9", e, err)
+	}
+	mk2.Close()
+	// Both slots corrupt is reported, never silently read.
+	if err := os.WriteFile(path, bytes.Repeat([]byte{9}, markerFileBytes), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mk.Get(); err == nil {
@@ -478,9 +514,10 @@ func TestFileErrorPaths(t *testing.T) {
 	}
 }
 
-// TestRecoverSweepsStaleTmp: the crash-between-tmp-and-rename artifact —
-// a stale marker.tmp (and any other *.tmp) in the store directory — is
-// removed by Recover before the directory is reused.
+// TestRecoverSweepsStaleTmp: the crash-between-tmp-and-rename artifact
+// of Reset's image compaction — a stale image.dat.tmp — is removed by
+// Recover before the directory is reused. A torn marker Set leaves no
+// file behind: Recover reads the other slot and reports the tear.
 func TestRecoverSweepsStaleTmp(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir)
@@ -490,29 +527,21 @@ func TestRecoverSweepsStaleTmp(t *testing.T) {
 	if err := d.PersistMarker(3); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the torn Set: tmp written, rename never happened.
-	if err := d.Mk.(*Marker).TearSet(9); err != nil {
+	if err := d.Mk.(*Marker).TearSet(9, 12, false); err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(dir, "marker.tmp")
-	if _, err := os.Stat(stale); err != nil {
-		t.Fatalf("stale tmp missing before recovery: %v", err)
-	}
-	// An unrelated tmp from some other interrupted atomic write.
-	other := filepath.Join(dir, "image.dat.tmp")
-	if err := os.WriteFile(other, []byte("junk"), 0o644); err != nil {
+	stale := filepath.Join(dir, "image.dat.tmp")
+	if err := os.WriteFile(stale, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	if _, info, err := d.Recover(); err != nil {
 		t.Fatal(err)
-	} else if info.Marker != 3 {
-		t.Fatalf("stale tmp influenced the marker: %d, want 3", info.Marker)
+	} else if info.Marker != 3 || !info.MarkerTorn {
+		t.Fatalf("recovered marker %d torn=%v, want 3 with the tear reported", info.Marker, info.MarkerTorn)
 	}
-	for _, p := range []string{stale, other} {
-		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("%s survives Recover (err=%v)", p, err)
-		}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("tmp files survive Recover: %v", tmps)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -559,6 +588,56 @@ func TestDirWrapAndSync(t *testing.T) {
 	// never recreated, so the already-wrapped component persists.
 	if w.logs != 2 || w.imgs != 2 || w.mks != 1 {
 		t.Fatalf("Reset did not re-wrap: %+v", *w)
+	}
+}
+
+// orderWrapper records, in order, the Reset steps that reach the
+// components it wraps: a log (re)opened, a directory fsync, a marker Set.
+type orderWrapper struct{ events []string }
+
+func (w *orderWrapper) WrapLog(l LogStore) LogStore {
+	w.events = append(w.events, "log")
+	return l
+}
+func (w *orderWrapper) WrapImage(im ImageStore) ImageStore { return im }
+func (w *orderWrapper) WrapMarker(mk MarkerStore) MarkerStore {
+	return &orderMarker{mk, w}
+}
+
+type orderMarker struct {
+	MarkerStore
+	w *orderWrapper
+}
+
+func (mk *orderMarker) Set(e mem.EpochID) error {
+	mk.w.events = append(mk.w.events, fmt.Sprintf("set %d", e))
+	return mk.MarkerStore.Set(e)
+}
+
+func (mk *orderMarker) SyncDir() error {
+	mk.w.events = append(mk.w.events, "syncdir")
+	return mk.MarkerStore.SyncDir()
+}
+
+// TestResetOrder: Reset fsyncs the directory once after the image
+// rename and once after recreating the log — before the marker enters
+// the new numbering — and then writes epoch 0 into both marker slots.
+func TestResetOrder(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	w := &orderWrapper{}
+	d.Wrap(w)
+	w.events = nil
+	if err := d.Reset(mem.NewImage()); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"syncdir", "log", "syncdir", "set 0", "set 0"}
+	if fmt.Sprint(w.events) != fmt.Sprint(want) {
+		t.Fatalf("Reset steps = %v, want %v", w.events, want)
 	}
 }
 
@@ -694,11 +773,13 @@ func TestImageTearTail(t *testing.T) {
 	}
 }
 
-// TestMarkerTearSet: TearSet leaves the real marker untouched and a
-// stale .tmp behind — the crash artifact Recover sweeps.
+// TestMarkerTearSet: TearSet leaves the slot holding the newest marker
+// byte-identical, Get reports the tear and returns that marker, and the
+// next Set overwrites the torn slot.
 func TestMarkerTearSet(t *testing.T) {
 	dir := t.TempDir()
-	mk, err := OpenMarker(filepath.Join(dir, "marker"))
+	path := filepath.Join(dir, "marker")
+	mk, err := OpenMarker(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -706,13 +787,33 @@ func TestMarkerTearSet(t *testing.T) {
 	if err := mk.Set(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := mk.TearSet(9); err != nil {
+	before, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e, err := mk.Get(); err != nil || e != 4 {
-		t.Fatalf("marker after torn set = %d err=%v, want 4", e, err)
+	for _, n := range []int{0, markerRecBytes} {
+		if err := mk.TearSet(9, n, false); err == nil {
+			t.Fatalf("TearSet accepted a %d-byte tear", n)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "marker.tmp")); err != nil {
-		t.Fatalf("torn set left no tmp: %v", err)
+	if err := mk.TearSet(9, 10, true); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Set(4) went to slot 1 (the fresh layout's newest is slot 0).
+	if !bytes.Equal(before[markerSlotStride:], after[markerSlotStride:]) {
+		t.Fatal("TearSet touched the slot holding the newest marker")
+	}
+	if e, err := mk.Get(); err != nil || e != 4 || !mk.Torn() {
+		t.Fatalf("marker after torn set = %d torn=%v err=%v, want 4 torn", e, mk.Torn(), err)
+	}
+	if err := mk.Set(5); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := mk.Get(); err != nil || e != 5 || mk.Torn() {
+		t.Fatalf("marker after set over the tear = %d torn=%v err=%v, want 5", e, mk.Torn(), err)
 	}
 }
