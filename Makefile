@@ -1,4 +1,4 @@
-.PHONY: ci vet fmt-check tidy-check lint lint-fix lint-sarif build test race cover cover-update bench bench-check bench-test crash fuzz load load-update load-soak
+.PHONY: ci vet fmt-check tidy-check lint lint-fix lint-sarif build test race cover cover-update bench bench-check bench-test benchmark-module crash fuzz load load-update load-soak
 
 # ci is the tier-1 gate: vet, formatting and go.mod hygiene, the
 # project-specific invariant linter, build everything, the full test
@@ -10,8 +10,9 @@
 # bench-check fails it on a throughput or output-byte regression
 # against the committed BENCH_PR9.json. load boots a real picl-simd
 # and gates the served bytes (and, on the recording host, req/s)
-# against SERVE_PR10.json.
-ci: vet fmt-check tidy-check lint build race cover bench-check crash fuzz load
+# against SERVE_PR10.json. benchmark-module vets and tests the separate
+# benchmark/ module, which the root-level go commands never reach.
+ci: vet fmt-check tidy-check lint build race cover bench-check benchmark-module crash fuzz load
 
 vet:
 	go vet ./...
@@ -94,6 +95,13 @@ bench-check:
 # bench-test runs the same bodies through the plain go-test harness.
 bench-test:
 	go test -bench=. -benchmem
+
+# benchmark-module (part of ci) vets and tests benchmark/, a Go module
+# of its own (it replaces picl with the parent directory), so that a
+# change to an interface it wraps — the storage stores, the facade —
+# fails here rather than at the next benchmark run.
+benchmark-module:
+	cd benchmark && go vet ./... && go test ./...
 
 # crash (part of ci) is the SIGKILL crash-recovery gate: 100 real child
 # processes are killed at seeded random points mid-workload and every

@@ -364,9 +364,11 @@ func runStoragePoint(dir string, seed uint64, gaps []int) (string, string, fault
 	c := inj.Counts()
 	img, info, err := storage.RecoverDir(dir)
 	if err != nil {
-		// Injected mid-log bit rot MUST surface as hard corruption — a
-		// detected, reported failure, never a silent wrong answer.
-		if c.RotBits > 0 && errors.Is(err, undolog.ErrCorruptBlock) {
+		// Injected bit rot in a cold log block or image record MUST
+		// surface as hard corruption — a detected, reported failure,
+		// never a silent wrong answer.
+		if c.RotBits > 0 && errors.Is(err, undolog.ErrCorruptBlock) ||
+			c.ImgRotBits > 0 && errors.Is(err, storage.ErrCorruptImage) {
 			return "", "rot-detected", c
 		}
 		return fmt.Sprintf("recovery error: %v (%v)", err, c), outcome, c

@@ -33,6 +33,9 @@ func auditStore(dir string) int {
 		fmt.Printf("  marker slot torn:   an interrupted Set was discarded\n")
 	}
 	fmt.Printf("  log blocks read:    %d (torn tail bytes dropped: %d)\n", info.BlocksRead, info.TornBytes)
+	if info.ImageTornBytes > 0 {
+		fmt.Printf("  image torn tail:    %d bytes of an interrupted append dropped\n", info.ImageTornBytes)
+	}
 	fmt.Printf("  undo scan:          %d entries applied over %d blocks\n", info.Applied, info.Scanned)
 	fmt.Printf("  recovered lines:    %d\n", img.Len())
 

@@ -74,10 +74,10 @@ type Scheme interface {
 }
 
 // LineSink mirrors accepted in-place line writes to a durable medium
-// (storage.ImageFile implements it). The mirror happens at submission
-// time, so the durable file can run ahead of the simulator's modeled
-// durable prefix — both are valid recovery points under the write-ahead
-// ordering contract (see internal/storage's package doc).
+// (storage.ImageFile implements it). The mirror is called at submission
+// time; storage.ImageFile only stages the write, which reaches the file
+// at the image's next Sync, the first step of the marker protocol (see
+// internal/storage's package doc).
 type LineSink interface {
 	WriteLine(l mem.LineAddr, w mem.Word) error
 }

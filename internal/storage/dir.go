@@ -3,7 +3,6 @@ package storage
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 
@@ -33,6 +32,9 @@ type Dir struct {
 	Mk   MarkerStore
 	mk   *Marker // the unwrapped marker, for Recover's torn-slot report
 	wrap Wrapper // re-applied to components reopened by Reset
+	// imgTorn is the torn image tail OpenImage dropped, for Recover's
+	// report.
+	imgTorn uint64
 }
 
 // OpenDir opens (creating if absent) a durable store directory.
@@ -55,7 +57,7 @@ func OpenDir(path string) (*Dir, error) {
 		img.Close()
 		return nil, err
 	}
-	return &Dir{path: path, Log: lg, Img: img, Mk: mk, mk: mk}, nil
+	return &Dir{path: path, Log: lg, Img: img, Mk: mk, mk: mk, imgTorn: img.TornBytes()}, nil
 }
 
 // Path returns the directory the store lives in.
@@ -84,6 +86,9 @@ type RecoverInfo struct {
 	// TornBytes is how many partial log tail bytes the crash left
 	// behind (discarded at open).
 	TornBytes uint64
+	// ImageTornBytes is how many torn image tail bytes — an append the
+	// crash interrupted — were discarded at open.
+	ImageTornBytes uint64
 	// MarkerTorn reports a marker slot that failed validation: a Set the
 	// crash interrupted, discarded in favor of the other slot.
 	MarkerTorn bool
@@ -119,13 +124,14 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 	}
 	applied, scanned := l.ApplyTo(img, marker)
 	return img, RecoverInfo{
-		Marker:     marker,
-		BlocksRead: read,
-		TornBytes:  d.Log.TornBytes(),
-		MarkerTorn: d.mk.Torn(),
-		Applied:    applied,
-		Scanned:    scanned,
-		Lines:      img.Len(),
+		Marker:         marker,
+		BlocksRead:     read,
+		TornBytes:      d.Log.TornBytes(),
+		ImageTornBytes: d.imgTorn,
+		MarkerTorn:     d.mk.Torn(),
+		Applied:        applied,
+		Scanned:        scanned,
+		Lines:          img.Len(),
 	}, nil
 }
 
@@ -152,9 +158,10 @@ func (d *Dir) removeStaleTmp() error {
 }
 
 // Reset compacts the store to a fresh epoch-0 baseline holding exactly
-// img: the image file is atomically replaced with the compacted state,
-// the log is emptied, and the marker returns to 0. `picl.Open` calls
-// this after recovery so a new machine's epoch numbering starts clean.
+// img: the image file is atomically replaced with one record per live
+// line, the log is emptied, and the marker returns to 0. `picl.Open`
+// calls this after recovery so a new machine's epoch numbering starts
+// clean.
 //
 // Every intermediate crash point is safe: until the image rename lands
 // the old image+log+marker still recover; after it, applying the old
@@ -176,15 +183,12 @@ func (d *Dir) Reset(img *mem.Image) error {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, imageIOBytes)
+	_, werr := bw.Write(imageHeader[:])
 	var rec [imageRecBytes]byte
-	werr := error(nil)
 	img.Each(func(l mem.LineAddr, w mem.Word) {
-		if werr != nil {
-			return
+		if werr == nil {
+			_, werr = bw.Write(appendImageRecord(rec[:0], l, w))
 		}
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(l))
-		binary.LittleEndian.PutUint64(rec[8:16], uint64(w))
-		_, werr = bw.Write(rec[:])
 	})
 	if werr == nil {
 		werr = bw.Flush()
@@ -258,14 +262,6 @@ func (d *Dir) PersistMarker(e mem.EpochID) error {
 		return err
 	}
 	return d.Mk.Set(e)
-}
-
-// Sync flushes image and log staging without moving the marker.
-func (d *Dir) Sync() error {
-	if err := d.Img.Sync(); err != nil {
-		return err
-	}
-	return d.Log.Sync()
 }
 
 // Close syncs and releases every component.

@@ -3,7 +3,7 @@
 // (undo log, image file, marker) and injects per-operation failures
 // from a splitmix64-seeded schedule — torn appends, short writes,
 // failing or silently dropped syncs, ENOSPC, single-bit rot in cold log
-// blocks, and a scheduled power cut at operation N.
+// blocks and image records, and a scheduled power cut at operation N.
 //
 // Determinism contract (DESIGN.md §11): every injection decision is a
 // pure function of (seed, operation index, decision class). The
@@ -23,17 +23,17 @@
 //     the durable watermark — so the rotted block always has data behind
 //     it when recovery reads the log and MUST surface as a hard
 //     undolog.ErrCorruptBlock (mid-log rot), never pass as a torn tail.
-//   - The image file carries no per-record CRC (a real NVDIMM's ECC owns
-//     media rot there), so the injector never scribbles cold image
-//     records; it only tears the in-flight tail record at a power cut,
-//     which the undo log covers by the write-ahead ordering contract.
+//   - Image rot likewise strikes only cold image records — synced and
+//     not the final one — so it always has a whole record behind it and
+//     MUST surface as a hard storage.ErrCorruptImage.
 //   - A power cut truncates the log to the last acknowledged-sync
 //     watermark, optionally leaves a torn prefix of the first
-//     unacknowledged block (a mid-row tear), optionally tears the image
-//     tail record, and optionally tears the marker slot the next Set
-//     would write (never the slot holding the newest completed marker,
-//     which an in-place Set never touches). After the cut every
-//     intercepted call fails with storage.ErrPowerLost.
+//     unacknowledged block (a mid-row tear), discards the image's staged
+//     records, optionally leaving a torn prefix of the first (never
+//     touching a synced record), and optionally tears the marker slot
+//     the next Set would write (never the slot holding the newest
+//     completed marker, which an in-place Set never touches). After the
+//     cut every intercepted call fails with storage.ErrPowerLost.
 package fault
 
 import (
@@ -64,6 +64,7 @@ type Profile struct {
 
 	// Image faults.
 	LineENOSPCEvery int // image line write fails with ENOSPC
+	ImgRotEvery     int // one bit flips in a cold image record after a sync
 
 	// Marker faults.
 	MarkerFailEvery int // marker slot write or fsync fails with EIO (retryable)
@@ -91,6 +92,7 @@ func Default() Profile {
 		AppendENOSPCEvery: 200,
 		RotEvery:          160,
 		LineENOSPCEvery:   400,
+		ImgRotEvery:       160,
 		MarkerFailEvery:   96,
 	}
 }
@@ -122,14 +124,15 @@ type Counts struct {
 	TornAppends uint64 // torn log block left behind by the power cut
 	ImageTears  uint64
 	MarkerTears uint64 // marker slot torn by the power cut
+	ImgRotBits  uint64 // bits flipped in cold image records
 }
 
 // String renders the counts as one stable line.
 func (c Counts) String() string {
 	return fmt.Sprintf(
-		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d mk_tear=%d",
+		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d mk_tear=%d img_rot=%d",
 		c.Ops, c.SyncFails, c.SyncDrops, c.ShortWrites, c.ENOSPC,
-		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.MarkerTears)
+		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.MarkerTears, c.ImgRotBits)
 }
 
 // Add accumulates other into c (campaign aggregation).
@@ -145,6 +148,7 @@ func (c *Counts) Add(other Counts) {
 	c.TornAppends += other.TornAppends
 	c.ImageTears += other.ImageTears
 	c.MarkerTears += other.MarkerTears
+	c.ImgRotBits += other.ImgRotBits
 }
 
 // Decision classes: each fault roll mixes its class into the stream so
@@ -171,6 +175,9 @@ const (
 	classCrashMarkerTear
 	classCrashMarkerTearLen
 	classCrashMarkerGarbage
+	classCrashImgGarbage
+	classImgRot
+	classImgRotBit
 )
 
 // splitmix64 is the standard 64-bit mixer (Steele et al.); one round
@@ -256,10 +263,11 @@ func (in *Injector) step() error {
 
 // crash simulates the power cut across all wrapped components: the log
 // rewinds to its acknowledged-sync watermark (optionally with a torn
-// partial block), the image may lose the tail record mid-write, and the
-// marker may tear the slot its next Set would write. Teardown I/O errors
-// are swallowed — there is no one left to report them to after a power
-// cut, and recovery verifies the resulting directory either way.
+// partial block), the image loses its staged records (optionally with a
+// torn prefix of the first), and the marker may tear the slot its next
+// Set would write. Teardown I/O errors are swallowed — there is no one
+// left to report them to after a power cut, and recovery verifies the
+// resulting directory either way.
 func (in *Injector) crash() {
 	in.crashed = true
 	in.counts.PowerCuts++
@@ -423,8 +431,9 @@ func (l *Log) TornBytes() uint64        { return l.b.TornBytes() }
 func (l *Log) Close() error { return l.b.Close() }
 
 // Image interposes on the image store: line writes can hit ENOSPC, the
-// image fsync can fail or be dropped, and a power cut can tear the
-// in-flight tail record.
+// image sync can fail or be dropped, a bit can rot in a cold record after
+// a sync, and a power cut discards the staged records and can tear the
+// first.
 type Image struct {
 	in *Injector
 	b  storage.ImageStore
@@ -455,27 +464,46 @@ func (im *Image) Sync() error {
 		return fmt.Errorf("%w: image sync: %w", ErrInjected, syscall.EIO)
 	}
 	if im.in.roll(classImgSyncDrop, p.SyncDropEvery) {
+		// Acknowledged but not flushed, modeled as surviving a later cut
+		// like the log's. The staged records live in process memory, so
+		// surviving means reaching the file: the drop still appends them
+		// (fsync included, which a cut in this model cannot tell apart
+		// from a skipped one) and only the counter records the lie.
 		im.in.counts.SyncDrops++
-		return nil
 	}
-	return im.b.Sync()
+	if err := im.b.Sync(); err != nil {
+		return err
+	}
+	if im.f != nil && im.in.roll(classImgRot, p.ImgRotEvery) {
+		// Single-bit rot in a synced record with a whole record behind
+		// it: Load must report it, never pass it as a torn tail.
+		if im.f.RotBit(im.in.rand(classImgRotBit)) == nil {
+			im.in.counts.ImgRotBits++
+		}
+	}
+	return nil
 }
 
-// crash tears the image's in-flight tail record half the time: the
-// partial record belongs to a write after the last marker sync, which
-// the undo log covers (write-ahead rule 2), so recovery rolls it back.
+// crash discards the image's staged records — they never left the
+// process — and half the time leaves a torn prefix of the first at the
+// tail: a 1..23-byte prefix of the record, or as many garbage bytes. The
+// records belong to writes after the last marker sync, which the undo
+// log covers (write-ahead rules 1 and 2), so recovery rolls them back.
 func (im *Image) crash() {
-	if im.f == nil || im.in.rand(classCrashImgTear)%2 != 0 {
+	if im.f == nil {
 		return
 	}
-	n := 1 + int(im.in.rand(classCrashImgTearLen)%15) // 16 B records: tear 1..15 bytes
-	if im.f.TearTail(n) == nil {
+	tear := 0
+	if im.in.rand(classCrashImgTear)%2 == 0 {
+		tear = 1 + int(im.in.rand(classCrashImgTearLen)%23) // 24 B records: tear 1..23 bytes
+	}
+	garbage := im.in.rand(classCrashImgGarbage)%2 == 0
+	if torn, err := im.f.Cut(tear, garbage); torn && err == nil {
 		im.in.counts.ImageTears++
 	}
 }
 
 func (im *Image) Load() (*mem.Image, error) { return im.b.Load() }
-func (im *Image) Lines() int                { return im.b.Lines() }
 func (im *Image) Close() error              { return im.b.Close() }
 
 // Marker interposes on the persisted-epoch marker.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"syscall"
 	"testing"
@@ -245,5 +246,86 @@ func TestMarkerTearRecovers(t *testing.T) {
 	}
 	if tears == 0 {
 		t.Fatal("no seed in 0..63 produced a marker tear; widen the window")
+	}
+}
+
+// TestImageCutDiscardsStaged: the power cut drops the image's staged
+// records — at most a torn prefix of the first reaches the file, past
+// every synced record — and Close after ErrPowerLost writes nothing to
+// image.dat. Recovery reads the synced records and reports the tear.
+func TestImageCutDiscardsStaged(t *testing.T) {
+	tears := 0
+	for seed := uint64(0); seed < 32; seed++ {
+		// Ops 1..3 stage lines, op 4 syncs them, ops 5..7 stage more, and
+		// the cut lands on op 8.
+		d, in := openWrapped(t, seed, Profile{CrashAtMin: 8, CrashWindow: 1})
+		path := filepath.Join(d.Path(), storage.ImageFileName)
+		var synced []byte
+		for op := 1; op <= 8; op++ {
+			var err error
+			if op == 4 {
+				err = d.Img.Sync()
+				synced, _ = os.ReadFile(path)
+			} else {
+				err = d.Img.WriteLine(mem.LineAddr(op), mem.Word(op))
+			}
+			if (op == 8) != errors.Is(err, storage.ErrPowerLost) {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+		}
+		cut, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := len(cut) - len(synced)
+		if torn < 0 || torn >= 24 || !bytes.Equal(cut[:len(synced)], synced) {
+			t.Fatalf("seed %d: the cut left %d bytes over %d synced ones", seed, len(cut), len(synced))
+		}
+		if torn > 0 {
+			tears++
+		}
+		if got := in.Counts().ImageTears; got != uint64(min(torn, 1)) {
+			t.Fatalf("seed %d: %d bytes torn, counted %d tears", seed, torn, got)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, cut) {
+			t.Fatalf("seed %d: Close after the cut wrote to the image", seed)
+		}
+		img, info, err := storage.RecoverDir(d.Path())
+		if err != nil {
+			t.Fatalf("seed %d: recover: %v", seed, err)
+		}
+		if img.Len() != 3 || info.ImageTornBytes != uint64(torn) {
+			t.Fatalf("seed %d: recovered %d lines, image torn %d; want 3 and %d", seed, img.Len(), info.ImageTornBytes, torn)
+		}
+	}
+	if tears == 0 || tears == 32 {
+		t.Fatalf("%d of 32 cuts tore the image; want some of each", tears)
+	}
+}
+
+// TestImageRotDetected: with image rot forced on every sync, recovery of
+// the closed directory must fail loudly with ErrCorruptImage.
+func TestImageRotDetected(t *testing.T) {
+	d, in := openWrapped(t, 99, Profile{ImgRotEvery: 1})
+	for i := 0; i < 16; i++ {
+		if err := d.Img.WriteLine(mem.LineAddr(i), mem.Word(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Img.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in.Counts().ImgRotBits == 0 {
+		t.Fatal("no image rot injected despite ImgRotEvery=1")
+	}
+	path := d.Path()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := storage.RecoverDir(path); !errors.Is(err, storage.ErrCorruptImage) {
+		t.Fatalf("recovery of a rotted image = %v, want ErrCorruptImage", err)
 	}
 }

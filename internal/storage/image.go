@@ -2,43 +2,65 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 
 	"picl/internal/mem"
 )
 
-// imageRecBytes is the on-disk footprint of one image record: the line
-// address and its current content word.
-const imageRecBytes = 16
+// The image file is a short header followed by fixed-size line records
+// appended in Sync order. A record is the line address (u64), its word
+// (u64), the CRC32C of those 16 bytes (u32) and 4 reserved zero bytes.
+const (
+	imageHeaderBytes = 8
+	imageRecBytes    = 24
+)
 
-// imageIOBytes is the buffer the whole-file passes (open, Load, Reset's
-// compaction) read or write records through: one syscall per 4096
+// imageHeader opens every non-empty image file: the magic "PCLI" and
+// format version 2. The first format (version 1) was bare 16-byte
+// records with no header; such a file is refused, never misread.
+var imageHeader = [imageHeaderBytes]byte{'P', 'C', 'L', 'I', 2, 0, 0, 0}
+
+// imageIOBytes is the buffer the whole-file passes (Load, Reset's
+// compaction) read or write records through: one syscall per ~2700
 // records instead of one per record.
 const imageIOBytes = 64 << 10
 
+// ErrCorruptImage reports an image file recovery cannot trust: a header
+// that is not this format's (a headerless image of the older layout
+// included), or a record that fails validation with whole records
+// behind it (media rot, not a torn tail). Match it with errors.Is.
+var ErrCorruptImage = errors.New("storage: corrupt image file")
+
 // ImageFile is the durable line-granular memory image: the on-disk
-// stand-in for the NVM array itself. Each line ever written owns one
-// fixed 16-byte record (line address, content word); the first write to
-// a line appends its record, subsequent writes update the word in
-// place. This keeps the file proportional to the touched footprint
-// instead of the address space, and keeps every update a single aligned
-// 8-byte positional write.
+// stand-in for the NVM array itself, kept as an append-only log of
+// CRC-checked line records. WriteLine stages a record in memory; Sync
+// appends everything staged with one positional write at the tail and
+// one fsync, the sequential row-sized write discipline the undo log
+// already follows. Load replays the records in file order, so a line's
+// last record wins. The file grows by one record per line written back
+// until Dir.Reset compacts it to one record per live line.
 //
-// Durability is deferred to Sync (fsync); the ordering rules in the
-// package doc explain why a torn or unsynced record is always repaired
-// by the undo scan during recovery.
+// A crash can leave only a torn tail: a partial trailing record, or an
+// invalid final one, which OpenImage drops and reports (TornBytes). An
+// invalid record with whole records behind it is rot, and Load fails
+// with ErrCorruptImage rather than return an older line.
 type ImageFile struct {
-	f     *os.File
-	slots map[mem.LineAddr]int64 // line -> record index
-	n     int64                  // record count
-	dirty bool
+	f      *os.File
+	size   int64  // bytes on file: header plus whole records (0 until the first Sync)
+	staged []byte // records staged since the last successful Sync
+	torn   uint64 // torn tail bytes dropped at open
 }
 
-// OpenImage opens (creating if absent) a durable image file. A partial
-// trailing record — a torn crash write — is discarded.
+// OpenImage opens (creating if absent) a durable image file and drops a
+// torn tail: a partial trailing record, an invalid final record, or a
+// prefix of the header a first Sync left. A file whose header is not
+// this format's is an error, and the file is left untouched.
 func OpenImage(path string) (*ImageFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -49,17 +71,15 @@ func OpenImage(path string) (*ImageFile, error) {
 		f.Close()
 		return nil, err
 	}
-	im := &ImageFile{f: f, slots: make(map[mem.LineAddr]int64)}
-	im.n = fi.Size() / imageRecBytes
-	if fi.Size()%imageRecBytes != 0 {
-		if err := f.Truncate(im.n * imageRecBytes); err != nil {
-			f.Close()
-			return nil, err
+	im := &ImageFile{f: f, size: fi.Size()}
+	keep, err := im.validTail()
+	if err == nil && keep < im.size {
+		im.torn = uint64(im.size - keep)
+		im.size = keep
+		if err = f.Truncate(keep); err == nil {
+			err = f.Sync()
 		}
 	}
-	err = im.eachRecord(func(i int64, rec []byte) {
-		im.slots[mem.LineAddr(binary.LittleEndian.Uint64(rec))] = i
-	})
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -67,92 +87,172 @@ func OpenImage(path string) (*ImageFile, error) {
 	return im, nil
 }
 
-// eachRecord reads the n whole records in order through one buffered
-// reader and calls fn with each record's index and bytes.
-func (im *ImageFile) eachRecord(fn func(i int64, rec []byte)) error {
-	br := bufio.NewReaderSize(io.NewSectionReader(im.f, 0, im.n*imageRecBytes), imageIOBytes)
-	var rec [imageRecBytes]byte
-	for i := int64(0); i < im.n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return err
-		}
-		fn(i, rec[:])
+// validTail checks the header and the final whole record, and returns
+// the length of the file without its torn tail. Only the tail is read:
+// the records in front of it are checked by Load.
+func (im *ImageFile) validTail() (int64, error) {
+	if im.size == 0 {
+		return 0, nil
 	}
-	return nil
+	head := make([]byte, min(im.size, imageHeaderBytes))
+	if _, err := im.f.ReadAt(head, 0); err != nil {
+		return 0, err
+	}
+	if !bytes.Equal(head, imageHeader[:len(head)]) {
+		return 0, fmt.Errorf("%w: %s does not start with the image header %x (a headerless 16-byte-record image from an older format?)",
+			ErrCorruptImage, im.f.Name(), imageHeader)
+	}
+	if im.size < imageHeaderBytes {
+		return 0, nil // a first Sync torn inside the header
+	}
+	keep := imageHeaderBytes + (im.size-imageHeaderBytes)/imageRecBytes*imageRecBytes
+	if keep == imageHeaderBytes {
+		return keep, nil
+	}
+	var rec [imageRecBytes]byte
+	if _, err := im.f.ReadAt(rec[:], keep-imageRecBytes); err != nil {
+		return 0, err
+	}
+	if _, _, ok := decodeImageRecord(rec[:]); !ok {
+		keep -= imageRecBytes
+	}
+	return keep, nil
 }
 
-// WriteLine durably mirrors one in-place line write (staged until
-// Sync). It satisfies the checkpoint.LineSink mirror hook.
+// appendImageRecord appends the record for line l holding w to b.
+func appendImageRecord(b []byte, l mem.LineAddr, w mem.Word) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(l))
+	b = binary.LittleEndian.AppendUint64(b, uint64(w))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(b)-16:], castagnoli))
+	return binary.LittleEndian.AppendUint32(b, 0)
+}
+
+// decodeImageRecord decodes one record and reports whether it is valid:
+// its CRC matches and its reserved bytes are zero, so every single-bit
+// flip is caught.
+func decodeImageRecord(rec []byte) (mem.LineAddr, mem.Word, bool) {
+	ok := crc32.Checksum(rec[0:16], castagnoli) == binary.LittleEndian.Uint32(rec[16:20]) &&
+		binary.LittleEndian.Uint32(rec[20:24]) == 0
+	return mem.LineAddr(binary.LittleEndian.Uint64(rec[0:8])), mem.Word(binary.LittleEndian.Uint64(rec[8:16])), ok
+}
+
+// WriteLine stages the record of one in-place line write for the next
+// Sync. It satisfies the checkpoint.LineSink mirror hook.
 func (im *ImageFile) WriteLine(l mem.LineAddr, w mem.Word) error {
-	if idx, ok := im.slots[l]; ok {
-		var word [8]byte
-		binary.LittleEndian.PutUint64(word[:], uint64(w))
-		if _, err := im.f.WriteAt(word[:], idx*imageRecBytes+8); err != nil {
-			return err
-		}
-		im.dirty = true
-		return nil
-	}
-	var rec [imageRecBytes]byte
-	binary.LittleEndian.PutUint64(rec[0:8], uint64(l))
-	binary.LittleEndian.PutUint64(rec[8:16], uint64(w))
-	if _, err := im.f.WriteAt(rec[:], im.n*imageRecBytes); err != nil {
-		return err
-	}
-	im.slots[l] = im.n
-	im.n++
-	im.dirty = true
+	im.staged = appendImageRecord(im.staged, l, w)
 	return nil
 }
 
-// Sync makes every mirrored write durable.
+// Sync appends every staged record at the tail, behind the header when
+// the file is empty, with one positional write, and fsyncs. A failed
+// Sync keeps the records staged and the tail where it was, so a retry
+// writes the same bytes again.
 func (im *ImageFile) Sync() error {
-	if !im.dirty {
+	if len(im.staged) == 0 {
 		return nil
+	}
+	buf := im.staged
+	if im.size == 0 {
+		buf = append(imageHeader[:], buf...)
+	}
+	if _, err := im.f.WriteAt(buf, im.size); err != nil {
+		return err
 	}
 	if err := im.f.Sync(); err != nil {
 		return err
 	}
-	im.dirty = false
+	im.size += int64(len(buf))
+	im.staged = im.staged[:0]
 	return nil
 }
 
-// Load reads the durable image into a functional memory image. Records
-// whose word is zero collapse into the image's implicit zero state,
-// matching mem.Image semantics exactly.
+// Load replays the file's records into a functional memory image, in
+// file order, so a line's last record wins; staged records are not yet
+// part of the file. Records whose word is zero collapse into the
+// image's implicit zero state, matching mem.Image semantics exactly. An
+// invalid record is rot — OpenImage already dropped a torn final one —
+// and fails with ErrCorruptImage.
 func (im *ImageFile) Load() (*mem.Image, error) {
 	out := mem.NewImage()
-	err := im.eachRecord(func(_ int64, rec []byte) {
-		out.Write(mem.LineAddr(binary.LittleEndian.Uint64(rec[0:8])),
-			mem.Word(binary.LittleEndian.Uint64(rec[8:16])))
-	})
-	if err != nil {
-		return nil, err
+	if im.size == 0 {
+		return out, nil
+	}
+	n := (im.size - imageHeaderBytes) / imageRecBytes
+	br := bufio.NewReaderSize(io.NewSectionReader(im.f, imageHeaderBytes, n*imageRecBytes), imageIOBytes)
+	var rec [imageRecBytes]byte
+	for i := int64(0); i < n; i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			return nil, err
+		}
+		l, w, ok := decodeImageRecord(rec[:])
+		if !ok {
+			return nil, fmt.Errorf("%w: record %d of %d fails validation with further records behind it (media rot, not a torn tail)",
+				ErrCorruptImage, i, n)
+		}
+		out.Write(l, w)
 	}
 	return out, nil
 }
 
-// Lines reports how many lines own records.
-func (im *ImageFile) Lines() int { return len(im.slots) }
+// TornBytes reports how many torn tail bytes were dropped when the file
+// was opened (0 for a cleanly closed image).
+func (im *ImageFile) TornBytes() uint64 { return im.torn }
 
-// TearTail simulates a crash tearing a record append mid-write: n junk
-// bytes (1 <= n < 16) land past the last whole record. OpenImage
-// discards the partial trailing record. Fault injection only.
-func (im *ImageFile) TearTail(n int) error {
-	if n <= 0 || n >= imageRecBytes {
-		return fmt.Errorf("storage: image tear of %d bytes, want 1..%d", n, imageRecBytes-1)
+// Cut simulates a power cut against the image: every staged record is
+// lost with the process. With tear > 0 (0 tears nothing) the cut lands
+// partway through the append Sync would have made: the first tear bytes
+// (1..23) of the first staged record, or as many garbage bytes, reach
+// the tail (behind the header when the file is empty) and are forced to
+// media. Synced records are never touched. It reports whether it tore
+// anything — with nothing staged no append was in flight. Fault
+// injection only.
+func (im *ImageFile) Cut(tear int, garbage bool) (bool, error) {
+	if tear < 0 || tear >= imageRecBytes {
+		return false, fmt.Errorf("storage: image tear of %d bytes, want 0..%d", tear, imageRecBytes-1)
 	}
-	junk := make([]byte, n)
-	for i := range junk {
-		junk[i] = 0xA5
+	staged := im.staged
+	im.staged = nil
+	if tear == 0 || len(staged) == 0 {
+		return false, nil
 	}
-	if _, err := im.f.WriteAt(junk, im.n*imageRecBytes); err != nil {
+	part := staged[:tear]
+	if garbage {
+		part = bytes.Repeat([]byte{0xA5}, tear)
+	}
+	off := im.size
+	if off == 0 {
+		part = append(imageHeader[:], part...)
+	}
+	if _, err := im.f.WriteAt(part, off); err != nil {
+		return false, err
+	}
+	return true, im.f.Sync()
+}
+
+// RotBit flips one bit of a synced record other than the final one —
+// rot there reads as a torn tail — and forces it to media: simulated
+// media rot, which Load must report. bit indexes the bits of those
+// records, modulo their count; fewer than two synced records is an
+// error. Fault injection only.
+func (im *ImageFile) RotBit(bit uint64) error {
+	n := max(im.size-imageHeaderBytes, 0) / imageRecBytes
+	if n < 2 {
+		return fmt.Errorf("storage: image rot needs two synced records, the file holds %d", n)
+	}
+	bit %= uint64(n-1) * imageRecBytes * 8
+	off := imageHeaderBytes + int64(bit/8)
+	var b [1]byte
+	if _, err := im.f.ReadAt(b[:], off); err != nil {
+		return err
+	}
+	b[0] ^= 1 << (bit % 8)
+	if _, err := im.f.WriteAt(b[:], off); err != nil {
 		return err
 	}
 	return im.f.Sync()
 }
 
-// Close syncs and releases the image file.
+// Close appends whatever is staged and releases the image file.
 func (im *ImageFile) Close() error {
 	if err := im.Sync(); err != nil {
 		im.f.Close()

@@ -19,7 +19,9 @@ const (
 	markerRecBytes   = 20
 )
 
-var markerTable = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli is the CRC32C table behind every checksum the package
+// writes: marker slots, image records and result records.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Marker is the durable persisted-epoch record — the 8-byte pointer the
 // OS reads first during recovery (paper §IV-B), written in place like
@@ -97,7 +99,7 @@ func encodeMarker(e mem.EpochID, seq uint64) [markerRecBytes]byte {
 	var rec [markerRecBytes]byte
 	binary.LittleEndian.PutUint64(rec[0:8], uint64(e))
 	binary.LittleEndian.PutUint64(rec[8:16], seq)
-	binary.LittleEndian.PutUint32(rec[16:20], crc32.Checksum(rec[0:16], markerTable))
+	binary.LittleEndian.PutUint32(rec[16:20], crc32.Checksum(rec[0:16], castagnoli))
 	return rec
 }
 
@@ -147,7 +149,7 @@ func (mk *Marker) Get() (mem.EpochID, error) {
 		}
 		epoch[i] = mem.EpochID(binary.LittleEndian.Uint64(rec[0:8]))
 		seq[i] = binary.LittleEndian.Uint64(rec[8:16])
-		ok[i] = crc32.Checksum(rec[0:16], markerTable) == binary.LittleEndian.Uint32(rec[16:20])
+		ok[i] = crc32.Checksum(rec[0:16], castagnoli) == binary.LittleEndian.Uint32(rec[16:20])
 	}
 	newest := 0
 	switch {

@@ -120,7 +120,7 @@ func TestMarkerRejectsInvalid(t *testing.T) {
 	both[markerSlotStride] ^= 1
 	legacy := make([]byte, 16) // epoch 7, its CRC32C, padding
 	binary.LittleEndian.PutUint64(legacy[0:8], 7)
-	binary.LittleEndian.PutUint32(legacy[8:12], crc32.Checksum(legacy[0:8], markerTable))
+	binary.LittleEndian.PutUint32(legacy[8:12], crc32.Checksum(legacy[0:8], castagnoli))
 	cases := map[string][]byte{
 		"both slots invalid": both,
 		"short":              good[:markerFileBytes-1],

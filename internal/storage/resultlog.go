@@ -121,8 +121,8 @@ func (r *Results) scan() (uint64, error) {
 			return r.scanned, nil
 		}
 		want := binary.LittleEndian.Uint32(rec[40:44])
-		crc := crc32.Checksum(rec[:40], castagnoliResults)
-		crc = crc32.Update(crc, castagnoliResults, rec[resultHeaderBytes:total])
+		crc := crc32.Checksum(rec[:40], castagnoli)
+		crc = crc32.Update(crc, castagnoli, rec[resultHeaderBytes:total])
 		if crc != want {
 			return r.scanned, nil
 		}
@@ -137,8 +137,6 @@ func (r *Results) scan() (uint64, error) {
 		r.scanned += nblocks
 	}
 }
-
-var castagnoliResults = crc32.MakeTable(crc32.Castagnoli)
 
 // Get returns the payload stored under d.
 func (r *Results) Get(d [32]byte) ([]byte, bool) {
@@ -174,8 +172,8 @@ func (r *Results) Put(d [32]byte, payload []byte) error {
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
 	copy(buf[8:40], d[:])
 	copy(buf[resultHeaderBytes:], payload)
-	crc := crc32.Checksum(buf[:40], castagnoliResults)
-	crc = crc32.Update(crc, castagnoliResults, payload)
+	crc := crc32.Checksum(buf[:40], castagnoli)
+	crc = crc32.Update(crc, castagnoli, payload)
 	binary.LittleEndian.PutUint32(buf[40:44], crc)
 	for i := 0; i < nblocks; i++ {
 		if err := r.b.AppendBlock(buf[i*undolog.BlockBytes : (i+1)*undolog.BlockBytes]); err != nil {

@@ -1,6 +1,7 @@
 // Package storage provides durable backends for PiCL's undo log and the
 // pieces a real on-disk deployment needs around it: a line-granular
-// durable memory image and a persisted-epoch marker written in place.
+// durable memory image kept as an append-only log of line records, and
+// a persisted-epoch marker written in place.
 // It is the first layer of the stack whose state outlives the
 // simulator process — `picl.Open` builds a crash-consistent store on it,
 // cmd/picl-crash SIGKILLs real child processes against it, and
@@ -23,12 +24,13 @@
 //
 //  1. Write-ahead logging: an undo block covering a line must be
 //     appended AND synced before any in-place write to that line is
-//     issued to the image file. (The core's bloom-filter dependency
+//     staged in the image file. (The core's bloom-filter dependency
 //     check flushes the staging buffer first; the mirror syncs inside
-//     that flush.)
+//     that flush.) A staged write reaches the file only at the image's
+//     next Sync, later still.
 //  2. Marker ordering: the persisted-epoch marker for epoch E is
 //     written only after the log and every in-place write of epochs
-//     <= E have been synced.
+//     <= E have been synced — for the image, appended by its Sync.
 //  3. Marker in place: the marker file holds two CRC'd slots, and Set
 //     overwrites only the slot not holding the newest marker, with one
 //     positional write and one fsync — no temp file, rename or directory
@@ -41,16 +43,28 @@
 //
 // # Torn-tail semantics
 //
-// A crash can tear the final log block (partial write), the final
-// image record, or the marker slot an in-flight Set was writing. All
-// are survivable by construction: a torn log block is dropped by
+// A crash can tear the final log block (partial write), the image's
+// in-flight append, or the marker slot an in-flight Set was writing.
+// All are survivable by construction: a torn log block is dropped by
 // undolog.ReadLog's CRC scan, and the in-place writes it would have
 // covered were never issued (rule 1), so recovery does not need its
-// entries. A torn image record belongs to a write issued after the last
-// marker sync (rule 2), so recovery's backward undo scan overwrites it.
-// A torn marker slot fails its CRC and the other slot holds the last
-// completed Set (rule 3). Only a corrupt superblock, or a marker with
-// both slots invalid, is unrecoverable.
+// entries. Image records are fixed-size and CRC-checked; OpenImage
+// drops a partial trailing record or an invalid final one. Every record
+// of an interrupted append belongs to writes after the last marker sync
+// (rule 2), covered by synced undo entries (rule 1), so recovery's
+// backward undo scan overwrites the lines whether their records
+// survived whole, torn or not at all. A torn marker slot fails its CRC
+// and the other slot holds the last completed Set (rule 3).
+//
+// Rot is not a tear. An invalid image record with whole records behind
+// it, like an invalid log block with blocks behind it, cannot be an
+// interrupted append — appends are sequential — and is a hard error
+// (ErrCorruptImage, undolog.ErrCorruptBlock), never a silently older
+// line. Rot in the final record or block reads as a torn tail: it is
+// indistinguishable from an interrupted write of it. A corrupt
+// superblock, an image without this format's header (the older
+// headerless layout included), or a marker with both slots invalid is
+// likewise unrecoverable.
 package storage
 
 import (

@@ -212,69 +212,6 @@ func TestOpenFileRejectsCorruptSuper(t *testing.T) {
 	}
 }
 
-func TestImageFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "image.dat")
-	im, err := OpenImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mem.NewImage()
-	for i := 0; i < 200; i++ {
-		l := mem.LineAddr(i % 60) // plenty of in-place overwrites
-		w := mem.PayloadFor(l, 3, uint64(i))
-		if i%17 == 0 {
-			w = 0 // zero writes must collapse to the implicit zero state
-		}
-		if err := im.WriteLine(l, w); err != nil {
-			t.Fatal(err)
-		}
-		want.Write(l, w)
-	}
-	if err := im.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := im.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("live load differs: %v", got.Diff(want, 5))
-	}
-	if err := im.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got, err = re.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("reopened load differs: %v", got.Diff(want, 5))
-	}
-	if re.Lines() != 60 {
-		t.Fatalf("lines = %d, want 60 records", re.Lines())
-	}
-
-	// Torn trailing record: dropped at open, remaining records intact.
-	raw, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	torn, err := OpenImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer torn.Close()
-	if torn.Lines() != 59 {
-		t.Fatalf("after torn record: %d lines, want 59", torn.Lines())
-	}
-}
-
 // TestMarker: a fresh marker reads epoch 0; each Set is read back by
 // Get and by a second handle on the file; Set writes the same 8 KB file
 // in place (one inode throughout); corruption of both slots is an error.
@@ -557,8 +494,8 @@ func (p *passWrapper) WrapImage(im ImageStore) ImageStore    { p.imgs++; return 
 func (p *passWrapper) WrapMarker(mk MarkerStore) MarkerStore { p.mks++; return mk }
 
 // TestDirWrapAndSync: Wrap interposes on all three components (and
-// again on the fresh components a Reset opens); Dir.Sync makes every
-// component durable in one call; Path reports the directory.
+// again on the fresh components a Reset opens); a staged line reaches
+// the image file through PersistMarker; Path reports the directory.
 func TestDirWrapAndSync(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir)
@@ -578,8 +515,11 @@ func TestDirWrapAndSync(t *testing.T) {
 	if err := d.Img.WriteLine(1, 42); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.PersistMarker(1); err != nil {
 		t.Fatal(err)
+	}
+	if img, info, err := d.Recover(); err != nil || info.Marker != 1 || img.Read(1) != 42 {
+		t.Fatalf("recovered marker %d line 1 = %d (err %v), want marker 1 and 42", info.Marker, img.Read(1), err)
 	}
 	if err := d.Reset(mem.NewImage()); err != nil {
 		t.Fatal(err)
@@ -726,50 +666,6 @@ func TestFileRotBit(t *testing.T) {
 	}
 	if _, _, err := undolog.ReadLog(bytes.NewReader(all), 0); !errors.Is(err, undolog.ErrCorruptBlock) {
 		t.Fatalf("rotted block read back as %v, want ErrCorruptBlock", err)
-	}
-}
-
-// TestImageTearTail: a torn image tail is junk bytes past the last
-// whole record — dropped at the next open, earlier records intact.
-func TestImageTearTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "image.dat")
-	im, err := OpenImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := im.WriteLine(mem.LineAddr(i), mem.Word(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := im.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := im.TearTail(0); err == nil {
-		t.Fatal("zero-byte tear accepted")
-	}
-	if err := im.TearTail(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := im.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Lines() != 3 {
-		t.Fatalf("torn junk consumed a whole record: %d lines, want 3", re.Lines())
-	}
-	img, err := re.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if img.Read(mem.LineAddr(i)) != mem.Word(i) {
-			t.Fatalf("line %d lost to the tear", i)
-		}
 	}
 }
 

@@ -29,7 +29,6 @@ type ImageStore interface {
 	WriteLine(l mem.LineAddr, w mem.Word) error
 	Sync() error
 	Load() (*mem.Image, error)
-	Lines() int
 	Close() error
 }
 
