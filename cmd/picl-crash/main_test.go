@@ -123,7 +123,8 @@ func TestDiedBySIGKILL(t *testing.T) {
 // TestVerifyPointInProcess drives the child's exact op stream in-process
 // and abandons the store without Close — the same durable state a
 // SIGKILL leaves behind — then requires verifyPoint to accept it, and to
-// reject the directory once its marker is scribbled.
+// reject the directory once its image, which holds the marker, is
+// scribbled.
 func TestVerifyPointInProcess(t *testing.T) {
 	seed := crashplan.Splitmix64(41)
 	dir := filepath.Join(t.TempDir(), "store")
@@ -151,10 +152,10 @@ func TestVerifyPointInProcess(t *testing.T) {
 	if msg := verifyPoint(dir, seed); msg != "" {
 		t.Fatalf("abandoned store failed verification: %s", msg)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "marker"), bytes.Repeat([]byte{7}, 16), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "image.dat"), bytes.Repeat([]byte{7}, 16), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if msg := verifyPoint(dir, seed); !strings.Contains(msg, "recovery error") {
-		t.Fatalf("scribbled marker passed verification: %q", msg)
+		t.Fatalf("scribbled image passed verification: %q", msg)
 	}
 }

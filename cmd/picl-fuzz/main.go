@@ -18,10 +18,10 @@
 //     through the full facade, and verifies the directory left behind:
 //     power cuts and degradations must recover bit-exactly to the epoch
 //     the marker names; injected bit rot must surface as a hard
-//     corruption error, never pass silently; a torn marker slot must
-//     recover the last completed marker; stale *.tmp files must be
-//     swept; and a degraded machine must keep serving reads and stats
-//     while writes fail (graceful degradation).
+//     corruption error, never pass silently; a torn commit append, in
+//     order or out of it, must recover the last completed commit; stale
+//     *.tmp files must be swept; and a degraded machine must keep
+//     serving reads and stats while writes fail (graceful degradation).
 //
 // Usage:
 //

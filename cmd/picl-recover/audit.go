@@ -29,12 +29,10 @@ func auditStore(dir string) int {
 	}
 	fmt.Printf("durable store audit: %s\n", dir)
 	fmt.Printf("  marker epoch:       %d\n", info.Marker)
-	if info.MarkerTorn {
-		fmt.Printf("  marker slot torn:   an interrupted Set was discarded\n")
-	}
 	fmt.Printf("  log blocks read:    %d (torn tail bytes dropped: %d)\n", info.BlocksRead, info.TornBytes)
 	if info.ImageTornBytes > 0 {
-		fmt.Printf("  image torn tail:    %d bytes of an interrupted append dropped\n", info.ImageTornBytes)
+		fmt.Printf("  image torn batch:   %d bytes dropped; the marker is the commit record at byte %d\n",
+			info.ImageTornBytes, info.MarkerAt)
 	}
 	fmt.Printf("  undo scan:          %d entries applied over %d blocks\n", info.Applied, info.Scanned)
 	fmt.Printf("  recovered lines:    %d\n", img.Len())

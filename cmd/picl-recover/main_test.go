@@ -180,21 +180,26 @@ store consistent: recovery reproduces the epoch-7 checkpoint
 	}
 }
 
-// TestSmokeLogAuditMarkerTorn: the same store with its marker's next
-// slot torn (a crash mid-Set) recovers the last completed marker; the
-// audit adds the torn-slot line and still verifies consistent.
-func TestSmokeLogAuditMarkerTorn(t *testing.T) {
+// TestSmokeLogAuditTornBatch: the same store with a torn commit batch
+// behind its image — the later part of an append that reached the disk
+// ahead of its earlier part, which reads as zeros — drops it on open;
+// the audit adds the torn-batch line naming the commit record the
+// marker came from, and still verifies consistent.
+func TestSmokeLogAuditTornBatch(t *testing.T) {
 	work := t.TempDir()
 	store := filepath.Join(work, "store")
 	buildStore(t, store)
-	mk, err := storage.OpenMarker(filepath.Join(store, storage.MarkerFileName))
+	im, err := storage.OpenImage(filepath.Join(store, storage.ImageFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mk.TearSet(8, 11, false); err != nil {
+	if err := im.WriteLine(3, 77); err != nil {
 		t.Fatal(err)
 	}
-	if err := mk.Close(); err != nil {
+	if torn, err := im.Cut(30, true, false); !torn || err != nil {
+		t.Fatalf("cut: torn=%v err=%v", torn, err)
+	}
+	if err := im.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,21 +209,21 @@ func TestSmokeLogAuditMarkerTorn(t *testing.T) {
 	}
 	const golden = `durable store audit: store
   marker epoch:       7
-  marker slot torn:   an interrupted Set was discarded
   log blocks read:    17 (torn tail bytes dropped: 0)
+  image torn batch:   48 bytes dropped; the marker is the commit record at byte 1640
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
 store consistent: recovery reproduces the epoch-7 checkpoint
 `
 	if out != golden {
-		t.Fatalf("marker-torn audit output differs from golden:\n--- got ---\n%s--- want ---\n%s", out, golden)
+		t.Fatalf("torn-batch audit output differs from golden:\n--- got ---\n%s--- want ---\n%s", out, golden)
 	}
 }
 
 // TestSmokeLogAuditImageTorn: the same store with a partial record
-// behind its image — the trace of a crash mid-append in a commit whose
-// marker never moved — drops it on open; the audit adds the image
-// torn-tail line and still verifies consistent.
+// behind its image — the trace of a crash early in a commit's append —
+// drops it on open; the audit adds the torn-batch line and still
+// verifies consistent.
 func TestSmokeLogAuditImageTorn(t *testing.T) {
 	work := t.TempDir()
 	store := filepath.Join(work, "store")
@@ -241,7 +246,7 @@ func TestSmokeLogAuditImageTorn(t *testing.T) {
 	const golden = `durable store audit: store
   marker epoch:       7
   log blocks read:    17 (torn tail bytes dropped: 0)
-  image torn tail:    11 bytes of an interrupted append dropped
+  image torn batch:   11 bytes dropped; the marker is the commit record at byte 1640
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
 store consistent: recovery reproduces the epoch-7 checkpoint

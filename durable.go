@@ -77,13 +77,14 @@ func wrapStorageErr(err error) error {
 }
 
 // Open builds a fully durable Machine over the store directory at path,
-// creating it if absent. The directory holds the undo log, the
-// line-granular memory image, and the persisted-epoch marker (see
-// DESIGN.md §10). Open first runs crash recovery against whatever the
-// directory holds — a previous SIGKILL, power cut, or clean Close all
-// leave a recoverable store — then compacts the recovered state into a
-// fresh epoch-0 baseline and returns a machine seeded with it. The
-// recovered image and epoch are available via Recovered.
+// creating it if absent. The directory holds the undo log and the
+// line-granular memory image, whose last commit record is the
+// persisted-epoch marker (see DESIGN.md §10). Open first runs crash
+// recovery against whatever the directory holds — a previous SIGKILL,
+// power cut, or clean Close all leave a recoverable store — then
+// compacts the recovered state into a fresh epoch-0 baseline and
+// returns a machine seeded with it. The recovered image and epoch are
+// available via Recovered.
 //
 // Options are as for New, except the scheme is fixed to "picl"
 // (ErrBackend otherwise) and WithBackend cannot be combined with Open

@@ -1,6 +1,7 @@
 package picl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -121,20 +122,33 @@ func TestOpenErrors(t *testing.T) {
 		t.Fatalf("corrupt super wrongly matches ErrBackend: %v", err)
 	}
 
-	// A 16-byte marker of the older rename-replaced format is not read
-	// as epoch 0: Open refuses the store with ErrBackend.
+	// A store of the previous format — a version-2 image of bare line
+	// records beside a two-slot marker file — is refused with ErrBackend,
+	// and neither file is touched.
 	legacy := filepath.Join(t.TempDir(), "legacy")
 	if err := os.MkdirAll(legacy, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	rec := make([]byte, 16) // epoch 7, its CRC32C, padding
+	rec := make([]byte, 24) // line 7 holding 7, its CRC32C, 4 zero bytes
 	binary.LittleEndian.PutUint64(rec[0:8], 7)
-	binary.LittleEndian.PutUint32(rec[8:12], crc32.Checksum(rec[0:8], crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(filepath.Join(legacy, storage.MarkerFileName), rec, 0o644); err != nil {
-		t.Fatal(err)
+	binary.LittleEndian.PutUint64(rec[8:16], 7)
+	binary.LittleEndian.PutUint32(rec[16:20], crc32.Checksum(rec[0:16], crc32.MakeTable(crc32.Castagnoli)))
+	files := map[string][]byte{
+		storage.ImageFileName: append([]byte{'P', 'C', 'L', 'I', 2, 0, 0, 0}, rec...),
+		"marker":              make([]byte, 8192),
+	}
+	for name, raw := range files {
+		if err := os.WriteFile(filepath.Join(legacy, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := Open(legacy); !errors.Is(err, ErrBackend) {
-		t.Fatalf("legacy marker: err = %v, want ErrBackend", err)
+		t.Fatalf("version-2 store: err = %v, want ErrBackend", err)
+	}
+	for name, raw := range files {
+		if after, _ := os.ReadFile(filepath.Join(legacy, name)); !bytes.Equal(after, raw) {
+			t.Fatalf("version-2 store: Open modified %s", name)
+		}
 	}
 
 	// WithBackend cannot combine with Open.
@@ -333,13 +347,25 @@ func TestOpenReleasesStoreOnNewError(t *testing.T) {
 }
 
 // markerCounter is a storage.Wrapper that counts the marker operations
-// of a picl.Open store.
-type markerCounter struct{ sets, syncDirs int }
+// and image syncs of a picl.Open store.
+type markerCounter struct{ sets, syncDirs, imgSyncs int }
 
-func (w *markerCounter) WrapLog(l storage.LogStore) storage.LogStore        { return l }
-func (w *markerCounter) WrapImage(im storage.ImageStore) storage.ImageStore { return im }
+func (w *markerCounter) WrapLog(l storage.LogStore) storage.LogStore { return l }
+func (w *markerCounter) WrapImage(im storage.ImageStore) storage.ImageStore {
+	return &countedImage{im, w}
+}
 func (w *markerCounter) WrapMarker(mk storage.MarkerStore) storage.MarkerStore {
 	return &countedMarker{mk, w}
+}
+
+type countedImage struct {
+	storage.ImageStore
+	w *markerCounter
+}
+
+func (im *countedImage) Sync() error {
+	im.w.imgSyncs++
+	return im.ImageStore.Sync()
 }
 
 type countedMarker struct {
@@ -358,8 +384,9 @@ func (mk *countedMarker) SyncDir() error {
 }
 
 // TestDurableCommitMarkerInPlace: a durable commit (64 writes, Sync)
-// advances the marker with exactly one Set and no directory fsync, and
-// the marker file keeps its inode across commits — nothing renames it.
+// advances the marker with exactly one Set — the image append that
+// seals the commit — and no image Sync or directory fsync; the image
+// keeps its inode across commits, and the store has no marker file.
 func TestDurableCommitMarkerInPlace(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	w := &markerCounter{}
@@ -368,14 +395,14 @@ func TestDurableCommitMarkerInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	path := filepath.Join(dir, storage.MarkerFileName)
+	path := filepath.Join(dir, storage.ImageFileName)
 	first, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	line := uint64(1)
 	for c := 0; c < 8; c++ {
-		w.sets, w.syncDirs = 0, 0
+		*w = markerCounter{}
 		for i := 0; i < 64; i++ {
 			line = line * 6364136223846793005 % (1 << 16)
 			if err := m.Write(line*64, uint64(c*64+i)|1); err != nil {
@@ -385,23 +412,29 @@ func TestDurableCommitMarkerInPlace(t *testing.T) {
 		if _, err := m.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if w.sets != 1 || w.syncDirs != 0 {
-			t.Fatalf("commit %d: %d marker Sets and %d directory fsyncs, want 1 and 0", c, w.sets, w.syncDirs)
+		if w.sets != 1 || w.syncDirs != 0 || w.imgSyncs != 0 {
+			t.Fatalf("commit %d: %d marker Sets, %d directory fsyncs, %d image Syncs; want 1, 0, 0",
+				c, w.sets, w.syncDirs, w.imgSyncs)
 		}
 		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !os.SameFile(first, fi) {
-			t.Fatalf("commit %d: the marker file was replaced", c)
+			t.Fatalf("commit %d: the image file was replaced", c)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "marker")); !os.IsNotExist(err) {
+		t.Fatalf("the store has a marker file (stat: %v)", err)
 	}
 }
 
-// TestReopenMarkerRot: the compaction on Open leaves epoch 0 in both
-// marker slots, so rot in either slot before the new machine commits
-// anything recovers epoch 0 — never the previous machine's marker,
-// whose log the compaction deleted.
+// TestReopenMarkerRot: the compaction on Open seals epoch 0 twice, so
+// rot in the final commit record before the new machine commits
+// anything recovers epoch 0 with the compacted image — never the
+// previous machine's marker, whose log the compaction deleted. Rot in
+// the commit record before it, which has a sealed batch behind it, is
+// an error.
 func TestReopenMarkerRot(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	m, err := Open(dir)
@@ -423,24 +456,32 @@ func TestReopenMarkerRot(t *testing.T) {
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, storage.MarkerFileName)
+	path := filepath.Join(dir, storage.ImageFileName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for slot := 0; slot < 2; slot++ {
-		rot := append([]byte(nil), raw...)
-		rot[slot*4096+3] ^= 0x10 // slots sit at offsets 0 and 4096
+	final := len(raw) - 24
+	for bit := 0; bit < 2*24*8; bit++ {
+		rot := bytes.Clone(raw)
+		rot[final-24+bit/8] ^= 1 << (bit % 8)
 		if err := os.WriteFile(path, rot, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		img, info, err := storage.RecoverDir(dir)
-		if err != nil || !info.Marker.AtMost(0) || !info.MarkerTorn {
-			t.Fatalf("rot in slot %d: marker %d torn=%v err=%v, want 0 torn", slot, info.Marker, info.MarkerTorn, err)
+		if bit < 24*8 {
+			if !errors.Is(err, storage.ErrCorruptImage) {
+				t.Fatalf("rot in the first epoch-0 commit, bit %d: marker %d err=%v, want ErrCorruptImage", bit, info.Marker, err)
+			}
+			continue
+		}
+		if err != nil || !info.Marker.AtMost(0) || info.ImageTornBytes != 24 {
+			t.Fatalf("rot in the final commit, bit %d: marker %d torn=%d err=%v, want 0 with it dropped",
+				bit-24*8, info.Marker, info.ImageTornBytes, err)
 		}
 		for i := 0; i < 56; i++ {
 			if got := img.Read(mem.LineAddr(i)); got != mem.Word(300+i) {
-				t.Fatalf("rot in slot %d: line %d = %d, want %d", slot, i, got, 300+i)
+				t.Fatalf("rot in the final commit, bit %d: line %d = %d, want %d", bit-24*8, i, got, 300+i)
 			}
 		}
 	}

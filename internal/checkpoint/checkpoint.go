@@ -76,8 +76,8 @@ type Scheme interface {
 // LineSink mirrors accepted in-place line writes to a durable medium
 // (storage.ImageFile implements it). The mirror is called at submission
 // time; storage.ImageFile only stages the write, which reaches the file
-// at the image's next Sync, the first step of the marker protocol (see
-// internal/storage's package doc).
+// in the next commit, sealed by the commit record that advances the
+// persisted-epoch marker (see internal/storage's package doc).
 type LineSink interface {
 	WriteLine(l mem.LineAddr, w mem.Word) error
 }

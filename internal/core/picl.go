@@ -142,11 +142,12 @@ func (p *PiCL) Log() *undolog.Log { return p.log }
 func (p *PiCL) SetLogSink(s LogSink) { p.logSink = s }
 
 // SetDurable attaches a durable store directory: undo blocks mirror to
-// its log file, in-place line writes to its image file, and the
-// persisted-epoch marker advances it via the full ordering protocol
-// (image sync, log sync, in-place marker write). The machine must be
-// functional. Install before the run starts — typically right after
-// seeding the recovered image with SeedImage.
+// its log file, in-place line writes are staged for its image file, and
+// the persisted-epoch marker advances it via the ordering protocol (log
+// sync, then one image append carrying the staged writes and the commit
+// record that seals them). The machine must be functional. Install
+// before the run starts — typically right after seeding the recovered
+// image with SeedImage.
 func (p *PiCL) SetDurable(d *storage.Dir) {
 	p.durable = d
 	if d == nil {
@@ -389,8 +390,8 @@ func (p *PiCL) runACS(now uint64, target mem.EpochID) {
 		// Durable marker advance under the full ordering protocol: every
 		// in-place write of epochs <= target was mirrored above (ACS
 		// writebacks) or earlier (evictions, behind their synced undo
-		// blocks), so image sync + log sync + in-place marker write makes
-		// target recoverable on disk. The disk marker can run ahead of the
+		// blocks), so a log sync and then the commit sealing the staged
+		// writes makes target recoverable on disk. The disk marker can run ahead of the
 		// simulated one (mirror-at-submit); both are valid recovery points.
 		// Gated on a healthy mirror: advancing the marker past writes that
 		// never reached the store would certify an unrecoverable state.

@@ -20,7 +20,8 @@ import (
 // function provides (a synced undo append, an image or log sync) and
 // what it still owes its callers (an image write or marker advance
 // that is not ordered within the function itself). walorder.go turns
-// unresolved obligations at call-graph roots into diagnostics.
+// unresolved obligations at call-graph roots into diagnostics, and
+// reports a marker advance after an image sync wherever it occurs.
 //
 // The walk is a source-order approximation of domination: an effect
 // counts as "before" another if it appears earlier in the function
@@ -42,7 +43,7 @@ const (
 	effImageWrite
 	effImageSync
 	effMarkerSet
-	effFileSync    // fsync of a plain *os.File (temp-file staging, in-place marker)
+	effFileSync    // fsync of a plain *os.File (temp-file staging, the commit append)
 	effDirSync     // directory-handle fsync (SyncDir, dirf.Sync)
 	effRename      // os.Rename
 	effRewrite     // a file created or truncated (os.Create, os.WriteFile, O_CREATE/O_TRUNC, Truncate)
@@ -76,9 +77,15 @@ type effSummary struct {
 	providesWriteAhead bool
 	providesImageSync  bool
 	providesLogSync    bool
+	// setsMarker: the function advances the marker (a non-primitive
+	// marker Set, directly or through a callee).
+	setsMarker bool
 	// unordered*: obligations the function exports to its callers.
 	unorderedImage  []obligation
 	unorderedMarker []obligation
+	// splitMarker holds the marker advances that follow an image sync
+	// in this function: walorder reports them where they are.
+	splitMarker []token.Pos
 	// rewrites and writesInPlace feed walorder's marker shape check:
 	// rewrites is any rename, create or truncate; writesInPlace a
 	// positional write followed by an fsync of the same file. Both hold
@@ -216,8 +223,8 @@ func isImagePrimitive(fn *types.Func) bool {
 }
 
 // isMarkerPrimitive reports whether fn is a marker store's Set — the
-// replacement primitive itself (its shape is checked by walorder rule
-// 3, not rule 2) or a fault-injection wrapper delegating to one.
+// commit append itself (its shape is checked by walorder rule 3, not
+// rule 2) or a fault-injection wrapper delegating to one.
 func isMarkerPrimitive(fn *types.Func) bool {
 	if fn.Name() != "Set" {
 		return false
@@ -374,7 +381,14 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 				})
 			}
 		case effMarkerSet:
-			if !ev.zeroArg && !mkPrim && !(imgSync && logSync) {
+			if mkPrim {
+				break
+			}
+			s.setsMarker = true
+			if imgSync {
+				s.splitMarker = append(s.splitMarker, ev.pos)
+			}
+			if !ev.zeroArg && !logSync {
 				s.unorderedMarker = append(s.unorderedMarker, obligation{
 					pos: ev.pos,
 					chain: []Related{{
@@ -388,6 +402,12 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 			if cs.providesWriteAhead {
 				seenAppend, logSync, writeAhead = true, true, true
 			}
+			if cs.setsMarker {
+				s.setsMarker = true
+				if imgSync {
+					s.splitMarker = append(s.splitMarker, ev.pos)
+				}
+			}
 			if cs.providesImageSync {
 				imgSync = true
 			}
@@ -399,7 +419,7 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 					s.unorderedImage = append(s.unorderedImage, e.propagate(ev, ob))
 				}
 			}
-			if !(imgSync && logSync) {
+			if !logSync {
 				for _, ob := range cs.unorderedMarker {
 					s.unorderedMarker = append(s.unorderedMarker, e.propagate(ev, ob))
 				}

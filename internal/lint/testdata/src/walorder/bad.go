@@ -76,12 +76,14 @@ func (s *store) evictOrdered(b []byte) error {
 	return s.mirror(b)
 }
 
-// BadMarker advances the marker with neither store synced: rule 2.
+// BadMarker advances the marker with the log unsynced: rule 2.
 func (s *store) BadMarker(e uint64) error {
 	return s.mk.Set(e)
 }
 
-// HalfMarker syncs the image but not the log — still rule 2.
+// HalfMarker syncs the image instead of the log: the log sync is
+// missing, and the image records went out ahead of the commit in an
+// append of their own — both halves of rule 2 at one call.
 func (s *store) HalfMarker(e uint64) error {
 	if err := s.img.Sync(); err != nil {
 		return err
@@ -89,12 +91,39 @@ func (s *store) HalfMarker(e uint64) error {
 	return s.mk.Set(e)
 }
 
-// GoodMarker orders both syncs before the marker advance.
+// GoodMarker syncs the log, then commits; the commit carries the image
+// records itself.
 func (s *store) GoodMarker(e uint64) error {
+	if err := s.log.Sync(); err != nil {
+		return err
+	}
+	return s.mk.Set(e)
+}
+
+// SplitMarker keeps the separate image sync ahead of the commit, so the
+// records reach the file unsealed: rule 2's marker-split.
+func (s *store) SplitMarker(e uint64) error {
 	if err := s.img.Sync(); err != nil {
 		return err
 	}
 	if err := s.log.Sync(); err != nil {
+		return err
+	}
+	return s.mk.Set(e)
+}
+
+// syncBoth syncs both stores for its callers.
+func (s *store) syncBoth() error {
+	if err := s.img.Sync(); err != nil {
+		return err
+	}
+	return s.log.Sync()
+}
+
+// splitViaHelper inherits syncBoth's image sync before its marker
+// advance: marker-split through a callee, reported at the advance.
+func (s *store) splitViaHelper(e uint64) error {
+	if err := s.syncBoth(); err != nil {
 		return err
 	}
 	return s.mk.Set(e)
@@ -113,27 +142,28 @@ func (s *store) migrateRaw(b []byte) error {
 	return s.img.WriteLine(0, b)
 }
 
-// goodMarker is the in-place shape rule 3 requires: one positional
-// write of the slot record into the already-open file, then an fsync of
-// that file; no temp file, rename or directory fsync.
+// goodMarker is the in-place shape rule 3 requires of a commit: one
+// positional write of the sealed batch at the tail of the already-open
+// image file, then an fsync of that file; no temp file, rename or
+// directory fsync.
 type goodMarker struct {
 	f    *os.File
-	next int64
+	tail int64
 }
 
 func (m *goodMarker) Set(e uint64) error {
-	if _, err := m.f.WriteAt([]byte{byte(e)}, m.next*4096); err != nil {
+	if _, err := m.f.WriteAt([]byte{byte(e)}, m.tail); err != nil {
 		return err
 	}
 	if err := m.f.Sync(); err != nil {
 		return err
 	}
-	m.next ^= 1
+	m.tail++
 	return nil
 }
 
-// createLayout is the one-time creation of a marker file, the clean
-// atomic replace: staging *.tmp, file fsync, rename, directory fsync.
+// createLayout is a whole-file replace (a compaction), the clean atomic
+// shape: staging *.tmp, file fsync, rename, directory fsync.
 func createLayout(path string, dirf *os.File) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -155,8 +185,8 @@ func createLayout(path string, dirf *os.File) error {
 	return dirf.Sync()
 }
 
-// tornMarker rewrites the marker file with a truncating write and no
-// fsync — rule 3's marker-rewrite, reported at the method name.
+// tornMarker rewrites its file with a truncating write and no fsync —
+// rule 3's marker-rewrite, reported at the method name.
 type tornMarker struct{ path string }
 
 func (m *tornMarker) Set(e uint64) error {
@@ -176,8 +206,8 @@ func (m *lazyMarker) Set(e uint64) error {
 	return os.Rename(tmp, m.path)
 }
 
-// looseMarker writes its slot in place but returns before fsyncing the
-// file: rule 3's marker-not-in-place.
+// looseMarker appends its commit in place but returns before fsyncing
+// the file: rule 3's marker-not-in-place.
 type looseMarker struct{ f *os.File }
 
 func (m *looseMarker) Set(e uint64) error {
@@ -197,9 +227,9 @@ func publish(f *os.File, dirf *os.File, from, to string) error {
 	return dirf.Sync()
 }
 
-// truncMarker reopens the marker with O_TRUNC before its positional
+// truncMarker reopens its file with O_TRUNC before its positional
 // write and fsync: the fsync does not undo the truncation, which can
-// leave an empty marker after a crash — rule 3's marker-rewrite.
+// lose every sealed batch in a crash — rule 3's marker-rewrite.
 type truncMarker struct{ path string }
 
 func (m *truncMarker) Set(e uint64) error {
@@ -211,4 +241,47 @@ func (m *truncMarker) Set(e uint64) error {
 		return err
 	}
 	return f.Sync()
+}
+
+// imageLog is the image file two markers below commit through.
+type imageLog struct {
+	f    *os.File
+	size int64
+}
+
+// commit appends in place: rule 3's shape, reached through a callee.
+func (l *imageLog) commit(b []byte) error {
+	if _, err := l.f.WriteAt(b, l.size); err != nil {
+		return err
+	}
+	return l.f.Sync()
+}
+
+// shrink truncates the image before it commits.
+func (l *imageLog) shrink(b []byte) error {
+	if err := l.f.Truncate(l.size); err != nil {
+		return err
+	}
+	return l.commit(b)
+}
+
+// sealMarker delegates its commit to the image log's in-place append:
+// clean.
+type sealMarker struct{ img *imageLog }
+
+func (m *sealMarker) Set(e uint64) error { return m.img.commit([]byte{byte(e)}) }
+
+// shrinkMarker commits through a helper that truncates the image on the
+// way: rule 3's marker-rewrite, found in the callee.
+type shrinkMarker struct{ img *imageLog }
+
+func (m *shrinkMarker) Set(e uint64) error { return m.img.shrink([]byte{byte(e)}) }
+
+// splitBeforeHelper syncs the image, then commits through GoodMarker:
+// marker-split at the call, found in the callee's summary.
+func (s *store) splitBeforeHelper(e uint64) error {
+	if err := s.img.Sync(); err != nil {
+		return err
+	}
+	return s.GoodMarker(e)
 }

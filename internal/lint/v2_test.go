@@ -10,28 +10,37 @@ import (
 )
 
 // TestWALOrderGolden covers all three ordering rules: W1 directly (29,
-// 38) and through a call chain (60), W2 with no syncs (81) and half
-// the syncs (89), W3's truncating rewrite (162), renaming marker (171,
-// plus its rename at 176 twice: no file fsync and no dir fsync),
-// unsynced positional write (183), non-staging rename (194) and
-// O_TRUNC reopen (205). The clean shapes — GoodDirect, evictOrdered,
-// GoodMarker, the zero-marker reset, the in-place goodMarker.Set, the
-// createLayout replace and the suppressed migrateRaw — are asserted by
-// absence.
+// 38) and through a call chain (60); W2 with no log sync (81), with the
+// image synced instead of the log (91: unordered and split), with the
+// image synced ahead of the commit (112), through a helper that syncs
+// it (129) and ahead of a helper that commits (286); W3's truncating
+// rewrite (192), renaming marker (201,
+// plus its rename at 206 twice: no file fsync and no dir fsync),
+// unsynced positional write (213), non-staging rename (224), O_TRUNC
+// reopen (235) and a commit helper that truncates the image (278). The
+// clean shapes — GoodDirect, evictOrdered, GoodMarker, the zero-marker
+// reset, the in-place goodMarker.Set, sealMarker.Set committing through
+// the image log, the createLayout replace and the suppressed migrateRaw
+// — are asserted by absence.
 func TestWALOrderGolden(t *testing.T) {
 	runGolden(t, "walorder", "picl/internal/storage/wtest", WALOrder, []expect{
 		{29, "walorder"},  // BadDirect: write, no undo coverage
 		{38, "walorder"},  // BadHalf: append never synced
 		{60, "walorder"},  // evictViaHelper -> mirror chain
-		{81, "walorder"},  // BadMarker: no syncs before Set
-		{89, "walorder"},  // HalfMarker: log sync missing
-		{162, "walorder"}, // tornMarker.Set: truncating rewrite
-		{171, "walorder"}, // lazyMarker.Set: renames the marker
-		{176, "walorder"}, // lazyMarker rename: staging file not fsynced
-		{176, "walorder"}, // lazyMarker rename: no directory fsync
-		{183, "walorder"}, // looseMarker.Set: positional write, no fsync
-		{194, "walorder"}, // publish renames a non-staging source
-		{205, "walorder"}, // truncMarker.Set reopens with O_TRUNC
+		{81, "walorder"},  // BadMarker: no log sync before Set
+		{91, "walorder"},  // HalfMarker: log sync missing
+		{91, "walorder"},  // HalfMarker: image synced ahead of the commit
+		{112, "walorder"}, // SplitMarker: image synced ahead of the commit
+		{129, "walorder"}, // splitViaHelper: syncBoth synced the image
+		{192, "walorder"}, // tornMarker.Set: truncating rewrite
+		{201, "walorder"}, // lazyMarker.Set: renames the marker
+		{206, "walorder"}, // lazyMarker rename: staging file not fsynced
+		{206, "walorder"}, // lazyMarker rename: no directory fsync
+		{213, "walorder"}, // looseMarker.Set: positional write, no fsync
+		{224, "walorder"}, // publish renames a non-staging source
+		{235, "walorder"}, // truncMarker.Set reopens with O_TRUNC
+		{278, "walorder"}, // shrinkMarker.Set: its commit helper truncates
+		{286, "walorder"}, // splitBeforeHelper: image synced, then GoodMarker
 	})
 }
 

@@ -17,27 +17,32 @@ import (
 //	    can see, by an undo-log AppendBlock followed by a log Sync —
 //	    otherwise a crash mid-write leaves a torn line with no durable
 //	    undo coverage.
-//	W2 (marker-unordered): advancing the persisted-epoch marker
-//	    (marker Set) must be preceded by both an image Sync and a log
-//	    Sync — the marker asserts everything at or below it is durable.
+//	W2 (marker-unordered, marker-split): the commit that advances the
+//	    persisted-epoch marker (marker Set) must be preceded by a log
+//	    Sync — the marker asserts everything at or below it is durable —
+//	    and the image records it seals travel in that commit's own
+//	    write: an image Sync ahead of it on the same path appends them
+//	    separately, unsealed.
 //	W3 (marker-not-in-place, marker-rewrite, replace-*): inside
-//	    internal/storage, a marker Set writes its slot record in place —
-//	    a positional write to the already-open file, then an fsync of
-//	    that file — and never creates, truncates or renames the marker
-//	    (a truncating rewrite can tear the only copy). Every os.Rename
-//	    (Reset's image compaction, the marker's one-time creation) must
-//	    be the atomic replace: write a *.tmp staging file, fsync it,
-//	    rename over the live name, fsync the directory. An unsynced
-//	    rename can vanish or publish a torn file.
+//	    internal/storage, a marker Set appends its commit in place — a
+//	    positional write to the already-open image file, then an fsync
+//	    of that file — and never creates, truncates or renames a file
+//	    (a truncating rewrite can lose sealed batches). Every os.Rename
+//	    (Reset's image compaction) must be the atomic replace: write a
+//	    *.tmp staging file, fsync it, rename over the live name, fsync
+//	    the directory. An unsynced rename can vanish or publish a torn
+//	    file.
 //
 // W1 and W2 are interprocedural: effects.go propagates unordered
 // writes bottom-up through the call graph, a caller that establishes
 // the ordering before the call discharges the obligation, and only
 // call-graph roots (functions with no in-scope static caller) report —
 // with the call chain to the primitive attached as related positions.
+// A split commit is reported in the function that syncs the image and
+// then advances the marker, directly or through a callee.
 var WALOrder = &Analyzer{
 	Name:      "walorder",
-	Doc:       "write-ahead ordering: undo append+sync before image writes, image+log sync before marker advance, in-place positional-write+fsync marker Set, atomic tmp/fsync/rename/dir-fsync file replace",
+	Doc:       "write-ahead ordering: undo append+sync before image writes, log sync before the commit that advances the marker and carries the image records, in-place positional-write+fsync commit append, atomic tmp/fsync/rename/dir-fsync file replace",
 	RunModule: runWALOrder,
 }
 
@@ -51,7 +56,7 @@ var walScope = []string{
 }
 
 // walStoragePrefix bounds rule W3 to the storage layer, where the
-// marker files live.
+// image file lives.
 const walStoragePrefix = modulePath + "/internal/storage"
 
 func runWALOrder(mp *ModulePass) {
@@ -82,11 +87,18 @@ func runWALOrder(mp *ModulePass) {
 			for _, ob := range s.unorderedMarker {
 				mp.Report(ob.pos, Diagnostic{
 					Code: "marker-unordered",
-					Message: "persisted-epoch marker is advanced without a preceding image sync and log sync; " +
-						"sync both stores before advancing the marker (ordering rule 2)",
+					Message: "persisted-epoch marker is advanced without a preceding log sync; " +
+						"sync the undo log before the commit that advances the marker (ordering rule 2)",
 					Related: relatedTail(mp.Mod.Fset.Position(ob.pos), ob),
 				})
 			}
+		}
+		for _, pos := range s.splitMarker {
+			mp.Report(pos, Diagnostic{
+				Code: "marker-split",
+				Message: "persisted-epoch marker is advanced after an image sync; the image records a commit " +
+					"seals travel in the commit's own write, not in a separate image append (ordering rule 2)",
+			})
 		}
 		if strings.HasPrefix(node.Pkg.Path, walStoragePrefix) {
 			checkReplaceShape(mp, node, s)
@@ -120,9 +132,9 @@ func relatedTail(at token.Position, ob obligation) []Related {
 
 // checkReplaceShape enforces W3 on one storage-layer function: every
 // os.Rename must sit inside the write-tmp / fsync / rename / dir-fsync
-// sequence, and every marker Set implementation must write its slot in
-// place and fsync it (or delegate to a marker store that does), without
-// creating, truncating or renaming anything.
+// sequence, and every marker Set implementation must append its commit
+// in place and fsync it (or delegate to a marker store that does),
+// without creating, truncating or renaming anything.
 func checkReplaceShape(mp *ModulePass, node *FuncNode, s *effSummary) {
 	tmpSrcs := tmpTainted(node)
 	var sawFileSync bool
@@ -161,22 +173,22 @@ func checkReplaceShape(mp *ModulePass, node *FuncNode, s *effSummary) {
 	case s.rewrites:
 		mp.Report(node.Decl.Name.Pos(), Diagnostic{
 			Code: "marker-rewrite",
-			Message: fmt.Sprintf("%s creates, truncates or renames a file; a marker Set must overwrite "+
-				"its older slot in place so a crash can never tear the newest marker (in-place marker rule 3)",
+			Message: fmt.Sprintf("%s creates, truncates or renames a file; a marker Set must append its "+
+				"commit to the open image file so a crash can tear only the commit in flight (in-place commit rule 3)",
 				node.Fn.FullName()),
 		})
 	case !s.writesInPlace && !delegatesMarkerSet(node, s):
-		what := "does not write its slot record in place"
+		what := "does not write its commit in place"
 		for _, ev := range s.events {
 			if ev.kind == effFileWriteAt {
-				what = "writes its slot but never fsyncs that file before returning"
+				what = "writes its commit but never fsyncs that file before returning"
 				break
 			}
 		}
 		mp.Report(node.Decl.Name.Pos(), Diagnostic{
 			Code: "marker-not-in-place",
-			Message: fmt.Sprintf("%s %s; write the record with WriteAt on the open marker file, "+
-				"then fsync that file, or delegate to a marker store that does (in-place marker rule 3)",
+			Message: fmt.Sprintf("%s %s; append the commit with WriteAt on the open image file, "+
+				"then fsync that file, or delegate to a marker store that does (in-place commit rule 3)",
 				node.Fn.FullName(), what),
 		})
 	}

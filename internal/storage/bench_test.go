@@ -21,7 +21,7 @@ func benchImage(b *testing.B) *ImageFile {
 			b.Fatal(err)
 		}
 	}
-	if err := im.Sync(); err != nil {
+	if err := im.commit(1); err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { im.Close() })
@@ -29,7 +29,8 @@ func benchImage(b *testing.B) *ImageFile {
 }
 
 // BenchmarkImageSync is one durable commit's image layer: stage the 64
-// lines a commit writes back into a 2^16-line image, then Sync. random
+// lines a commit writes back into a 2^16-line image, then append them
+// sealed by a commit record (the marker Set). random
 // draws the lines uniformly, as the durable-commit workload does;
 // adjacent writes 64 consecutive lines from a random start.
 func BenchmarkImageSync(b *testing.B) {
@@ -52,7 +53,7 @@ func BenchmarkImageSync(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if err := im.Sync(); err != nil {
+				if err := im.commit(mem.EpochID(i + 2)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,8 @@
 package storage
 
 import (
-	"bufio"
 	"bytes"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -12,16 +12,15 @@ import (
 
 // Well-known file names inside a durable log directory.
 const (
-	LogFileName    = "undo.log"
-	ImageFileName  = "image.dat"
-	MarkerFileName = "marker"
+	LogFileName   = "undo.log"
+	ImageFileName = "image.dat"
 )
 
-// Dir is a durable PiCL store on a real filesystem: the undo log, the
-// line-granular memory image, and the persisted-epoch marker, living
-// together in one directory. It is what `picl.Open` mounts, what the
-// SIGKILL crash harness leaves behind, and what `picl-recover -log`
-// audits.
+// Dir is a durable PiCL store on a real filesystem: the undo log and
+// the line-granular memory image, whose last commit record is the
+// persisted-epoch marker, living together in one directory. It is what
+// `picl.Open` mounts, what the SIGKILL crash harness leaves behind, and
+// what `picl-recover -log` audits.
 // The component fields are interfaces so a Wrapper (fault injection)
 // can interpose on every durable operation; without a wrapper they hold
 // the concrete *File, *ImageFile, and *Marker directly.
@@ -30,11 +29,8 @@ type Dir struct {
 	Log  LogStore
 	Img  ImageStore
 	Mk   MarkerStore
-	mk   *Marker // the unwrapped marker, for Recover's torn-slot report
+	mk   *Marker // the unwrapped marker: Reset points it at the compacted image
 	wrap Wrapper // re-applied to components reopened by Reset
-	// imgTorn is the torn image tail OpenImage dropped, for Recover's
-	// report.
-	imgTorn uint64
 }
 
 // OpenDir opens (creating if absent) a durable store directory.
@@ -51,13 +47,14 @@ func OpenDir(path string) (*Dir, error) {
 		lg.Close()
 		return nil, err
 	}
-	mk, err := OpenMarker(filepath.Join(path, MarkerFileName))
+	dirf, err := os.Open(path)
 	if err != nil {
 		lg.Close()
 		img.Close()
 		return nil, err
 	}
-	return &Dir{path: path, Log: lg, Img: img, Mk: mk, mk: mk, imgTorn: img.TornBytes()}, nil
+	mk := &Marker{im: img, dirf: dirf}
+	return &Dir{path: path, Log: lg, Img: img, Mk: mk, mk: mk}, nil
 }
 
 // Path returns the directory the store lives in.
@@ -81,17 +78,18 @@ func (d *Dir) Wrap(w Wrapper) {
 type RecoverInfo struct {
 	// Marker is the epoch recovered to (the newest durable marker).
 	Marker mem.EpochID
+	// MarkerAt is the byte offset in the image file of the commit
+	// record the marker came from (0 for an image with none).
+	MarkerAt int64
 	// BlocksRead is how many whole, valid log blocks were scanned in.
 	BlocksRead int
 	// TornBytes is how many partial log tail bytes the crash left
 	// behind (discarded at open).
 	TornBytes uint64
-	// ImageTornBytes is how many torn image tail bytes — an append the
-	// crash interrupted — were discarded at open.
+	// ImageTornBytes is how many torn image batch bytes — a commit
+	// append the crash interrupted, or rot in the final batch — were
+	// discarded at open.
 	ImageTornBytes uint64
-	// MarkerTorn reports a marker slot that failed validation: a Set the
-	// crash interrupted, discarded in favor of the other slot.
-	MarkerTorn bool
 	// Applied and Scanned report the backward undo scan's work.
 	Applied, Scanned int
 	// Lines is the recovered image's non-zero line count.
@@ -125,10 +123,10 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 	applied, scanned := l.ApplyTo(img, marker)
 	return img, RecoverInfo{
 		Marker:         marker,
+		MarkerAt:       max(d.mk.im.size-imageRecBytes, 0),
 		BlocksRead:     read,
 		TornBytes:      d.Log.TornBytes(),
-		ImageTornBytes: d.imgTorn,
-		MarkerTorn:     d.mk.Torn(),
+		ImageTornBytes: d.mk.im.TornBytes(),
 		Applied:        applied,
 		Scanned:        scanned,
 		Lines:          img.Len(),
@@ -136,8 +134,7 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 }
 
 // removeStaleTmp discards *.tmp files a crash left between a temp write
-// and its atomic rename (the marker's one-time creation, Reset's image
-// compaction). They are never part of durable state — the rename is the
+// and its atomic rename (Reset's image compaction). They are never part of durable state — the rename is the
 // commit point — but without cleanup a crashed store carries them
 // forever. The removal is fsynced through the directory handle so it
 // cannot itself be undone by a crash.
@@ -159,65 +156,55 @@ func (d *Dir) removeStaleTmp() error {
 
 // Reset compacts the store to a fresh epoch-0 baseline holding exactly
 // img: the image file is atomically replaced with one record per live
-// line, the log is emptied, and the marker returns to 0. `picl.Open`
-// calls this after recovery so a new machine's epoch numbering starts
-// clean.
+// line, sealed under the recovered epoch, the log is emptied, and the
+// marker returns to 0. `picl.Open` calls this after recovery so a new
+// machine's epoch numbering starts clean.
 //
 // Every intermediate crash point is safe: until the image rename lands
-// the old image+log+marker still recover; after it, applying the old
-// log's covering entries to the compacted image is the identity (they
-// patch lines to exactly the end-of-marker values the compaction wrote);
-// once the log is emptied the marker value no longer matters because
-// there are no entries left to apply. The log swap (remove, create) is
-// a directory change, so the directory is fsynced before the marker
-// enters the new numbering: otherwise a power cut after the new
-// session's first commits could bring the old log back, or leave none,
-// beside a new-session marker. Epoch 0 then goes into both marker
-// slots, so the slot Get falls back to when the newest is torn or rots
-// never holds the old session's marker, whose log is gone.
+// the old image+log still recover; after it, the compacted image names
+// the recovered epoch, so applying the old log's covering entries to it
+// is the identity (they patch lines to exactly the end-of-marker values
+// the compaction wrote); once the log is emptied there are no entries
+// left to apply. The log swap (remove, create) is a directory change,
+// so the directory is fsynced before the marker enters the new
+// numbering: otherwise a power cut after the new session's first
+// commits could bring the old log back, or leave none, beside a
+// new-session marker. Epoch 0 is then sealed twice, so the commit
+// recovery falls back to when the newest one is torn or rots is never
+// the old session's, whose log is gone.
 func (d *Dir) Reset(img *mem.Image) error {
-	imgPath := filepath.Join(d.path, ImageFileName)
-	tmp := imgPath + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	e, err := d.Mk.Get()
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, imageIOBytes)
-	_, werr := bw.Write(imageHeader[:])
-	var rec [imageRecBytes]byte
-	img.Each(func(l mem.LineAddr, w mem.Word) {
-		if werr == nil {
-			_, werr = bw.Write(appendImageRecord(rec[:0], l, w))
-		}
-	})
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	if werr != nil {
-		f.Close()
-		return werr
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	imgPath := filepath.Join(d.path, ImageFileName)
+	tmp := imgPath + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
+	compacted, err := writeCompacted(f, img, e)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
 		return err
 	}
 	if err := os.Rename(tmp, imgPath); err != nil {
+		f.Close()
 		return err
 	}
 	if err := d.Mk.SyncDir(); err != nil {
+		f.Close()
 		return err
 	}
 	if err := d.Img.Close(); err != nil {
+		f.Close()
 		return err
 	}
-	img2, err := OpenImage(imgPath)
-	if err != nil {
-		return err
-	}
-	d.Img = img2
+	d.mk.im = compacted
+	d.Img = compacted
 	if d.wrap != nil {
 		d.Img = d.wrap.WrapImage(d.Img)
 	}
@@ -243,7 +230,7 @@ func (d *Dir) Reset(img *mem.Image) error {
 	if err := d.Mk.SyncDir(); err != nil {
 		return err
 	}
-	for slot := 0; slot < 2; slot++ {
+	for range 2 {
 		if err := d.Mk.Set(0); err != nil {
 			return err
 		}
@@ -251,20 +238,50 @@ func (d *Dir) Reset(img *mem.Image) error {
 	return nil
 }
 
-// PersistMarker durably advances the persisted-epoch marker, enforcing
-// the ordering contract: image first, then log, then the in-place
-// marker write.
-func (d *Dir) PersistMarker(e mem.EpochID) error {
-	if err := d.Img.Sync(); err != nil {
-		return err
+// writeCompacted writes a one-batch image holding img, sealed as epoch
+// e, into the empty file f, and returns it as an open image.
+func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID) (*ImageFile, error) {
+	if _, err := f.Write(imageHeader[:]); err != nil {
+		return nil, err
 	}
+	buf := make([]byte, 0, imageIOBytes)
+	var sum uint32 // CRC32C of the records flushed so far
+	var n int64
+	var err error
+	flush := func() {
+		if err == nil {
+			_, err = f.Write(buf)
+		}
+		sum = crc32.Update(sum, castagnoli, buf)
+		buf = buf[:0]
+	}
+	img.Each(func(l mem.LineAddr, w mem.Word) {
+		if len(buf) == cap(buf) {
+			flush()
+		}
+		buf = appendImageRecord(buf, l, w)
+		n++
+	})
+	buf = appendCommitRecord(buf, e, n, crc32.Update(sum, castagnoli, buf))
+	flush()
+	if err != nil {
+		return nil, err
+	}
+	return &ImageFile{f: f, size: imageHeaderBytes + (n+1)*imageRecBytes, epoch: e}, nil
+}
+
+// PersistMarker durably advances the persisted-epoch marker, enforcing
+// the ordering contract: the log first, then the commit that seals the
+// staged image records as epoch e.
+func (d *Dir) PersistMarker(e mem.EpochID) error {
 	if err := d.Log.Sync(); err != nil {
 		return err
 	}
 	return d.Mk.Set(e)
 }
 
-// Close syncs and releases every component.
+// Close releases every component; image records no commit sealed are
+// dropped.
 func (d *Dir) Close() error {
 	err := d.Log.Close()
 	if e := d.Img.Close(); err == nil {

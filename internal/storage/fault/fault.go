@@ -2,8 +2,9 @@
 // storage.Wrapper that interposes on a durable store's three components
 // (undo log, image file, marker) and injects per-operation failures
 // from a splitmix64-seeded schedule — torn appends, short writes,
-// failing or silently dropped syncs, ENOSPC, single-bit rot in cold log
-// blocks and image records, and a scheduled power cut at operation N.
+// failing or silently dropped syncs, failing commits, ENOSPC,
+// single-bit rot in cold log blocks and image records, and a scheduled
+// power cut at operation N.
 //
 // Determinism contract (DESIGN.md §11): every injection decision is a
 // pure function of (seed, operation index, decision class). The
@@ -23,17 +24,19 @@
 //     the durable watermark — so the rotted block always has data behind
 //     it when recovery reads the log and MUST surface as a hard
 //     undolog.ErrCorruptBlock (mid-log rot), never pass as a torn tail.
-//   - Image rot likewise strikes only cold image records — synced and
-//     not the final one — so it always has a whole record behind it and
-//     MUST surface as a hard storage.ErrCorruptImage.
+//   - Image rot likewise strikes only image records with a sealed batch
+//     behind them, so it MUST surface as a hard storage.ErrCorruptImage.
+//     (Rot in the final batch reads as a torn batch and recovers one
+//     commit back; the storage tests cover it.)
 //   - A power cut truncates the log to the last acknowledged-sync
 //     watermark, optionally leaves a torn prefix of the first
-//     unacknowledged block (a mid-row tear), discards the image's staged
-//     records, optionally leaving a torn prefix of the first (never
-//     touching a synced record), and optionally tears the marker slot
-//     the next Set would write (never the slot holding the newest
-//     completed marker, which an in-place Set never touches). After the
-//     cut every intercepted call fails with storage.ErrPowerLost.
+//     unacknowledged block (a mid-row tear), and discards the image's
+//     staged records, optionally tearing the commit append the next
+//     marker Set would make: a prefix of it, or — out of order, as a
+//     page cache may write pages back — its later part behind zeros or
+//     garbage. Sealed batches are never touched, so the marker stays
+//     the last completed Set. After the cut every intercepted call
+//     fails with storage.ErrPowerLost.
 package fault
 
 import (
@@ -64,10 +67,10 @@ type Profile struct {
 
 	// Image faults.
 	LineENOSPCEvery int // image line write fails with ENOSPC
-	ImgRotEvery     int // one bit flips in a cold image record after a sync
+	ImgRotEvery     int // one bit flips in a sealed image batch after a commit
 
 	// Marker faults.
-	MarkerFailEvery int // marker slot write or fsync fails with EIO (retryable)
+	MarkerFailEvery int // the commit append's write or fsync fails with EIO (retryable)
 
 	// Power cut: when CrashWindow > 0 the injector schedules a cut at
 	// operation CrashAtMin + seededRand%CrashWindow (the sentinel is
@@ -122,17 +125,17 @@ type Counts struct {
 	MarkerFails uint64
 	PowerCuts   uint64
 	TornAppends uint64 // torn log block left behind by the power cut
-	ImageTears  uint64
-	MarkerTears uint64 // marker slot torn by the power cut
-	ImgRotBits  uint64 // bits flipped in cold image records
+	ImageTears  uint64 // commit appends torn by the power cut
+	ImgRotBits  uint64 // bits flipped in sealed image batches
+	ImgReorders uint64 // torn commit appends whose later part landed first
 }
 
 // String renders the counts as one stable line.
 func (c Counts) String() string {
 	return fmt.Sprintf(
-		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d mk_tear=%d img_rot=%d",
+		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d img_rot=%d img_reorder=%d",
 		c.Ops, c.SyncFails, c.SyncDrops, c.ShortWrites, c.ENOSPC,
-		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.MarkerTears, c.ImgRotBits)
+		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.ImgRotBits, c.ImgReorders)
 }
 
 // Add accumulates other into c (campaign aggregation).
@@ -147,13 +150,14 @@ func (c *Counts) Add(other Counts) {
 	c.PowerCuts += other.PowerCuts
 	c.TornAppends += other.TornAppends
 	c.ImageTears += other.ImageTears
-	c.MarkerTears += other.MarkerTears
 	c.ImgRotBits += other.ImgRotBits
+	c.ImgReorders += other.ImgReorders
 }
 
 // Decision classes: each fault roll mixes its class into the stream so
 // the classes are independent of each other and of call order within an
-// operation.
+// operation. Classes are only ever appended, and retired ones keep their
+// slot, so an earlier seed rolls the same values for the classes it had.
 const (
 	classSyncFail uint64 = iota + 1
 	classSyncDrop
@@ -164,20 +168,21 @@ const (
 	classRotBlock
 	classRotBit
 	classLineENOSPC
-	classImgSyncFail
-	classImgSyncDrop
+	_ // retired: the image sync failed (commits carry the image now)
+	_ // retired: the image sync was dropped
 	classMarkerFail
 	classCrashAt
 	classCrashTear
 	classCrashTearLen
 	classCrashImgTear
 	classCrashImgTearLen
-	classCrashMarkerTear
-	classCrashMarkerTearLen
-	classCrashMarkerGarbage
+	_ // retired: the cut tore a slot of the two-slot marker file
+	_ // retired: that tear's length
+	_ // retired: that tear was garbage
 	classCrashImgGarbage
 	classImgRot
 	classImgRotBit
+	classCrashImgReorder
 )
 
 // splitmix64 is the standard 64-bit mixer (Steele et al.); one round
@@ -202,7 +207,6 @@ type Injector struct {
 
 	log *Log
 	img *Image
-	mk  *Marker
 }
 
 // New builds an injector for the given seed and profile. The power-cut
@@ -263,11 +267,10 @@ func (in *Injector) step() error {
 
 // crash simulates the power cut across all wrapped components: the log
 // rewinds to its acknowledged-sync watermark (optionally with a torn
-// partial block), the image loses its staged records (optionally with a
-// torn prefix of the first), and the marker may tear the slot its next
-// Set would write. Teardown I/O errors are swallowed — there is no one
-// left to report them to after a power cut, and recovery verifies the
-// resulting directory either way.
+// partial block), and the image loses its staged records (optionally
+// with a torn commit append). Teardown I/O errors are swallowed — there
+// is no one left to report them to after a power cut, and recovery
+// verifies the resulting directory either way.
 func (in *Injector) crash() {
 	in.crashed = true
 	in.counts.PowerCuts++
@@ -276,9 +279,6 @@ func (in *Injector) crash() {
 	}
 	if in.img != nil {
 		in.img.crash()
-	}
-	if in.mk != nil {
-		in.mk.crash()
 	}
 }
 
@@ -298,9 +298,7 @@ func (in *Injector) WrapImage(b storage.ImageStore) storage.ImageStore {
 
 // WrapMarker implements storage.Wrapper.
 func (in *Injector) WrapMarker(b storage.MarkerStore) storage.MarkerStore {
-	f, _ := b.(*storage.Marker)
-	in.mk = &Marker{in: in, b: b, f: f}
-	return in.mk
+	return &Marker{in: in, b: b}
 }
 
 var _ storage.Wrapper = (*Injector)(nil)
@@ -430,10 +428,9 @@ func (l *Log) TornBytes() uint64        { return l.b.TornBytes() }
 // the files fresh.
 func (l *Log) Close() error { return l.b.Close() }
 
-// Image interposes on the image store: line writes can hit ENOSPC, the
-// image sync can fail or be dropped, a bit can rot in a cold record after
-// a sync, and a power cut discards the staged records and can tear the
-// first.
+// Image interposes on the image store: line writes can hit ENOSPC, and
+// a power cut discards the staged records and can tear the commit
+// append that would have sealed them.
 type Image struct {
 	in *Injector
 	b  storage.ImageStore
@@ -452,99 +449,67 @@ func (im *Image) WriteLine(l mem.LineAddr, w mem.Word) error {
 	return im.b.WriteLine(l, w)
 }
 
-// Sync implements storage.ImageStore; failures here surface through
-// Dir.PersistMarker, whose caller retries the whole marker protocol.
-func (im *Image) Sync() error {
-	if err := im.in.step(); err != nil {
-		return err
-	}
-	p := &im.in.prof
-	if im.in.roll(classImgSyncFail, p.SyncFailEvery) {
-		im.in.counts.SyncFails++
-		return fmt.Errorf("%w: image sync: %w", ErrInjected, syscall.EIO)
-	}
-	if im.in.roll(classImgSyncDrop, p.SyncDropEvery) {
-		// Acknowledged but not flushed, modeled as surviving a later cut
-		// like the log's. The staged records live in process memory, so
-		// surviving means reaching the file: the drop still appends them
-		// (fsync included, which a cut in this model cannot tell apart
-		// from a skipped one) and only the counter records the lie.
-		im.in.counts.SyncDrops++
-	}
-	if err := im.b.Sync(); err != nil {
-		return err
-	}
-	if im.f != nil && im.in.roll(classImgRot, p.ImgRotEvery) {
-		// Single-bit rot in a synced record with a whole record behind
-		// it: Load must report it, never pass it as a torn tail.
-		if im.f.RotBit(im.in.rand(classImgRotBit)) == nil {
-			im.in.counts.ImgRotBits++
-		}
-	}
-	return nil
-}
-
 // crash discards the image's staged records — they never left the
-// process — and half the time leaves a torn prefix of the first at the
-// tail: a 1..23-byte prefix of the record, or as many garbage bytes. The
-// records belong to writes after the last marker sync, which the undo
-// log covers (write-ahead rules 1 and 2), so recovery rolls them back.
+// process — and half the time tears the commit append that would have
+// sealed them: in order, a prefix of it or as many garbage bytes; out
+// of order, its later part behind zeros or garbage. The records belong
+// to writes after the last commit, which the undo log covers
+// (write-ahead rules 1 and 2), and the torn batch never validates, so
+// recovery lands on the last commit and rolls the writes back.
 func (im *Image) crash() {
 	if im.f == nil {
 		return
 	}
-	tear := 0
+	var tear uint64
 	if im.in.rand(classCrashImgTear)%2 == 0 {
-		tear = 1 + int(im.in.rand(classCrashImgTearLen)%23) // 24 B records: tear 1..23 bytes
+		tear = 1 + im.in.rand(classCrashImgTearLen)>>1
 	}
+	reorder := im.in.rand(classCrashImgReorder)%2 == 0
 	garbage := im.in.rand(classCrashImgGarbage)%2 == 0
-	if torn, err := im.f.Cut(tear, garbage); torn && err == nil {
+	if torn, err := im.f.Cut(tear, reorder, garbage); torn && err == nil {
 		im.in.counts.ImageTears++
+		if reorder {
+			im.in.counts.ImgReorders++
+		}
 	}
 }
 
+func (im *Image) Sync() error               { return im.b.Sync() }
 func (im *Image) Load() (*mem.Image, error) { return im.b.Load() }
 func (im *Image) Close() error              { return im.b.Close() }
 
-// Marker interposes on the persisted-epoch marker.
+// Marker interposes on the persisted-epoch marker: the commit append
+// can fail, and a bit can rot in a sealed image batch after it.
 type Marker struct {
 	in *Injector
 	b  storage.MarkerStore
-	f  *storage.Marker
 }
 
-// Set implements storage.MarkerStore with injected slot write or fsync
-// failures (retryable upstream through the PersistMarker protocol). The
-// failed Set wrote only the older slot, so the newest marker stands.
+// Set implements storage.MarkerStore with injected failures of the
+// commit append's write or fsync (retryable upstream through the
+// PersistMarker protocol): the records stay staged and the tail where it
+// was, so the last completed Set stands and a retry appends the same
+// batch. After a commit, one bit may rot in an image record with a
+// sealed batch behind it; Load must report it, never pass it as a torn
+// batch.
 func (mk *Marker) Set(e mem.EpochID) error {
 	if err := mk.in.step(); err != nil {
 		return err
 	}
-	if mk.in.roll(classMarkerFail, mk.in.prof.MarkerFailEvery) {
+	p := &mk.in.prof
+	if mk.in.roll(classMarkerFail, p.MarkerFailEvery) {
 		mk.in.counts.MarkerFails++
-		return fmt.Errorf("%w: marker slot write: %w", ErrInjected, syscall.EIO)
+		return fmt.Errorf("%w: image commit write: %w", ErrInjected, syscall.EIO)
 	}
-	return mk.b.Set(e)
-}
-
-// crash tears the marker's next slot a quarter of the time: a 1..19-byte
-// prefix of a record, or as many garbage bytes, lands in the slot the
-// next Set would write. The record re-records the newest completed
-// epoch, so a prefix that happens to complete it still recovers that
-// epoch; Dir.Recover must discard the torn slot and report it.
-func (mk *Marker) crash() {
-	if mk.f == nil || mk.in.rand(classCrashMarkerTear)%4 != 0 {
-		return
+	if err := mk.b.Set(e); err != nil {
+		return err
 	}
-	e, err := mk.f.Get()
-	if err != nil {
-		return
+	if img := mk.in.img; img != nil && img.f != nil && mk.in.roll(classImgRot, p.ImgRotEvery) {
+		if img.f.RotBit(mk.in.rand(classImgRotBit)) == nil {
+			mk.in.counts.ImgRotBits++
+		}
 	}
-	n := 1 + int(mk.in.rand(classCrashMarkerTearLen)%19) // 20 B records: tear 1..19 bytes
-	garbage := mk.in.rand(classCrashMarkerGarbage)%2 == 0
-	if mk.f.TearSet(e, n, garbage) == nil {
-		mk.in.counts.MarkerTears++
-	}
+	return nil
 }
 
 func (mk *Marker) Get() (mem.EpochID, error) { return mk.b.Get() }

@@ -209,11 +209,12 @@ func TestPermanentSyncFailure(t *testing.T) {
 	}
 }
 
-// TestMarkerTearRecovers: a cut that tears the marker's next slot
-// recovers the last marker Set that completed before the cut, reports
-// the tear, and leaves no file behind to sweep.
+// TestMarkerTearRecovers: a cut that tears the commit append in flight
+// — in order or out of it — recovers the last marker Set that completed
+// before the cut, reports the torn batch, and leaves no file behind to
+// sweep.
 func TestMarkerTearRecovers(t *testing.T) {
-	tears := 0
+	tears, reorders := 0, 0
 	for seed := uint64(0); seed < 64; seed++ {
 		prof := Profile{CrashAtMin: 10, CrashWindow: 40}
 		d, in := openWrapped(t, seed, prof)
@@ -221,10 +222,11 @@ func TestMarkerTearRecovers(t *testing.T) {
 		c := in.Counts()
 		path := d.Path()
 		d.Close()
-		if c.MarkerTears == 0 {
+		if c.ImageTears == 0 {
 			continue
 		}
 		tears++
+		reorders += int(c.ImgReorders)
 		// driveOps sets epoch k at op 8k-1; the last nil one completed.
 		var last mem.EpochID
 		for i := 7; i < len(trace); i += 8 {
@@ -236,36 +238,36 @@ func TestMarkerTearRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: recover: %v", seed, err)
 		}
-		if info.Marker != last || !info.MarkerTorn {
-			t.Fatalf("seed %d: recovered marker %d torn=%v, want %d with the tear reported (%v)",
-				seed, info.Marker, info.MarkerTorn, last, c)
+		if info.Marker != last || info.ImageTornBytes == 0 {
+			t.Fatalf("seed %d: recovered marker %d torn=%d, want %d with the torn batch reported (%v)",
+				seed, info.Marker, info.ImageTornBytes, last, c)
 		}
 		if tmps, _ := filepath.Glob(filepath.Join(path, "*.tmp")); len(tmps) != 0 {
-			t.Fatalf("seed %d: tmp files after a marker tear: %v", seed, tmps)
+			t.Fatalf("seed %d: tmp files after a torn commit: %v", seed, tmps)
 		}
 	}
-	if tears == 0 {
-		t.Fatal("no seed in 0..63 produced a marker tear; widen the window")
+	if tears == 0 || reorders == 0 || reorders == tears {
+		t.Fatalf("seeds 0..63 tore %d commits, %d out of order; want both kinds", tears, reorders)
 	}
 }
 
 // TestImageCutDiscardsStaged: the power cut drops the image's staged
-// records — at most a torn prefix of the first reaches the file, past
-// every synced record — and Close after ErrPowerLost writes nothing to
-// image.dat. Recovery reads the synced records and reports the tear.
+// records — at most a torn commit append reaches the file, past every
+// sealed record — and Close after ErrPowerLost writes nothing to
+// image.dat. Recovery reads the sealed records and reports the tear.
 func TestImageCutDiscardsStaged(t *testing.T) {
 	tears := 0
 	for seed := uint64(0); seed < 32; seed++ {
-		// Ops 1..3 stage lines, op 4 syncs them, ops 5..7 stage more, and
-		// the cut lands on op 8.
+		// Ops 1..3 stage lines, op 4 commits them, ops 5..7 stage more,
+		// and the cut lands on op 8.
 		d, in := openWrapped(t, seed, Profile{CrashAtMin: 8, CrashWindow: 1})
 		path := filepath.Join(d.Path(), storage.ImageFileName)
-		var synced []byte
+		var sealed []byte
 		for op := 1; op <= 8; op++ {
 			var err error
 			if op == 4 {
-				err = d.Img.Sync()
-				synced, _ = os.ReadFile(path)
+				err = d.Mk.Set(1)
+				sealed, _ = os.ReadFile(path)
 			} else {
 				err = d.Img.WriteLine(mem.LineAddr(op), mem.Word(op))
 			}
@@ -277,9 +279,9 @@ func TestImageCutDiscardsStaged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn := len(cut) - len(synced)
-		if torn < 0 || torn >= 24 || !bytes.Equal(cut[:len(synced)], synced) {
-			t.Fatalf("seed %d: the cut left %d bytes over %d synced ones", seed, len(cut), len(synced))
+		torn := len(cut) - len(sealed)
+		if torn < 0 || torn > 4*24 || !bytes.Equal(cut[:len(sealed)], sealed) {
+			t.Fatalf("seed %d: the cut left %d bytes over %d sealed ones", seed, len(cut), len(sealed))
 		}
 		if torn > 0 {
 			tears++
@@ -297,8 +299,9 @@ func TestImageCutDiscardsStaged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: recover: %v", seed, err)
 		}
-		if img.Len() != 3 || info.ImageTornBytes != uint64(torn) {
-			t.Fatalf("seed %d: recovered %d lines, image torn %d; want 3 and %d", seed, img.Len(), info.ImageTornBytes, torn)
+		if img.Len() != 3 || info.Marker != 1 || info.ImageTornBytes != uint64(torn) {
+			t.Fatalf("seed %d: recovered %d lines at marker %d, image torn %d; want 3 at 1 and %d",
+				seed, img.Len(), info.Marker, info.ImageTornBytes, torn)
 		}
 	}
 	if tears == 0 || tears == 32 {
@@ -306,15 +309,16 @@ func TestImageCutDiscardsStaged(t *testing.T) {
 	}
 }
 
-// TestImageRotDetected: with image rot forced on every sync, recovery of
-// the closed directory must fail loudly with ErrCorruptImage.
+// TestImageRotDetected: with image rot forced after every commit,
+// recovery of the closed directory must fail loudly with
+// ErrCorruptImage.
 func TestImageRotDetected(t *testing.T) {
 	d, in := openWrapped(t, 99, Profile{ImgRotEvery: 1})
 	for i := 0; i < 16; i++ {
 		if err := d.Img.WriteLine(mem.LineAddr(i), mem.Word(i+1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Img.Sync(); err != nil {
+		if err := d.Mk.Set(mem.EpochID(i + 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,5 +331,40 @@ func TestImageRotDetected(t *testing.T) {
 	}
 	if _, _, err := storage.RecoverDir(path); !errors.Is(err, storage.ErrCorruptImage) {
 		t.Fatalf("recovery of a rotted image = %v, want ErrCorruptImage", err)
+	}
+}
+
+// TestCommitFailRetries: an injected commit failure leaves the last
+// completed Set standing and the records staged, so the retry seals the
+// same batch and recovery reads every line.
+func TestCommitFailRetries(t *testing.T) {
+	d, in := openWrapped(t, 5, Profile{MarkerFailEvery: 2})
+	fails := 0
+	for e := mem.EpochID(1); e <= 8; e++ {
+		if err := d.Img.WriteLine(mem.LineAddr(e), mem.Word(e)); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			err := d.Mk.Set(e)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ErrInjected) || !errors.Is(err, syscall.EIO) {
+				t.Fatalf("set %d = %v, want ErrInjected wrapping EIO", e, err)
+			}
+			fails++
+			if got, _ := d.Mk.Get(); got != e-1 {
+				t.Fatalf("after a failed set %d the marker reads %d", e, got)
+			}
+		}
+	}
+	if fails == 0 || in.Counts().MarkerFails != uint64(fails) {
+		t.Fatalf("%d failed commits, %d counted", fails, in.Counts().MarkerFails)
+	}
+	path := d.Path()
+	d.Close()
+	img, info, err := storage.RecoverDir(path)
+	if err != nil || info.Marker != 8 || img.Len() != 8 {
+		t.Fatalf("recovered %d lines at marker %d (err %v), want 8 at 8", img.Len(), info.Marker, err)
 	}
 }

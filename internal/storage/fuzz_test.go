@@ -1,0 +1,112 @@
+package storage
+
+import (
+	"bytes"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"picl/internal/mem"
+)
+
+// sealedImage is the fuzz oracle, written record by record: raw parsed
+// as the header and whole sealed batches, the image they replay to and
+// the last commit's epoch. ok is false if raw is anything else.
+func sealedImage(raw []byte) (img *mem.Image, e mem.EpochID, ok bool) {
+	img = mem.NewImage()
+	if len(raw) == 0 {
+		return img, 0, true
+	}
+	if len(raw) < imageHeaderBytes || !bytes.Equal(raw[:imageHeaderBytes], imageHeader[:]) ||
+		(len(raw)-imageHeaderBytes)%imageRecBytes != 0 {
+		return nil, 0, false
+	}
+	var batch []lineWrite
+	start := imageHeaderBytes
+	for at := imageHeaderBytes; at < len(raw); at += imageRecBytes {
+		rec := raw[at : at+imageRecBytes]
+		if l, w, ok := decodeImageRecord(rec); ok {
+			batch = append(batch, lineWrite{l, w})
+			continue
+		}
+		ce, n, sum, ok := decodeCommitRecord(rec)
+		if !ok || n != int64(len(batch)) || sum != crc32.Checksum(raw[start:at], castagnoli) {
+			return nil, 0, false
+		}
+		for _, x := range batch {
+			img.Write(x.l, x.w)
+		}
+		batch, start, e = batch[:0], at+imageRecBytes, ce
+	}
+	return img, e, len(batch) == 0
+}
+
+// FuzzOpenImage: for arbitrary image.dat bytes, OpenImage, Load and the
+// marker's Get never panic, and either fail with ErrCorruptImage or
+// keep a prefix of the bytes made only of sealed batches, dropping the
+// rest as a torn batch: Load returns exactly what those batches replay
+// to, and Get the last one's epoch.
+func FuzzOpenImage(f *testing.F) {
+	im := &ImageFile{}
+	im.WriteLine(1, 11)
+	im.WriteLine(2, 22)
+	one := bytes.Clone(im.batch(4))
+	im.size = int64(len(one))
+	im.staged = im.staged[:0]
+	im.WriteLine(1, 33)
+	two := append(bytes.Clone(one), im.batch(5)...)
+	f.Add([]byte{})
+	f.Add(imageHeader[:])
+	f.Add(imageHeader[:5])
+	f.Add(one)
+	f.Add(two)
+	f.Add(two[:len(two)-7])                                                            // torn commit record
+	f.Add(append(bytes.Clone(one), make([]byte, 48)...))                               // zeros behind a sealed batch
+	f.Add(append(append(bytes.Clone(one), make([]byte, 24)...), two[len(one)+24:]...)) // out of order
+	rot := bytes.Clone(two)
+	rot[imageHeaderBytes+3] ^= 0x10 // rot in the older batch
+	f.Add(rot)
+	f.Add([]byte{'P', 'C', 'L', 'I', 2, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), ImageFileName)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		im, err := OpenImage(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptImage) {
+				t.Fatalf("open: %v, want nil or ErrCorruptImage", err)
+			}
+			return
+		}
+		defer im.Close()
+		e, err := (&Marker{im: im}).Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := im.Load()
+		if err != nil {
+			if !errors.Is(err, ErrCorruptImage) {
+				t.Fatalf("load: %v, want nil or ErrCorruptImage", err)
+			}
+			return
+		}
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, kept) || im.TornBytes() != uint64(len(raw)-len(kept)) {
+			t.Fatalf("open kept %d of %d bytes and reports %d torn, want a prefix and the rest torn",
+				len(kept), len(raw), im.TornBytes())
+		}
+		want, we, ok := sealedImage(kept)
+		if !ok {
+			t.Fatalf("load accepted %x, which is not whole sealed batches", kept)
+		}
+		if !img.Equal(want) || e != we {
+			t.Fatalf("load returned epoch %d and %v, the sealed batches hold epoch %d", e, img.Diff(want, 5), we)
+		}
+	})
+}

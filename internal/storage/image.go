@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -13,54 +12,74 @@ import (
 	"picl/internal/mem"
 )
 
-// The image file is a short header followed by fixed-size line records
-// appended in Sync order. A record is the line address (u64), its word
-// (u64), the CRC32C of those 16 bytes (u32) and 4 reserved zero bytes.
+// The image file is a short header followed by fixed-size records
+// appended one commit at a time. A line record is the line address
+// (u64), its word (u64), the CRC32C of those 16 bytes (u32) and 4 zero
+// bytes. A commit record seals the line records between it and the
+// previous commit record, its batch: the epoch it persists (u64), the
+// batch's record count (u32), the CRC32C of the batch's bytes (u32),
+// the CRC32C of those 16 bytes (u32), and commitTag where a line record
+// holds zeros.
 const (
 	imageHeaderBytes = 8
 	imageRecBytes    = 24
 )
 
 // imageHeader opens every non-empty image file: the magic "PCLI" and
-// format version 2. The first format (version 1) was bare 16-byte
-// records with no header; such a file is refused, never misread.
-var imageHeader = [imageHeaderBytes]byte{'P', 'C', 'L', 'I', 2, 0, 0, 0}
+// format version 3. Version 1 (bare 16-byte records, no header) and
+// version 2 (line records with no commit records) are refused, never
+// misread.
+var imageHeader = [imageHeaderBytes]byte{'P', 'C', 'L', 'I', 3, 0, 0, 0}
+
+// commitTag marks a commit record: "SEAL", 12 bits away from the zeros
+// every line record carries in the same place.
+const commitTag = 0x4C414553
 
 // imageIOBytes is the buffer the whole-file passes (Load, Reset's
-// compaction) read or write records through: one syscall per ~2700
+// compaction) read or write records through: one syscall per 2730
 // records instead of one per record.
-const imageIOBytes = 64 << 10
+const imageIOBytes = 2730 * imageRecBytes
+
+// castagnoli is the CRC32C table behind every checksum the package
+// writes: image records, commit batches and result records.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorruptImage reports an image file recovery cannot trust: a header
-// that is not this format's (a headerless image of the older layout
-// included), or a record that fails validation with whole records
-// behind it (media rot, not a torn tail). Match it with errors.Is.
+// that is not this format's (the older layouts included), or a record
+// or batch that fails validation with a sealed batch behind it (media
+// rot, not a torn batch). Match it with errors.Is.
 var ErrCorruptImage = errors.New("storage: corrupt image file")
 
 // ImageFile is the durable line-granular memory image: the on-disk
 // stand-in for the NVM array itself, kept as an append-only log of
-// CRC-checked line records. WriteLine stages a record in memory; Sync
-// appends everything staged with one positional write at the tail and
-// one fsync, the sequential row-sized write discipline the undo log
-// already follows. Load replays the records in file order, so a line's
-// last record wins. The file grows by one record per line written back
-// until Dir.Reset compacts it to one record per live line.
+// CRC-checked line records sealed by commit records. WriteLine stages a
+// record in memory; commit (Marker.Set) appends everything staged plus
+// the commit record sealing it, with one positional write at the tail
+// and one fsync, the sequential row-sized write discipline the undo log
+// already follows. The last sealed commit record is the persisted-epoch
+// marker. Load replays the records in file order, so a line's last
+// record wins. The file grows by one record per line written back, and
+// one per commit, until Dir.Reset compacts it to one record per live
+// line.
 //
-// A crash can leave only a torn tail: a partial trailing record, or an
-// invalid final one, which OpenImage drops and reports (TornBytes). An
-// invalid record with whole records behind it is rot, and Load fails
+// A crash can leave only a torn batch: whatever follows the last commit
+// record whose batch validates, in any order the page cache wrote it
+// back. OpenImage drops it and reports it (TornBytes). An invalid
+// record or batch with a sealed batch behind it is rot, and Load fails
 // with ErrCorruptImage rather than return an older line.
 type ImageFile struct {
 	f      *os.File
-	size   int64  // bytes on file: header plus whole records (0 until the first Sync)
-	staged []byte // records staged since the last successful Sync
-	torn   uint64 // torn tail bytes dropped at open
+	size   int64       // bytes on file: header through the last sealed commit record (0 until the first commit)
+	staged []byte      // line records staged since the last commit
+	torn   uint64      // torn batch bytes dropped at open
+	epoch  mem.EpochID // the last sealed commit's epoch (0 before the first commit)
 }
 
 // OpenImage opens (creating if absent) a durable image file and drops a
-// torn tail: a partial trailing record, an invalid final record, or a
-// prefix of the header a first Sync left. A file whose header is not
-// this format's is an error, and the file is left untouched.
+// torn batch: everything behind the last commit record whose batch
+// validates, or a prefix of the header a first commit left. A file
+// whose header is not this format's is an error, and the file is left
+// untouched.
 func OpenImage(path string) (*ImageFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -71,12 +90,11 @@ func OpenImage(path string) (*ImageFile, error) {
 		f.Close()
 		return nil, err
 	}
-	im := &ImageFile{f: f, size: fi.Size()}
-	keep, err := im.validTail()
-	if err == nil && keep < im.size {
-		im.torn = uint64(im.size - keep)
-		im.size = keep
-		if err = f.Truncate(keep); err == nil {
+	im := &ImageFile{f: f}
+	err = im.findSealed(fi.Size())
+	if err == nil && im.size < fi.Size() {
+		im.torn = uint64(fi.Size() - im.size)
+		if err = f.Truncate(im.size); err == nil {
 			err = f.Sync()
 		}
 	}
@@ -87,36 +105,43 @@ func OpenImage(path string) (*ImageFile, error) {
 	return im, nil
 }
 
-// validTail checks the header and the final whole record, and returns
-// the length of the file without its torn tail. Only the tail is read:
-// the records in front of it are checked by Load.
-func (im *ImageFile) validTail() (int64, error) {
-	if im.size == 0 {
-		return 0, nil
+// findSealed checks the header of a file of n bytes and scans back from
+// its final whole record for the last commit record whose batch
+// validates, leaving size and epoch at it (size 0 if there is none).
+// Only that tail is read: the records in front of the batch are checked
+// by Load.
+func (im *ImageFile) findSealed(n int64) error {
+	if n == 0 {
+		return nil
 	}
-	head := make([]byte, min(im.size, imageHeaderBytes))
+	head := make([]byte, min(n, imageHeaderBytes))
 	if _, err := im.f.ReadAt(head, 0); err != nil {
-		return 0, err
+		return err
 	}
 	if !bytes.Equal(head, imageHeader[:len(head)]) {
-		return 0, fmt.Errorf("%w: %s does not start with the image header %x (a headerless 16-byte-record image from an older format?)",
-			ErrCorruptImage, im.f.Name(), imageHeader)
-	}
-	if im.size < imageHeaderBytes {
-		return 0, nil // a first Sync torn inside the header
-	}
-	keep := imageHeaderBytes + (im.size-imageHeaderBytes)/imageRecBytes*imageRecBytes
-	if keep == imageHeaderBytes {
-		return keep, nil
+		return fmt.Errorf("%w: %s does not start with the version-%d image header %x (an image from an older format?)",
+			ErrCorruptImage, im.f.Name(), imageHeader[4], imageHeader)
 	}
 	var rec [imageRecBytes]byte
-	if _, err := im.f.ReadAt(rec[:], keep-imageRecBytes); err != nil {
-		return 0, err
+	for at := imageHeaderBytes + (n-imageHeaderBytes)/imageRecBytes*imageRecBytes - imageRecBytes; at >= imageHeaderBytes; at -= imageRecBytes {
+		if _, err := im.f.ReadAt(rec[:], at); err != nil {
+			return err
+		}
+		e, count, sum, ok := decodeCommitRecord(rec[:])
+		if !ok || count > (at-imageHeaderBytes)/imageRecBytes {
+			continue
+		}
+		start := at - count*imageRecBytes
+		h := crc32.New(castagnoli)
+		if _, err := io.Copy(h, io.NewSectionReader(im.f, start, at-start)); err != nil {
+			return err
+		}
+		if h.Sum32() == sum {
+			im.size, im.epoch = at+imageRecBytes, e
+			return nil
+		}
 	}
-	if _, _, ok := decodeImageRecord(rec[:]); !ok {
-		keep -= imageRecBytes
-	}
-	return keep, nil
+	return nil
 }
 
 // appendImageRecord appends the record for line l holding w to b.
@@ -127,34 +152,64 @@ func appendImageRecord(b []byte, l mem.LineAddr, w mem.Word) []byte {
 	return binary.LittleEndian.AppendUint32(b, 0)
 }
 
-// decodeImageRecord decodes one record and reports whether it is valid:
-// its CRC matches and its reserved bytes are zero, so every single-bit
-// flip is caught.
+// decodeImageRecord decodes one line record and reports whether it is
+// valid: its CRC matches and its last 4 bytes are zero, so every
+// single-bit flip is caught.
 func decodeImageRecord(rec []byte) (mem.LineAddr, mem.Word, bool) {
 	ok := crc32.Checksum(rec[0:16], castagnoli) == binary.LittleEndian.Uint32(rec[16:20]) &&
 		binary.LittleEndian.Uint32(rec[20:24]) == 0
 	return mem.LineAddr(binary.LittleEndian.Uint64(rec[0:8])), mem.Word(binary.LittleEndian.Uint64(rec[8:16])), ok
 }
 
+// appendCommitRecord appends the record sealing a batch of count line
+// records whose bytes have CRC32C sum, as epoch e.
+func appendCommitRecord(b []byte, e mem.EpochID, count int64, sum uint32) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(e))
+	b = binary.LittleEndian.AppendUint32(b, uint32(count))
+	b = binary.LittleEndian.AppendUint32(b, sum)
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(b)-16:], castagnoli))
+	return binary.LittleEndian.AppendUint32(b, commitTag)
+}
+
+// decodeCommitRecord decodes one commit record and reports whether it
+// is one: its tag is commitTag and its CRC matches.
+func decodeCommitRecord(rec []byte) (e mem.EpochID, count int64, sum uint32, ok bool) {
+	ok = binary.LittleEndian.Uint32(rec[20:24]) == commitTag &&
+		crc32.Checksum(rec[0:16], castagnoli) == binary.LittleEndian.Uint32(rec[16:20])
+	return mem.EpochID(binary.LittleEndian.Uint64(rec[0:8])), int64(binary.LittleEndian.Uint32(rec[8:12])),
+		binary.LittleEndian.Uint32(rec[12:16]), ok
+}
+
 // WriteLine stages the record of one in-place line write for the next
-// Sync. It satisfies the checkpoint.LineSink mirror hook.
+// commit. It satisfies the checkpoint.LineSink mirror hook.
 func (im *ImageFile) WriteLine(l mem.LineAddr, w mem.Word) error {
 	im.staged = appendImageRecord(im.staged, l, w)
 	return nil
 }
 
-// Sync appends every staged record at the tail, behind the header when
-// the file is empty, with one positional write, and fsyncs. A failed
-// Sync keeps the records staged and the tail where it was, so a retry
-// writes the same bytes again.
-func (im *ImageFile) Sync() error {
-	if len(im.staged) == 0 {
-		return nil
-	}
-	buf := im.staged
+// Sync writes nothing: staged records reach the file only sealed, in
+// the commit append Marker.Set makes, so the image has nothing to make
+// durable on its own.
+func (im *ImageFile) Sync() error { return nil }
+
+// batch returns the bytes the next commit appends for epoch e: the
+// header when the file is empty, every staged record, and the commit
+// record sealing them. It may write into the staging buffer's spare
+// capacity, never into its records.
+func (im *ImageFile) batch(e mem.EpochID) []byte {
+	buf := appendCommitRecord(im.staged, e, int64(len(im.staged))/imageRecBytes, crc32.Checksum(im.staged, castagnoli))
 	if im.size == 0 {
 		buf = append(imageHeader[:], buf...)
 	}
+	return buf
+}
+
+// commit durably records epoch e: it appends every staged record and
+// the commit record sealing them at the tail with one positional write,
+// and fsyncs. A failed commit keeps the records staged and the tail
+// where it was, so a retry writes the same bytes again.
+func (im *ImageFile) commit(e mem.EpochID) error {
+	buf := im.batch(e)
 	if _, err := im.f.WriteAt(buf, im.size); err != nil {
 		return err
 	}
@@ -162,84 +217,131 @@ func (im *ImageFile) Sync() error {
 		return err
 	}
 	im.size += int64(len(buf))
+	im.epoch = e
 	im.staged = im.staged[:0]
 	return nil
 }
 
-// Load replays the file's records into a functional memory image, in
-// file order, so a line's last record wins; staged records are not yet
-// part of the file. Records whose word is zero collapse into the
-// image's implicit zero state, matching mem.Image semantics exactly. An
-// invalid record is rot — OpenImage already dropped a torn final one —
-// and fails with ErrCorruptImage.
+// Load replays the file's sealed batches into a functional memory
+// image, in file order, so a line's last record wins; staged records
+// are not yet part of the file. Records whose word is zero collapse
+// into the image's implicit zero state, matching mem.Image semantics
+// exactly. OpenImage already dropped the torn batch, so an invalid
+// record, or a commit record whose batch does not match it, is rot and
+// fails with ErrCorruptImage.
 func (im *ImageFile) Load() (*mem.Image, error) {
 	out := mem.NewImage()
 	if im.size == 0 {
 		return out, nil
 	}
-	n := (im.size - imageHeaderBytes) / imageRecBytes
-	br := bufio.NewReaderSize(io.NewSectionReader(im.f, imageHeaderBytes, n*imageRecBytes), imageIOBytes)
-	var rec [imageRecBytes]byte
-	for i := int64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
+	buf := make([]byte, imageIOBytes)
+	var sum uint32 // CRC32C of the open batch's records so far
+	var count int64
+	for off := int64(imageHeaderBytes); off < im.size; {
+		chunk := buf[:min(int64(len(buf)), im.size-off)]
+		if _, err := im.f.ReadAt(chunk, off); err != nil {
 			return nil, err
 		}
-		l, w, ok := decodeImageRecord(rec[:])
-		if !ok {
-			return nil, fmt.Errorf("%w: record %d of %d fails validation with further records behind it (media rot, not a torn tail)",
-				ErrCorruptImage, i, n)
+		run := 0 // start of the chunk's line records not yet in sum
+		for i := 0; i < len(chunk); i += imageRecBytes {
+			rec := chunk[i : i+imageRecBytes]
+			if l, w, ok := decodeImageRecord(rec); ok {
+				out.Write(l, w)
+				count++
+				continue
+			}
+			at := off + int64(i)
+			e, n, want, ok := decodeCommitRecord(rec)
+			if !ok {
+				return nil, fmt.Errorf("%w: the record at byte %d fails validation with a sealed batch behind it (media rot, not a torn batch)",
+					ErrCorruptImage, at)
+			}
+			sum = crc32.Update(sum, castagnoli, chunk[run:i])
+			if n != count || want != sum {
+				return nil, fmt.Errorf("%w: the commit record of epoch %d at byte %d seals %d records with CRC %#x, its batch holds %d with CRC %#x (media rot, not a torn batch)",
+					ErrCorruptImage, e, at, n, want, count, sum)
+			}
+			sum, count, run = 0, 0, i+imageRecBytes
 		}
-		out.Write(l, w)
+		sum = crc32.Update(sum, castagnoli, chunk[run:])
+		off += int64(len(chunk))
+	}
+	if count != 0 {
+		return nil, fmt.Errorf("%w: %d records behind the last commit record", ErrCorruptImage, count)
 	}
 	return out, nil
 }
 
-// TornBytes reports how many torn tail bytes were dropped when the file
-// was opened (0 for a cleanly closed image).
+// TornBytes reports how many torn batch bytes were dropped when the
+// file was opened (0 for a cleanly closed image).
 func (im *ImageFile) TornBytes() uint64 { return im.torn }
 
 // Cut simulates a power cut against the image: every staged record is
 // lost with the process. With tear > 0 (0 tears nothing) the cut lands
-// partway through the append Sync would have made: the first tear bytes
-// (1..23) of the first staged record, or as many garbage bytes, reach
-// the tail (behind the header when the file is empty) and are forced to
-// media. Synced records are never touched. It reports whether it tore
-// anything — with nothing staged no append was in flight. Fault
-// injection only.
-func (im *ImageFile) Cut(tear int, garbage bool) (bool, error) {
-	if tear < 0 || tear >= imageRecBytes {
-		return false, fmt.Errorf("storage: image tear of %d bytes, want 0..%d", tear, imageRecBytes-1)
-	}
-	staged := im.staged
+// partway through the n-byte commit append the next Set would make —
+// the staged records and a commit record sealing the next epoch — at
+// byte split = 1 + (tear-1) mod (n-1) of it. In order, the first split
+// bytes land, or as many garbage bytes. Out of order (reorder), the
+// bytes from split on land and the first split bytes are zeros, or
+// garbage: the page cache wrote the later pages back first. Either way
+// the batch never validates, and sealed records are never touched. It
+// reports whether it tore anything. Fault injection only.
+func (im *ImageFile) Cut(tear uint64, reorder, garbage bool) (bool, error) {
+	buf := im.batch(im.epoch + 1)
 	im.staged = nil
-	if tear == 0 || len(staged) == 0 {
+	if tear == 0 {
 		return false, nil
 	}
-	part := staged[:tear]
-	if garbage {
-		part = bytes.Repeat([]byte{0xA5}, tear)
+	head := 0
+	if im.size == 0 {
+		head = imageHeaderBytes // the header lands with the first batch
 	}
-	off := im.size
-	if off == 0 {
-		part = append(imageHeader[:], part...)
+	b := append([]byte(nil), buf[head:]...)
+	split := 1 + int((tear-1)%uint64(len(b)-1))
+	damaged := b[:split] // the part that reached media wrong, or not at all
+	if !reorder {
+		b = damaged
 	}
-	if _, err := im.f.WriteAt(part, off); err != nil {
+	switch {
+	case garbage: // every byte differs from the batch's
+		for i := range damaged {
+			if damaged[i] == 0xA5 {
+				damaged[i] = 0x5A
+			} else {
+				damaged[i] = 0xA5
+			}
+		}
+	case reorder:
+		if bytes.Equal(damaged, make([]byte, split)) {
+			return false, nil // the batch's own bytes are zeros there: nothing would be torn
+		}
+		clear(damaged)
+	}
+	if _, err := im.f.WriteAt(append(buf[:head:head], b...), im.size); err != nil {
 		return false, err
 	}
 	return true, im.f.Sync()
 }
 
-// RotBit flips one bit of a synced record other than the final one —
-// rot there reads as a torn tail — and forces it to media: simulated
-// media rot, which Load must report. bit indexes the bits of those
-// records, modulo their count; fewer than two synced records is an
-// error. Fault injection only.
+// RotBit flips one bit of a record with a sealed batch behind it — rot
+// in the final batch reads as a torn batch — and forces it to media:
+// simulated media rot, which Load must report. bit indexes the bits of
+// those records, modulo their count; a file whose only batch is the
+// final one is an error. Fault injection only.
 func (im *ImageFile) RotBit(bit uint64) error {
-	n := max(im.size-imageHeaderBytes, 0) / imageRecBytes
-	if n < 2 {
-		return fmt.Errorf("storage: image rot needs two synced records, the file holds %d", n)
+	var n int64 // bytes in front of the final batch
+	if im.size > 0 {
+		var rec [imageRecBytes]byte
+		if _, err := im.f.ReadAt(rec[:], im.size-imageRecBytes); err != nil {
+			return err
+		}
+		_, count, _, _ := decodeCommitRecord(rec[:])
+		n = im.size - imageRecBytes - count*imageRecBytes - imageHeaderBytes
 	}
-	bit %= uint64(n-1) * imageRecBytes * 8
+	if n == 0 {
+		return fmt.Errorf("storage: image rot needs a record with a sealed batch behind it, the file has none")
+	}
+	bit %= uint64(n) * 8
 	off := imageHeaderBytes + int64(bit/8)
 	var b [1]byte
 	if _, err := im.f.ReadAt(b[:], off); err != nil {
@@ -252,11 +354,34 @@ func (im *ImageFile) RotBit(bit uint64) error {
 	return im.f.Sync()
 }
 
-// Close appends whatever is staged and releases the image file.
-func (im *ImageFile) Close() error {
-	if err := im.Sync(); err != nil {
-		im.f.Close()
-		return err
-	}
-	return im.f.Close()
+// Close releases the image file. Staged records are dropped: no commit
+// sealed them, and the undo log covers every write they carry.
+func (im *ImageFile) Close() error { return im.f.Close() }
+
+// Marker is the durable persisted-epoch record — the pointer the OS
+// reads first during recovery (paper §IV-B). It has no file of its own:
+// it is the image log's last sealed commit record, so advancing it and
+// making the image writes it covers durable are one append. Set appends
+// the staged line records and the commit record sealing them as epoch
+// e, with one positional write and one fsync; a crash tears only that
+// batch, which OpenImage drops, so Get finds the last completed Set.
+type Marker struct {
+	im   *ImageFile
+	dirf *os.File // the store directory: SyncDir
 }
+
+// Set durably records epoch e as the newest fully persisted epoch,
+// sealing every image record staged before it.
+func (mk *Marker) Set(e mem.EpochID) error { return mk.im.commit(e) }
+
+// Get reads the newest durable persisted epoch: that of the last sealed
+// commit record (0 for an image with none).
+func (mk *Marker) Get() (mem.EpochID, error) { return mk.im.epoch, nil }
+
+// SyncDir fsyncs the store directory, making completed renames and
+// removals durable.
+func (mk *Marker) SyncDir() error { return mk.dirf.Sync() }
+
+// Close releases the directory handle; the image file is the image's
+// to close.
+func (mk *Marker) Close() error { return mk.dirf.Close() }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,8 +29,9 @@ func replay(writes []lineWrite) *mem.Image {
 	return img
 }
 
-// writeImage stages writes into the image at path and syncs them.
-func writeImage(t *testing.T, path string, writes []lineWrite) {
+// commitImage stages writes into the image at path and commits them as
+// epoch e.
+func commitImage(t *testing.T, path string, writes []lineWrite, e mem.EpochID) {
 	t.Helper()
 	im, err := OpenImage(path)
 	if err != nil {
@@ -39,21 +42,31 @@ func writeImage(t *testing.T, path string, writes []lineWrite) {
 			t.Fatal(err)
 		}
 	}
+	if err := im.commit(e); err != nil {
+		t.Fatal(err)
+	}
 	if err := im.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// opened is what OpenImage and Load made of an image file.
+type opened struct {
+	img   *mem.Image
+	torn  uint64
+	epoch mem.EpochID
+}
+
 // loadImage opens the image at path and loads it.
-func loadImage(t *testing.T, path string) (*mem.Image, uint64, error) {
+func loadImage(t *testing.T, path string) (opened, error) {
 	t.Helper()
 	im, err := OpenImage(path)
 	if err != nil {
-		return nil, 0, err
+		return opened{}, err
 	}
 	defer im.Close()
 	img, err := im.Load()
-	return img, im.TornBytes(), err
+	return opened{img, im.TornBytes(), im.epoch}, err
 }
 
 func fileSize(t *testing.T, path string) int64 {
@@ -65,11 +78,34 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestImageFileRoundTrip: staged writes stay out of the file until
-// Sync, which appends one record per write behind the header; Load and
-// a reopened file replay them so the last record of a line wins, zero
-// words collapse to the implicit zero state, and a torn final record is
-// dropped at open and reported.
+// twoCommits writes seven line writes as two commits into a fresh image
+// — three as epoch 4 behind the header, four as epoch 5 — and returns
+// the writes, the file's bytes, and where the first batch ends.
+func twoCommits(t *testing.T, path string) ([]lineWrite, []byte, int) {
+	t.Helper()
+	var writes []lineWrite
+	for i := 0; i < 7; i++ {
+		writes = append(writes, lineWrite{mem.LineAddr(i % 5), mem.Word(100 + i)})
+	}
+	commitImage(t, path, writes[:3], 4)
+	commitImage(t, path, writes[3:], 5)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := imageHeaderBytes + 4*imageRecBytes
+	if len(full) != first+5*imageRecBytes {
+		t.Fatalf("two commits left %d bytes", len(full))
+	}
+	return writes, full, first
+}
+
+// TestImageFileRoundTrip: staged writes stay out of the file until a
+// commit, which appends one record per write and one commit record
+// behind the header; Load and a reopened file replay them so the last
+// record of a line wins, zero words collapse to the implicit zero state,
+// and the commit's epoch is the marker. A torn final commit record drops
+// its whole batch at open, landing on the commit before it.
 func TestImageFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "image.dat")
 	im, err := OpenImage(path)
@@ -87,137 +123,126 @@ func TestImageFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		writes = append(writes, lineWrite{l, w})
+		if i == 149 {
+			if err := im.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := im.Load(); err != nil || got.Len() != 0 || fileSize(t, path) != 0 {
+				t.Fatalf("staged writes reached the file before a commit: %d lines, %d bytes, err %v",
+					got.Len(), fileSize(t, path), err)
+			}
+			if err := im.commit(3); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if got, err := im.Load(); err != nil || got.Len() != 0 || fileSize(t, path) != 0 {
-		t.Fatalf("staged writes reached the file before Sync: %d lines, %d bytes, err %v",
-			got.Len(), fileSize(t, path), err)
-	}
-	if err := im.Sync(); err != nil {
+	if err := im.commit(4); err != nil {
 		t.Fatal(err)
 	}
-	want := replay(writes)
-	if size := fileSize(t, path); size != imageHeaderBytes+200*imageRecBytes {
-		t.Fatalf("file is %d bytes after Sync, want header + 200 records", size)
+	if size := fileSize(t, path); size != imageHeaderBytes+202*imageRecBytes {
+		t.Fatalf("file is %d bytes after two commits, want header + 200 line records + 2 commit records", size)
 	}
+	want := replay(writes)
 	got, err := im.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
-		t.Fatalf("live load differs: %v", got.Diff(want, 5))
+	if !got.Equal(want) || im.epoch != 4 {
+		t.Fatalf("live load: epoch %d, %v", im.epoch, got.Diff(want, 5))
 	}
 	if err := im.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	got, torn, err := loadImage(t, path)
-	if err != nil || torn != 0 {
-		t.Fatalf("reopen: torn=%d err=%v", torn, err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("reopened load differs: %v", got.Diff(want, 5))
+	o, err := loadImage(t, path)
+	if err != nil || o.torn != 0 || o.epoch != 4 || !o.img.Equal(want) {
+		t.Fatalf("reopen: epoch %d torn=%d err=%v", o.epoch, o.torn, err)
 	}
 
-	// Torn final record: dropped at open, every earlier record intact.
 	raw, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, torn, err = loadImage(t, path)
-	if err != nil || torn != imageRecBytes-7 {
-		t.Fatalf("after torn record: torn=%d err=%v, want %d", torn, err, imageRecBytes-7)
+	o, err = loadImage(t, path)
+	if err != nil || o.torn != 50*imageRecBytes+imageRecBytes-7 || o.epoch != 3 {
+		t.Fatalf("after a torn commit record: epoch %d torn=%d err=%v, want epoch 3 and the batch dropped", o.epoch, o.torn, err)
 	}
-	if want := replay(writes[:199]); !got.Equal(want) {
-		t.Fatalf("after torn record: %v", got.Diff(want, 5))
+	if want := replay(writes[:150]); !o.img.Equal(want) {
+		t.Fatalf("after a torn commit record: %v", o.img.Diff(want, 5))
 	}
 }
 
 // TestImageTornTailMatrix cuts the image at every byte offset of two
-// multi-record Syncs, the first into an empty file (header included):
-// open must drop exactly the partial record or header, report it, and
-// load every whole record in front of the cut.
+// commits, the first into an empty file (header included): open must
+// drop everything behind the last whole commit record, report it, and
+// load exactly the batches in front of the cut at their epoch.
 func TestImageTornTailMatrix(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "image.dat")
-	var writes []lineWrite
-	for i := 0; i < 7; i++ {
-		writes = append(writes, lineWrite{mem.LineAddr(i % 5), mem.Word(100 + i)})
-	}
-	writeImage(t, path, writes[:3])
-	writeImage(t, path, writes[3:])
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) != imageHeaderBytes+7*imageRecBytes {
-		t.Fatalf("two Syncs left %d bytes", len(full))
-	}
+	writes, full, first := twoCommits(t, filepath.Join(dir, "image.dat"))
 	cut := filepath.Join(dir, "cut.dat")
 	for off := 0; off <= len(full); off++ {
 		if err := os.WriteFile(cut, full[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		whole := 0
-		keep := 0
-		if off >= imageHeaderBytes {
-			whole = (off - imageHeaderBytes) / imageRecBytes
-			keep = imageHeaderBytes + whole*imageRecBytes
+		keep, sealed, epoch := 0, 0, mem.EpochID(0)
+		switch {
+		case off == len(full):
+			keep, sealed, epoch = off, 7, 5
+		case off >= first:
+			keep, sealed, epoch = first, 3, 4
 		}
-		got, torn, err := loadImage(t, cut)
+		o, err := loadImage(t, cut)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", off, err)
 		}
-		if torn != uint64(off-keep) || fileSize(t, cut) != int64(keep) {
-			t.Fatalf("cut at %d: torn=%d size=%d, want torn %d size %d", off, torn, fileSize(t, cut), off-keep, keep)
+		if o.torn != uint64(off-keep) || fileSize(t, cut) != int64(keep) || o.epoch != epoch {
+			t.Fatalf("cut at %d: torn=%d size=%d epoch %d, want torn %d size %d epoch %d",
+				off, o.torn, fileSize(t, cut), o.epoch, off-keep, keep, epoch)
 		}
-		if want := replay(writes[:whole]); !got.Equal(want) {
-			t.Fatalf("cut at %d: %v", off, got.Diff(want, 5))
+		if want := replay(writes[:sealed]); !o.img.Equal(want) {
+			t.Fatalf("cut at %d: %v", off, o.img.Diff(want, 5))
 		}
 	}
 }
 
-// TestImageRot: a flipped bit anywhere in a record with a whole record
-// behind it fails Load with ErrCorruptImage and leaves the file as it
-// was; the same flip in the final record reads as a torn tail.
+// TestImageRot: a flipped bit anywhere in a record with a sealed batch
+// behind it — a line record or a commit record — fails Load with
+// ErrCorruptImage and leaves the file as it was; the same flip anywhere
+// in the final batch reads as a torn batch and lands one commit back.
 func TestImageRot(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "image.dat")
-	writes := []lineWrite{{1, 11}, {2, 22}, {1, 33}}
-	writeImage(t, path, writes)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	writes, full, first := twoCommits(t, filepath.Join(dir, "image.dat"))
 	rot := filepath.Join(dir, "rot.dat")
-	for rec := 0; rec < len(writes); rec++ {
+	for at := imageHeaderBytes; at < len(full); at += imageRecBytes {
 		for bit := 0; bit < imageRecBytes*8; bit++ {
 			bad := bytes.Clone(full)
-			bad[imageHeaderBytes+rec*imageRecBytes+bit/8] ^= 1 << (bit % 8)
+			bad[at+bit/8] ^= 1 << (bit % 8)
 			if err := os.WriteFile(rot, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got, torn, err := loadImage(t, rot)
-			if rec < len(writes)-1 {
+			o, err := loadImage(t, rot)
+			if at < first {
 				if !errors.Is(err, ErrCorruptImage) {
-					t.Fatalf("record %d bit %d: load = %v, want ErrCorruptImage", rec, bit, err)
+					t.Fatalf("record at %d bit %d: load = %v, want ErrCorruptImage", at, bit, err)
 				}
 				if after, _ := os.ReadFile(rot); !bytes.Equal(after, bad) {
-					t.Fatalf("record %d bit %d: the rotted file was modified", rec, bit)
+					t.Fatalf("record at %d bit %d: the rotted file was modified", at, bit)
 				}
 				continue
 			}
-			if err != nil || torn != imageRecBytes {
-				t.Fatalf("final record bit %d: torn=%d err=%v, want a dropped record", bit, torn, err)
+			if err != nil || o.torn != uint64(len(full)-first) || o.epoch != 4 {
+				t.Fatalf("final batch at %d bit %d: epoch %d torn=%d err=%v, want epoch 4 and the batch dropped",
+					at, bit, o.epoch, o.torn, err)
 			}
-			if want := replay(writes[:2]); !got.Equal(want) {
-				t.Fatalf("final record bit %d: %v", bit, got.Diff(want, 5))
+			if want := replay(writes[:3]); !o.img.Equal(want) {
+				t.Fatalf("final batch at %d bit %d: %v", at, bit, o.img.Diff(want, 5))
 			}
 		}
 	}
 }
 
-// TestImageRotBit: the fault hook refuses a file with fewer than two
-// records and never flips a bit of the final record.
+// TestImageRotBit: the fault hook refuses an image whose only batch is
+// the final one and never flips a bit of the final batch.
 func TestImageRotBit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "image.dat")
 	im, err := OpenImage(path)
@@ -225,29 +250,28 @@ func TestImageRotBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer im.Close()
-	if err := im.WriteLine(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := im.Sync(); err != nil {
+	im.WriteLine(1, 1)
+	if err := im.commit(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := im.RotBit(0); err == nil {
-		t.Fatal("rot of a one-record image accepted")
+		t.Fatal("rot of a one-batch image accepted")
 	}
 	for i := 2; i <= 4; i++ {
 		im.WriteLine(mem.LineAddr(i), mem.Word(i))
 	}
-	if err := im.Sync(); err != nil {
+	if err := im.commit(2); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := os.ReadFile(path)
+	final := len(before) - 4*imageRecBytes
 	for bit := uint64(0); bit < 4*imageRecBytes*8; bit += 37 {
 		if err := im.RotBit(bit); err != nil {
 			t.Fatal(err)
 		}
 		after, _ := os.ReadFile(path)
-		if final := len(after) - imageRecBytes; !bytes.Equal(after[final:], before[final:]) {
-			t.Fatalf("bit %d rotted the final record", bit)
+		if !bytes.Equal(after[final:], before[final:]) {
+			t.Fatalf("bit %d rotted the final batch", bit)
 		}
 		if _, err := im.Load(); !errors.Is(err, ErrCorruptImage) {
 			t.Fatalf("bit %d: load = %v, want ErrCorruptImage", bit, err)
@@ -258,18 +282,26 @@ func TestImageRotBit(t *testing.T) {
 	}
 }
 
-// TestImageLegacyRefused: images of the older headerless layout (bare
-// 16-byte records, one record included) and a file that does not start
-// with a header prefix are errors at open, and the file is left
-// byte-identical — never read as an empty or truncated image.
+// TestImageLegacyRefused: images of the older layouts — headerless
+// 16-byte records (version 1) and the version-2 header with line
+// records and no commit records — and a file that does not start with a
+// header prefix are errors at open, and the file is left byte-identical
+// — never read as an empty or truncated image.
 func TestImageLegacyRefused(t *testing.T) {
 	dir := t.TempDir()
+	legacy := map[string][]byte{}
 	for _, n := range []int{1, 2, 100} {
-		raw := make([]byte, 0, n*16)
+		v1 := make([]byte, 0, n*16)
+		v2 := []byte{'P', 'C', 'L', 'I', 2, 0, 0, 0}
 		for i := 0; i < n; i++ {
-			raw = binary.LittleEndian.AppendUint64(raw, uint64(i))
-			raw = binary.LittleEndian.AppendUint64(raw, uint64(1000+i))
+			v1 = binary.LittleEndian.AppendUint64(v1, uint64(i))
+			v1 = binary.LittleEndian.AppendUint64(v1, uint64(1000+i))
+			v2 = appendImageRecord(v2, mem.LineAddr(i), mem.Word(1000+i))
 		}
+		legacy[fmt.Sprintf("%d version-1 records", n)] = v1
+		legacy[fmt.Sprintf("%d version-2 records", n)] = v2
+	}
+	for name, raw := range legacy {
 		path := filepath.Join(dir, "legacy.dat")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -278,10 +310,10 @@ func TestImageLegacyRefused(t *testing.T) {
 			if err == nil {
 				im.Close()
 			}
-			t.Fatalf("%d legacy records: open = %v, want ErrCorruptImage", n, err)
+			t.Fatalf("%s: open = %v, want ErrCorruptImage", name, err)
 		}
 		if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
-			t.Fatalf("%d legacy records: open modified the file", n)
+			t.Fatalf("%s: open modified the file", name)
 		}
 		// The same through a store directory.
 		store := filepath.Join(dir, "store")
@@ -292,10 +324,10 @@ func TestImageLegacyRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, _, err := RecoverDir(store); !errors.Is(err, ErrCorruptImage) {
-			t.Fatalf("%d legacy records: recover = %v, want ErrCorruptImage", n, err)
+			t.Fatalf("%s: recover = %v, want ErrCorruptImage", name, err)
 		}
 		if after, _ := os.ReadFile(filepath.Join(store, ImageFileName)); !bytes.Equal(after, raw) {
-			t.Fatalf("%d legacy records: recovery modified the file", n)
+			t.Fatalf("%s: recovery modified the file", name)
 		}
 	}
 	path := filepath.Join(dir, "junk.dat")
@@ -307,30 +339,36 @@ func TestImageLegacyRefused(t *testing.T) {
 	}
 }
 
-// TestImageTearTail: a power cut (Cut) drops every staged record,
-// leaves a torn prefix of the first (or garbage) only when asked and
-// only past the synced records, and the following Close writes
-// nothing; the next open drops the torn bytes and reports them.
+// TestImageTearTail: a power cut (Cut) drops every staged record and,
+// only when asked, tears the commit append that would have sealed them
+// — in order or out of it, with zeros or garbage where the batch did
+// not land — past the sealed records only; the following Close writes
+// nothing, and the next open drops the torn bytes, reports them and
+// lands on the last commit.
 func TestImageTearTail(t *testing.T) {
-	for _, garbage := range []bool{false, true} {
+	for _, c := range []struct{ reorder, garbage bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "image.dat")
 		im, err := OpenImage(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A tear of the first Sync into an empty file lands behind the
+		// A tear of the first commit into an empty file lands behind the
 		// header.
 		im.WriteLine(9, 9)
-		if torn, err := im.Cut(5, garbage); !torn || err != nil {
-			t.Fatalf("cut of a first Sync: torn=%v err=%v", torn, err)
+		if torn, err := im.Cut(5, c.reorder, c.garbage); !torn || err != nil {
+			t.Fatalf("%+v: cut of a first commit: torn=%v err=%v", c, torn, err)
 		}
-		if size := fileSize(t, path); size != imageHeaderBytes+5 {
-			t.Fatalf("first-Sync tear left %d bytes", size)
+		want := int64(imageHeaderBytes + 5)
+		if c.reorder {
+			want = imageHeaderBytes + 2*imageRecBytes
+		}
+		if size := fileSize(t, path); size != want {
+			t.Fatalf("%+v: first-commit tear left %d bytes, want %d", c, size, want)
 		}
 		im.Close()
-		if img, torn, err := loadImage(t, path); err != nil || torn != 5 || img.Len() != 0 {
-			t.Fatalf("after first-Sync tear: %d lines torn=%d err=%v", img.Len(), torn, err)
+		if o, err := loadImage(t, path); err != nil || o.torn != uint64(want) || o.img.Len() != 0 || o.epoch != 0 {
+			t.Fatalf("%+v: after first-commit tear: %d lines epoch %d torn=%d err=%v", c, o.img.Len(), o.epoch, o.torn, err)
 		}
 
 		im, err = OpenImage(path)
@@ -341,53 +379,74 @@ func TestImageTearTail(t *testing.T) {
 		for _, x := range writes {
 			im.WriteLine(x.l, x.w)
 		}
-		if err := im.Sync(); err != nil {
+		if err := im.commit(6); err != nil {
 			t.Fatal(err)
 		}
-		synced, _ := os.ReadFile(path)
-		im.WriteLine(4, 4)
-		for _, tear := range []int{-1, imageRecBytes} {
-			if _, err := im.Cut(tear, garbage); err == nil {
-				t.Fatalf("tear of %d bytes accepted", tear)
+		sealed, _ := os.ReadFile(path)
+		im.WriteLine(5, 5)
+		if torn, err := im.Cut(0, c.reorder, c.garbage); torn || err != nil {
+			t.Fatalf("%+v: cut without a tear: torn=%v err=%v", c, torn, err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, sealed) {
+			t.Fatalf("%+v: a cut without a tear changed the file", c)
+		}
+		for tear := uint64(1); tear < 3*imageRecBytes; tear++ {
+			im.WriteLine(6, 6)
+			im.WriteLine(7, 7)
+			if torn, err := im.Cut(tear, c.reorder, c.garbage); !torn || err != nil {
+				t.Fatalf("%+v: cut at %d: torn=%v err=%v", c, tear, torn, err)
+			}
+			cut, _ := os.ReadFile(path)
+			n := int(tear)
+			if c.reorder {
+				n = 3 * imageRecBytes
+			}
+			if len(cut) != len(sealed)+n || !bytes.Equal(cut[:len(sealed)], sealed) {
+				t.Fatalf("%+v: cut at %d left %d bytes, want the %d sealed ones untouched plus %d", c, tear, len(cut), len(sealed), n)
+			}
+			if err := im.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, cut) {
+				t.Fatalf("%+v: Close after a cut wrote to the image", c)
+			}
+			o, err := loadImage(t, path)
+			if err != nil || o.torn != uint64(n) || o.epoch != 6 || !o.img.Equal(replay(writes)) {
+				t.Fatalf("%+v: reopen after cut at %d: epoch %d torn=%d err=%v", c, tear, o.epoch, o.torn, err)
+			}
+			if im, err = OpenImage(path); err != nil {
+				t.Fatal(err)
 			}
 		}
-		im.WriteLine(5, 5)
-		if torn, err := im.Cut(0, garbage); torn || err != nil {
-			t.Fatalf("cut without a tear: torn=%v err=%v", torn, err)
-		}
-		if torn, err := im.Cut(7, garbage); torn || err != nil {
-			t.Fatalf("cut with nothing staged: torn=%v err=%v", torn, err)
-		}
-		if after, _ := os.ReadFile(path); !bytes.Equal(after, synced) {
-			t.Fatal("a cut without a tear changed the file")
-		}
-		im.WriteLine(6, 6)
-		im.WriteLine(7, 7)
-		if torn, err := im.Cut(11, garbage); !torn || err != nil {
-			t.Fatalf("cut with a tear: torn=%v err=%v", torn, err)
-		}
-		cut, _ := os.ReadFile(path)
-		if len(cut) != len(synced)+11 || !bytes.Equal(cut[:len(synced)], synced) {
-			t.Fatalf("cut left %d bytes, want the %d synced ones untouched plus 11", len(cut), len(synced))
-		}
-		if err := im.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if after, _ := os.ReadFile(path); !bytes.Equal(after, cut) {
-			t.Fatal("Close after a cut wrote to the image")
-		}
-		img, torn, err := loadImage(t, path)
-		if err != nil || torn != 11 {
-			t.Fatalf("reopen after cut: torn=%d err=%v", torn, err)
-		}
-		if want := replay(writes); !img.Equal(want) {
-			t.Fatalf("reopen after cut: %v", img.Diff(want, 5))
-		}
+		im.Close()
 	}
 }
 
-// TestResetWritesImageFormat: the compaction writes the header and one
-// record per live line, and a Sync after it appends behind them.
+// TestImageCutZeros: an out-of-order tear whose lost bytes are zeros in
+// the batch itself would land the whole batch, so Cut writes nothing.
+func TestImageCutZeros(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "image.dat")
+	im, err := OpenImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer im.Close()
+	if err := im.commit(1); err != nil {
+		t.Fatal(err)
+	}
+	im.WriteLine(0, 0) // 16 zero bytes lead the batch
+	if torn, err := im.Cut(16, true, false); torn || err != nil {
+		t.Fatalf("zero-prefix reorder: torn=%v err=%v, want nothing torn", torn, err)
+	}
+	if size := fileSize(t, path); size != imageHeaderBytes+imageRecBytes {
+		t.Fatalf("zero-prefix reorder wrote to the image: %d bytes", size)
+	}
+}
+
+// TestResetWritesImageFormat: the compaction writes the header, one
+// record per live line and a commit record sealing them under the
+// recovered epoch, then seals epoch 0 twice; a commit after it appends
+// behind them.
 func TestResetWritesImageFormat(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir)
@@ -395,6 +454,9 @@ func TestResetWritesImageFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	if err := d.PersistMarker(7); err != nil {
+		t.Fatal(err)
+	}
 	want := mem.NewImage()
 	for i := 1; i <= 10; i++ {
 		want.Write(mem.LineAddr(i*3), mem.Word(i))
@@ -407,8 +469,26 @@ func TestResetWritesImageFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) != imageHeaderBytes+10*imageRecBytes || !bytes.Equal(raw[:imageHeaderBytes], imageHeader[:]) {
+	if len(raw) != imageHeaderBytes+13*imageRecBytes || !bytes.Equal(raw[:imageHeaderBytes], imageHeader[:]) {
 		t.Fatalf("compacted image is %d bytes starting %x", len(raw), raw[:min(len(raw), imageHeaderBytes)])
+	}
+	recs := raw[imageHeaderBytes : imageHeaderBytes+10*imageRecBytes]
+	got := mem.NewImage()
+	for i := 0; i < len(recs); i += imageRecBytes {
+		l, w, ok := decodeImageRecord(recs[i:])
+		if !ok {
+			t.Fatalf("compacted record %d fails validation", i/imageRecBytes)
+		}
+		got.Write(l, w)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("compacted records differ: %v", got.Diff(want, 5))
+	}
+	seals := appendCommitRecord(nil, 7, 10, crc32.Checksum(recs, castagnoli))
+	seals = appendCommitRecord(seals, 0, 0, 0)
+	seals = appendCommitRecord(seals, 0, 0, 0)
+	if !bytes.Equal(raw[len(raw)-len(seals):], seals) {
+		t.Fatalf("compacted image ends %x, want epoch 7 sealing the records, then epoch 0 twice", raw[len(raw)-len(seals):])
 	}
 	if err := d.Img.WriteLine(3, 99); err != nil {
 		t.Fatal(err)
@@ -417,7 +497,7 @@ func TestResetWritesImageFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	after, _ := os.ReadFile(path)
-	if len(after) != len(raw)+imageRecBytes || !bytes.Equal(after[:len(raw)], raw) {
+	if len(after) != len(raw)+2*imageRecBytes || !bytes.Equal(after[:len(raw)], raw) {
 		t.Fatalf("commit after the compaction rewrote or skipped bytes: %d -> %d", len(raw), len(after))
 	}
 	want.Write(3, 99)

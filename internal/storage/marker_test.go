@@ -3,7 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,197 +11,186 @@ import (
 	"picl/internal/mem"
 )
 
-// markerAfter returns a marker file at a fresh path after Set(1) and
-// Set(2): slot 1 holds epoch 1 (sequence 1), slot 0 epoch 2 (sequence
-// 2), and the next Set writes slot 1.
-func markerAfter(t *testing.T) (string, []byte) {
+// markerAfter returns a store directory after three commits: lines 1..3
+// as epoch 1, line 4 as epoch 2, and line 5 staged and sealed by the
+// third commit, the one under test (epoch 3). It also returns the image
+// bytes before that commit and after it.
+func markerAfter(t *testing.T) (dir string, before, after []byte) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), MarkerFileName)
-	mk, err := OpenMarker(path)
+	dir = t.TempDir()
+	d, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []mem.EpochID{1, 2} {
-		if err := mk.Set(e); err != nil {
+	path := filepath.Join(dir, ImageFileName)
+	for _, c := range []struct {
+		lines []mem.LineAddr
+		e     mem.EpochID
+	}{{[]mem.LineAddr{1, 2, 3}, 1}, {[]mem.LineAddr{4}, 2}, {[]mem.LineAddr{5}, 3}} {
+		for _, l := range c.lines {
+			if err := d.Img.WriteLine(l, mem.Word(10*l+mem.LineAddr(c.e))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.e == 3 {
+			before, _ = os.ReadFile(path)
+		}
+		if err := d.PersistMarker(c.e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := mk.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return path, raw
+	after, _ = os.ReadFile(path)
+	return dir, before, after
 }
 
-// getMarker opens the marker file at path and reads it.
-func getMarker(t *testing.T, path string) (mem.EpochID, bool, error) {
+// recoverImage writes raw as the image of the store in dir and
+// recovers it.
+func recoverImage(t *testing.T, dir string, raw []byte) (*mem.Image, RecoverInfo, error) {
 	t.Helper()
-	mk, err := OpenMarker(path)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ImageFileName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer mk.Close()
-	e, err := mk.Get()
-	return e, mk.Torn(), err
+	return RecoverDir(dir)
 }
 
-// TestMarkerTornSlotMatrix is the marker's crash matrix: a power cut
-// during Set(3) can leave any prefix of the new record over the older
-// slot, or that slot full of garbage, and media rot can strike the
-// older slot. In every case Get returns the last completed epoch (2) and
-// reports the tear; the slot holding it is never written.
-func TestMarkerTornSlotMatrix(t *testing.T) {
-	path, base := markerAfter(t)
-	rec := encodeMarker(3, 3)
-	type slotCase struct {
-		name  string
-		write []byte // bytes landing at the start of slot 1
+// wantEpoch2 checks a recovery that must land on the second commit.
+func wantEpoch2(t *testing.T, what string, img *mem.Image, info RecoverInfo, err error, before []byte) {
+	t.Helper()
+	if err != nil || info.Marker != 2 || info.MarkerAt != int64(len(before)-imageRecBytes) {
+		t.Fatalf("%s: marker %d at %d err=%v, want 2 at %d", what, info.Marker, info.MarkerAt, err, len(before)-imageRecBytes)
 	}
-	var cases []slotCase
-	for n := 1; n < markerRecBytes; n++ {
-		cases = append(cases, slotCase{"prefix", rec[:n]})
+	if img.Len() != 4 || img.Read(5) != 0 || img.Read(4) != 42 {
+		t.Fatalf("%s: recovered %d lines, line 4 = %d, line 5 = %d", what, img.Len(), img.Read(4), img.Read(5))
 	}
-	cases = append(cases,
-		slotCase{"garbage", bytes.Repeat([]byte{0xA5}, markerRecBytes)},
-		slotCase{"zeroed", make([]byte, markerRecBytes)},
-	)
-	for bit := 0; bit < markerRecBytes*8; bit += 7 {
-		rot := append([]byte(nil), base[markerSlotStride:markerSlotStride+markerRecBytes]...)
+}
+
+// TestMarkerTornCommitMatrix is the marker's crash matrix: a power cut
+// during the third commit can leave any prefix of its append, or any
+// later part of it behind zeros or garbage (an out-of-order write-back),
+// and media rot can strike any bit of it. In every case recovery lands
+// on the second commit and reports the dropped bytes; the records
+// sealed before it are never touched. The whole append landing is a
+// completed Set.
+func TestMarkerTornCommitMatrix(t *testing.T) {
+	dir, before, after := markerAfter(t)
+	batch := after[len(before):]
+	var cases [][]byte
+	for split := 1; split < len(batch); split++ {
+		zeros := bytes.Clone(batch)
+		clear(zeros[:split])
+		junk := bytes.Clone(batch)
+		for i := range junk[:split] {
+			junk[i] ^= 0xFF
+		}
+		cases = append(cases, batch[:split], zeros, junk, bytes.Repeat([]byte{0xA5}, split))
+	}
+	for bit := 0; bit < len(batch)*8; bit++ {
+		rot := bytes.Clone(batch)
 		rot[bit/8] ^= 1 << (bit % 8)
-		cases = append(cases, slotCase{"rot", rot})
+		cases = append(cases, rot)
 	}
 	for i, c := range cases {
-		raw := append([]byte(nil), base...)
-		copy(raw[markerSlotStride:], c.write)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		e, torn, err := getMarker(t, path)
-		if err != nil || e != 2 || !torn {
-			t.Fatalf("case %d (%s, %d bytes): got epoch %d torn=%v err=%v, want 2 torn",
-				i, c.name, len(c.write), e, torn, err)
+		img, info, err := recoverImage(t, dir, append(bytes.Clone(before), c...))
+		wantEpoch2(t, fmt.Sprint("case ", i), img, info, err, before)
+		if info.ImageTornBytes != uint64(len(c)) {
+			t.Fatalf("case %d: %d torn bytes reported, want %d", i, info.ImageTornBytes, len(c))
 		}
 	}
-	// The whole record landing is a completed Set.
-	raw := append([]byte(nil), base...)
-	copy(raw[markerSlotStride:], rec[:])
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if e, torn, err := getMarker(t, path); err != nil || e != 3 || torn {
-		t.Fatalf("completed set: got %d torn=%v err=%v, want 3", e, torn, err)
+	img, info, err := recoverImage(t, dir, after)
+	if err != nil || info.Marker != 3 || info.ImageTornBytes != 0 || img.Read(5) != 53 {
+		t.Fatalf("completed set: marker %d torn=%d line 5 = %d err=%v, want 3", info.Marker, info.ImageTornBytes, img.Read(5), err)
 	}
 }
 
-// TestMarkerRotNewest: rot in the slot holding the newest marker looks
-// like a torn Set, so Get lands one marker back and reports the tear
-// (DESIGN.md §10.2 says why that checkpoint is still consistent).
+// TestMarkerRotNewest: rot in the commit record holding the newest
+// marker looks like a torn commit, so recovery lands one commit back
+// and reports the dropped batch (DESIGN.md §10.2 says why that
+// checkpoint is still consistent).
 func TestMarkerRotNewest(t *testing.T) {
-	path, raw := markerAfter(t)
-	raw[3] ^= 0x10 // slot 0: epoch 2
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if e, torn, err := getMarker(t, path); err != nil || e != 1 || !torn {
-		t.Fatalf("got %d torn=%v err=%v, want 1 torn", e, torn, err)
+	dir, before, after := markerAfter(t)
+	raw := bytes.Clone(after)
+	raw[len(raw)-imageRecBytes+3] ^= 0x10 // the epoch of commit 3
+	img, info, err := recoverImage(t, dir, raw)
+	wantEpoch2(t, "rot in the newest commit record", img, info, err, before)
+	if info.ImageTornBytes != uint64(len(after)-len(before)) {
+		t.Fatalf("rot in the newest commit record: %d torn bytes reported", info.ImageTornBytes)
 	}
 }
 
-// TestMarkerRejectsInvalid: both slots invalid, a file of the wrong
-// size, or a 16-byte marker of the older rename-replaced format is an
-// error from Get and from Set — never epoch 0, never overwritten.
+// TestMarkerRejectsInvalid: a commit record that does not validate is
+// never the marker. A wrong tag, a CRC mismatch, a count larger than the
+// records in front of it, or a count or batch CRC that does not match
+// its batch all leave the third commit unsealed, so recovery lands on
+// the second — never on epoch 3, never on epoch 0.
 func TestMarkerRejectsInvalid(t *testing.T) {
-	_, good := markerAfter(t)
-	both := append([]byte(nil), good...)
-	both[0] ^= 1
-	both[markerSlotStride] ^= 1
-	legacy := make([]byte, 16) // epoch 7, its CRC32C, padding
-	binary.LittleEndian.PutUint64(legacy[0:8], 7)
-	binary.LittleEndian.PutUint32(legacy[8:12], crc32.Checksum(legacy[0:8], castagnoli))
-	cases := map[string][]byte{
-		"both slots invalid": both,
-		"short":              good[:markerFileBytes-1],
-		"long":               append(append([]byte(nil), good...), 0),
-		"empty":              {},
-		"legacy 16-byte":     legacy,
+	dir, before, after := markerAfter(t)
+	commit := len(after) - imageRecBytes
+	mutate := map[string]func(rec []byte){
+		"tag":       func(rec []byte) { rec[23] = 0 },
+		"crc":       func(rec []byte) { rec[16]++ },
+		"count":     func(rec []byte) { reseal(rec, 1000, 12) },
+		"short":     func(rec []byte) { reseal(rec, 0, 12) },
+		"batch crc": func(rec []byte) { reseal(rec, 1, 0xBAD) },
 	}
-	for name, raw := range cases {
-		path := filepath.Join(t.TempDir(), MarkerFileName)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
+	for name, m := range mutate {
+		raw := bytes.Clone(after)
+		m(raw[commit:])
+		img, info, err := recoverImage(t, dir, raw)
+		wantEpoch2(t, name, img, info, err, before)
+	}
+}
+
+// reseal rewrites a commit record in place with another count and batch
+// CRC, with a valid record CRC of its own.
+func reseal(rec []byte, count uint32, sum uint32) {
+	e := mem.EpochID(binary.LittleEndian.Uint64(rec[0:8]))
+	copy(rec, appendCommitRecord(nil, e, int64(count), sum))
+}
+
+// TestMarkerCreationCrash: a crash during the first commit on an empty
+// image — header, records and commit record in one append — can leave
+// any prefix of that append. Each such store recovers epoch 0 with an
+// empty image, drops the torn bytes, and takes the next commit from an
+// empty file again (header included); so does one where nothing landed.
+func TestMarkerCreationCrash(t *testing.T) {
+	im := &ImageFile{}
+	im.WriteLine(1, 1)
+	first := bytes.Clone(im.batch(1))
+	for n := 0; n < len(first); n++ {
+		dir := t.TempDir()
+		img, info, err := recoverImage(t, dir, first[:n])
+		if err != nil || !info.Marker.AtMost(0) || img.Len() != 0 || info.ImageTornBytes != uint64(n) || info.MarkerAt != 0 {
+			t.Fatalf("%d bytes landed: marker %d lines %d torn %d err=%v, want 0", n, info.Marker, img.Len(), info.ImageTornBytes, err)
 		}
-		if e, _, err := getMarker(t, path); err == nil {
-			t.Errorf("%s: Get = %d with no error", name, e)
-		}
-		mk, err := OpenMarker(path)
+		d, err := OpenDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mk.Set(9); err == nil {
-			t.Errorf("%s: Set over an invalid marker succeeded", name)
+		d.Img.WriteLine(1, 1)
+		if err := d.PersistMarker(1); err != nil {
+			t.Fatal(err)
 		}
-		mk.Close()
-		if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
-			t.Errorf("%s: invalid marker file was modified", name)
-		}
-	}
-}
-
-// TestMarkerCreationCrash: a crash while OpenMarker builds the layout
-// leaves the marker absent, with no marker.tmp or a marker.tmp holding
-// any prefix of the layout (the rename is the commit point, and the tmp
-// is fsynced before it). Each such store recovers epoch 0 with no tear
-// and no tmp left behind; so does one whose rename landed.
-func TestMarkerCreationCrash(t *testing.T) {
-	var layout [markerFileBytes]byte
-	rec := encodeMarker(0, 0)
-	copy(layout[0:], rec[:])
-	copy(layout[markerSlotStride:], rec[:])
-	for _, n := range []int{-1, 0, 1, markerRecBytes - 1, markerRecBytes, markerSlotStride,
-		markerSlotStride + markerRecBytes, markerFileBytes - 1, markerFileBytes} {
-		for _, renamed := range []bool{false, true} {
-			if renamed && n != markerFileBytes {
-				continue
-			}
-			dir := t.TempDir()
-			name := MarkerFileName + ".tmp"
-			if renamed {
-				name = MarkerFileName
-			}
-			if n >= 0 {
-				if err := os.WriteFile(filepath.Join(dir, name), layout[:n], 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			_, info, err := RecoverDir(dir)
-			if err != nil || !info.Marker.AtMost(0) || info.MarkerTorn {
-				t.Fatalf("tmp %d bytes renamed=%v: marker %d torn=%v err=%v, want 0",
-					n, renamed, info.Marker, info.MarkerTorn, err)
-			}
-			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
-				t.Fatalf("tmp %d bytes: %v survive", n, tmps)
-			}
-			if raw, err := os.ReadFile(filepath.Join(dir, MarkerFileName)); err != nil || !bytes.Equal(raw, layout[:]) {
-				t.Fatalf("tmp %d bytes: marker is not the fresh layout (err=%v)", n, err)
-			}
+		d.Close()
+		if raw, _ := os.ReadFile(filepath.Join(dir, ImageFileName)); !bytes.Equal(raw, first) {
+			t.Fatalf("%d bytes landed: the retried first commit wrote %x, want %x", n, raw, first)
 		}
 	}
 }
 
-// BenchmarkMarkerSet times one durable marker advance: a positional
-// write of one slot and an fsync of the marker file.
+// BenchmarkMarkerSet times one durable marker advance with nothing
+// staged: a 24-byte commit record appended and fsynced.
 func BenchmarkMarkerSet(b *testing.B) {
-	mk, err := OpenMarker(filepath.Join(b.TempDir(), MarkerFileName))
+	d, err := OpenDir(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer mk.Close()
+	defer d.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := mk.Set(mem.EpochID(i + 1)); err != nil {
+		if err := d.Mk.Set(mem.EpochID(i + 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,8 @@
 // Package storage provides durable backends for PiCL's undo log and the
 // pieces a real on-disk deployment needs around it: a line-granular
 // durable memory image kept as an append-only log of line records, and
-// a persisted-epoch marker written in place.
+// the persisted-epoch marker, which is the image log's last commit
+// record.
 // It is the first layer of the stack whose state outlives the
 // simulator process — `picl.Open` builds a crash-consistent store on it,
 // cmd/picl-crash SIGKILLs real child processes against it, and
@@ -26,45 +27,52 @@
 //     appended AND synced before any in-place write to that line is
 //     staged in the image file. (The core's bloom-filter dependency
 //     check flushes the staging buffer first; the mirror syncs inside
-//     that flush.) A staged write reaches the file only at the image's
-//     next Sync, later still.
-//  2. Marker ordering: the persisted-epoch marker for epoch E is
-//     written only after the log and every in-place write of epochs
-//     <= E have been synced — for the image, appended by its Sync.
-//  3. Marker in place: the marker file holds two CRC'd slots, and Set
-//     overwrites only the slot not holding the newest marker, with one
-//     positional write and one fsync — no temp file, rename or directory
-//     fsync on the commit path. A crash can tear only that slot, which
-//     Get discards in favor of the other, so recovery observes the last
-//     completed Set. Files replaced whole (the marker's one-time
-//     creation, Reset's image compaction) go through write-temp + fsync
-//     + rename + directory fsync; Reset also fsyncs the directory after
-//     recreating the log, before it writes epoch 0 into both slots.
+//     that flush.) A staged write reaches the file only in the next
+//     commit, later still.
+//  2. Commit ordering: the commit that advances the persisted-epoch
+//     marker to epoch E follows a sync of the log, and carries every
+//     in-place write of epochs <= E staged since the previous commit in
+//     its own append: the staged line records, then one commit record
+//     sealing them (their count and CRC32C) as epoch E. Nothing else
+//     writes image records, so every record on file is sealed or torn.
+//  3. Commit in place: Marker.Set appends that batch to the open image
+//     file with one positional write and one fsync — no temp file,
+//     rename or directory fsync on the commit path, and never a write
+//     below the last sealed commit. Files replaced whole (Reset's image
+//     compaction) go through write-temp + fsync + rename + directory
+//     fsync; Reset seals the compaction under the recovered epoch, and
+//     fsyncs the directory after recreating the log before it seals
+//     epoch 0, twice.
 //
-// # Torn-tail semantics
+// # Torn batches and rot
 //
-// A crash can tear the final log block (partial write), the image's
-// in-flight append, or the marker slot an in-flight Set was writing.
-// All are survivable by construction: a torn log block is dropped by
+// A crash can tear the final log block (partial write) or the image's
+// in-flight commit batch — in order, or out of it, since a page cache
+// may write an append's later pages back before its earlier ones. Both
+// are survivable by construction: a torn log block is dropped by
 // undolog.ReadLog's CRC scan, and the in-place writes it would have
 // covered were never issued (rule 1), so recovery does not need its
-// entries. Image records are fixed-size and CRC-checked; OpenImage
-// drops a partial trailing record or an invalid final one. Every record
-// of an interrupted append belongs to writes after the last marker sync
-// (rule 2), covered by synced undo entries (rule 1), so recovery's
-// backward undo scan overwrites the lines whether their records
-// survived whole, torn or not at all. A torn marker slot fails its CRC
-// and the other slot holds the last completed Set (rule 3).
+// entries. OpenImage keeps the image up to the last commit record whose
+// batch validates and drops the rest as a torn batch: whatever of an
+// interrupted append landed, in whatever order, its commit record
+// cannot seal it. Every record of that batch belongs to writes after
+// the last marker, covered by synced undo entries (rules 1 and 2), so
+// recovery's backward undo scan overwrites the lines whether their
+// records survived whole, torn or not at all.
 //
-// Rot is not a tear. An invalid image record with whole records behind
-// it, like an invalid log block with blocks behind it, cannot be an
-// interrupted append — appends are sequential — and is a hard error
-// (ErrCorruptImage, undolog.ErrCorruptBlock), never a silently older
-// line. Rot in the final record or block reads as a torn tail: it is
-// indistinguishable from an interrupted write of it. A corrupt
-// superblock, an image without this format's header (the older
-// headerless layout included), or a marker with both slots invalid is
-// likewise unrecoverable.
+// Rot is not a tear. An invalid image record or batch with a sealed
+// batch behind it, like an invalid log block with blocks behind it,
+// cannot be an interrupted append — appends are sequential and only the
+// last can be in flight — and is a hard error (ErrCorruptImage,
+// undolog.ErrCorruptBlock), never a silently older line. Rot in the
+// final batch, its commit record included, reads as a torn batch: it is
+// indistinguishable from an interrupted write of it. Recovery then
+// lands one commit back, which is still a consistent checkpoint: the
+// log was synced before that final commit, so its undo entries roll
+// every line the dropped batch wrote back to the previous commit. Rot
+// in the final block of the log reads as a torn tail the same way. A
+// corrupt superblock, or an image without this format's header (the
+// older layouts included), is likewise unrecoverable.
 package storage
 
 import (

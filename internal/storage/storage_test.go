@@ -212,68 +212,55 @@ func TestOpenFileRejectsCorruptSuper(t *testing.T) {
 	}
 }
 
-// TestMarker: a fresh marker reads epoch 0; each Set is read back by
-// Get and by a second handle on the file; Set writes the same 8 KB file
-// in place (one inode throughout); corruption of both slots is an error.
+// TestMarker: a fresh store's marker reads epoch 0 and the store has no
+// marker file; each Set appends its staged records and one commit record
+// to the same image file, and is read back by Get and by a second
+// handle on the store.
 func TestMarker(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "marker")
-	mk, err := OpenMarker(path)
+	d, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mk.Close()
-	if e, err := mk.Get(); err != nil || !e.AtMost(0) || mk.Torn() {
-		t.Fatalf("fresh marker = %d torn=%v err=%v, want 0", e, mk.Torn(), err)
+	defer d.Close()
+	if e, err := d.Mk.Get(); err != nil || !e.AtMost(0) {
+		t.Fatalf("fresh marker = %d err=%v, want 0", e, err)
 	}
+	path := filepath.Join(dir, ImageFileName)
 	created, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := mem.EpochID(0)
 	for k, e := range []mem.EpochID{1, 2, 5, 9} {
-		if err := mk.Set(e); err != nil {
+		for i := 0; i < k; i++ {
+			if err := d.Img.WriteLine(mem.LineAddr(i), mem.Word(e)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		size := fileSize(t, path)
+		if err := d.Mk.Set(e); err != nil {
 			t.Fatal(err)
 		}
-		got, err := mk.Get()
-		if err != nil || got != e || mk.Torn() {
-			t.Fatalf("get after set(%d) = %d torn=%v err=%v", e, got, mk.Torn(), err)
+		if got, err := d.Mk.Get(); err != nil || got != e {
+			t.Fatalf("get after set(%d) = %d err=%v", e, got, err)
 		}
-		// The other slot still holds the previous marker: Set never
-		// overwrites the newest one.
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		grew := fileSize(t, path) - size
+		if size == 0 {
+			grew -= imageHeaderBytes
 		}
-		now, before := encodeMarker(e, uint64(k+1)), encodeMarker(prev, uint64(k))
-		s0, s1 := raw[:markerRecBytes], raw[markerSlotStride:markerSlotStride+markerRecBytes]
-		if !(bytes.Equal(s0, now[:]) && bytes.Equal(s1, before[:])) &&
-			!(bytes.Equal(s1, now[:]) && bytes.Equal(s0, before[:])) {
-			t.Fatalf("after set(%d) the slots are %x and %x, want set(%d) beside set(%d)", e, s0, s1, e, prev)
+		if grew != int64(k+1)*imageRecBytes {
+			t.Fatalf("set(%d) with %d records staged grew the image by %d bytes", e, k, grew)
 		}
-		prev = e
+		_, info, err := RecoverDir(dir)
+		if err != nil || info.Marker != e || info.MarkerAt != fileSize(t, path)-imageRecBytes {
+			t.Fatalf("second handle reads %d at %d err=%v, want %d", info.Marker, info.MarkerAt, err, e)
+		}
 	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
+	if fi, err := os.Stat(path); err != nil || !os.SameFile(created, fi) {
+		t.Fatalf("image replaced by Set (err %v)", err)
 	}
-	if !os.SameFile(created, fi) || fi.Size() != markerFileBytes {
-		t.Fatalf("marker replaced or resized by Set: same=%v size=%d", os.SameFile(created, fi), fi.Size())
-	}
-	mk2, err := OpenMarker(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, err := mk2.Get(); err != nil || e != 9 {
-		t.Fatalf("second handle reads %d err=%v, want 9", e, err)
-	}
-	mk2.Close()
-	// Both slots corrupt is reported, never silently read.
-	if err := os.WriteFile(path, bytes.Repeat([]byte{9}, markerFileBytes), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mk.Get(); err == nil {
-		t.Fatal("corrupt marker read without error")
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Fatalf("store holds %d files, want undo.log and image.dat only", len(ents))
 	}
 }
 
@@ -453,8 +440,8 @@ func TestFileErrorPaths(t *testing.T) {
 
 // TestRecoverSweepsStaleTmp: the crash-between-tmp-and-rename artifact
 // of Reset's image compaction — a stale image.dat.tmp — is removed by
-// Recover before the directory is reused. A torn marker Set leaves no
-// file behind: Recover reads the other slot and reports the tear.
+// Recover before the directory is reused. A torn commit leaves no file
+// behind: the next open drops the torn batch and reports it.
 func TestRecoverSweepsStaleTmp(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir)
@@ -464,7 +451,11 @@ func TestRecoverSweepsStaleTmp(t *testing.T) {
 	if err := d.PersistMarker(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Mk.(*Marker).TearSet(9, 12, false); err != nil {
+	d.Img.WriteLine(1, 1)
+	if _, err := d.mk.im.Cut(12, true, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	stale := filepath.Join(dir, "image.dat.tmp")
@@ -472,16 +463,13 @@ func TestRecoverSweepsStaleTmp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, info, err := d.Recover(); err != nil {
+	if _, info, err := RecoverDir(dir); err != nil {
 		t.Fatal(err)
-	} else if info.Marker != 3 || !info.MarkerTorn {
-		t.Fatalf("recovered marker %d torn=%v, want 3 with the tear reported", info.Marker, info.MarkerTorn)
+	} else if info.Marker != 3 || info.ImageTornBytes != 2*imageRecBytes {
+		t.Fatalf("recovered marker %d torn=%d, want 3 with the torn batch reported", info.Marker, info.ImageTornBytes)
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
 		t.Fatalf("tmp files survive Recover: %v", tmps)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -495,7 +483,8 @@ func (p *passWrapper) WrapMarker(mk MarkerStore) MarkerStore { p.mks++; return m
 
 // TestDirWrapAndSync: Wrap interposes on all three components (and
 // again on the fresh components a Reset opens); a staged line reaches
-// the image file through PersistMarker; Path reports the directory.
+// the image file sealed by PersistMarker's commit; Path reports the
+// directory.
 func TestDirWrapAndSync(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir)
@@ -524,8 +513,9 @@ func TestDirWrapAndSync(t *testing.T) {
 	if err := d.Reset(mem.NewImage()); err != nil {
 		t.Fatal(err)
 	}
-	// Reset reopens the image and log (re-wrapped); the marker file is
-	// never recreated, so the already-wrapped component persists.
+	// Reset replaces the image and log (re-wrapped); the marker keeps its
+	// handle and follows the compacted image, so the already-wrapped
+	// component persists.
 	if w.logs != 2 || w.imgs != 2 || w.mks != 1 {
 		t.Fatalf("Reset did not re-wrap: %+v", *w)
 	}
@@ -561,7 +551,7 @@ func (mk *orderMarker) SyncDir() error {
 
 // TestResetOrder: Reset fsyncs the directory once after the image
 // rename and once after recreating the log — before the marker enters
-// the new numbering — and then writes epoch 0 into both marker slots.
+// the new numbering — and then seals epoch 0 twice.
 func TestResetOrder(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir)
@@ -666,50 +656,5 @@ func TestFileRotBit(t *testing.T) {
 	}
 	if _, _, err := undolog.ReadLog(bytes.NewReader(all), 0); !errors.Is(err, undolog.ErrCorruptBlock) {
 		t.Fatalf("rotted block read back as %v, want ErrCorruptBlock", err)
-	}
-}
-
-// TestMarkerTearSet: TearSet leaves the slot holding the newest marker
-// byte-identical, Get reports the tear and returns that marker, and the
-// next Set overwrites the torn slot.
-func TestMarkerTearSet(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "marker")
-	mk, err := OpenMarker(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mk.Close()
-	if err := mk.Set(4); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, markerRecBytes} {
-		if err := mk.TearSet(9, n, false); err == nil {
-			t.Fatalf("TearSet accepted a %d-byte tear", n)
-		}
-	}
-	if err := mk.TearSet(9, 10, true); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Set(4) went to slot 1 (the fresh layout's newest is slot 0).
-	if !bytes.Equal(before[markerSlotStride:], after[markerSlotStride:]) {
-		t.Fatal("TearSet touched the slot holding the newest marker")
-	}
-	if e, err := mk.Get(); err != nil || e != 4 || !mk.Torn() {
-		t.Fatalf("marker after torn set = %d torn=%v err=%v, want 4 torn", e, mk.Torn(), err)
-	}
-	if err := mk.Set(5); err != nil {
-		t.Fatal(err)
-	}
-	if e, err := mk.Get(); err != nil || e != 5 || mk.Torn() {
-		t.Fatalf("marker after set over the tear = %d torn=%v err=%v, want 5", e, mk.Torn(), err)
 	}
 }

@@ -24,7 +24,9 @@ type LogStore interface {
 }
 
 // ImageStore is what a Dir needs from its image component — the durable
-// line-granular memory image. ImageFile implements it.
+// line-granular memory image. ImageFile implements it; its Sync writes
+// nothing, since staged records reach the file only sealed by the
+// marker's commit.
 type ImageStore interface {
 	WriteLine(l mem.LineAddr, w mem.Word) error
 	Sync() error
@@ -33,7 +35,8 @@ type ImageStore interface {
 }
 
 // MarkerStore is what a Dir needs from its persisted-epoch marker.
-// Marker implements it.
+// Marker implements it: Set is the image's commit append, and Get reads
+// the last sealed commit record.
 type MarkerStore interface {
 	Set(e mem.EpochID) error
 	Get() (mem.EpochID, error)
