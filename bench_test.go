@@ -312,8 +312,6 @@ func BenchmarkImageSnapshotCOW(b *testing.B)   { perf.ImageSnapshotCOW(b) }
 func BenchmarkImageSnapshotClone(b *testing.B) { perf.ImageSnapshotClone(b) }
 func BenchmarkSimThroughputPiCL(b *testing.B)  { perf.SimThroughputPiCL(b) }
 
-func BenchmarkSimThroughputPiCLSharded(b *testing.B) { perf.SimThroughputPiCLSharded(b) }
-
 func BenchmarkRecoveryScan(b *testing.B) {
 	// Recovery speed over a populated log.
 	l := undolog.NewLog(0)

@@ -11,7 +11,6 @@
 //	picl-bench -exp f9 -benches gcc,mcf,lbm
 //	picl-bench -exp f9 -factor 1  # full paper scale (hours)
 //	picl-bench -exp all -j 8      # 8 simulation workers (default: NumCPU)
-//	picl-bench -exp f10 -shards 4 # run each multicore cell as 4 parallel lanes
 //	picl-bench -list
 //
 // The evaluation matrix is embarrassingly parallel; -j spreads the
@@ -108,7 +107,6 @@ func main() {
 		list      = flag.Bool("list", false, "list experiments and exit")
 		verbose   = flag.Bool("v", false, "log each simulation run")
 		jobs      = flag.Int("j", 0, "simulation workers (0 = NumCPU, 1 = serial)")
-		shards    = flag.Int("shards", 0, "intra-run shard workers per cell: 0 = legacy serial engine; N > 0 runs each cell's cores as parallel lanes (tables are byte-identical for every positive N and any -j)")
 		progress  = flag.Bool("progress", true, "report per-cell progress on stderr")
 		csvDir    = flag.String("csv", "", "also write each experiment's table as <dir>/<exp>.csv")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -173,7 +171,6 @@ func main() {
 	runner := exp.NewRunner(scale)
 	runner.Clock = time.Now // injected: internal/exp itself must stay wall-clock-free
 	runner.Jobs = *jobs
-	runner.Shards = *shards
 	if *verbose {
 		runner.Log = os.Stderr
 	}

@@ -63,7 +63,6 @@ var benchList = []struct {
 	{"ImageSnapshotCOW", perf.ImageSnapshotCOW},
 	{"ImageSnapshotClone", perf.ImageSnapshotClone},
 	{"SimThroughputPiCL", perf.SimThroughputPiCL},
-	{"SimThroughputPiCLSharded", perf.SimThroughputPiCLSharded},
 }
 
 // shortSubset is the Fig. 9 workload subset hashed in -short (CI) runs;

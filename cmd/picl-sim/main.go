@@ -8,7 +8,6 @@
 //	picl-sim -scheme picl -bench gcc
 //	picl-sim -scheme journal -bench mcf -epochs 16
 //	picl-sim -scheme picl -mix 2            # Table V mix W2, 8 cores
-//	picl-sim -mix 2 -shards 8               # same mix, 8 parallel lanes
 //	picl-sim -record gcc.trace -n 1000000   # dump the synthetic stream
 //	picl-sim -replay mine.trace             # replay a recorded trace
 //	picl-sim -trace run.json                # Chrome trace_event export (Perfetto)
@@ -43,7 +42,6 @@ func main() {
 		metrics  = flag.Bool("metrics", false, "print the run's metrics in Prometheus text format instead of the summary")
 		timeline = flag.Bool("timeline", false, "print per-epoch statistics")
 		jobs     = flag.Int("j", 0, "simulation workers (0 = NumCPU; the scheme run and its ideal baseline parallelize)")
-		shards   = flag.Int("shards", 0, "intra-run shard workers: 0 = legacy serial engine; N > 0 runs one lane per core on up to N goroutines (output is byte-identical for every positive N)")
 		list     = flag.Bool("list", false, "list benchmarks and schemes")
 	)
 	flag.Parse()
@@ -88,7 +86,6 @@ func main() {
 	}
 	runner := exp.NewRunner(scale)
 	runner.Jobs = *jobs
-	runner.Shards = *shards
 
 	benches := []string{*bench}
 	if *mix >= 0 {
@@ -111,10 +108,10 @@ func main() {
 	var err error
 	switch {
 	case *replay != "":
-		res, err = runTraceFile(*replay, *scheme, scale, tcap, *shards)
+		res, err = runTraceFile(*replay, *scheme, scale, tcap)
 		benches = []string{*replay}
 	case *timeline:
-		res, err = runTimeline(*scheme, benches[0], scale, tcap, *shards)
+		res, err = runTimeline(*scheme, benches[0], scale, tcap)
 	case *scheme != "ideal":
 		// Fetch the scheme run and its ideal baseline (used for the
 		// normalized summary below) through the worker pool together.
@@ -196,13 +193,13 @@ func main() {
 }
 
 // runTimeline runs one benchmark with per-epoch sampling enabled.
-func runTimeline(scheme, bench string, scale exp.Scale, traceCap, shards int) (*sim.Result, error) {
+func runTimeline(scheme, bench string, scale exp.Scale, traceCap int) (*sim.Result, error) {
 	p, err := trace.ProfileFor(bench)
 	if err != nil {
 		return nil, err
 	}
 	h := scale.Hierarchy(1)
-	return sim.Execute(sim.Config{
+	m, err := sim.New(sim.Config{
 		Scheme:       scheme,
 		Baseline:     scale.Params(),
 		Workloads:    []trace.Generator{trace.NewSynthetic(p.Scale(scale.Factor), 1<<34, 13)},
@@ -211,12 +208,15 @@ func runTimeline(scheme, bench string, scale exp.Scale, traceCap, shards int) (*
 		InstrPerCore: uint64(scale.Epochs) * scale.EpochInstr,
 		Timeline:     true,
 		TraceCap:     traceCap,
-		Shards:       shards,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(), nil
 }
 
 // runTraceFile replays a recorded trace under the given scheme.
-func runTraceFile(path, scheme string, scale exp.Scale, traceCap, shards int) (*sim.Result, error) {
+func runTraceFile(path, scheme string, scale exp.Scale, traceCap int) (*sim.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -227,7 +227,7 @@ func runTraceFile(path, scheme string, scale exp.Scale, traceCap, shards int) (*
 		return nil, err
 	}
 	h := scale.Hierarchy(1)
-	return sim.Execute(sim.Config{
+	m, err := sim.New(sim.Config{
 		Scheme:       scheme,
 		Baseline:     scale.Params(),
 		Workloads:    []trace.Generator{trace.NewReplayer(path, accs)},
@@ -235,6 +235,9 @@ func runTraceFile(path, scheme string, scale exp.Scale, traceCap, shards int) (*
 		EpochInstr:   scale.EpochInstr,
 		InstrPerCore: uint64(scale.Epochs) * scale.EpochInstr,
 		TraceCap:     traceCap,
-		Shards:       shards,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(), nil
 }

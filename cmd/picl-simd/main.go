@@ -45,7 +45,6 @@ func run() int {
 		factor    = flag.Float64("factor", 64, "scale-down factor for every served cell (1 = full paper scale)")
 		epochs    = flag.Int("epochs", 8, "default run length in epochs (requests may override per-cell)")
 		jobs      = flag.Int("j", 0, "worker-pool width for sweeps (0 = NumCPU)")
-		shards    = flag.Int("shards", 0, "intra-cell shard workers (0 = legacy serial engine)")
 		peersFlag = flag.String("peers", "", "comma-separated base URLs of every replica (rendezvous routing)")
 		self      = flag.String("self", "", "this replica's base URL as it appears in -peers (default http://<addr>)")
 		lease     = flag.Duration("lease", serve.DefaultLease, "claim lease: how long a dead holder blocks a cell before waiters steal it")
@@ -61,7 +60,6 @@ func run() int {
 		MulticoreEpochs: *epochs,
 	})
 	runner.Jobs = *jobs
-	runner.Shards = *shards
 
 	var store *serve.Store
 	if *storeDir != "" {
@@ -112,8 +110,8 @@ func run() int {
 		close(done)
 	}()
 
-	fmt.Printf("picl-simd: listening on %s (scale %s, -j %d, shards %d)\n",
-		baseURL, runner.Scale.Name, *jobs, *shards)
+	fmt.Printf("picl-simd: listening on %s (scale %s, -j %d)\n",
+		baseURL, runner.Scale.Name, *jobs)
 	if err := httpSrv.Serve(ln); err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -160,7 +160,7 @@ func TestRunKeyCanonicalStable(t *testing.T) {
 	k := RunKey{
 		Scheme: "picl", Bench: "[gcc]", Cores: 1, EpochInstr: 468750,
 		Instr: 937500, LLCSize: 1 << 18, NVMName: "", ACSGap: 4,
-		BufEntries: 64, TraceCap: 0, TraceMask: 0, Sharded: false,
+		BufEntries: 64, TraceCap: 0, TraceMask: 0,
 	}
 	want := "picl-runkey-v1|scheme=picl|bench=[gcc]|cores=1|epochinstr=468750|instr=937500|llc=262144|nvm=|acsgap=4|buf=64|tracecap=0|tracemask=0|sharded=false"
 	if got := k.Canonical(); got != want {

@@ -117,12 +117,6 @@ type RunKey struct {
 	BufEntries int
 	TraceCap   int
 	TraceMask  obs.Mask
-	// Sharded records which engine ran the cell. The shard WIDTH is
-	// deliberately not part of the key: sharded results are byte-identical
-	// at any worker count, so cells memoize across widths — only the
-	// engine choice (lane decomposition vs legacy shared-resource run)
-	// changes multicore results.
-	Sharded bool
 }
 
 // Runner executes and memoizes simulations at one scale. Run and RunAll
@@ -147,22 +141,12 @@ type Runner struct {
 	// that), so binaries that want timed progress inject time.Now here.
 	// With a nil Clock, elapsed times report as zero.
 	Clock func() time.Time
-	// Shards selects the intra-run engine: 0 (default) runs every cell on
-	// the legacy serial engine — the semantics the committed goldens pin —
-	// while N > 0 runs cells through sim's sharded lane engine with N
-	// workers. The engine choice is part of the memo key; the width is
-	// not (sharded output is byte-identical at any width), which lets
-	// RunAll trade cell-level parallelism for intra-run shards: when a
-	// batch has fewer cells than pool workers, the spare workers widen
-	// each cell instead of idling.
-	Shards int
 
-	mu         sync.Mutex
-	memo       map[RunKey]*flight
-	total      int // cells submitted to the pool (for progress lines)
-	done       int // cells completed
-	inflight   int // cells currently simulating
-	shardBoost int // widened shard width when cells < workers (RunAll)
+	mu       sync.Mutex
+	memo     map[RunKey]*flight
+	total    int // cells submitted to the pool (for progress lines)
+	done     int // cells completed
+	inflight int // cells currently simulating
 }
 
 // flight is one single-flight memo cell: the first goroutine to claim a
@@ -268,9 +252,6 @@ func (r *Runner) buildConfig(scheme string, benches []string, opts ...Opt) (sim.
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if r.Shards > 0 {
-		cfg.Shards = r.Shards
-	}
 	return cfg, nil
 }
 
@@ -287,7 +268,6 @@ func keyFor(scheme string, benches []string, cfg *sim.Config) RunKey {
 		BufEntries: cfg.PiCL.BufferEntries,
 		TraceCap:   cfg.TraceCap,
 		TraceMask:  cfg.TraceMask,
-		Sharded:    cfg.Shards > 0,
 	}
 	if cfg.NVM != nil {
 		key.NVMName = cfg.NVM.Name
@@ -323,11 +303,13 @@ func (r *Runner) Cached(key RunKey) (*sim.Result, bool) {
 // Canonical renders the key as a fixed-field-order string: the
 // content-address input for cross-process stores. Changing this format
 // invalidates every persisted result, deliberately — bump it only with
-// the result-region version.
+// the result-region version. The trailing "|sharded=false" is a frozen
+// literal of the v1 format (it once named an engine choice that no
+// longer exists); it stays so every stored address keeps its bytes.
 func (k RunKey) Canonical() string {
-	return fmt.Sprintf("picl-runkey-v1|scheme=%s|bench=%s|cores=%d|epochinstr=%d|instr=%d|llc=%d|nvm=%s|acsgap=%d|buf=%d|tracecap=%d|tracemask=%d|sharded=%t",
+	return fmt.Sprintf("picl-runkey-v1|scheme=%s|bench=%s|cores=%d|epochinstr=%d|instr=%d|llc=%d|nvm=%s|acsgap=%d|buf=%d|tracecap=%d|tracemask=%d|sharded=false",
 		k.Scheme, k.Bench, k.Cores, k.EpochInstr, k.Instr, k.LLCSize,
-		k.NVMName, k.ACSGap, k.BufEntries, k.TraceCap, uint64(k.TraceMask), k.Sharded)
+		k.NVMName, k.ACSGap, k.BufEntries, k.TraceCap, uint64(k.TraceMask))
 }
 
 // Run executes (or returns the memoized result of) one run. Concurrent
@@ -395,19 +377,10 @@ func (r *Runner) simulate(scheme string, key RunKey, cfg sim.Config, f *flight) 
 	if r.Clock != nil {
 		t0 = r.Clock()
 	}
-	if cfg.Shards > 0 {
-		// Widen the cell if RunAll found spare pool capacity; the width
-		// cannot change the bytes, only the wall clock.
-		r.mu.Lock()
-		if r.shardBoost > cfg.Shards {
-			cfg.Shards = r.shardBoost
-		}
-		r.mu.Unlock()
-	}
 	completed := false
 	defer func() {
 		if !completed {
-			// Panicking out of sim.Execute: release waiters with the
+			// Panicking out of the engine: release waiters with the
 			// flight marked not-done so one of them re-claims.
 			r.mu.Lock()
 			f.started = false
@@ -418,7 +391,11 @@ func (r *Runner) simulate(scheme string, key RunKey, cfg sim.Config, f *flight) 
 			close(ready)
 		}
 	}()
-	res, err := sim.Execute(cfg)
+	var res *sim.Result
+	m, err := sim.New(cfg)
+	if err == nil {
+		res = m.Run()
+	}
 	r.mu.Lock()
 	f.res, f.err = res, err
 	f.done = true
@@ -498,17 +475,6 @@ func (r *Runner) RunAllCtx(ctx context.Context, reqs []Req) ([]*sim.Result, erro
 
 	workers := r.jobs()
 	if workers > len(reqs) {
-		// Fewer cells than workers: with sharding enabled, spend the
-		// spare width inside each cell instead of idling it. The boost is
-		// a scheduling hint only — sharded bytes are width-invariant.
-		if r.Shards > 0 && len(reqs) > 0 {
-			boost := workers / len(reqs)
-			r.mu.Lock()
-			if boost > r.shardBoost {
-				r.shardBoost = boost
-			}
-			r.mu.Unlock()
-		}
 		workers = len(reqs)
 	}
 	for w := 0; w < workers; w++ {

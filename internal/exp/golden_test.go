@@ -20,6 +20,9 @@ const (
 	goldenFig9ShortSHA = "9d85443942e10cc518eb2c5118daabd58f4a85ebf2d06658c7e670b3805d4d89"
 	// Table5 (workload mix table; scale-independent).
 	goldenTable5SHA = "777eca81ed9d0f6d9f8473b7d4657bea1fb7f0845bceb165c4ed23cb0e15c18e"
+	// Fig10 at testScale: the eight 8-core mixes contending for one
+	// shared LLC and NVM controller (paper §VI-B).
+	goldenFig10TestSHA = "36e148180626c62ad4dfcd78f0914b6a7645018587e2b9359c6970a63382c0df"
 )
 
 var (
@@ -54,5 +57,24 @@ func TestGoldenOutputDigests(t *testing.T) {
 	}
 	if got := sha(Table5()); got != goldenTable5SHA {
 		t.Errorf("Table5 digest %s, want committed %s", got, goldenTable5SHA)
+	}
+}
+
+// TestFig10GoldenDigest pins the multicore figure byte for byte at the
+// unit-test scale, serially and with a parallel worker pool: the cells
+// are the paper's shared-LLC machines, so any change to contention in
+// the shared hierarchy or the NVM queue shows up here.
+func TestFig10GoldenDigest(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		r := NewRunner(testScale())
+		r.Jobs = jobs
+		tb, err := r.Fig10()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha(tb.String()); got != goldenFig10TestSHA {
+			t.Errorf("Fig10 -j %d digest %s, want committed %s\n%s",
+				jobs, got, goldenFig10TestSHA, tb.String())
+		}
 	}
 }

@@ -103,9 +103,9 @@ func runDeterminism(pass *Pass) {
 // goroutine when x is captured from the enclosing scope: concurrent
 // appends interleave in scheduler order (and race), so the resulting
 // element order differs run to run — the shard/merge bug class. The
-// engine's worker pools (sim's sharded lanes, exp.RunAll) write results
-// into per-index slots instead and merge after the barrier; appends to
-// variables declared inside the goroutine remain free.
+// worker pools (exp.RunAll, ForEachCtx) write results into per-index
+// slots instead and merge after the barrier; appends to variables
+// declared inside the goroutine remain free.
 func checkGoroutineAppends(pass *Pass, f *ast.File) {
 	info := pass.Pkg.Info
 	ast.Inspect(f, func(n ast.Node) bool {

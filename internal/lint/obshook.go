@@ -69,8 +69,8 @@ func runObsHook(pass *Pass) {
 // field, not a field of the Stats bag. Merge paths are exempt too: an
 // assignment whose right-hand side itself reads an nvm.Stats field
 // (s.BusyCycles += other.BusyCycles) folds counts that were already
-// traced by whichever controller produced them — the sharded engine
-// aggregates its per-lane bags this way — so no new emit is owed.
+// traced by whichever controller produced them — the benchmark's Fig. 9
+// workload totals its per-cell bags this way — so no new emit is owed.
 func statsUpdatePos(pass *Pass, body *ast.BlockStmt) token.Pos {
 	pos := token.NoPos
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -56,8 +56,8 @@ func resetIsNotACount(e *engine) {
 
 func mergeIsNotACount(e *engine, other nvm.Stats) {
 	// Folding another bag's counts is aggregation of events that were
-	// already traced at their source (the sharded engine merges per-lane
-	// controllers this way); no new emit is owed.
+	// already traced at their source (the benchmark's Fig. 9 workload
+	// totals per-cell controllers this way); no new emit is owed.
 	e.stats.BusyCycles += other.BusyCycles
 	e.stats.DRAMHits += other.DRAMHits
 }

@@ -231,10 +231,11 @@ func (s Stats) Ops(cat Category) uint64 {
 	return total
 }
 
-// Merge folds another bag into s. The sharded engine sums its per-lane
-// controllers' bags with it; every count in other was already traced by
-// the lane that produced it, so merging is pure aggregation (addition
-// commutes — the merged bag is lane-order independent).
+// Merge folds another bag into s. The benchmark's Fig. 9 workload sums
+// the bags of every cell it ran with it; every count in other was
+// already traced by the controller that produced it, so merging is pure
+// aggregation (addition commutes — the total is independent of the
+// order cells finish in).
 func (s *Stats) Merge(other Stats) {
 	for op := Op(0); op < numOps; op++ {
 		s.Count[op] += other.Count[op]

@@ -148,8 +148,8 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestStatsMerge(t *testing.T) {
 	// Merge must be plain commutative addition across every field: the
-	// sharded engine folds per-lane controller bags in lane order, and
-	// the merged bag may not depend on that order.
+	// benchmark's Fig. 9 workload folds per-cell controller bags in
+	// completion order, and the total may not depend on that order.
 	mk := func(seed uint64) Stats {
 		var s Stats
 		for op := Op(0); op < numOps; op++ {

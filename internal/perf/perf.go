@@ -7,7 +7,6 @@
 package perf
 
 import (
-	"runtime"
 	"testing"
 
 	"picl/internal/bloom"
@@ -187,37 +186,4 @@ func SimThroughputPiCL(b *testing.B) {
 	target := uint64(b.N)
 	m.RunUntil(func(_ uint64, instr uint64) bool { return instr >= target })
 	b.ReportMetric(float64(b.N), "instr")
-}
-
-// SimThroughputPiCLSharded measures end-to-end speed of the sharded
-// engine: a 4-core scaled gcc mix decomposed into address-partitioned
-// lanes running on up to NumCPU goroutines (see DESIGN.md §8.7). On a
-// multicore host this is the lane-parallelism × SoA end-to-end number;
-// on a single-CPU host it degenerates to one lane's serial cost and
-// only documents the engine's overhead. b.N counts total simulated
-// instructions across all lanes.
-func SimThroughputPiCLSharded(b *testing.B) {
-	const cores = 4
-	gens := make([]trace.Generator, cores)
-	for i := range gens {
-		gens[i] = trace.NewSynthetic(trace.MustProfile("gcc").Scale(1.0/64),
-			mem.LineAddr(uint64(i+1)<<34), uint64(13+i))
-	}
-	h := exp.Scaled().Hierarchy(cores)
-	shards := runtime.NumCPU()
-	if shards > cores {
-		shards = cores
-	}
-	cfg := sim.Config{
-		Scheme: "picl", Workloads: gens,
-		Hierarchy: &h, EpochInstr: 469_000,
-		InstrPerCore: (uint64(b.N) + cores - 1) / cores,
-		Shards:       shards,
-	}
-	b.ResetTimer()
-	res, err := sim.Execute(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.Instructions), "instr")
 }

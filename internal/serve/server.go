@@ -38,7 +38,7 @@ import (
 // headers only.
 type Server struct {
 	// Runner executes and memoizes cells; its Jobs width is the /sweep
-	// fan-out pool and its Shards setting the intra-cell engine.
+	// fan-out pool.
 	Runner *exp.Runner
 	// Store, if non-nil, persists results and coalesces computation
 	// across processes. Nil serves from the in-process memo only.

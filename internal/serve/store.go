@@ -178,8 +178,8 @@ func (s *Store) Degraded() (bool, error) {
 	return s.degraded != nil, s.degraded
 }
 
-// degrade flips the store read-only (sticky) and fires OnDegrade once.
-// Called with s.mu held.
+// degradeLocked flips the store read-only (sticky; the first error is
+// the one Degraded reports) and fires OnDegrade once. s.mu is held.
 func (s *Store) degradeLocked(err error) {
 	if s.degraded == nil {
 		s.degraded = err
@@ -304,9 +304,6 @@ func (s *Store) Release(d [32]byte) {
 	}
 	os.Remove(s.claimPath(d))
 }
-
-// ErrStoreClosed is returned by Do when the waiting context ends.
-var ErrStoreClosed = errors.New("serve: store wait cancelled")
 
 // acquireLockFile takes a short-TTL mutex file, spinning at the poll
 // interval and stealing stale instances. Unlike claims there is no

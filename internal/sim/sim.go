@@ -98,18 +98,6 @@ type Config struct {
 	// re-checks the exact selection invariant after every access, so any
 	// quantum produces cycle-identical results. 0 means the default (64).
 	SchedQuantum int
-	// Shards, when positive, selects the sharded engine (see NewSharded):
-	// the multiprogrammed run is decomposed into one lane per core and
-	// the lanes execute on up to Shards worker goroutines in lockstep
-	// epoch windows. The decomposition depends only on the configuration,
-	// never on Shards, so results are byte-identical for every positive
-	// value (and any host core count). Zero keeps the legacy serial
-	// engine, whose multicore semantics (shared LLC and NVM channel)
-	// differ from the lane decomposition — the two engines' results are
-	// only interchangeable for single-core runs. Machines constructed
-	// directly with New ignore this field; it is consumed by Execute and
-	// NewSharded.
-	Shards int
 	// TraceCap, when positive, attaches a machine-owned obs.Ring of that
 	// capacity to every engine layer (scheme, hierarchy, NVM controller)
 	// and returns the recorded stream in Result.Events. Events carry
@@ -236,16 +224,11 @@ type Machine struct {
 	// every clock update so Now() is O(1) instead of an O(cores) scan.
 	maxClock uint64
 	// nextEpoch/nextTick carry the boundary and ACS-tick schedule across
-	// RunUntil calls, so a machine paused by a stop predicate (the
-	// sharded engine's window barriers, crash injection) resumes without
-	// re-firing boundaries it already delivered.
+	// RunUntil calls, so a machine paused by a stop predicate (crash
+	// injection, epoch-by-epoch stepping) resumes without re-firing
+	// boundaries it already delivered.
 	nextEpoch uint64
 	nextTick  uint64
-	// osCoreBase offsets this machine's OS save-area line addressing. A
-	// sharded lane for core c runs as core 0 of its own machine; the
-	// offset keeps its boundary-handler stores on the same per-core lines
-	// the legacy engine would use.
-	osCoreBase int
 
 	timeline  []EpochSample
 	lastEpoch struct {
@@ -415,7 +398,7 @@ func (m *Machine) boundary() {
 	for coreID, c := range m.cores {
 		for i := 0; i < m.cfg.OSHandlerLines; i++ {
 			m.osSeq++
-			l := osSaveArea + mem.LineAddr((coreID+m.osCoreBase)*64+i)
+			l := osSaveArea + mem.LineAddr(coreID*64+i)
 			var payload mem.Word
 			if m.cfg.Functional {
 				payload = mem.PayloadFor(l, m.scheme.SystemEID(), m.osSeq)
@@ -467,8 +450,8 @@ func (m *Machine) Run() *Result {
 // time. Used for crash injection at an instruction-precise point.
 // RunUntil is resumable: the boundary and tick schedules live on the
 // machine, so a run paused by its stop predicate continues exactly
-// where it left off on the next call — the sharded engine drives each
-// lane through its epoch windows this way.
+// where it left off on the next call, so a caller may step a machine
+// epoch by epoch and get the same run as one uninterrupted call.
 //
 // Scheduling: the engine always runs the lagging core — the lowest clock
 // among cores with remaining budget, ties to the lowest index. Rather

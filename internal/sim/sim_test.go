@@ -80,6 +80,39 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestDeterminismMatrix: across schemes and PiCL's ACS gaps, a traced
+// 4-core run over the shared LLC and NVM controller is a pure function
+// of its configuration — two runs export the same metrics and record
+// the same event stream.
+func TestDeterminismMatrix(t *testing.T) {
+	for _, scheme := range SchemeNames() {
+		for _, gap := range []int{1, 2, 4} {
+			if scheme != "picl" && gap != 1 {
+				continue // the gap only parameterizes PiCL
+			}
+			run := func() *Result {
+				cfg := tinyConfig(scheme, 4, false)
+				cfg.PiCL = core.DefaultConfig()
+				cfg.PiCL.ACSGap = gap
+				cfg.TraceCap = 1 << 12
+				return runConfig(t, cfg)
+			}
+			a, b := run(), run()
+			if promDigest(a) != promDigest(b) {
+				t.Fatalf("%s gap=%d: metrics differ between runs:\n%s\nvs\n%s",
+					scheme, gap, a.PromText(), b.PromText())
+			}
+			if eventsDigest(a.Events) != eventsDigest(b.Events) {
+				t.Fatalf("%s gap=%d: event streams differ between runs", scheme, gap)
+			}
+			if a.Cores != 4 || a.Instructions < 4*200_000 || len(a.Events) == 0 {
+				t.Fatalf("%s gap=%d: incomplete run: cores=%d instr=%d events=%d",
+					scheme, gap, a.Cores, a.Instructions, len(a.Events))
+			}
+		}
+	}
+}
+
 func TestCommitCountsAtNominalRate(t *testing.T) {
 	// PiCL commits exactly once per epoch interval (Fig. 11's point);
 	// with 100k instructions and 20k epochs that is 5 commits.

@@ -33,7 +33,7 @@ func NewCounters() *Counters { return &Counters{m: make(map[string]uint64)} }
 // Handle is a live reference to a single counter. Hot paths bump it with
 // one atomic add, bypassing the bag's mutex and the per-call map hashing
 // of Add; the accumulated value is folded into the bag on every read
-// (Get, Snapshot, Names, Merge, String). A handle counter materializes in
+// (Get, Snapshot, Names, String). A handle counter materializes in
 // the bag only once a nonzero total has been added — unlike Add, which
 // creates the name even at delta zero — so reserve handles for event
 // paths that always count at least one.
@@ -115,17 +115,6 @@ func (c *Counters) Snapshot() map[string]uint64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Merge adds every counter of other into c. It snapshots other first, so
-// merging two bags never holds both locks (no ordering to deadlock on).
-func (c *Counters) Merge(other *Counters) {
-	snap := other.Snapshot()
-	c.mu.Lock()
-	for k, v := range snap {
-		c.m[k] += v
-	}
-	c.mu.Unlock()
 }
 
 // String renders the counters one per line, sorted by name.

@@ -80,8 +80,9 @@ func OpenResults(b Backend) (*Results, error) {
 	return r, nil
 }
 
-// blockOf converts an absolute block index to its byte offset in the
-// ReadAll image, relative to the region's GC'd prefix.
+// raw reads the region's live blocks: it returns the bytes after the
+// superblock and the absolute index of their first block (the region's
+// GC'd prefix is not in the ReadAll image).
 func (r *Results) raw() ([]byte, uint64, error) {
 	raw, err := r.b.ReadAll()
 	if err != nil {
