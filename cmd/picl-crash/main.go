@@ -126,7 +126,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s: marker epoch %d, %d blocks read (%d torn tail bytes dropped), %d entries applied over %d blocks, %d live lines\n",
+		fmt.Printf("%s: marker epoch %d, %d blocks read (%d log bytes past them dropped), %d entries applied over %d blocks, %d live lines\n",
 			*verify, info.Marker, info.BlocksRead, info.TornBytes, info.Applied, info.Scanned, img.Len())
 		return
 	}

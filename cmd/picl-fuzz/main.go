@@ -17,9 +17,10 @@
 //     (internal/storage/fault), drives the shared crashplan workload
 //     through the full facade, and verifies the directory left behind:
 //     power cuts and degradations must recover bit-exactly to the epoch
-//     the marker names; injected bit rot must surface as a hard
-//     corruption error, never pass silently; a torn commit append, in
-//     order or out of it, must recover the last completed commit; stale
+//     the marker names, whatever shape the cut left the unsynced log
+//     blocks in; injected bit rot must surface as a hard corruption
+//     error, never pass silently; a torn commit append, in order or out
+//     of it, must recover the last completed commit; stale
 //     *.tmp files must be swept; and a degraded machine must keep
 //     serving reads and stats while writes fail (graceful degradation).
 //
@@ -364,7 +365,7 @@ func runStoragePoint(dir string, seed uint64, gaps []int) (string, string, fault
 	c := inj.Counts()
 	img, info, err := storage.RecoverDir(dir)
 	if err != nil {
-		// Injected bit rot in a cold log block or image record MUST
+		// Injected bit rot in a named log block or image record MUST
 		// surface as hard corruption — a detected, reported failure,
 		// never a silent wrong answer.
 		if c.RotBits > 0 && errors.Is(err, undolog.ErrCorruptBlock) ||

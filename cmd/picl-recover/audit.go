@@ -29,7 +29,11 @@ func auditStore(dir string) int {
 	}
 	fmt.Printf("durable store audit: %s\n", dir)
 	fmt.Printf("  marker epoch:       %d\n", info.Marker)
-	fmt.Printf("  log blocks read:    %d (torn tail bytes dropped: %d)\n", info.BlocksRead, info.TornBytes)
+	fmt.Printf("  log blocks read:    %d\n", info.BlocksRead)
+	if info.TornBytes > 0 {
+		fmt.Printf("  log tail ignored:   %d bytes past the %d-block prefix the marker's commit names\n",
+			info.TornBytes, info.BlocksRead)
+	}
 	if info.ImageTornBytes > 0 {
 		fmt.Printf("  image torn batch:   %d bytes dropped; the marker is the commit record at byte %d\n",
 			info.ImageTornBytes, info.MarkerAt)

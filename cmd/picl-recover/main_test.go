@@ -138,7 +138,7 @@ func TestSmokeLogAudit(t *testing.T) {
 	}
 	const golden = `durable store audit: store
   marker epoch:       7
-  log blocks read:    17 (torn tail bytes dropped: 0)
+  log blocks read:    17
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
 store consistent: recovery reproduces the epoch-7 checkpoint
@@ -148,9 +148,11 @@ store consistent: recovery reproduces the epoch-7 checkpoint
 	}
 }
 
-// TestSmokeLogAuditTorn: the same store with its log tail torn is
-// repaired on open — the audit reports the dropped bytes and still
-// verifies consistent.
+// TestSmokeLogAuditTorn: the same store with unsynced blocks behind the
+// log prefix its last commit names — one that never landed (zeros) and
+// one torn partway as garbage — drops them on open: the audit reports
+// the ignored bytes and still verifies consistent. Cutting into the
+// named prefix instead is rot, and the audit fails.
 func TestSmokeLogAuditTorn(t *testing.T) {
 	work := t.TempDir()
 	store := filepath.Join(work, "store")
@@ -160,7 +162,8 @@ func TestSmokeLogAuditTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(logPath, raw[:len(raw)-100], 0o644); err != nil {
+	suffix := append(make([]byte, 2048), bytes.Repeat([]byte{0xA5}, 100)...)
+	if err := os.WriteFile(logPath, append(bytes.Clone(raw), suffix...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,13 +173,22 @@ func TestSmokeLogAuditTorn(t *testing.T) {
 	}
 	const golden = `durable store audit: store
   marker epoch:       7
-  log blocks read:    16 (torn tail bytes dropped: 1948)
+  log blocks read:    17
+  log tail ignored:   2148 bytes past the 17-block prefix the marker's commit names
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
 store consistent: recovery reproduces the epoch-7 checkpoint
 `
 	if out != golden {
 		t.Fatalf("torn audit output differs from golden:\n--- got ---\n%s--- want ---\n%s", out, golden)
+	}
+
+	if err := os.WriteFile(logPath, raw[:len(raw)-100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code = runIn(t, work, "-log", "store")
+	if code != 1 || !strings.Contains(stderr, "media rot") {
+		t.Fatalf("log cut into its named prefix: exit %d, stderr %q; want 1 naming media rot", code, stderr)
 	}
 }
 
@@ -209,7 +221,7 @@ func TestSmokeLogAuditTornBatch(t *testing.T) {
 	}
 	const golden = `durable store audit: store
   marker epoch:       7
-  log blocks read:    17 (torn tail bytes dropped: 0)
+  log blocks read:    17
   image torn batch:   48 bytes dropped; the marker is the commit record at byte 1640
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
@@ -245,7 +257,7 @@ func TestSmokeLogAuditImageTorn(t *testing.T) {
 	}
 	const golden = `durable store audit: store
   marker epoch:       7
-  log blocks read:    17 (torn tail bytes dropped: 0)
+  log blocks read:    17
   image torn batch:   11 bytes dropped; the marker is the commit record at byte 1640
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24

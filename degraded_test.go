@@ -47,8 +47,9 @@ func TestDegradedModeReadOnly(t *testing.T) {
 		t.Fatal("machine degraded before any operation")
 	}
 
-	// Drive writes until the first undo-buffer flush hits the broken sync
-	// and the sticky error surfaces at a subsequent write.
+	// Drive writes and commits until the first ACS-gap commit hits the
+	// broken log sync and the sticky error surfaces at a subsequent
+	// operation.
 	written := map[uint64]uint64{}
 	var writeErr error
 	for i := 0; i < 256; i++ {
@@ -58,6 +59,10 @@ func TestDegradedModeReadOnly(t *testing.T) {
 			break
 		}
 		written[addr] = val
+		if err := m.CommitEpoch(); err != nil {
+			writeErr = err
+			break
+		}
 	}
 	if writeErr == nil {
 		t.Fatal("writes kept succeeding past a permanently failing sync")

@@ -9,49 +9,6 @@ import (
 	"picl/internal/undolog"
 )
 
-// Backend is durable, append-only block storage for the undo log — the
-// public face of the storage layer's backend interface. All
-// implementations present the identical durable byte representation
-// (one superblock followed by whole 2 KB blocks), so the recovery
-// tooling never needs to know which medium held the bytes.
-//
-// AppendBlock may stage; data is guaranteed durable only after Sync
-// returns. OpenLogBackend returns the file-backed implementation;
-// WithBackend installs any implementation as a machine's undo-log
-// mirror.
-type Backend interface {
-	AppendBlock(raw []byte) error
-	Sync() error
-	Blocks() uint64
-	ReadAll() ([]byte, error)
-	Truncate(n uint64) error
-	Close() error
-}
-
-// OpenLogBackend opens (creating if absent) a file-backed undo-log
-// Backend at path. regionBytes sizes a fresh log's region (0 uses the
-// default 128 MB); an existing log's recorded geometry wins. A partial
-// tail block left by a crash is repaired silently; a torn or corrupt
-// superblock reports ErrTornLog (wrapped).
-func OpenLogBackend(path string, regionBytes uint64) (Backend, error) {
-	b, err := storage.OpenFile(path, regionBytes)
-	if err != nil {
-		return nil, wrapStorageErr(err)
-	}
-	return b, nil
-}
-
-// WithBackend installs b as the machine's durable undo-log mirror:
-// every flushed undo block is appended and synced to b before any
-// in-place write it covers is issued (the write-ahead ordering a real
-// PiCL deployment gets from NVM ordering). Only the "picl" scheme can
-// drive a backend; New reports ErrBackend otherwise.
-//
-// WithBackend mirrors the log only. For a fully durable machine —
-// log, memory image, and persisted-epoch marker on disk, recoverable
-// after a crash of the whole process — use Open.
-func WithBackend(b Backend) Option { return func(o *options) { o.backend = b } }
-
 // StoreWrapper intercepts a durable store's three components (undo log,
 // image file, marker) with arbitrary middleware. Its one in-tree
 // implementation is the deterministic fault injector
@@ -66,8 +23,8 @@ type StoreWrapper = storage.Wrapper
 func WithStoreWrapper(w StoreWrapper) Option { return func(o *options) { o.wrapper = w } }
 
 // wrapStorageErr maps storage-layer failures onto the facade's
-// sentinels: an uninterpretable log (corrupt superblock, or mid-log
-// corruption that cannot be a torn tail) is ErrTornLog, anything else
+// sentinels: an uninterpretable log (corrupt superblock, or rot in the
+// log prefix the last commit names) is ErrTornLog, anything else
 // ErrBackend.
 func wrapStorageErr(err error) error {
 	if errors.Is(err, undolog.ErrCorruptSuper) || errors.Is(err, undolog.ErrCorruptBlock) {
@@ -87,8 +44,7 @@ func wrapStorageErr(err error) error {
 // available via Recovered.
 //
 // Options are as for New, except the scheme is fixed to "picl"
-// (ErrBackend otherwise) and WithBackend cannot be combined with Open
-// (the store directory already provides the log backend).
+// (ErrBackend otherwise).
 //
 // The machine must be released with Close; a machine that is SIGKILLed
 // instead leaves a directory that the next Open recovers bit-exactly to
@@ -100,9 +56,6 @@ func Open(path string, opts ...Option) (*Machine, error) {
 	}
 	if probe.scheme != "picl" {
 		return nil, fmt.Errorf("%w: scheme %q cannot drive a durable store (need \"picl\")", ErrBackend, probe.scheme)
-	}
-	if probe.backend != nil {
-		return nil, fmt.Errorf("%w: WithBackend cannot be combined with Open", ErrBackend)
 	}
 
 	d, err := storage.OpenDir(path)

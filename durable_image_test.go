@@ -7,10 +7,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"picl/internal/mem"
 	"picl/internal/storage"
+	"picl/internal/undolog"
 )
 
 // imageProbe is a storage.Wrapper that counts the lines a store's image
@@ -344,10 +346,43 @@ func TestOpenImageRotFails(t *testing.T) {
 }
 
 // TestOpenLegacyImageFails: a store whose image has an older layout —
-// the headerless one of bare 16-byte records, or the version-2 header
-// with line records and no commit records — of any count, fails Open
-// and keeps the image byte-identical.
+// the headerless one of bare 16-byte records, the version-2 header with
+// line records and no commit records, or version 3, whose commit records
+// name no log prefix — of any count, fails Open and keeps the image
+// byte-identical, and the log beside a version-3 image too.
 func TestOpenLegacyImageFails(t *testing.T) {
+	v3 := filepath.Join(t.TempDir(), "v3")
+	if err := os.MkdirAll(v3, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	img := []byte{'P', 'C', 'L', 'I', 3, 0, 0, 0}
+	img = binary.LittleEndian.AppendUint64(img, 7) // line 7 holding 77
+	img = binary.LittleEndian.AppendUint64(img, 77)
+	img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(img[8:24], castagnoli))
+	img = binary.LittleEndian.AppendUint32(img, 0)
+	img = binary.LittleEndian.AppendUint64(img, 5) // its version-3 commit record, epoch 5
+	img = binary.LittleEndian.AppendUint32(img, 1)
+	img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(img[8:32], castagnoli))
+	img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(img[32:48], castagnoli))
+	img = binary.LittleEndian.AppendUint32(img, 0x4C414553)
+	log := append(undolog.EncodeSuper(undolog.Super{Version: undolog.SuperVersion, RegionBytes: undolog.DefaultRegionBytes}),
+		make([]byte, 100)...) // and a partial tail Open would otherwise drop
+	files := map[string][]byte{storage.ImageFileName: img, storage.LogFileName: log}
+	for name, raw := range files {
+		if err := os.WriteFile(filepath.Join(v3, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Open(v3); !errors.Is(err, ErrBackend) || !errors.Is(err, storage.ErrCorruptImage) {
+		t.Fatalf("version-3 store: Open = %v, want ErrBackend wrapping ErrCorruptImage", err)
+	}
+	for name, raw := range files {
+		if after, _ := os.ReadFile(filepath.Join(v3, name)); !bytes.Equal(after, raw) {
+			t.Fatalf("version-3 store: the failed Open modified %s", name)
+		}
+	}
+
 	for _, n := range []int{1, 2, 100, -1, -2, -100} {
 		dir := filepath.Join(t.TempDir(), "store")
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -416,6 +451,147 @@ func TestDurableCommitImageAppendOnly(t *testing.T) {
 		}
 		if !bytes.Equal(after[:len(before)], before) {
 			t.Fatalf("commit %d rewrote bytes below the image's pre-commit size", c)
+		}
+	}
+}
+
+// TestOpenUnsyncedLogMatrix: undo blocks are appended unsynced, and a
+// page cache may write them back in any shape and order. The store holds
+// an ACS-gap commit whose batch carries evictions of a newer epoch, whose
+// undo entries lie in the log prefix the commit names, then three blocks
+// appended after that commit's log sync. Every combination of those
+// blocks landing whole, as zeros, as garbage or torn reopens to the
+// commit's epoch bit-exactly; a bad block inside the named prefix fails
+// Open with ErrTornLog.
+func TestOpenUnsyncedLogMatrix(t *testing.T) {
+	const lines = 1024
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	m, err := Open(dir, WithSmallCaches(), WithConfig(Config{ACSGap: 1, BufferEntries: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(1); e <= 2; e++ {
+		for i := uint64(0); i < lines; i++ {
+			if err := m.Write(i*64, e*1000+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.CommitEpoch(); err != nil { // the second commits epoch 1
+			t.Fatal(err)
+		}
+	}
+	logPath := filepath.Join(dir, storage.LogFileName)
+	size := func() int64 {
+		fi, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	prefix := size() // the commit synced every block appended so far
+	for i := uint64(0); size() < prefix+3*undolog.BlockBytes; i++ {
+		if i == lines {
+			t.Fatal("epoch 3 appended fewer than three undo blocks")
+		}
+		if err := m.Write(i*64, 3000+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Crash()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != int(prefix)+3*undolog.BlockBytes {
+		t.Fatalf("the log holds %d bytes past its %d-byte prefix, want three blocks", len(full)-int(prefix), prefix)
+	}
+	check := func(what string, d string) {
+		t.Helper()
+		re, err := Open(d, WithSmallCaches())
+		if err != nil {
+			t.Fatalf("%s: Open: %v", what, err)
+		}
+		defer re.Close()
+		img, eid := re.Recovered()
+		if eid != 1 || img.Lines() != lines {
+			t.Fatalf("%s: recovered epoch %d with %d lines, want epoch 1 with %d", what, eid, img.Lines(), lines)
+		}
+		for i := uint64(0); i < lines; i++ {
+			if got := img.Read(i * 64); got != 1000+i {
+				t.Fatalf("%s: line %d recovered as %d, want %d", what, i, got, 1000+i)
+			}
+		}
+	}
+
+	// The image alone is not epoch 1: the commit's batch carries
+	// epoch-2 evictions that only the named prefix's undo entries roll
+	// back.
+	im, err := storage.OpenImage(filepath.Join(dir, storage.ImageFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := im.Load()
+	im.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := 0
+	for i := 0; i < lines; i++ {
+		if raw.Read(mem.LineAddr(i)) != mem.Word(1000+i) {
+			newer++
+		}
+	}
+	if newer == 0 {
+		t.Fatal("the commit's batch holds no line newer than its epoch")
+	}
+
+	dst := filepath.Join(root, "cut")
+	outcomes := []string{"whole", "zeros", "garbage", "torn"}
+	for combo := 0; combo < 64; combo++ {
+		log := bytes.Clone(full[:prefix])
+		var what []string
+		for b, c := 0, combo; b < 3; b, c = b+1, c/4 {
+			blk := full[int(prefix)+b*undolog.BlockBytes : int(prefix)+(b+1)*undolog.BlockBytes]
+			landed := bytes.Clone(blk)
+			switch c % 4 {
+			case 1:
+				clear(landed)
+			case 2:
+				for i := range landed {
+					landed[i] ^= 0xA5
+				}
+			case 3:
+				clear(landed[700+b*300:])
+				if b == 2 {
+					landed = landed[:700+b*300] // the file ends mid-block
+				}
+			}
+			log = append(log, landed...)
+			what = append(what, outcomes[c%4])
+		}
+		copyStore(t, dir, dst)
+		if err := os.WriteFile(filepath.Join(dst, storage.LogFileName), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(strings.Join(what, "/"), dst)
+	}
+
+	// Rot in the prefix, its final block included, is never taken for
+	// an unsynced block.
+	named := (int(prefix) - undolog.SuperBytes) / undolog.BlockBytes
+	for b := named - 1; b >= 0; b -= 1 + b/4 {
+		bad := bytes.Clone(full)
+		bad[undolog.SuperBytes+b*undolog.BlockBytes+undolog.BlockBytes/2] ^= 0x10
+		copyStore(t, dir, dst)
+		if err := os.WriteFile(filepath.Join(dst, storage.LogFileName), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dst, WithSmallCaches()); !errors.Is(err, ErrTornLog) {
+			t.Fatalf("rot in block %d of the %d-block named prefix: Open = %v, want ErrTornLog", b, named, err)
 		}
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"picl/internal/mem"
 	"picl/internal/storage"
-	"picl/internal/undolog"
 )
 
 // writeWorkload drives a recognizable workload: lines 0..n-1 get
@@ -150,11 +150,6 @@ func TestOpenErrors(t *testing.T) {
 			t.Fatalf("version-2 store: Open modified %s", name)
 		}
 	}
-
-	// WithBackend cannot combine with Open.
-	if _, err := Open(filepath.Join(t.TempDir(), "s2"), WithBackend(&countingBackend{})); !errors.Is(err, ErrBackend) {
-		t.Fatalf("Open+WithBackend: err = %v, want ErrBackend", err)
-	}
 }
 
 func TestUseAfterClose(t *testing.T) {
@@ -173,116 +168,6 @@ func TestUseAfterClose(t *testing.T) {
 	}
 	if err := m.CommitEpoch(); !errors.Is(err, ErrBackend) {
 		t.Fatalf("CommitEpoch after Close: err = %v, want ErrBackend", err)
-	}
-}
-
-// countingBackend is a minimal user-supplied Backend: it records
-// appended blocks and how often Sync ran.
-type countingBackend struct {
-	blocks [][]byte
-	syncs  int
-	synced int // blocks durable as of the last Sync
-}
-
-func (c *countingBackend) AppendBlock(raw []byte) error {
-	cp := append([]byte(nil), raw...)
-	c.blocks = append(c.blocks, cp)
-	return nil
-}
-func (c *countingBackend) Sync() error              { c.syncs++; c.synced = len(c.blocks); return nil }
-func (c *countingBackend) Blocks() uint64           { return uint64(len(c.blocks)) }
-func (c *countingBackend) ReadAll() ([]byte, error) { return nil, nil }
-func (c *countingBackend) Truncate(n uint64) error  { return nil }
-func (c *countingBackend) Close() error             { return nil }
-
-// TestWithBackendMirrorsBlocks: a custom Backend receives every flushed
-// undo block, synced immediately (the write-ahead contract), and each
-// block decodes as a valid log block.
-func TestWithBackendMirrorsBlocks(t *testing.T) {
-	cb := &countingBackend{}
-	m, err := New(WithSmallCaches(), WithBackend(cb),
-		WithConfig(Config{ACSGap: 1, BufferEntries: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeWorkload(t, m, 64, 1)
-	if len(cb.blocks) == 0 {
-		t.Fatal("no blocks mirrored")
-	}
-	if cb.synced != len(cb.blocks) {
-		t.Fatalf("mirror not synced: %d/%d durable", cb.synced, len(cb.blocks))
-	}
-	for i, raw := range cb.blocks {
-		b, err := undolog.DecodeBlock(raw)
-		if err != nil {
-			t.Fatalf("block %d: %v", i, err)
-		}
-		if len(b.Entries) == 0 {
-			t.Fatalf("block %d carries no entries", i)
-		}
-	}
-}
-
-// TestWithBackendRequiresPiCL: baselines cannot drive a backend.
-func TestWithBackendRequiresPiCL(t *testing.T) {
-	if _, err := New(WithScheme("frm"), WithBackend(&countingBackend{})); !errors.Is(err, ErrBackend) {
-		t.Fatalf("err = %v, want ErrBackend", err)
-	}
-}
-
-// TestOpenLogBackend: the public file-backed Backend round-trips blocks
-// through a real file and repairs a torn tail.
-func TestOpenLogBackend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "undo.log")
-	b, err := OpenLogBackend(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(WithSmallCaches(), WithBackend(b),
-		WithConfig(Config{ACSGap: 1, BufferEntries: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeWorkload(t, m, 64, 7)
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenLogBackend(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Blocks() == 0 {
-		t.Fatal("file backend lost its blocks")
-	}
-	raw, err := re.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the tail: the next open repairs to whole blocks.
-	if err := os.WriteFile(path, raw[:len(raw)-100], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	torn, err := OpenLogBackend(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer torn.Close()
-	if torn.Blocks() != re.Blocks()-1 {
-		t.Fatalf("torn reopen: %d blocks, want %d", torn.Blocks(), re.Blocks()-1)
-	}
-
-	// And garbage where the superblock belongs is ErrTornLog.
-	bad := filepath.Join(t.TempDir(), "bad.log")
-	if err := os.WriteFile(bad, make([]byte, 300), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLogBackend(bad, 0); !errors.Is(err, ErrTornLog) {
-		t.Fatalf("err = %v, want ErrTornLog", err)
 	}
 }
 
@@ -426,6 +311,110 @@ func TestDurableCommitMarkerInPlace(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "marker")); !os.IsNotExist(err) {
 		t.Fatalf("the store has a marker file (stat: %v)", err)
+	}
+}
+
+// fsyncLog is a storage.Wrapper that records, in order, the fsyncs of
+// a picl.Open store: "log" for a log Sync with blocks appended since the
+// previous one (a Sync with none writes nothing), "commit" for a marker
+// Set, the image append and its fsync.
+type fsyncLog struct {
+	ops     []string
+	pending bool // blocks appended since the last log sync
+}
+
+func (w *fsyncLog) WrapLog(l storage.LogStore) storage.LogStore        { return &fsyncedLog{l, w} }
+func (w *fsyncLog) WrapImage(im storage.ImageStore) storage.ImageStore { return im }
+func (w *fsyncLog) WrapMarker(mk storage.MarkerStore) storage.MarkerStore {
+	return &fsyncedMarker{mk, w}
+}
+
+type fsyncedLog struct {
+	storage.LogStore
+	w *fsyncLog
+}
+
+func (l *fsyncedLog) AppendBlock(raw []byte) error {
+	l.w.pending = true
+	return l.LogStore.AppendBlock(raw)
+}
+
+func (l *fsyncedLog) Sync() error {
+	if l.w.pending {
+		l.w.ops = append(l.w.ops, "log")
+		l.w.pending = false
+	}
+	return l.LogStore.Sync()
+}
+
+type fsyncedMarker struct {
+	storage.MarkerStore
+	w *fsyncLog
+}
+
+func (mk *fsyncedMarker) Set(e mem.EpochID) error {
+	mk.w.ops = append(mk.w.ops, "commit")
+	return mk.MarkerStore.Set(e)
+}
+
+// TestDurableCommitFsyncSchedule pins where a durable commit fsyncs. The
+// 64 writes of a commit fsync nothing: their undo blocks are appended
+// unsynced. Sync fsyncs once, its commit append: the bulk ACS leaves
+// nothing for recovery to undo, so the log is not synced. A commit the
+// ACS-gap scan makes at CommitEpoch fsyncs the log, then its commit. The
+// bytes each commit appends to undo.log and image.dat are the ones the
+// protocol that fsynced every undo block appended; only the flushes
+// changed.
+func TestDurableCommitFsyncSchedule(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	w := &fsyncLog{}
+	m, err := Open(dir, WithStoreWrapper(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	size := func(name string) int64 {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	wantLog := []int64{6144, 6144, 6144, 6144, 6144, 6144, 6144, 6144, 4096, 4096, 4096, 8192, 6144, 6144, 6144, 6144}
+	wantImg := []int64{1560, 1560, 1560, 1560, 1560, 1560, 1560, 1560, 0, 0, 0, 1560, 1560, 1560, 1560, 1560}
+	line := uint64(1)
+	for c := range wantLog {
+		l0, i0 := size(storage.LogFileName), size(storage.ImageFileName)
+		w.ops = nil
+		for i := 0; i < 64; i++ {
+			line = line * 6364136223846793005 % (1 << 16)
+			if err := m.Write(line*64, uint64(c*64+i)|1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(w.ops) != 0 {
+			t.Fatalf("commit %d: the writes fsynced %v, want nothing", c, w.ops)
+		}
+		var want []string
+		if c < 8 {
+			if _, err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			want = []string{"commit"}
+		} else {
+			if err := m.CommitEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if c >= 8+DefaultConfig().ACSGap { // the scan trails the last Sync by the gap
+				want = []string{"log", "commit"}
+			}
+		}
+		if !slices.Equal(w.ops, want) {
+			t.Fatalf("commit %d: fsynced %v, want %v", c, w.ops, want)
+		}
+		if dl, di := size(storage.LogFileName)-l0, size(storage.ImageFileName)-i0; dl != wantLog[c] || di != wantImg[c] {
+			t.Fatalf("commit %d appended %d log and %d image bytes, want %d and %d", c, dl, di, wantLog[c], wantImg[c])
+		}
 	}
 }
 

@@ -33,15 +33,6 @@ import (
 	"picl/internal/undolog"
 )
 
-// LogSink mirrors undo-log block appends to a durable medium
-// (storage.Backend satisfies it). Sync is called after every mirrored
-// block so the write-ahead ordering contract holds for the in-place
-// writes that follow.
-type LogSink interface {
-	AppendBlock(raw []byte) error
-	Sync() error
-}
-
 // Config parameterizes PiCL.
 type Config struct {
 	// ACSGap is how many epochs the asynchronous cache scan trails the
@@ -93,14 +84,12 @@ type PiCL struct {
 	durableMarker mem.EpochID
 	pending       []persistRec
 
-	// logSink, when non-nil, receives a durable mirror of every flushed
-	// undo block; durable, when non-nil, additionally mirrors the
-	// persisted-epoch marker (and, via Base's line sink, the image).
-	// Mirror failures are sticky in Base's sink error (NoteDurableErr) —
-	// the store/eviction hot paths cannot return storage errors — and
-	// once sticky every mirror site goes quiet, freezing the on-disk
-	// store at its last consistent marker.
-	logSink LogSink
+	// durable, when non-nil, receives a durable mirror of every flushed
+	// undo block, of the persisted-epoch marker, and (via Base's line
+	// sink) of the image. Mirror failures are sticky in Base's sink
+	// error (NoteDurableErr) — the store/eviction hot paths cannot
+	// return storage errors — and once sticky every mirror site goes
+	// quiet, freezing the on-disk store at its last consistent marker.
 	durable *storage.Dir
 
 	// Per-event counter handles for the store/eviction fast paths.
@@ -137,25 +126,20 @@ func New(cfg Config, ctl *nvm.Controller, functional bool) *PiCL {
 // Log exposes the undo log for statistics and tests.
 func (p *PiCL) Log() *undolog.Log { return p.log }
 
-// SetLogSink installs (or clears, with nil) a durable mirror for undo
-// block appends. Install before the run starts.
-func (p *PiCL) SetLogSink(s LogSink) { p.logSink = s }
-
-// SetDurable attaches a durable store directory: undo blocks mirror to
-// its log file, in-place line writes are staged for its image file, and
-// the persisted-epoch marker advances it via the ordering protocol (log
-// sync, then one image append carrying the staged writes and the commit
-// record that seals them). The machine must be functional. Install
-// before the run starts — typically right after seeding the recovered
-// image with SeedImage.
+// SetDurable attaches (or detaches, with nil) a durable store
+// directory: undo blocks are appended to its log file unsynced,
+// in-place line writes are staged for its image file, and each
+// persisted epoch is one image append carrying the staged writes and
+// the commit record that seals them. An ACS-gap commit syncs the log
+// first; the bulk ACS's commit does not need to (see ForcePersist). The
+// machine must be functional. Install before the run starts — typically
+// right after seeding the recovered image with SeedImage.
 func (p *PiCL) SetDurable(d *storage.Dir) {
 	p.durable = d
 	if d == nil {
-		p.logSink = nil
 		p.SetLineSink(nil)
 		return
 	}
-	p.logSink = d.Log
 	p.SetLineSink(d.Img)
 }
 
@@ -261,22 +245,20 @@ func (p *PiCL) flushBuffer(now uint64) uint64 {
 	}
 	stall := p.MaybeStall(now)
 	p.log.AppendBlock(entries)
-	if p.logSink != nil && p.DurableErr() == nil {
-		// Durable mirror, synced immediately: rule 1 of the storage
-		// ordering contract requires the block on stable media before any
-		// in-place write it covers is issued (the caller may issue one as
-		// soon as we return). The crash-rollback closure below does NOT
-		// rewind the mirror — a durable file holding more blocks than the
-		// simulated durable prefix is still a valid recovery point.
-		// Transient sync failures get a bounded retry; append failures do
-		// not (a short append leaves a torn tail whose re-append would
-		// interleave garbage, so the store degrades immediately).
+	if p.mirroring() {
+		// Durable mirror, appended ahead of any in-place write it covers
+		// (rule 1 of the storage ordering contract: the caller may stage
+		// one as soon as we return) and left unsynced: a staged write
+		// reaches the image only in a commit, and the commit that needs
+		// this block syncs the log first. The crash-rollback closure below
+		// does NOT rewind the mirror — a durable file holding more blocks
+		// than the simulated durable prefix is still a valid recovery
+		// point. Append failures are not retried (a short append leaves a
+		// torn tail whose re-append would interleave garbage), so the
+		// store degrades immediately.
 		raw, err := undolog.EncodeBlock(p.log.Last())
 		if err == nil {
-			err = p.logSink.AppendBlock(raw)
-		}
-		if err == nil {
-			err = p.retryDurable(now, p.logSink.Sync)
+			err = p.durable.Log.AppendBlock(raw)
 		}
 		p.NoteDurableErr(now, err)
 	}
@@ -333,7 +315,16 @@ func (p *PiCL) EpochBoundary(now uint64) uint64 {
 	}
 
 	if committed.After(mem.EpochID(p.cfg.ACSGap)) {
-		p.runACS(now, committed.Minus(uint64(p.cfg.ACSGap)))
+		target := committed.Minus(uint64(p.cfg.ACSGap))
+		if p.runACS(now, target) && p.mirroring() {
+			// An ACS-gap commit: lines of epochs newer than target may
+			// already be on disk (evicted, or staged in this batch), and
+			// recovery at target rolls them back with undo entries the
+			// log holds, so the log is synced before the commit names it.
+			p.NoteDurableErr(now, p.retryDurable(now, func() error {
+				return p.durable.PersistMarker(target)
+			}))
+		}
 	}
 
 	// Hardware EID tags are TagBits wide; the live range
@@ -357,9 +348,11 @@ func (p *PiCL) EpochBoundary(now uint64) uint64 {
 // submission order is our durability order), then scan the LLC EID array
 // and write back every dirty line with EID <= target, then write the
 // persist marker. When the marker's write completes, target is durable.
-func (p *PiCL) runACS(now uint64, target mem.EpochID) {
+// It reports whether it scanned; the caller then commits target to the
+// durable store, if one is attached, the way its kind of scan allows.
+func (p *PiCL) runACS(now uint64, target mem.EpochID) bool {
 	if target.AtMost(p.Persisted) && p.durableMarker.AtLeast(target) {
-		return
+		return false
 	}
 	p.C.Add("acs_runs", 1)
 	if p.Tr != nil {
@@ -386,24 +379,22 @@ func (p *PiCL) runACS(now uint64, target mem.EpochID) {
 	}
 	done := p.Persist(now, nvm.OpRandLogWrite, 8, undo)
 	p.pending = append(p.pending, persistRec{target: target, done: done})
-	if p.durable != nil && p.DurableErr() == nil {
-		// Durable marker advance under the full ordering protocol: every
-		// in-place write of epochs <= target was mirrored above (ACS
-		// writebacks) or earlier (evictions, behind their synced undo
-		// blocks), so a log sync and then the commit sealing the staged
-		// writes makes target recoverable on disk. The disk marker can run ahead of the
-		// simulated one (mirror-at-submit); both are valid recovery points.
-		// Gated on a healthy mirror: advancing the marker past writes that
-		// never reached the store would certify an unrecoverable state.
-		p.NoteDurableErr(now, p.retryDurable(now, func() error {
-			return p.durable.PersistMarker(target)
-		}))
-	}
 	if p.Tr != nil {
 		p.Tr.Event(obs.Event{Kind: obs.KindACSDone, Time: now, Dur: done - now,
 			Epoch: target, A: uint64(len(lines))})
 	}
+	return true
 }
+
+// mirroring reports whether a durable store is attached and healthy.
+// Every in-place write of epochs <= a scan's target was mirrored by the
+// scan (ACS writebacks) or earlier (evictions, behind their undo
+// blocks), so the commit that follows a scan makes its target
+// recoverable on disk; the disk marker can run ahead of the simulated
+// one (mirror-at-submit), and both are valid recovery points. After a
+// mirror failure nothing is mirrored: advancing the marker past writes
+// that never reached the store would certify an unrecoverable state.
+func (p *PiCL) mirroring() bool { return p.durable != nil && p.DurableErr() == nil }
 
 // ForcePersist forcefully ends the current epoch and conducts a bulk ACS
 // (paper §IV-C): one scan pass covering every committed epoch, stalling
@@ -422,7 +413,15 @@ func (p *PiCL) ForcePersist(now uint64) uint64 {
 		p.Tr.Event(obs.Event{Kind: obs.KindEpochOpen, Time: now, Epoch: p.System})
 		p.Tr.Event(obs.Event{Kind: obs.KindBulkACS, Time: now, Epoch: committed})
 	}
-	p.runACS(now, committed)
+	if p.runACS(now, committed) && p.mirroring() {
+		// The bulk scan leaves every line on disk at its newest value of
+		// an epoch <= committed, and every undo entry logged so far ends
+		// at or before committed, so recovery at committed applies none:
+		// the commit needs no log sync, and names the prefix synced last.
+		p.NoteDurableErr(now, p.retryDurable(now, func() error {
+			return p.durable.PersistBulk(committed)
+		}))
+	}
 	resume := now
 	for len(p.pending) > 0 {
 		if d := p.pending[len(p.pending)-1].done; d > resume {

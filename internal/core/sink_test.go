@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"picl/internal/mem"
@@ -10,22 +11,56 @@ import (
 	"picl/internal/storage"
 )
 
-// fakeLogSink counts mirrored block appends and can be armed to fail.
-type fakeLogSink struct {
-	appends int
-	syncs   int
-	err     error
+// fakeLog wraps a store's undo log: it counts block appends and log
+// syncs, and fails appends with appendErr, or the first failN syncs
+// with syncErr.
+type fakeLog struct {
+	storage.LogStore
+	appends, syncs int
+	appendErr      error
+	failN          int
+	syncErr        error
 }
 
-func (f *fakeLogSink) AppendBlock(raw []byte) error {
-	if f.err != nil {
-		return f.err
+func (f *fakeLog) AppendBlock(raw []byte) error {
+	if f.appendErr != nil {
+		return f.appendErr
 	}
 	f.appends++
-	return nil
+	return f.LogStore.AppendBlock(raw)
 }
 
-func (f *fakeLogSink) Sync() error { f.syncs++; return nil }
+func (f *fakeLog) Sync() error {
+	f.syncs++
+	if f.syncs <= f.failN {
+		return f.syncErr
+	}
+	return f.LogStore.Sync()
+}
+
+// fakeWrapper interposes f on a store's log only.
+type fakeWrapper struct{ f *fakeLog }
+
+func (w fakeWrapper) WrapLog(l storage.LogStore) storage.LogStore {
+	w.f.LogStore = l
+	return w.f
+}
+func (w fakeWrapper) WrapImage(im storage.ImageStore) storage.ImageStore   { return im }
+func (w fakeWrapper) WrapMarker(m storage.MarkerStore) storage.MarkerStore { return m }
+
+// fakeRig attaches a real on-disk store whose log runs through f.
+func fakeRig(t *testing.T, cfg Config, f *fakeLog) *rig {
+	t.Helper()
+	r := newRig(t, cfg)
+	d, err := storage.OpenDir(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	d.Wrap(fakeWrapper{f})
+	r.p.SetDurable(d)
+	return r
+}
 
 // workload drives enough stores through the rig to flush several undo
 // blocks and seal a few epochs.
@@ -38,42 +73,38 @@ func workload(r *rig) {
 	}
 }
 
-// TestLogSinkMirror: every flushed undo block reaches the installed
-// sink followed by a sync, and clearing the sink stops the mirroring.
+// TestLogSinkMirror: every flushed undo block reaches the store's log
+// unsynced — the log syncs once per ACS-gap commit, not once per block
+// — and detaching the store stops the mirroring.
 func TestLogSinkMirror(t *testing.T) {
-	r := newRig(t, Config{BufferEntries: 4})
-	s := &fakeLogSink{}
-	r.p.SetLogSink(s)
-	if r.p.Durable() != nil {
-		t.Fatal("plain log sink must not report a durable store")
-	}
+	s := &fakeLog{}
+	r := fakeRig(t, Config{BufferEntries: 4}, s)
 	workload(r)
-	if s.appends == 0 || s.syncs != s.appends {
-		t.Fatalf("appends=%d syncs=%d, want matched nonzero counts", s.appends, s.syncs)
+	if s.appends == 0 || s.syncs != 3 || s.appends <= s.syncs {
+		t.Fatalf("appends=%d syncs=%d, want one sync per commit (3) and more blocks than syncs", s.appends, s.syncs)
 	}
 	if err := r.p.DurableErr(); err != nil {
 		t.Fatal(err)
 	}
 	before := s.appends
-	r.p.SetLogSink(nil)
+	r.p.SetDurable(nil)
 	workload(r)
 	if s.appends != before {
-		t.Fatal("blocks mirrored after sink cleared")
+		t.Fatal("blocks mirrored after the store was detached")
 	}
 }
 
 // TestLogSinkErrSticky: the first mirror failure is surfaced by
 // DurableErr and held across later successes and later failures.
 func TestLogSinkErrSticky(t *testing.T) {
-	r := newRig(t, Config{BufferEntries: 4})
 	first := errors.New("mirror device gone")
-	s := &fakeLogSink{err: first}
-	r.p.SetLogSink(s)
+	s := &fakeLog{appendErr: first}
+	r := fakeRig(t, Config{BufferEntries: 4}, s)
 	workload(r)
 	if got := r.p.DurableErr(); !errors.Is(got, first) {
 		t.Fatalf("DurableErr = %v, want the injected failure", got)
 	}
-	s.err = nil // device "recovers" — the sticky error must not clear
+	s.appendErr = nil // device "recovers" — the sticky error must not clear
 	workload(r)
 	if got := r.p.DurableErr(); !errors.Is(got, first) {
 		t.Fatalf("DurableErr = %v after recovery, want the first failure held", got)
@@ -105,25 +136,6 @@ func TestSetDurableNilDetaches(t *testing.T) {
 	}
 }
 
-// flakySink: AppendBlock always succeeds; Sync fails the first failN
-// calls, then succeeds. Models a transient device hiccup.
-type flakySink struct {
-	appends int
-	syncs   int
-	failN   int
-	err     error
-}
-
-func (f *flakySink) AppendBlock(raw []byte) error { f.appends++; return nil }
-
-func (f *flakySink) Sync() error {
-	f.syncs++
-	if f.syncs <= f.failN {
-		return f.err
-	}
-	return nil
-}
-
 func countKind(events []obs.Event, k obs.Kind) int {
 	n := 0
 	for _, ev := range events {
@@ -138,17 +150,16 @@ func countKind(events []obs.Event, k obs.Kind) int {
 // budget is absorbed — the machine stays healthy, and each retry is
 // visible in the event stream.
 func TestSyncRetryTransient(t *testing.T) {
-	r := newRig(t, Config{BufferEntries: 4})
+	s := &fakeLog{failN: SyncRetries, syncErr: errors.New("transient sync hiccup")}
+	r := fakeRig(t, Config{BufferEntries: 4}, s)
 	ring := obs.NewRing(1 << 12)
 	r.p.SetTracer(ring)
-	s := &flakySink{failN: SyncRetries, err: errors.New("transient sync hiccup")}
-	r.p.SetLogSink(s)
 	workload(r)
 	if err := r.p.DurableErr(); err != nil {
 		t.Fatalf("DurableErr = %v, want transient failure absorbed by retry", err)
 	}
-	if s.appends == 0 || s.syncs != s.appends+SyncRetries {
-		t.Fatalf("appends=%d syncs=%d, want syncs = appends + %d retries", s.appends, s.syncs, SyncRetries)
+	if s.appends == 0 || s.syncs != 3+SyncRetries {
+		t.Fatalf("appends=%d syncs=%d, want one sync per commit (3) + %d retries", s.appends, s.syncs, SyncRetries)
 	}
 	ev := ring.Events()
 	if got := countKind(ev, obs.KindMirrorRetry); got != SyncRetries {
@@ -160,29 +171,34 @@ func TestSyncRetryTransient(t *testing.T) {
 }
 
 // TestSyncRetryExhausted: a sync failure outlasting the retry budget
-// goes sticky after exactly 1+SyncRetries attempts, emits one degraded
-// event, and silences every later mirror call — the store freezes.
+// goes sticky after exactly 1+SyncRetries attempts at the first commit,
+// emits one degraded event, and silences every later mirror call — the
+// store freezes.
 func TestSyncRetryExhausted(t *testing.T) {
-	r := newRig(t, Config{BufferEntries: 4})
+	cause := errors.New("device unplugged")
+	s := &fakeLog{failN: 1 << 30, syncErr: cause}
+	r := fakeRig(t, Config{BufferEntries: 4}, s)
 	ring := obs.NewRing(1 << 12)
 	r.p.SetTracer(ring)
-	cause := errors.New("device unplugged")
-	s := &flakySink{failN: 1 << 30, err: cause}
-	r.p.SetLogSink(s)
-	workload(r)
+	for i := 0; i < 10; i++ {
+		r.store(mem.LineAddr(i), mem.Word(100+i))
+	}
+	appended := s.appends
+	r.boundary()
 	if got := r.p.DurableErr(); !errors.Is(got, cause) {
 		t.Fatalf("DurableErr = %v, want the injected failure", got)
 	}
-	if s.appends != 1 || s.syncs != 1+SyncRetries {
-		t.Fatalf("appends=%d syncs=%d, want mirroring frozen after the first flush's %d attempts",
-			s.appends, s.syncs, 1+SyncRetries)
+	if appended == 0 || s.syncs != 1+SyncRetries {
+		t.Fatalf("appends=%d syncs=%d, want blocks appended before the commit and its %d sync attempts",
+			appended, s.syncs, 1+SyncRetries)
 	}
 	ev := ring.Events()
 	if got := countKind(ev, obs.KindDegraded); got != 1 {
 		t.Fatalf("degraded events = %d, want exactly 1", got)
 	}
+	frozen := s.appends
 	workload(r) // still frozen on later epochs
-	if s.appends != 1 {
+	if s.appends != frozen || s.syncs != 1+SyncRetries {
 		t.Fatal("mirror resumed after sticky failure")
 	}
 }
@@ -190,11 +206,10 @@ func TestSyncRetryExhausted(t *testing.T) {
 // TestPowerLossNotRetried: simulated power loss must not be retried —
 // there is no device behind it anymore.
 func TestPowerLossNotRetried(t *testing.T) {
-	r := newRig(t, Config{BufferEntries: 4})
+	s := &fakeLog{failN: 1 << 30, syncErr: fmt.Errorf("%w: op 7", storage.ErrPowerLost)}
+	r := fakeRig(t, Config{BufferEntries: 4}, s)
 	ring := obs.NewRing(1 << 12)
 	r.p.SetTracer(ring)
-	s := &flakySink{failN: 1 << 30, err: fmt.Errorf("%w: op 7", storage.ErrPowerLost)}
-	r.p.SetLogSink(s)
 	workload(r)
 	if got := r.p.DurableErr(); !errors.Is(got, storage.ErrPowerLost) {
 		t.Fatalf("DurableErr = %v, want ErrPowerLost", got)

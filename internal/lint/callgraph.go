@@ -40,6 +40,23 @@ type CallGraph struct {
 	// Callers maps a function (module or imported) to the module nodes
 	// that contain a static call to it.
 	Callers map[*types.Func][]*FuncNode
+	// byName indexes Nodes by full name, for Canon.
+	byName map[string]*types.Func
+}
+
+// Canon returns the module declaration of fn when there is one, else fn.
+// Module packages are type-checked from source, but their imports
+// resolve through export data, so a call into another module package
+// names a different object than the callee's own declaration; the two
+// share a full name.
+func (cg *CallGraph) Canon(fn *types.Func) *types.Func {
+	if _, ok := cg.Nodes[fn]; ok {
+		return fn
+	}
+	if d, ok := cg.byName[fn.Origin().FullName()]; ok {
+		return d
+	}
+	return fn
 }
 
 // buildCallGraph walks every function body once and records resolved
@@ -48,6 +65,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 	cg := &CallGraph{
 		Nodes:   make(map[*types.Func]*FuncNode),
 		Callers: make(map[*types.Func][]*FuncNode),
+		byName:  make(map[string]*types.Func),
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -74,12 +92,15 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 					})
 				}
 				cg.Nodes[fn] = node
+				cg.byName[fn.FullName()] = fn
 			}
 		}
 	}
 	for _, node := range cg.Nodes {
 		seen := make(map[*types.Func]bool)
-		for _, cs := range node.Calls {
+		for i := range node.Calls {
+			cs := &node.Calls[i]
+			cs.Callee = cg.Canon(cs.Callee)
 			if !seen[cs.Callee] {
 				seen[cs.Callee] = true
 				cg.Callers[cs.Callee] = append(cg.Callers[cs.Callee], node)

@@ -14,14 +14,21 @@ import (
 // storage operations it (transitively) performs. Effects are recognized
 // two ways: intrinsically, from the callee's method name and receiver
 // type — `AppendBlock` and `WriteLine` are the storage vocabulary
-// whichever Backend/ImageStore/LogSink implementation sits behind the
+// whichever Backend/LogStore/ImageStore implementation sits behind the
 // interface — and interprocedurally, from the bottom-up summary of a
 // statically resolved module function. Summaries record both what a
-// function provides (a synced undo append, an image or log sync) and
-// what it still owes its callers (an image write or marker advance
-// that is not ordered within the function itself). walorder.go turns
-// unresolved obligations at call-graph roots into diagnostics, and
-// reports a marker advance after an image sync wherever it occurs.
+// function provides (an undo append, an image or log sync) and what it
+// still owes its callers (an image write or marker advance that is not
+// ordered within the function itself). walorder.go turns unresolved
+// obligations at call-graph roots into diagnostics, and reports a
+// marker advance after an image sync wherever it occurs.
+//
+// One marker advance needs no log sync: the bulk ACS's commit
+// (bulkCommit), after which recovery applies no undo entry. Its
+// obligation carries the bulk mark and is discharged only where it
+// reaches bulkEntry, the bulk ACS itself; reached from anywhere else —
+// an ACS-gap commit skipping its log sync — it reports at the root like
+// any other unordered advance.
 //
 // The walk is a source-order approximation of domination: an effect
 // counts as "before" another if it appears earlier in the function
@@ -63,17 +70,28 @@ type effEvent struct {
 
 // obligation is an effect a function performs without establishing the
 // ordering that justifies it; it propagates to callers until a caller
-// orders it or a call-graph root reports it.
+// orders it or a call-graph root reports it. bulk marks a marker
+// advance made by bulkCommit, which bulkEntry discharges.
 type obligation struct {
 	pos   token.Pos
 	chain []Related
+	bulk  bool
 }
+
+// bulkCommit names the storage method that commits the bulk ACS without
+// a log sync, and bulkEntry the one function whose call tree may reach
+// it (storage.Dir.PersistBulk, core.PiCL.ForcePersist).
+const (
+	bulkCommit = "PersistBulk"
+	bulkEntry  = "ForcePersist"
+)
 
 // effSummary is the bottom-up interprocedural summary of one function.
 type effSummary struct {
 	events []effEvent
 	// provides*: calling this function establishes the respective
-	// ordering fact for effects that follow the call.
+	// ordering fact for effects that follow the call (providesWriteAhead:
+	// an undo append).
 	providesWriteAhead bool
 	providesImageSync  bool
 	providesLogSync    bool
@@ -89,7 +107,7 @@ type effSummary struct {
 	// rewrites and writesInPlace feed walorder's marker shape check:
 	// rewrites is any rename, create or truncate; writesInPlace a
 	// positional write followed by an fsync of the same file. Both hold
-	// for a function or any callee.
+	// for a function or any callee in its own package.
 	rewrites      bool
 	writesInPlace bool
 }
@@ -262,6 +280,7 @@ func (e *effEngine) collectEvents(node *FuncNode) []effEvent {
 			if callee == nil {
 				return true
 			}
+			callee = e.cg.Canon(callee)
 			var recvExpr ast.Expr
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
 				recvExpr = sel.X
@@ -347,17 +366,14 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 	imgPrim := isImagePrimitive(fn)
 	mkPrim := isMarkerPrimitive(fn)
 
-	var seenAppend, writeAhead, imgSync, logSync bool
+	var writeAhead, imgSync, logSync bool
 	written := make(map[string]bool) // files positionally written so far
 	for _, ev := range s.events {
 		switch ev.kind {
 		case effLogAppend:
-			seenAppend = true
+			writeAhead = true
 		case effLogSync:
 			logSync = true
-			if seenAppend {
-				writeAhead = true
-			}
 		case effImageSync:
 			imgSync = true
 		case effFileWriteAt:
@@ -395,12 +411,13 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 						Pos:     e.fset.Position(ev.pos),
 						Message: "the marker advance (" + ev.callee.FullName() + ")",
 					}},
+					bulk: fn.Name() == bulkCommit,
 				})
 			}
 		case effCall:
 			cs := e.summary(ev.callee)
 			if cs.providesWriteAhead {
-				seenAppend, logSync, writeAhead = true, true, true
+				writeAhead = true
 			}
 			if cs.setsMarker {
 				s.setsMarker = true
@@ -421,11 +438,18 @@ func (e *effEngine) summary(fn *types.Func) *effSummary {
 			}
 			if !logSync {
 				for _, ob := range cs.unorderedMarker {
-					s.unorderedMarker = append(s.unorderedMarker, e.propagate(ev, ob))
+					if !ob.bulk || fn.Name() != bulkEntry {
+						s.unorderedMarker = append(s.unorderedMarker, e.propagate(ev, ob))
+					}
 				}
 			}
-			s.rewrites = s.rewrites || cs.rewrites
-			s.writesInPlace = s.writesInPlace || cs.writesInPlace
+			if ev.callee.Pkg() == fn.Pkg() {
+				// W3's shape facts stay within a package: they describe
+				// the storage layer's own commit path, not, say, the
+				// fault injector's simulated power cut truncating a file.
+				s.rewrites = s.rewrites || cs.rewrites
+				s.writesInPlace = s.writesInPlace || cs.writesInPlace
+			}
 		}
 	}
 	s.providesWriteAhead = writeAhead
@@ -453,5 +477,5 @@ func (e *effEngine) propagate(ev effEvent, ob obligation) obligation {
 		}
 		chain = append(chain, r)
 	}
-	return obligation{pos: ev.pos, chain: chain}
+	return obligation{pos: ev.pos, chain: chain, bulk: ob.bulk}
 }

@@ -1,8 +1,8 @@
-// Package wtest exercises the walorder analyzer: all three rules of
-// the write-ahead ordering contract, the interprocedural chain case,
-// discharge by an ordering caller, the zero-marker reset exemption,
-// and suppression. The type names matter — effect classification keys
-// on Marker/Image/Log receivers, mirroring the real storage layer.
+// Package wtest exercises the walorder analyzer: all three rules of the
+// write-ahead ordering contract, the interprocedural chain case, discharge
+// by an ordering caller, the zero-marker reset exemption, the bulk commit
+// reached only from ForcePersist, and suppression. The type names matter:
+// effect classification keys on Marker/Image/Log receivers, as in storage.
 package wtest
 
 import "os"
@@ -29,9 +29,9 @@ func (s *store) BadDirect(b []byte) error {
 	return s.img.WriteLine(0, b)
 }
 
-// BadHalf appends the undo block but never syncs it — the crash window
-// rule 1 exists for.
-func (s *store) BadHalf(b []byte) error {
+// AppendOnly appends the undo block and leaves it unsynced: clean, the
+// commit that seals the write syncs the log first (rule 2).
+func (s *store) AppendOnly(b []byte) error {
 	if err := s.log.AppendBlock(b); err != nil {
 		return err
 	}
@@ -284,4 +284,34 @@ func (s *store) splitBeforeHelper(e uint64) error {
 		return err
 	}
 	return s.GoodMarker(e)
+}
+
+// PersistBulk is the bulk ACS's commit: no log sync, since recovery at
+// its epoch applies no undo entry.
+func (s *store) PersistBulk(e uint64) error { return s.mk.Set(e) }
+
+// ForcePersist is the bulk ACS, the one call tree PersistBulk may be
+// reached from: clean.
+func (s *store) ForcePersist(e uint64) error { return s.PersistBulk(e) }
+
+// EpochBoundary is an ACS-gap commit that skips its log sync by taking
+// the bulk commit: rule 2's marker-unordered, at the call.
+func (s *store) EpochBoundary(e uint64) error {
+	return s.PersistBulk(e)
+}
+
+// engine runs both scans through one commit helper.
+type engine struct{ s *store }
+
+// seal commits for whichever of engine's scans calls it.
+func (g *engine) seal(e uint64) error { return g.s.PersistBulk(e) }
+
+// ForcePersist reaches the bulk commit through seal: clean.
+func (g *engine) ForcePersist(e uint64) error { return g.seal(e) }
+
+// EpochBoundary shares seal with the bulk ACS, so its ACS-gap commit
+// skips the log sync as well: marker-unordered at the call, with the
+// chain through seal.
+func (g *engine) EpochBoundary(e uint64) error {
+	return g.seal(e)
 }

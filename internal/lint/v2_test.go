@@ -9,23 +9,24 @@ import (
 	"testing"
 )
 
-// TestWALOrderGolden covers all three ordering rules: W1 directly (29,
-// 38) and through a call chain (60); W2 with no log sync (81), with the
+// TestWALOrderGolden covers all three ordering rules: W1 directly (29)
+// and through a call chain (60); W2 with no log sync (81), with the
 // image synced instead of the log (91: unordered and split), with the
 // image synced ahead of the commit (112), through a helper that syncs
-// it (129) and ahead of a helper that commits (286); W3's truncating
-// rewrite (192), renaming marker (201,
-// plus its rename at 206 twice: no file fsync and no dir fsync),
-// unsynced positional write (213), non-staging rename (224), O_TRUNC
-// reopen (235) and a commit helper that truncates the image (278). The
-// clean shapes — GoodDirect, evictOrdered, GoodMarker, the zero-marker
-// reset, the in-place goodMarker.Set, sealMarker.Set committing through
-// the image log, the createLayout replace and the suppressed migrateRaw
-// — are asserted by absence.
+// it (129) and ahead of a helper that commits (286), and the bulk
+// commit taken by an ACS-gap scan, directly (300) and through a helper
+// the bulk ACS shares (316); W3's truncating rewrite (192), renaming
+// marker (201, plus its rename at 206 twice: no file fsync and no dir
+// fsync), unsynced positional write (213), non-staging rename (224),
+// O_TRUNC reopen (235) and a commit helper that truncates the image
+// (278). The clean shapes — GoodDirect, the unsynced AppendOnly,
+// evictOrdered, GoodMarker, the zero-marker reset, both ForcePersists
+// reaching the bulk commit, the in-place goodMarker.Set, sealMarker.Set
+// committing through the image log, the createLayout replace and the
+// suppressed migrateRaw — are asserted by absence.
 func TestWALOrderGolden(t *testing.T) {
 	runGolden(t, "walorder", "picl/internal/storage/wtest", WALOrder, []expect{
 		{29, "walorder"},  // BadDirect: write, no undo coverage
-		{38, "walorder"},  // BadHalf: append never synced
 		{60, "walorder"},  // evictViaHelper -> mirror chain
 		{81, "walorder"},  // BadMarker: no log sync before Set
 		{91, "walorder"},  // HalfMarker: log sync missing
@@ -41,6 +42,8 @@ func TestWALOrderGolden(t *testing.T) {
 		{235, "walorder"}, // truncMarker.Set reopens with O_TRUNC
 		{278, "walorder"}, // shrinkMarker.Set: its commit helper truncates
 		{286, "walorder"}, // splitBeforeHelper: image synced, then GoodMarker
+		{300, "walorder"}, // store.EpochBoundary takes the bulk commit
+		{316, "walorder"}, // engine.EpochBoundary shares seal with ForcePersist
 	})
 }
 

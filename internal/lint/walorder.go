@@ -14,15 +14,20 @@ import (
 //
 //	W1 (image-unordered): an in-place image write (WriteLine /
 //	    PersistLineWrite) must be preceded, on every path the analyzer
-//	    can see, by an undo-log AppendBlock followed by a log Sync —
-//	    otherwise a crash mid-write leaves a torn line with no durable
-//	    undo coverage.
+//	    can see, by an undo-log AppendBlock — otherwise the commit that
+//	    carries the write can seal it with no undo entry to roll it
+//	    back. The append need not be synced: the write only stages, and
+//	    the commit that needs the entry syncs the log first (W2).
 //	W2 (marker-unordered, marker-split): the commit that advances the
 //	    persisted-epoch marker (marker Set) must be preceded by a log
-//	    Sync — the marker asserts everything at or below it is durable —
-//	    and the image records it seals travel in that commit's own
-//	    write: an image Sync ahead of it on the same path appends them
-//	    separately, unsealed.
+//	    Sync — the commit names the synced log prefix, and recovery at
+//	    its epoch reads only that — and the image records it seals
+//	    travel in that commit's own write: an image Sync ahead of it on
+//	    the same path appends them separately, unsealed. The one
+//	    exception is the bulk ACS's commit (PersistBulk), after which
+//	    recovery applies no undo entry; only ForcePersist's call tree
+//	    may reach it, and reached from anywhere else it is an unordered
+//	    advance.
 //	W3 (marker-not-in-place, marker-rewrite, replace-*): inside
 //	    internal/storage, a marker Set appends its commit in place — a
 //	    positional write to the already-open image file, then an fsync
@@ -42,7 +47,7 @@ import (
 // then advances the marker, directly or through a callee.
 var WALOrder = &Analyzer{
 	Name:      "walorder",
-	Doc:       "write-ahead ordering: undo append+sync before image writes, log sync before the commit that advances the marker and carries the image records, in-place positional-write+fsync commit append, atomic tmp/fsync/rename/dir-fsync file replace",
+	Doc:       "write-ahead ordering: undo append before image writes, log sync before the commit that advances the marker and carries the image records (but for the bulk ACS's), in-place positional-write+fsync commit append, atomic tmp/fsync/rename/dir-fsync file replace",
 	RunModule: runWALOrder,
 }
 
@@ -79,16 +84,21 @@ func runWALOrder(mp *ModulePass) {
 			for _, ob := range s.unorderedImage {
 				mp.Report(ob.pos, Diagnostic{
 					Code: "image-unordered",
-					Message: "in-place image write is not preceded by a synced undo-log append on this path; " +
-						"append and sync the covering undo block first (write-ahead rule 1)",
+					Message: "in-place image write is not preceded by an undo-log append on this path; " +
+						"append the covering undo block first (write-ahead rule 1)",
 					Related: relatedTail(mp.Mod.Fset.Position(ob.pos), ob),
 				})
 			}
 			for _, ob := range s.unorderedMarker {
+				msg := "persisted-epoch marker is advanced without a preceding log sync; " +
+					"sync the undo log before the commit that advances the marker (ordering rule 2)"
+				if ob.bulk {
+					msg = "the bulk ACS's commit (" + bulkCommit + ") skips the log sync and is reached outside " +
+						bulkEntry + "'s call tree; any other commit must sync the log first (ordering rule 2)"
+				}
 				mp.Report(ob.pos, Diagnostic{
-					Code: "marker-unordered",
-					Message: "persisted-epoch marker is advanced without a preceding log sync; " +
-						"sync the undo log before the commit that advances the marker (ordering rule 2)",
+					Code:    "marker-unordered",
+					Message: msg,
 					Related: relatedTail(mp.Mod.Fset.Position(ob.pos), ob),
 				})
 			}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -33,18 +34,20 @@ type Dir struct {
 	wrap Wrapper // re-applied to components reopened by Reset
 }
 
-// OpenDir opens (creating if absent) a durable store directory.
+// OpenDir opens (creating if absent) a durable store directory. The
+// image opens first, so a store whose image is refused (an older
+// format) keeps its log untouched too.
 func OpenDir(path string) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, err
 	}
-	lg, err := OpenFile(filepath.Join(path, LogFileName), 0)
+	img, err := OpenImage(filepath.Join(path, ImageFileName))
 	if err != nil {
 		return nil, err
 	}
-	img, err := OpenImage(filepath.Join(path, ImageFileName))
+	lg, err := OpenFile(filepath.Join(path, LogFileName), 0)
 	if err != nil {
-		lg.Close()
+		img.Close()
 		return nil, err
 	}
 	dirf, err := os.Open(path)
@@ -81,10 +84,12 @@ type RecoverInfo struct {
 	// MarkerAt is the byte offset in the image file of the commit
 	// record the marker came from (0 for an image with none).
 	MarkerAt int64
-	// BlocksRead is how many whole, valid log blocks were scanned in.
+	// BlocksRead is how many log blocks were scanned in: the prefix the
+	// marker's commit record names.
 	BlocksRead int
-	// TornBytes is how many partial log tail bytes the crash left
-	// behind (discarded at open).
+	// TornBytes is how many log bytes past that prefix were dropped:
+	// blocks appended after the last log sync, whether a crash left
+	// them whole, zeroed, garbage or torn, and any partial tail.
 	TornBytes uint64
 	// ImageTornBytes is how many torn image batch bytes — a commit
 	// append the crash interrupted, or rot in the final batch — were
@@ -97,9 +102,13 @@ type RecoverInfo struct {
 }
 
 // Recover rebuilds the consistent memory image from the directory's
-// durable state: read the marker, load the image, scan the log backward
-// applying every entry covering the marker epoch (paper §IV-B, on real
-// files).
+// durable state: read the marker, read the log prefix its commit record
+// names, load the image, scan the prefix backward applying every entry
+// covering the marker epoch (paper §IV-B, on real files), and drop the
+// log past the prefix. Every block of the prefix was synced before the
+// commit sealed, so a block of it that fails validation, or is missing,
+// is rot (undolog.ErrCorruptBlock); whatever lies past it was never
+// synced under any commit and is dropped, whatever its shape.
 func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 	if err := d.removeStaleTmp(); err != nil {
 		return nil, RecoverInfo{}, err
@@ -108,24 +117,36 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}
+	named, have, start := d.mk.im.LogBlocks(), d.Log.Blocks(), d.Log.Super().Start
+	if named < start || named > have {
+		return nil, RecoverInfo{}, fmt.Errorf("%w: the marker's commit names a %d-block log prefix, the log holds blocks [%d, %d) (media rot, not an unsynced block)",
+			undolog.ErrCorruptBlock, named, start, have)
+	}
 	raw, err := d.Log.ReadAll()
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}
-	l, read, err := undolog.ReadLog(bytes.NewReader(raw), 0)
+	l, read, err := undolog.ReadLog(bytes.NewReader(raw[:undolog.SuperBytes+(named-start)*undolog.BlockBytes]), 0)
 	if err != nil {
 		return nil, RecoverInfo{}, err
+	}
+	if start+uint64(read) < named {
+		return nil, RecoverInfo{}, fmt.Errorf("%w: block %d of the %d-block log prefix the marker's commit names fails validation (media rot, not an unsynced block)",
+			undolog.ErrCorruptBlock, start+uint64(read), named)
 	}
 	img, err := d.Img.Load()
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}
 	applied, scanned := l.ApplyTo(img, marker)
+	if err := d.Log.Truncate(named); err != nil {
+		return nil, RecoverInfo{}, err
+	}
 	return img, RecoverInfo{
 		Marker:         marker,
 		MarkerAt:       max(d.mk.im.size-imageRecBytes, 0),
 		BlocksRead:     read,
-		TornBytes:      d.Log.TornBytes(),
+		TornBytes:      (have-named)*undolog.BlockBytes + d.Log.TornBytes(),
 		ImageTornBytes: d.mk.im.TornBytes(),
 		Applied:        applied,
 		Scanned:        scanned,
@@ -161,11 +182,10 @@ func (d *Dir) removeStaleTmp() error {
 // machine's epoch numbering starts clean.
 //
 // Every intermediate crash point is safe: until the image rename lands
-// the old image+log still recover; after it, the compacted image names
-// the recovered epoch, so applying the old log's covering entries to it
-// is the identity (they patch lines to exactly the end-of-marker values
-// the compaction wrote); once the log is emptied there are no entries
-// left to apply. The log swap (remove, create) is a directory change,
+// the old image+log still recover; after it, the compacted image is
+// sealed under the recovered epoch and names an empty log prefix, so
+// recovery applies none of the old log's entries — the compaction wrote
+// exactly the state they would restore — and drops the old log whole. The log swap (remove, create) is a directory change,
 // so the directory is fsynced before the marker enters the new
 // numbering: otherwise a power cut after the new session's first
 // commits could bring the old log back, or leave none, beside a
@@ -239,7 +259,8 @@ func (d *Dir) Reset(img *mem.Image) error {
 }
 
 // writeCompacted writes a one-batch image holding img, sealed as epoch
-// e, into the empty file f, and returns it as an open image.
+// e and naming an empty log prefix, into the empty file f, and returns
+// it as an open image.
 func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID) (*ImageFile, error) {
 	if _, err := f.Write(imageHeader[:]); err != nil {
 		return nil, err
@@ -262,7 +283,7 @@ func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID) (*ImageFile, erro
 		buf = appendImageRecord(buf, l, w)
 		n++
 	})
-	buf = appendCommitRecord(buf, e, n, crc32.Update(sum, castagnoli, buf))
+	buf = appendCommitRecord(buf, commitRec{epoch: e, count: n, sum: crc32.Update(sum, castagnoli, buf)})
 	flush()
 	if err != nil {
 		return nil, err
@@ -272,13 +293,25 @@ func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID) (*ImageFile, erro
 
 // PersistMarker durably advances the persisted-epoch marker, enforcing
 // the ordering contract: the log first, then the commit that seals the
-// staged image records as epoch e.
+// staged image records as epoch e and names the synced log prefix. It
+// is the commit an ACS-gap scan makes: its batch can hold evictions of
+// epochs newer than e, whose undo entries recovery at e applies.
 func (d *Dir) PersistMarker(e mem.EpochID) error {
 	if err := d.Log.Sync(); err != nil {
 		return err
 	}
+	d.mk.im.syncedLog = d.Log.Blocks()
 	return d.Mk.Set(e)
 }
+
+// PersistBulk durably advances the marker to e without syncing the log:
+// the commit seals the staged image records and names the log prefix of
+// the last sync. It is the bulk ACS's commit (paper §IV-C), after which
+// every line on disk holds its newest value of an epoch <= e, so
+// recovery at e applies no undo entry — every entry logged so far ends
+// at or before e. Only core.PiCL.ForcePersist may reach it (walorder
+// checks that); any other commit goes through PersistMarker.
+func (d *Dir) PersistBulk(e mem.EpochID) error { return d.Mk.Set(e) }
 
 // Close releases every component; image records no commit sealed are
 // dropped.

@@ -20,23 +20,23 @@
 //     power cut (the device acknowledged; treating acknowledged data as
 //     lost would manufacture corruption the recovery contract cannot be
 //     expected to survive). What it exercises is the accounting path.
-//   - Bit rot strikes only cold log blocks — at least two blocks below
-//     the durable watermark — so the rotted block always has data behind
-//     it when recovery reads the log and MUST surface as a hard
-//     undolog.ErrCorruptBlock (mid-log rot), never pass as a torn tail.
+//   - Bit rot strikes only log blocks of the prefix the last sealed
+//     commit names, which recovery reads whole, so it MUST surface as a
+//     hard undolog.ErrCorruptBlock, never pass with the unsynced blocks
+//     recovery drops behind that prefix.
 //   - Image rot likewise strikes only image records with a sealed batch
 //     behind them, so it MUST surface as a hard storage.ErrCorruptImage.
 //     (Rot in the final batch reads as a torn batch and recovers one
 //     commit back; the storage tests cover it.)
-//   - A power cut truncates the log to the last acknowledged-sync
-//     watermark, optionally leaves a torn prefix of the first
-//     unacknowledged block (a mid-row tear), and discards the image's
-//     staged records, optionally tearing the commit append the next
-//     marker Set would make: a prefix of it, or — out of order, as a
-//     page cache may write pages back — its later part behind zeros or
-//     garbage. Sealed batches are never touched, so the marker stays
-//     the last completed Set. After the cut every intercepted call
-//     fails with storage.ErrPowerLost.
+//   - A power cut keeps the log up to the last acknowledged-sync
+//     watermark; every block appended since lands whole, as zeros, as
+//     garbage or torn, each independently of the others, in any order
+//     a page cache may write them back. It discards the image's staged
+//     records, optionally tearing the commit append the next marker Set
+//     would make: a prefix of it, or — out of order — its later part
+//     behind zeros or garbage. Sealed batches are never touched, so the
+//     marker stays the last completed Set. After the cut every
+//     intercepted call fails with storage.ErrPowerLost.
 package fault
 
 import (
@@ -63,7 +63,7 @@ type Profile struct {
 	SyncDropEvery     int // log fsync acknowledged but not performed
 	AppendShortEvery  int // block append torn mid-row, error returned
 	AppendENOSPCEvery int // block append fails with ENOSPC
-	RotEvery          int // one bit flips in a cold durable block
+	RotEvery          int // one bit flips in a block of the log prefix the last commit names
 
 	// Image faults.
 	LineENOSPCEvery int // image line write fails with ENOSPC
@@ -124,18 +124,22 @@ type Counts struct {
 	RotBits     uint64
 	MarkerFails uint64
 	PowerCuts   uint64
-	TornAppends uint64 // torn log block left behind by the power cut
+	TornAppends uint64 // unsynced log blocks the power cut left torn
 	ImageTears  uint64 // commit appends torn by the power cut
 	ImgRotBits  uint64 // bits flipped in sealed image batches
 	ImgReorders uint64 // torn commit appends whose later part landed first
+	// LogReorders counts power cuts that left an unsynced log block
+	// zeroed, garbage or torn with a later one landed behind it: the
+	// shape a log read without a named prefix takes for mid-log rot.
+	LogReorders uint64
 }
 
 // String renders the counts as one stable line.
 func (c Counts) String() string {
 	return fmt.Sprintf(
-		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d img_rot=%d img_reorder=%d",
+		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d img_rot=%d img_reorder=%d log_reorder=%d",
 		c.Ops, c.SyncFails, c.SyncDrops, c.ShortWrites, c.ENOSPC,
-		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.ImgRotBits, c.ImgReorders)
+		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.ImgRotBits, c.ImgReorders, c.LogReorders)
 }
 
 // Add accumulates other into c (campaign aggregation).
@@ -152,6 +156,7 @@ func (c *Counts) Add(other Counts) {
 	c.ImageTears += other.ImageTears
 	c.ImgRotBits += other.ImgRotBits
 	c.ImgReorders += other.ImgReorders
+	c.LogReorders += other.LogReorders
 }
 
 // Decision classes: each fault roll mixes its class into the stream so
@@ -172,8 +177,8 @@ const (
 	_ // retired: the image sync was dropped
 	classMarkerFail
 	classCrashAt
-	classCrashTear
-	classCrashTearLen
+	_ // retired: the cut tore the first unsynced log block (every one now rolls classCrashLogSuffix)
+	_ // retired: that tear's length
 	classCrashImgTear
 	classCrashImgTearLen
 	_ // retired: the cut tore a slot of the two-slot marker file
@@ -183,6 +188,7 @@ const (
 	classImgRot
 	classImgRotBit
 	classCrashImgReorder
+	classCrashLogSuffix
 )
 
 // splitmix64 is the standard 64-bit mixer (Steele et al.); one round
@@ -266,11 +272,11 @@ func (in *Injector) step() error {
 }
 
 // crash simulates the power cut across all wrapped components: the log
-// rewinds to its acknowledged-sync watermark (optionally with a torn
-// partial block), and the image loses its staged records (optionally
-// with a torn commit append). Teardown I/O errors are swallowed — there
-// is no one left to report them to after a power cut, and recovery
-// verifies the resulting directory either way.
+// keeps its acknowledged-sync watermark with the unsynced blocks behind
+// it landed in any shape, and the image loses its staged records
+// (optionally with a torn commit append). Teardown I/O errors are
+// swallowed — there is no one left to report them to after a power cut,
+// and recovery verifies the resulting directory either way.
 func (in *Injector) crash() {
 	in.crashed = true
 	in.counts.PowerCuts++
@@ -280,6 +286,15 @@ func (in *Injector) crash() {
 	if in.img != nil {
 		in.img.crash()
 	}
+}
+
+// namedLog reports the log block count the last sealed commit names (0
+// without a file-backed image).
+func (in *Injector) namedLog() uint64 {
+	if in.img == nil || in.img.f == nil {
+		return 0
+	}
+	return in.img.f.LogBlocks()
 }
 
 // WrapLog implements storage.Wrapper.
@@ -305,8 +320,8 @@ var _ storage.Wrapper = (*Injector)(nil)
 
 // Log interposes on the undo-log store. Appends write through
 // immediately (the real file is the model's staging area); durable
-// tracks the block count a power cut preserves — it advances only when
-// a sync is acknowledged.
+// tracks the block count a power cut preserves whole — it advances only
+// when a sync is acknowledged.
 type Log struct {
 	in *Injector
 	b  storage.LogStore
@@ -314,13 +329,14 @@ type Log struct {
 	// durable is the absolute block count surviving a power cut (the
 	// watermark of the last acknowledged sync).
 	durable uint64
-	// pending holds clones of blocks appended since that sync — the
-	// candidates for a torn tail at the cut.
+	// pending holds clones of blocks appended since that sync — what the
+	// cut lands in any shape.
 	pending [][]byte
 }
 
 // AppendBlock implements storage.Backend with injected ENOSPC, short
-// writes (torn mid-row, error returned), and bit rot in cold blocks.
+// writes (torn mid-row, error returned), and bit rot in the named log
+// prefix.
 func (l *Log) AppendBlock(raw []byte) error {
 	if err := l.in.step(); err != nil {
 		return err
@@ -343,13 +359,14 @@ func (l *Log) AppendBlock(raw []byte) error {
 	}
 	l.pending = append(l.pending, append([]byte(nil), raw...))
 	if l.f != nil && l.in.roll(classRot, p.RotEvery) {
-		// Single-bit rot, cold blocks only: index <= durable-2 keeps at
-		// least one valid block behind the rot at any later recovery, so
-		// the CRC failure must read as mid-log corruption, never as a
-		// repairable torn tail.
-		lo := l.b.Super().Start
-		if l.durable >= lo+2 {
-			blk := lo + l.in.rand(classRotBlock)%(l.durable-1-lo)
+		// Single-bit rot, only in the log prefix the last sealed commit
+		// names: recovery reads every block of it, so the CRC failure
+		// must surface as rot, never be dropped with the unsynced blocks
+		// behind the prefix. Later commits name longer prefixes, never
+		// shorter ones.
+		lo, hi := l.b.Super().Start, l.in.namedLog()
+		if hi > lo {
+			blk := lo + l.in.rand(classRotBlock)%(hi-lo)
 			bit := l.in.rand(classRotBit) % (undolog.BlockBytes * 8)
 			if err := l.f.RotBit(blk, bit); err != nil {
 				return err
@@ -393,25 +410,50 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// crash rewinds the file to the acknowledged watermark and, half the
-// time there is an unacknowledged block, leaves a torn prefix of it —
-// exactly what a mid-row power cut leaves on real media.
+// crash keeps the file up to the acknowledged watermark and lands every
+// block appended since as a page cache may have written it back when
+// the power went: each one independently whole, as zeros (it never
+// reached the disk), as garbage, or torn (a prefix of it, zeros
+// behind), whatever became of the blocks in front of it. The file then
+// ends after the last block that landed — mid-block if that one is
+// torn — or, half the time, after the last block appended, as when the
+// size update reached the disk and the data did not.
 func (l *Log) crash() {
 	if l.f == nil {
 		return
 	}
-	var torn []byte
-	if len(l.pending) > 0 && l.in.rand(classCrashTear)%2 == 0 {
-		torn = l.pending[0]
+	roll := l.in.rand(classCrashLogSuffix)
+	landed := make([][]byte, len(l.pending))
+	var torn uint64
+	damaged, reordered := false, false
+	for i, raw := range l.pending {
+		r := splitmix64(roll + uint64(i) + 1)
+		switch r % 4 {
+		case 0:
+			landed[i] = raw
+		case 1: // zeros: nothing written
+		case 2:
+			landed[i] = make([]byte, len(raw))
+			for j, b := range raw {
+				landed[i][j] = b ^ 0xA5 // every byte differs from the block's
+			}
+		case 3:
+			n := 1 + (r>>2)%uint64(len(raw)-1)
+			landed[i] = raw[:n:n]
+			torn++
+		}
+		reordered = reordered || damaged && len(landed[i]) > 0
+		damaged = damaged || r%4 != 0
 	}
-	if err := l.f.Truncate(l.durable); err != nil {
+	if n := len(landed); n > 0 && roll%2 == 0 {
+		landed[n-1] = append(landed[n-1], make([]byte, undolog.BlockBytes-len(landed[n-1]))...)
+	}
+	if l.f.LandUnsynced(l.durable, landed) != nil {
 		return
 	}
-	if len(torn) > 1 {
-		n := 1 + int(l.in.rand(classCrashTearLen)%uint64(len(torn)-1))
-		if l.f.TearTail(torn, n) == nil {
-			l.in.counts.TornAppends++
-		}
+	l.in.counts.TornAppends += torn
+	if reordered {
+		l.in.counts.LogReorders++
 	}
 }
 

@@ -187,11 +187,30 @@ func (lf *File) TearTail(raw []byte, n int) error {
 	return lf.f.Sync()
 }
 
+// LandUnsynced simulates what a power cut leaves of the blocks appended
+// after the last sync: the file is cut back to n total blocks, then
+// landed[i] is written where block n+i went — a short slice is a torn
+// block, an empty one never reached the disk (zeros, if anything landed
+// behind it) — and forced to media. The logical count becomes n. Fault
+// injection only (internal/storage/fault).
+func (lf *File) LandUnsynced(n uint64, landed [][]byte) error {
+	if err := lf.Truncate(n); err != nil {
+		return err
+	}
+	off := undolog.SuperBytes + int64(n-lf.super.Start)*undolog.BlockBytes
+	for i, b := range landed {
+		if _, err := lf.f.WriteAt(b, off+int64(i)*undolog.BlockBytes); err != nil {
+			return err
+		}
+	}
+	return lf.f.Sync()
+}
+
 // RotBit flips a single bit inside stored block b (absolute numbering,
 // as Blocks counts) and forces it to media — simulated media rot. Fault
-// injection only; the injector targets cold non-final blocks so the
-// corruption must be detected by recovery rather than silently repaired
-// as a torn tail.
+// injection only; the injector targets blocks of the prefix the last
+// commit names, so the corruption must be detected by recovery rather
+// than dropped with the unsynced blocks behind it.
 func (lf *File) RotBit(block, bit uint64) error {
 	if block < lf.super.Start || block >= lf.blocks {
 		return fmt.Errorf("storage: rot of block %d outside stored range [%d, %d)",

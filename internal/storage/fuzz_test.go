@@ -12,16 +12,17 @@ import (
 )
 
 // sealedImage is the fuzz oracle, written record by record: raw parsed
-// as the header and whole sealed batches, the image they replay to and
-// the last commit's epoch. ok is false if raw is anything else.
-func sealedImage(raw []byte) (img *mem.Image, e mem.EpochID, ok bool) {
+// as the version-4 header and whole sealed batches, the image they
+// replay to, and the last commit record. ok is false if raw is anything
+// else.
+func sealedImage(raw []byte) (img *mem.Image, last commitRec, ok bool) {
 	img = mem.NewImage()
 	if len(raw) == 0 {
-		return img, 0, true
+		return img, last, true
 	}
-	if len(raw) < imageHeaderBytes || !bytes.Equal(raw[:imageHeaderBytes], imageHeader[:]) ||
+	if len(raw) < imageHeaderBytes || !bytes.Equal(raw[:imageHeaderBytes], []byte{'P', 'C', 'L', 'I', 4, 0, 0, 0}) ||
 		(len(raw)-imageHeaderBytes)%imageRecBytes != 0 {
-		return nil, 0, false
+		return nil, last, false
 	}
 	var batch []lineWrite
 	start := imageHeaderBytes
@@ -31,32 +32,36 @@ func sealedImage(raw []byte) (img *mem.Image, e mem.EpochID, ok bool) {
 			batch = append(batch, lineWrite{l, w})
 			continue
 		}
-		ce, n, sum, ok := decodeCommitRecord(rec)
-		if !ok || n != int64(len(batch)) || sum != crc32.Checksum(raw[start:at], castagnoli) {
-			return nil, 0, false
+		c, ok := decodeCommitRecord(rec)
+		if !ok || c.count != int64(len(batch)) || c.sum != crc32.Checksum(raw[start:at], castagnoli) {
+			return nil, last, false
 		}
 		for _, x := range batch {
 			img.Write(x.l, x.w)
 		}
-		batch, start, e = batch[:0], at+imageRecBytes, ce
+		batch, start, last = batch[:0], at+imageRecBytes, c
 	}
-	return img, e, len(batch) == 0
+	return img, last, len(batch) == 0
 }
 
 // FuzzOpenImage: for arbitrary image.dat bytes, OpenImage, Load and the
 // marker's Get never panic, and either fail with ErrCorruptImage or
 // keep a prefix of the bytes made only of sealed batches, dropping the
 // rest as a torn batch: Load returns exactly what those batches replay
-// to, and Get the last one's epoch.
+// to, Get the last one's epoch and LogBlocks the log prefix it names.
 func FuzzOpenImage(f *testing.F) {
 	im := &ImageFile{}
 	im.WriteLine(1, 11)
 	im.WriteLine(2, 22)
+	im.syncedLog = 3
 	one := bytes.Clone(im.batch(4))
 	im.size = int64(len(one))
 	im.staged = im.staged[:0]
 	im.WriteLine(1, 33)
+	im.syncedLog = 7
 	two := append(bytes.Clone(one), im.batch(5)...)
+	v3 := bytes.Clone(two) // the same bytes under the version-3 header
+	v3[4] = 3
 	f.Add([]byte{})
 	f.Add(imageHeader[:])
 	f.Add(imageHeader[:5])
@@ -69,6 +74,7 @@ func FuzzOpenImage(f *testing.F) {
 	rot[imageHeaderBytes+3] ^= 0x10 // rot in the older batch
 	f.Add(rot)
 	f.Add([]byte{'P', 'C', 'L', 'I', 2, 0, 0, 0})
+	f.Add(v3)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		path := filepath.Join(t.TempDir(), ImageFileName)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -101,12 +107,13 @@ func FuzzOpenImage(f *testing.F) {
 			t.Fatalf("open kept %d of %d bytes and reports %d torn, want a prefix and the rest torn",
 				len(kept), len(raw), im.TornBytes())
 		}
-		want, we, ok := sealedImage(kept)
+		want, last, ok := sealedImage(kept)
 		if !ok {
 			t.Fatalf("load accepted %x, which is not whole sealed batches", kept)
 		}
-		if !img.Equal(want) || e != we {
-			t.Fatalf("load returned epoch %d and %v, the sealed batches hold epoch %d", e, img.Diff(want, 5), we)
+		if !img.Equal(want) || e != last.epoch || im.LogBlocks() != last.logBlocks {
+			t.Fatalf("load returned epoch %d, log prefix %d and %v, the sealed batches hold epoch %d naming %d blocks",
+				e, im.LogBlocks(), img.Diff(want, 5), last.epoch, last.logBlocks)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"picl/internal/mem"
@@ -16,20 +17,22 @@ import (
 // appended one commit at a time. A line record is the line address
 // (u64), its word (u64), the CRC32C of those 16 bytes (u32) and 4 zero
 // bytes. A commit record seals the line records between it and the
-// previous commit record, its batch: the epoch it persists (u64), the
-// batch's record count (u32), the CRC32C of the batch's bytes (u32),
-// the CRC32C of those 16 bytes (u32), and commitTag where a line record
-// holds zeros.
+// previous commit record, its batch: the epoch it persists (u32), the
+// undo-log block count recovery at that epoch reads (u32), the batch's
+// record count (u32), the CRC32C of the batch's bytes (u32), the CRC32C
+// of those 16 bytes (u32), and commitTag where a line record holds
+// zeros.
 const (
 	imageHeaderBytes = 8
 	imageRecBytes    = 24
 )
 
 // imageHeader opens every non-empty image file: the magic "PCLI" and
-// format version 3. Version 1 (bare 16-byte records, no header) and
-// version 2 (line records with no commit records) are refused, never
-// misread.
-var imageHeader = [imageHeaderBytes]byte{'P', 'C', 'L', 'I', 3, 0, 0, 0}
+// format version 4. Version 1 (bare 16-byte records, no header),
+// version 2 (line records with no commit records) and version 3 (commit
+// records with a 64-bit epoch and no log block count) are refused,
+// never misread.
+var imageHeader = [imageHeaderBytes]byte{'P', 'C', 'L', 'I', 4, 0, 0, 0}
 
 // commitTag marks a commit record: "SEAL", 12 bits away from the zeros
 // every line record carries in the same place.
@@ -57,10 +60,10 @@ var ErrCorruptImage = errors.New("storage: corrupt image file")
 // the commit record sealing it, with one positional write at the tail
 // and one fsync, the sequential row-sized write discipline the undo log
 // already follows. The last sealed commit record is the persisted-epoch
-// marker. Load replays the records in file order, so a line's last
-// record wins. The file grows by one record per line written back, and
-// one per commit, until Dir.Reset compacts it to one record per live
-// line.
+// marker, and names the undo-log prefix recovery at its epoch reads.
+// Load replays the records in file order, so a line's last record wins.
+// The file grows by one record per line written back, and one per
+// commit, until Dir.Reset compacts it to one record per live line.
 //
 // A crash can leave only a torn batch: whatever follows the last commit
 // record whose batch validates, in any order the page cache wrote it
@@ -73,6 +76,11 @@ type ImageFile struct {
 	staged []byte      // line records staged since the last commit
 	torn   uint64      // torn batch bytes dropped at open
 	epoch  mem.EpochID // the last sealed commit's epoch (0 before the first commit)
+	// sealedLog is the undo-log block count the last sealed commit
+	// names; syncedLog is the count the next commit names: the log's
+	// count at its last successful sync (Dir.PersistMarker raises it),
+	// sealedLog until then.
+	sealedLog, syncedLog uint64
 }
 
 // OpenImage opens (creating if absent) a durable image file and drops a
@@ -92,6 +100,7 @@ func OpenImage(path string) (*ImageFile, error) {
 	}
 	im := &ImageFile{f: f}
 	err = im.findSealed(fi.Size())
+	im.syncedLog = im.sealedLog
 	if err == nil && im.size < fi.Size() {
 		im.torn = uint64(fi.Size() - im.size)
 		if err = f.Truncate(im.size); err == nil {
@@ -107,7 +116,8 @@ func OpenImage(path string) (*ImageFile, error) {
 
 // findSealed checks the header of a file of n bytes and scans back from
 // its final whole record for the last commit record whose batch
-// validates, leaving size and epoch at it (size 0 if there is none).
+// validates, leaving size, epoch and sealedLog at it (size 0 if there
+// is none).
 // Only that tail is read: the records in front of the batch are checked
 // by Load.
 func (im *ImageFile) findSealed(n int64) error {
@@ -127,17 +137,17 @@ func (im *ImageFile) findSealed(n int64) error {
 		if _, err := im.f.ReadAt(rec[:], at); err != nil {
 			return err
 		}
-		e, count, sum, ok := decodeCommitRecord(rec[:])
-		if !ok || count > (at-imageHeaderBytes)/imageRecBytes {
+		c, ok := decodeCommitRecord(rec[:])
+		if !ok || c.count > (at-imageHeaderBytes)/imageRecBytes {
 			continue
 		}
-		start := at - count*imageRecBytes
+		start := at - c.count*imageRecBytes
 		h := crc32.New(castagnoli)
 		if _, err := io.Copy(h, io.NewSectionReader(im.f, start, at-start)); err != nil {
 			return err
 		}
-		if h.Sum32() == sum {
-			im.size, im.epoch = at+imageRecBytes, e
+		if h.Sum32() == c.sum {
+			im.size, im.epoch, im.sealedLog = at+imageRecBytes, c.epoch, c.logBlocks
 			return nil
 		}
 	}
@@ -161,23 +171,38 @@ func decodeImageRecord(rec []byte) (mem.LineAddr, mem.Word, bool) {
 	return mem.LineAddr(binary.LittleEndian.Uint64(rec[0:8])), mem.Word(binary.LittleEndian.Uint64(rec[8:16])), ok
 }
 
-// appendCommitRecord appends the record sealing a batch of count line
-// records whose bytes have CRC32C sum, as epoch e.
-func appendCommitRecord(b []byte, e mem.EpochID, count int64, sum uint32) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(e))
-	b = binary.LittleEndian.AppendUint32(b, uint32(count))
-	b = binary.LittleEndian.AppendUint32(b, sum)
+// commitRec is a decoded commit record: it seals the count line
+// records in front of it, whose bytes have CRC32C sum, as epoch, and
+// names the undo-log prefix of logBlocks blocks that recovery at epoch
+// reads.
+type commitRec struct {
+	epoch     mem.EpochID
+	logBlocks uint64
+	count     int64
+	sum       uint32
+}
+
+// appendCommitRecord appends the encoding of c to b.
+func appendCommitRecord(b []byte, c commitRec) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(c.epoch))
+	b = binary.LittleEndian.AppendUint32(b, uint32(c.logBlocks))
+	b = binary.LittleEndian.AppendUint32(b, uint32(c.count))
+	b = binary.LittleEndian.AppendUint32(b, c.sum)
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(b)-16:], castagnoli))
 	return binary.LittleEndian.AppendUint32(b, commitTag)
 }
 
 // decodeCommitRecord decodes one commit record and reports whether it
 // is one: its tag is commitTag and its CRC matches.
-func decodeCommitRecord(rec []byte) (e mem.EpochID, count int64, sum uint32, ok bool) {
-	ok = binary.LittleEndian.Uint32(rec[20:24]) == commitTag &&
+func decodeCommitRecord(rec []byte) (commitRec, bool) {
+	ok := binary.LittleEndian.Uint32(rec[20:24]) == commitTag &&
 		crc32.Checksum(rec[0:16], castagnoli) == binary.LittleEndian.Uint32(rec[16:20])
-	return mem.EpochID(binary.LittleEndian.Uint64(rec[0:8])), int64(binary.LittleEndian.Uint32(rec[8:12])),
-		binary.LittleEndian.Uint32(rec[12:16]), ok
+	return commitRec{
+		epoch:     mem.EpochID(binary.LittleEndian.Uint32(rec[0:4])),
+		logBlocks: uint64(binary.LittleEndian.Uint32(rec[4:8])),
+		count:     int64(binary.LittleEndian.Uint32(rec[8:12])),
+		sum:       binary.LittleEndian.Uint32(rec[12:16]),
+	}, ok
 }
 
 // WriteLine stages the record of one in-place line write for the next
@@ -194,10 +219,15 @@ func (im *ImageFile) Sync() error { return nil }
 
 // batch returns the bytes the next commit appends for epoch e: the
 // header when the file is empty, every staged record, and the commit
-// record sealing them. It may write into the staging buffer's spare
-// capacity, never into its records.
+// record sealing them and naming syncedLog. It may write into the
+// staging buffer's spare capacity, never into its records.
 func (im *ImageFile) batch(e mem.EpochID) []byte {
-	buf := appendCommitRecord(im.staged, e, int64(len(im.staged))/imageRecBytes, crc32.Checksum(im.staged, castagnoli))
+	buf := appendCommitRecord(im.staged, commitRec{
+		epoch:     e,
+		logBlocks: im.syncedLog,
+		count:     int64(len(im.staged)) / imageRecBytes,
+		sum:       crc32.Checksum(im.staged, castagnoli),
+	})
 	if im.size == 0 {
 		buf = append(imageHeader[:], buf...)
 	}
@@ -209,6 +239,10 @@ func (im *ImageFile) batch(e mem.EpochID) []byte {
 // and fsyncs. A failed commit keeps the records staged and the tail
 // where it was, so a retry writes the same bytes again.
 func (im *ImageFile) commit(e mem.EpochID) error {
+	if uint64(e) > math.MaxUint32 || im.syncedLog > math.MaxUint32 {
+		return fmt.Errorf("storage: epoch %d or log block count %d does not fit the version-%d commit record",
+			e, im.syncedLog, imageHeader[4])
+	}
 	buf := im.batch(e)
 	if _, err := im.f.WriteAt(buf, im.size); err != nil {
 		return err
@@ -217,10 +251,15 @@ func (im *ImageFile) commit(e mem.EpochID) error {
 		return err
 	}
 	im.size += int64(len(buf))
-	im.epoch = e
+	im.epoch, im.sealedLog = e, im.syncedLog
 	im.staged = im.staged[:0]
 	return nil
 }
+
+// LogBlocks reports the undo-log block count the last sealed commit
+// names (0 for an image with none): recovery at the marker reads the
+// log up to there and drops the rest.
+func (im *ImageFile) LogBlocks() uint64 { return im.sealedLog }
 
 // Load replays the file's sealed batches into a functional memory
 // image, in file order, so a line's last record wins; staged records
@@ -251,15 +290,15 @@ func (im *ImageFile) Load() (*mem.Image, error) {
 				continue
 			}
 			at := off + int64(i)
-			e, n, want, ok := decodeCommitRecord(rec)
+			c, ok := decodeCommitRecord(rec)
 			if !ok {
 				return nil, fmt.Errorf("%w: the record at byte %d fails validation with a sealed batch behind it (media rot, not a torn batch)",
 					ErrCorruptImage, at)
 			}
 			sum = crc32.Update(sum, castagnoli, chunk[run:i])
-			if n != count || want != sum {
+			if c.count != count || c.sum != sum {
 				return nil, fmt.Errorf("%w: the commit record of epoch %d at byte %d seals %d records with CRC %#x, its batch holds %d with CRC %#x (media rot, not a torn batch)",
-					ErrCorruptImage, e, at, n, want, count, sum)
+					ErrCorruptImage, c.epoch, at, c.count, c.sum, count, sum)
 			}
 			sum, count, run = 0, 0, i+imageRecBytes
 		}
@@ -335,8 +374,8 @@ func (im *ImageFile) RotBit(bit uint64) error {
 		if _, err := im.f.ReadAt(rec[:], im.size-imageRecBytes); err != nil {
 			return err
 		}
-		_, count, _, _ := decodeCommitRecord(rec[:])
-		n = im.size - imageRecBytes - count*imageRecBytes - imageHeaderBytes
+		c, _ := decodeCommitRecord(rec[:])
+		n = im.size - imageRecBytes - c.count*imageRecBytes - imageHeaderBytes
 	}
 	if n == 0 {
 		return fmt.Errorf("storage: image rot needs a record with a sealed batch behind it, the file has none")
@@ -363,7 +402,8 @@ func (im *ImageFile) Close() error { return im.f.Close() }
 // it is the image log's last sealed commit record, so advancing it and
 // making the image writes it covers durable are one append. Set appends
 // the staged line records and the commit record sealing them as epoch
-// e, with one positional write and one fsync; a crash tears only that
+// e, naming the log prefix synced last (Dir.PersistMarker raises it),
+// with one positional write and one fsync; a crash tears only that
 // batch, which OpenImage drops, so Get finds the last completed Set.
 type Marker struct {
 	im   *ImageFile

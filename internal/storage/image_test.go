@@ -300,6 +300,10 @@ func TestImageLegacyRefused(t *testing.T) {
 		}
 		legacy[fmt.Sprintf("%d version-1 records", n)] = v1
 		legacy[fmt.Sprintf("%d version-2 records", n)] = v2
+		im := &ImageFile{staged: v2[imageHeaderBytes:]}
+		v3 := im.batch(5)
+		v3[4] = 3 // a sealed batch under the version-3 header
+		legacy[fmt.Sprintf("%d version-3 records", n)] = v3
 	}
 	for name, raw := range legacy {
 		path := filepath.Join(dir, "legacy.dat")
@@ -336,6 +340,39 @@ func TestImageLegacyRefused(t *testing.T) {
 	}
 	if _, err := OpenImage(path); !errors.Is(err, ErrCorruptImage) {
 		t.Fatalf("3 junk bytes: open = %v, want ErrCorruptImage", err)
+	}
+}
+
+// TestCommitRecordOverflow: a commit whose epoch or named log block
+// count does not fit the commit record's 32 bits fails without writing,
+// rather than wrapping; the staged records wait for the next commit.
+func TestCommitRecordOverflow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), ImageFileName)
+	im, err := OpenImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer im.Close()
+	if err := im.WriteLine(1, 11); err != nil {
+		t.Fatal(err)
+	}
+	if err := im.commit(1 << 32); err == nil {
+		t.Fatal("commit of epoch 2^32 succeeded")
+	}
+	im.syncedLog = 1 << 32
+	if err := im.commit(1); err == nil {
+		t.Fatal("commit naming 2^32 log blocks succeeded")
+	}
+	if fileSize(t, path) != 0 {
+		t.Fatal("a refused commit wrote to the file")
+	}
+	im.syncedLog = 7
+	if err := im.commit(1); err != nil {
+		t.Fatal(err)
+	}
+	if im.LogBlocks() != 7 || fileSize(t, path) != imageHeaderBytes+2*imageRecBytes {
+		t.Fatalf("commit names %d log blocks in a %d-byte file, want 7 in %d",
+			im.LogBlocks(), fileSize(t, path), imageHeaderBytes+2*imageRecBytes)
 	}
 }
 
@@ -484,11 +521,11 @@ func TestResetWritesImageFormat(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatalf("compacted records differ: %v", got.Diff(want, 5))
 	}
-	seals := appendCommitRecord(nil, 7, 10, crc32.Checksum(recs, castagnoli))
-	seals = appendCommitRecord(seals, 0, 0, 0)
-	seals = appendCommitRecord(seals, 0, 0, 0)
+	seals := appendCommitRecord(nil, commitRec{epoch: 7, count: 10, sum: crc32.Checksum(recs, castagnoli)})
+	seals = appendCommitRecord(seals, commitRec{})
+	seals = appendCommitRecord(seals, commitRec{})
 	if !bytes.Equal(raw[len(raw)-len(seals):], seals) {
-		t.Fatalf("compacted image ends %x, want epoch 7 sealing the records, then epoch 0 twice", raw[len(raw)-len(seals):])
+		t.Fatalf("compacted image ends %x, want epoch 7 sealing the records, then epoch 0 twice, all naming an empty log", raw[len(raw)-len(seals):])
 	}
 	if err := d.Img.WriteLine(3, 99); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -146,8 +145,9 @@ func TestMarkerRejectsInvalid(t *testing.T) {
 // reseal rewrites a commit record in place with another count and batch
 // CRC, with a valid record CRC of its own.
 func reseal(rec []byte, count uint32, sum uint32) {
-	e := mem.EpochID(binary.LittleEndian.Uint64(rec[0:8]))
-	copy(rec, appendCommitRecord(nil, e, int64(count), sum))
+	c, _ := decodeCommitRecord(rec)
+	c.count, c.sum = int64(count), sum
+	copy(rec, appendCommitRecord(nil, c))
 }
 
 // TestMarkerCreationCrash: a crash during the first commit on an empty

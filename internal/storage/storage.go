@@ -16,7 +16,8 @@
 //     log bytes is agnostic to which backend produced them.
 //   - File stores the same bytes in a real file, one sequential 2 KB
 //     block write per append (cf. pmembench's LogWriterZeroCached
-//     staging/flush discipline), made durable by fsync in Sync.
+//     staging/flush discipline), made durable by fsync in Sync, which
+//     only the commits that need it call.
 //
 // # Ordering contract
 //
@@ -24,55 +25,64 @@
 // three ordering rules, enforced by the callers in internal/core:
 //
 //  1. Write-ahead logging: an undo block covering a line must be
-//     appended AND synced before any in-place write to that line is
+//     appended to the log before any in-place write to that line is
 //     staged in the image file. (The core's bloom-filter dependency
-//     check flushes the staging buffer first; the mirror syncs inside
-//     that flush.) A staged write reaches the file only in the next
-//     commit, later still.
+//     check flushes the staging buffer first.) The append is not
+//     synced: a staged write reaches the file only in a commit, and the
+//     commit that needs the block syncs the log first (rule 2).
 //  2. Commit ordering: the commit that advances the persisted-epoch
-//     marker to epoch E follows a sync of the log, and carries every
-//     in-place write of epochs <= E staged since the previous commit in
-//     its own append: the staged line records, then one commit record
-//     sealing them (their count and CRC32C) as epoch E. Nothing else
-//     writes image records, so every record on file is sealed or torn.
+//     marker to epoch E carries every in-place write staged since the
+//     previous commit in its own append — the staged line records, then
+//     one commit record sealing them (their count and CRC32C) as epoch
+//     E — and names the undo-log prefix recovery at E reads: the log's
+//     block count at its last sync. An ACS-gap commit
+//     (Dir.PersistMarker) syncs the log first, since its batch can hold
+//     writes of epochs after E whose undo entries recovery applies. The
+//     bulk ACS's commit (Dir.PersistBulk) does not: every line then
+//     holds its newest value of an epoch <= E and every undo entry
+//     logged ends at or before E, so recovery at E applies none. Nothing
+//     else writes image records, so every record on file is sealed or
+//     torn.
 //  3. Commit in place: Marker.Set appends that batch to the open image
 //     file with one positional write and one fsync — no temp file,
 //     rename or directory fsync on the commit path, and never a write
 //     below the last sealed commit. Files replaced whole (Reset's image
 //     compaction) go through write-temp + fsync + rename + directory
-//     fsync; Reset seals the compaction under the recovered epoch, and
-//     fsyncs the directory after recreating the log before it seals
-//     epoch 0, twice.
+//     fsync; Reset seals the compaction under the recovered epoch
+//     naming an empty log prefix, and fsyncs the directory after
+//     recreating the log before it seals epoch 0, twice.
 //
-// # Torn batches and rot
+// # Torn data and rot
 //
-// A crash can tear the final log block (partial write) or the image's
-// in-flight commit batch — in order, or out of it, since a page cache
-// may write an append's later pages back before its earlier ones. Both
-// are survivable by construction: a torn log block is dropped by
-// undolog.ReadLog's CRC scan, and the in-place writes it would have
-// covered were never issued (rule 1), so recovery does not need its
-// entries. OpenImage keeps the image up to the last commit record whose
-// batch validates and drops the rest as a torn batch: whatever of an
-// interrupted append landed, in whatever order, its commit record
+// A crash can leave the log's unsynced blocks — everything past the
+// count of its last sync — in any shape: each one whole, zeros,
+// garbage or torn, in any order, since a page cache writes unsynced
+// pages back as it likes; and it can tear the image's in-flight commit
+// batch, in order or out of it. Both are survivable by construction.
+// Dir.Recover reads the log only up to the prefix the last sealed
+// commit names and drops the rest, whatever its shape: no commit
+// needed it. OpenImage keeps the image up to the last commit record
+// whose batch validates and drops the rest as a torn batch: whatever of
+// an interrupted append landed, in whatever order, its commit record
 // cannot seal it. Every record of that batch belongs to writes after
-// the last marker, covered by synced undo entries (rules 1 and 2), so
-// recovery's backward undo scan overwrites the lines whether their
-// records survived whole, torn or not at all.
+// the last marker, so recovery's backward undo scan over the named
+// prefix overwrites the lines whether their records survived whole,
+// torn or not at all.
 //
-// Rot is not a tear. An invalid image record or batch with a sealed
-// batch behind it, like an invalid log block with blocks behind it,
-// cannot be an interrupted append — appends are sequential and only the
-// last can be in flight — and is a hard error (ErrCorruptImage,
-// undolog.ErrCorruptBlock), never a silently older line. Rot in the
-// final batch, its commit record included, reads as a torn batch: it is
-// indistinguishable from an interrupted write of it. Recovery then
-// lands one commit back, which is still a consistent checkpoint: the
-// log was synced before that final commit, so its undo entries roll
-// every line the dropped batch wrote back to the previous commit. Rot
-// in the final block of the log reads as a torn tail the same way. A
-// corrupt superblock, or an image without this format's header (the
-// older layouts included), is likewise unrecoverable.
+// Rot is not a tear. Every block of the named prefix was synced before
+// its commit sealed, so a block of it that fails validation, or is
+// missing, is rot (undolog.ErrCorruptBlock), never dropped. An invalid
+// image record or batch with a sealed batch behind it cannot be an
+// interrupted append either — appends are sequential and only the last
+// can be in flight — and is a hard error (ErrCorruptImage), never a
+// silently older line. Rot in the final batch, its commit record
+// included, reads as a torn batch: it is indistinguishable from an
+// interrupted write of it. Recovery then lands one commit back, which
+// is still a consistent checkpoint: that commit names the log prefix
+// holding the undo entries for every line it sealed past its epoch, and
+// the later prefix still holds it whole. A corrupt
+// superblock, or an image without this format's header (the older
+// layouts included), is likewise unrecoverable.
 package storage
 
 import (

@@ -274,7 +274,10 @@ func TestDirRecoverCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Epoch 1 state: lines 1..8 hold epoch-1 payloads, persisted.
+	// Epoch 1 state: lines 1..8 hold epoch-1 payloads, persisted by an
+	// ACS-gap commit whose batch also carries epoch-2 overwrites of lines
+	// 1..4 (evicted early), covered by undo entries valid for epoch 1
+	// that the commit's log sync made durable.
 	want := mem.NewImage()
 	for i := 1; i <= 8; i++ {
 		w := mem.PayloadFor(mem.LineAddr(i), 1, 0)
@@ -283,12 +286,6 @@ func TestDirRecoverCycle(t *testing.T) {
 		}
 		want.Write(mem.LineAddr(i), w)
 	}
-	if err := d.PersistMarker(1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Epoch 2 in flight: lines 1..4 overwritten in place, covered by
-	// durable undo entries valid for epoch 1 — then the crash.
 	var entries []undolog.Entry
 	for i := 1; i <= 4; i++ {
 		entries = append(entries, undolog.Entry{
@@ -309,13 +306,22 @@ func TestDirRecoverCycle(t *testing.T) {
 	if err := d.Log.AppendBlock(raw); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Log.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	for i := 1; i <= 4; i++ {
 		if err := d.Img.WriteLine(mem.LineAddr(i), mem.PayloadFor(mem.LineAddr(i), 2, 0)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := d.PersistMarker(1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Epoch 2 goes on past the commit: a block appended after the log
+	// sync, which no commit names, and a write staged — then the crash.
+	if err := d.Log.AppendBlock(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Img.WriteLine(5, mem.PayloadFor(5, 2, 0)); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -325,7 +331,7 @@ func TestDirRecoverCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Marker != 1 || info.BlocksRead != 1 || info.Applied != 4 {
+	if info.Marker != 1 || info.BlocksRead != 1 || info.Applied != 4 || info.TornBytes != undolog.BlockBytes {
 		t.Fatalf("info = %+v", info)
 	}
 	if !img.Equal(want) {
@@ -620,6 +626,53 @@ func TestFileTearTail(t *testing.T) {
 	defer re.Close()
 	if re.Blocks() != 1 || re.TornBytes() != 100 {
 		t.Fatalf("reopen after tear: blocks=%d torn=%d, want 1 and 100", re.Blocks(), re.TornBytes())
+	}
+}
+
+// TestFileLandUnsynced: a cut lands the blocks past the durable count
+// as given — whole, absent (zeros behind a later block), or torn — and
+// the count falls back to it; the next open sees the whole blocks the
+// file holds and drops the partial tail.
+func TestFileLandUnsynced(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "undo.log")
+	lf, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := undolog.EncodeBlock(undolog.Block{
+		Entries:      []undolog.Entry{{Line: 1, ValidTill: 1, Old: 7}},
+		MaxValidTill: 1,
+	})
+	for range 4 {
+		if err := lf.AppendBlock(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lf.LandUnsynced(1, [][]byte{nil, raw, raw[:100]}); err != nil {
+		t.Fatal(err)
+	}
+	if lf.Blocks() != 1 {
+		t.Fatalf("count after the cut = %d, want 1", lf.Blocks())
+	}
+	if err := lf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(undolog.EncodeSuper(lf.Super()), raw...)
+	want = append(append(append(want, make([]byte, len(raw))...), raw...), raw[:100]...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the cut left %d bytes, want %d: the durable block, zeros, the block, a 100-byte tear", len(got), len(want))
+	}
+	re, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Blocks() != 3 || re.TornBytes() != 100 {
+		t.Fatalf("reopen: blocks=%d torn=%d, want 3 and 100", re.Blocks(), re.TornBytes())
 	}
 }
 

@@ -65,12 +65,14 @@ var (
 	// ErrNoTrace reports WriteTrace on a machine built without WithTracing.
 	ErrNoTrace = errors.New("picl: tracing not enabled")
 	// ErrBackend reports a durable-backend failure: a storage operation
-	// failed (Open, a mirror write, Close), a backend was combined with a
-	// scheme that cannot drive it, or the machine was used after Close.
+	// failed (Open, a mirror write, Close), Open was asked for a scheme
+	// that cannot drive a store, or the machine was used after Close.
 	ErrBackend = errors.New("picl: durable backend error")
-	// ErrTornLog reports a durable log whose superblock is torn or
-	// corrupt — unlike a torn tail block (repaired silently on open), the
-	// log cannot be interpreted at all.
+	// ErrTornLog reports a durable log recovery cannot trust: its
+	// superblock is torn or corrupt, or a block of the prefix the last
+	// commit names fails validation (media rot). Blocks past that prefix
+	// were never synced under a commit and are dropped silently on open,
+	// whatever their shape.
 	ErrTornLog = errors.New("picl: torn or corrupt durable log")
 )
 
@@ -96,7 +98,6 @@ type options struct {
 	hierarchy *cache.HierarchyConfig
 	geometry  *[3]LevelGeometry // retained for New's validation
 	traceCap  int
-	backend   Backend
 	wrapper   StoreWrapper
 }
 
@@ -196,7 +197,7 @@ type Machine struct {
 	closed  bool
 	ioQueue []pendingIO
 
-	// Durable-mode state (machines built with Open, or New+WithBackend).
+	// Durable-mode state (machines built with Open).
 	durable      *storage.Dir
 	durablePiCL  *core.PiCL
 	recoveredImg Image
@@ -239,12 +240,6 @@ func New(opts ...Option) (*Machine, error) {
 	scheme.Attach(hier)
 	m := &Machine{scheme: scheme, hier: hier, ctl: ctl}
 	m.durablePiCL, _ = scheme.(*core.PiCL)
-	if o.backend != nil {
-		if m.durablePiCL == nil {
-			return nil, fmt.Errorf("%w: scheme %q cannot drive a durable backend (need \"picl\")", ErrBackend, scheme.Name())
-		}
-		m.durablePiCL.SetLogSink(o.backend)
-	}
 	if o.traceCap > 0 {
 		m.ring = obs.NewRing(o.traceCap)
 		scheme.SetTracer(m.ring)
@@ -396,8 +391,10 @@ func (m *Machine) CrashAt(t uint64) {
 // Sync forcefully makes every committed epoch durable before returning.
 // Under PiCL this is the bulk-ACS extension (paper §IV-C): the current
 // epoch is force-ended and one scan pass persists everything, releasing
-// any buffered I/O writes. Stop-the-world schemes simply commit and
-// drain. Returns the number of cycles the sync cost.
+// any buffered I/O writes. On a machine built with Open it costs one
+// fsync, the commit's image append: recovery at the synced epoch needs
+// no undo entry, so the undo log is not synced. Stop-the-world schemes
+// simply commit and drain. Returns the number of cycles the sync cost.
 func (m *Machine) Sync() (uint64, error) {
 	if err := m.checkWritable(); err != nil {
 		return 0, err
