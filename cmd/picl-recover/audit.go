@@ -1,10 +1,11 @@
 package main
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"os"
 
+	"picl/internal/mem"
 	"picl/internal/storage"
 	"picl/internal/undolog"
 )
@@ -47,30 +48,31 @@ func auditStore(dir string) int {
 		fmt.Printf("  VIOLATION: "+format+"\n", args...)
 	}
 
-	// Structural invariants of the log the recovery scan relies on.
-	raw, err := d.Log.ReadAll()
-	if err != nil {
-		fail("log unreadable: %v", err)
-	} else {
-		l, _, err := undolog.ReadLog(bytes.NewReader(raw), 0)
-		if err != nil {
-			fail("log reparse: %v", err)
-		} else {
-			if err := l.CheckOrdered(); err != nil {
-				fail("%v", err)
-			}
-			l.EachBlock(func(b undolog.Block) error {
-				for _, e := range b.Entries {
-					if !e.ValidFrom.Before(e.ValidTill) {
-						fail("entry for line %v has empty validity [%d,%d)", e.Line, e.ValidFrom, e.ValidTill)
-					}
-					if e.ValidTill.After(b.MaxValidTill) {
-						fail("entry for line %v outlives its block expiration (%d > %d)", e.Line, e.ValidTill, b.MaxValidTill)
-					}
-				}
-				return nil
-			})
+	// Structural invariants of the log the recovery scan relies on,
+	// checked over the recovered prefix one block at a time.
+	var prev mem.EpochID
+	ordered := true
+	err = d.EachBlock(func(b undolog.Block) error {
+		if ordered && b.MaxValidTill.Before(prev) {
+			ordered = false
+			fail("undolog: block expiration tags out of order")
 		}
+		prev = b.MaxValidTill
+		for _, e := range b.Entries {
+			if !e.ValidFrom.Before(e.ValidTill) {
+				fail("entry for line %v has empty validity [%d,%d)", e.Line, e.ValidFrom, e.ValidTill)
+			}
+			if e.ValidTill.After(b.MaxValidTill) {
+				fail("entry for line %v outlives its block expiration (%d > %d)", e.Line, e.ValidTill, b.MaxValidTill)
+			}
+		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, undolog.ErrCorruptBlock):
+		fail("log reparse: %v", err)
+	case err != nil:
+		fail("log unreadable: %v", err)
 	}
 
 	if violations > 0 {

@@ -5,7 +5,10 @@
 // verification of crash recovery.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Line geometry. The paper's evaluated system uses 64-byte cache lines
 // throughout (the OpenPiton prototype tracks 16-byte sub-blocks; see
@@ -152,7 +155,11 @@ func PayloadFor(l LineAddr, e EpochID, seq uint64) Word {
 }
 
 // Image is a sparse line-granular memory image: the functional contents of
-// main memory (NVM). Lines never written remain at the zero Word.
+// main memory (NVM). Lines never written remain at the zero Word. The
+// image is a table of dense pages, LinesPerPage lines each: a page is
+// allocated when one of its lines first holds non-zero content and
+// dropped when its last one returns to zero, so a dense footprint costs
+// one word per line and no hashing per line.
 //
 // An Image can additionally record its own history (EnableHistory): each
 // write logs the line's pre-write content the first time the line changes
@@ -162,7 +169,8 @@ func PayloadFor(l LineAddr, e EpochID, seq uint64) Word {
 // O(total lines written) memory — the copy-on-write replacement for
 // cloning the full image at every snapshot point.
 type Image struct {
-	lines map[LineAddr]Word
+	pages map[PageAddr]*page
+	n     int // lines holding non-zero content
 
 	track bool
 	// cur holds the pre-write content of every line changed since the
@@ -173,24 +181,53 @@ type Image struct {
 	undo []map[LineAddr]Word
 }
 
+// page is one page of an image's lines and how many of them are
+// non-zero (never 0 for a page in the table).
+type page struct {
+	w [LinesPerPage]Word
+	n int
+}
+
 // NewImage returns an empty memory image.
-func NewImage() *Image { return &Image{lines: make(map[LineAddr]Word)} }
+func NewImage() *Image { return &Image{pages: make(map[PageAddr]*page)} }
 
 // Read returns the current content of line l (zero if never written).
-func (im *Image) Read(l LineAddr) Word { return im.lines[l] }
+func (im *Image) Read(l LineAddr) Word {
+	if p := im.pages[l.Page()]; p != nil {
+		return p.w[l%LinesPerPage]
+	}
+	return 0
+}
 
 // Write sets the content of line l.
 func (im *Image) Write(l LineAddr, w Word) {
 	if im.track {
 		if _, seen := im.cur[l]; !seen {
-			im.cur[l] = im.lines[l]
+			im.cur[l] = im.Read(l)
 		}
 	}
-	if w == 0 {
-		delete(im.lines, l)
-		return
+	k := l.Page()
+	p := im.pages[k]
+	if p == nil {
+		if w == 0 {
+			return
+		}
+		p = new(page)
+		im.pages[k] = p
 	}
-	im.lines[l] = w
+	old := p.w[l%LinesPerPage]
+	p.w[l%LinesPerPage] = w
+	switch {
+	case old == 0 && w != 0:
+		p.n++
+		im.n++
+	case old != 0 && w == 0:
+		p.n--
+		im.n--
+		if p.n == 0 {
+			delete(im.pages, k)
+		}
+	}
 }
 
 // EnableHistory starts history recording. The current state becomes
@@ -233,59 +270,87 @@ func (im *Image) At(k int) *Image {
 }
 
 // Len reports how many lines hold non-zero content.
-func (im *Image) Len() int { return len(im.lines) }
+func (im *Image) Len() int { return im.n }
 
-// Each calls fn for every line holding non-zero content, in unspecified
-// order. Callers that produce ordered or hashed output must sort; the
-// durable image serialization (internal/storage) is order-insensitive
-// by construction.
+// Each calls fn for every line holding non-zero content, in ascending
+// address order, so output built from it (the durable image's
+// compaction in internal/storage) is a function of the content alone.
 func (im *Image) Each(fn func(LineAddr, Word)) {
-	for l, w := range im.lines {
-		fn(l, w)
+	for _, k := range im.pageOrder(nil) {
+		first := k.FirstLine()
+		for i, w := range &im.pages[k].w {
+			if w != 0 {
+				fn(first+LineAddr(i), w)
+			}
+		}
 	}
 }
 
+// pageOrder returns the page numbers of im's table and of other's (nil
+// for none), ascending and each once.
+func (im *Image) pageOrder(other *Image) []PageAddr {
+	keys := make([]PageAddr, 0, len(im.pages))
+	for k := range im.pages {
+		keys = append(keys, k)
+	}
+	if other != nil {
+		for k := range other.pages {
+			if im.pages[k] == nil {
+				keys = append(keys, k)
+			}
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // Clone returns a deep copy of the image (used by the golden checker to
-// snapshot end-of-epoch states in small functional runs).
+// snapshot end-of-epoch states in small functional runs). Its pages are
+// allocated together in one slab.
 func (im *Image) Clone() *Image {
-	c := NewImage()
-	for l, w := range im.lines {
-		c.lines[l] = w
+	c := &Image{pages: make(map[PageAddr]*page, len(im.pages)), n: im.n}
+	slab := make([]page, len(im.pages))
+	i := 0
+	for k, p := range im.pages {
+		slab[i] = *p
+		c.pages[k] = &slab[i]
+		i++
 	}
 	return c
 }
 
 // Equal reports whether two images hold identical content.
 func (im *Image) Equal(other *Image) bool {
-	if len(im.lines) != len(other.lines) {
+	if im.n != other.n || len(im.pages) != len(other.pages) {
 		return false
 	}
-	for l, w := range im.lines {
-		if other.lines[l] != w {
+	for k, p := range im.pages {
+		if q := other.pages[k]; q == nil || q.w != p.w {
 			return false
 		}
 	}
 	return true
 }
 
-// Diff returns up to max lines on which the two images differ, for
-// diagnostic messages from the recovery checker.
+// Diff returns up to max lines on which the two images differ, in
+// ascending address order, for diagnostic messages from the recovery
+// checker.
 func (im *Image) Diff(other *Image, max int) []LineAddr {
 	var out []LineAddr
-	seen := make(map[LineAddr]bool)
-	for l, w := range im.lines {
-		if other.lines[l] != w {
-			out = append(out, l)
-			seen[l] = true
-			if len(out) >= max {
-				return out
-			}
+	var zero page
+	for _, k := range im.pageOrder(other) {
+		p, q := im.pages[k], other.pages[k]
+		if p == nil {
+			p = &zero
 		}
-	}
-	for l, w := range other.lines {
-		if !seen[l] && im.lines[l] != w {
-			out = append(out, l)
-			if len(out) >= max {
+		if q == nil {
+			q = &zero
+		}
+		for i := range p.w {
+			if p.w[i] == q.w[i] {
+				continue
+			}
+			if out = append(out, k.FirstLine()+LineAddr(i)); len(out) >= max {
 				return out
 			}
 		}

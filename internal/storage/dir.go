@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -84,8 +83,9 @@ type RecoverInfo struct {
 	// MarkerAt is the byte offset in the image file of the commit
 	// record the marker came from (0 for an image with none).
 	MarkerAt int64
-	// BlocksRead is how many log blocks were scanned in: the prefix the
-	// marker's commit record names.
+	// BlocksRead is the length of the log prefix the marker's commit
+	// record names: every block of it was validated, and the backward
+	// scan decoded the ones it reached.
 	BlocksRead int
 	// TornBytes is how many log bytes past that prefix were dropped:
 	// blocks appended after the last log sync, whether a crash left
@@ -95,20 +95,26 @@ type RecoverInfo struct {
 	// append the crash interrupted, or rot in the final batch — were
 	// discarded at open.
 	ImageTornBytes uint64
-	// Applied and Scanned report the backward undo scan's work.
+	// Applied and Scanned report the backward undo scan's work, counted
+	// as undolog.Log.ApplyTo counts them: the entries applied, and the
+	// blocks scanned in front of the block it stopped at.
 	Applied, Scanned int
 	// Lines is the recovered image's non-zero line count.
 	Lines int
 }
 
 // Recover rebuilds the consistent memory image from the directory's
-// durable state: read the marker, read the log prefix its commit record
-// names, load the image, scan the prefix backward applying every entry
-// covering the marker epoch (paper §IV-B, on real files), and drop the
-// log past the prefix. Every block of the prefix was synced before the
-// commit sealed, so a block of it that fails validation, or is missing,
-// is rot (undolog.ErrCorruptBlock); whatever lies past it was never
-// synced under any commit and is dropped, whatever its shape.
+// durable state (paper §IV-B, on real files): read the marker, validate
+// every block of the log prefix its commit record names, load the
+// image, scan the prefix backward from its end applying every entry
+// covering the marker epoch until the first block that expired at or
+// before it, and drop the log past the prefix. The log is read in
+// fixed-size chunks and decoded a block at a time, so recovery's memory
+// is bounded by the image, not by the log. Every block of the prefix
+// was synced before the commit sealed, so a block of it that fails
+// validation, or is missing, is rot (undolog.ErrCorruptBlock); whatever
+// lies past it was never synced under any commit and is dropped,
+// whatever its shape.
 func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 	if err := d.removeStaleTmp(); err != nil {
 		return nil, RecoverInfo{}, err
@@ -122,30 +128,24 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 		return nil, RecoverInfo{}, fmt.Errorf("%w: the marker's commit names a %d-block log prefix, the log holds blocks [%d, %d) (media rot, not an unsynced block)",
 			undolog.ErrCorruptBlock, named, start, have)
 	}
-	raw, err := d.Log.ReadAll()
-	if err != nil {
+	if err := checkLog(d.Log, start, named); err != nil {
 		return nil, RecoverInfo{}, err
-	}
-	l, read, err := undolog.ReadLog(bytes.NewReader(raw[:undolog.SuperBytes+(named-start)*undolog.BlockBytes]), 0)
-	if err != nil {
-		return nil, RecoverInfo{}, err
-	}
-	if start+uint64(read) < named {
-		return nil, RecoverInfo{}, fmt.Errorf("%w: block %d of the %d-block log prefix the marker's commit names fails validation (media rot, not an unsynced block)",
-			undolog.ErrCorruptBlock, start+uint64(read), named)
 	}
 	img, err := d.Img.Load()
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}
-	applied, scanned := l.ApplyTo(img, marker)
+	applied, scanned, err := applyLog(d.Log, start, named, img, marker)
+	if err != nil {
+		return nil, RecoverInfo{}, err
+	}
 	if err := d.Log.Truncate(named); err != nil {
 		return nil, RecoverInfo{}, err
 	}
 	return img, RecoverInfo{
 		Marker:         marker,
 		MarkerAt:       max(d.mk.im.size-imageRecBytes, 0),
-		BlocksRead:     read,
+		BlocksRead:     int(named - start),
 		TornBytes:      (have-named)*undolog.BlockBytes + d.Log.TornBytes(),
 		ImageTornBytes: d.mk.im.TornBytes(),
 		Applied:        applied,
@@ -260,7 +260,8 @@ func (d *Dir) Reset(img *mem.Image) error {
 
 // writeCompacted writes a one-batch image holding img, sealed as epoch
 // e and naming an empty log prefix, into the empty file f, and returns
-// it as an open image.
+// it as an open image. The records follow mem.Image.Each's ascending
+// line order, so the bytes are a function of img's content alone.
 func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID) (*ImageFile, error) {
 	if _, err := f.Write(imageHeader[:]); err != nil {
 		return nil, err

@@ -459,11 +459,12 @@ func (l *Log) crash() {
 
 // Pass-through reads and metadata.
 
-func (l *Log) Blocks() uint64           { return l.b.Blocks() }
-func (l *Log) ReadAll() ([]byte, error) { return l.b.ReadAll() }
-func (l *Log) Truncate(n uint64) error  { return l.b.Truncate(n) }
-func (l *Log) Super() undolog.Super     { return l.b.Super() }
-func (l *Log) TornBytes() uint64        { return l.b.TornBytes() }
+func (l *Log) Blocks() uint64                          { return l.b.Blocks() }
+func (l *Log) ReadAll() ([]byte, error)                { return l.b.ReadAll() }
+func (l *Log) ReadBlocks(first uint64, p []byte) error { return l.b.ReadBlocks(first, p) }
+func (l *Log) Truncate(n uint64) error                 { return l.b.Truncate(n) }
+func (l *Log) Super() undolog.Super                    { return l.b.Super() }
+func (l *Log) TornBytes() uint64                       { return l.b.TornBytes() }
 
 // Close releases the underlying store with no injection: after a power
 // cut the process still releases its descriptors, and recovery reopens

@@ -134,6 +134,18 @@ func (lf *File) ReadAll() ([]byte, error) {
 	return out, nil
 }
 
+// ReadBlocks implements LogStore: one positional read of the stored
+// blocks from block first on into p.
+func (lf *File) ReadBlocks(first uint64, p []byte) error {
+	n := uint64(len(p)) / undolog.BlockBytes
+	if uint64(len(p))%undolog.BlockBytes != 0 || first < lf.super.Start || first+n > lf.blocks {
+		return fmt.Errorf("storage: read of %d bytes at block %d, the log stores whole blocks [%d, %d)",
+			len(p), first, lf.super.Start, lf.blocks)
+	}
+	_, err := lf.f.ReadAt(p, undolog.SuperBytes+int64(first-lf.super.Start)*undolog.BlockBytes)
+	return err
+}
+
 // Truncate implements Backend: discard tail blocks so n total remain,
 // durably.
 func (lf *File) Truncate(n uint64) error {

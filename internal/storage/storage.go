@@ -61,7 +61,11 @@
 // batch, in order or out of it. Both are survivable by construction.
 // Dir.Recover reads the log only up to the prefix the last sealed
 // commit names and drops the rest, whatever its shape: no commit
-// needed it. OpenImage keeps the image up to the last commit record
+// needed it. It reads that prefix in fixed-size chunks, twice: it
+// validates every block of it without decoding entries, then scans it
+// backward from its end one block at a time, applying each until the
+// first that expired at or before the marker (paper §IV-B) — so its
+// memory is bounded by the image, not by the log. OpenImage keeps the image up to the last commit record
 // whose batch validates and drops the rest as a torn batch: whatever of
 // an interrupted append landed, in whatever order, its commit record
 // cannot seal it. Every record of that batch belongs to writes after
@@ -71,7 +75,9 @@
 //
 // Rot is not a tear. Every block of the named prefix was synced before
 // its commit sealed, so a block of it that fails validation, or is
-// missing, is rot (undolog.ErrCorruptBlock), never dropped. An invalid
+// missing, is rot (undolog.ErrCorruptBlock), never dropped — in front
+// of the block the backward scan stops at as much as behind it, which
+// is why the validation pass reads the whole prefix. An invalid
 // image record or batch with a sealed batch behind it cannot be an
 // interrupted append either — appends are sequential and only the last
 // can be in flight — and is a hard error (ErrCorruptImage), never a

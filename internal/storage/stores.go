@@ -15,12 +15,17 @@ import (
 var ErrPowerLost = errors.New("storage: simulated power loss")
 
 // LogStore is what a Dir needs from its undo-log component: the Backend
-// block operations plus the superblock geometry and torn-tail report
-// File provides. File implements it; fault wrappers decorate it.
+// block operations plus the superblock geometry, torn-tail report and
+// positional block reads File provides. File implements it; fault
+// wrappers decorate it.
 type LogStore interface {
 	Backend
 	Super() undolog.Super
 	TornBytes() uint64
+	// ReadBlocks fills p, a whole number of blocks long, with the
+	// stored blocks from block first on (absolute numbering, as Blocks
+	// counts).
+	ReadBlocks(first uint64, p []byte) error
 }
 
 // ImageStore is what a Dir needs from its image component — the durable

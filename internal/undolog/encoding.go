@@ -142,21 +142,31 @@ func EncodeBlock(b Block) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBlock parses a durable block, verifying magic and CRC.
-func DecodeBlock(raw []byte) (Block, error) {
+// CheckBlock validates a durable block — its size, magic, CRC and
+// entry count — without decoding its entries: what a block must pass
+// before recovery may trust the expiration tag and entries it carries.
+func CheckBlock(raw []byte) error {
 	if len(raw) != BlockBytes {
-		return Block{}, fmt.Errorf("undolog: block is %d bytes, want %d", len(raw), BlockBytes)
+		return fmt.Errorf("undolog: block is %d bytes, want %d", len(raw), BlockBytes)
 	}
 	if [4]byte(raw[0:4]) != blockMagic {
-		return Block{}, fmt.Errorf("%w: bad magic", ErrCorruptBlock)
+		return fmt.Errorf("%w: bad magic", ErrCorruptBlock)
 	}
 	if crc := crc32.Checksum(raw[:blockCRCOffset], castagnoli); crc != binary.LittleEndian.Uint32(raw[blockCRCOffset:]) {
-		return Block{}, fmt.Errorf("%w: CRC mismatch", ErrCorruptBlock)
+		return fmt.Errorf("%w: CRC mismatch", ErrCorruptBlock)
+	}
+	if n := binary.LittleEndian.Uint16(raw[4:6]); n > EntriesPerBlock {
+		return fmt.Errorf("%w: entry count %d", ErrCorruptBlock, n)
+	}
+	return nil
+}
+
+// DecodeBlock parses a durable block that passes CheckBlock.
+func DecodeBlock(raw []byte) (Block, error) {
+	if err := CheckBlock(raw); err != nil {
+		return Block{}, err
 	}
 	n := int(binary.LittleEndian.Uint16(raw[4:6]))
-	if n > EntriesPerBlock {
-		return Block{}, fmt.Errorf("%w: entry count %d", ErrCorruptBlock, n)
-	}
 	b := Block{MaxValidTill: mem.EpochID(binary.LittleEndian.Uint64(raw[8:16]))}
 	off := blockHeaderBytes
 	for i := 0; i < n; i++ {
@@ -226,10 +236,12 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 // not yet required by any persisted checkpoint). The superblock's start
 // index and region size are restored, so block numbering survives the
 // round trip even after garbage collection; regionBytes > 0 overrides
-// the recorded region size. An empty input is an empty log (a region
-// that was allocated but never written). It returns the log and how many
-// whole blocks were read; a corrupt superblock is a hard error
-// (ErrCorruptSuper, wrapped).
+// the recorded region size. Each block is kept as stored — its
+// expiration tag, the one recovery's early stop reads, and its entries,
+// an empty block included — so the log re-serializes to the same bytes.
+// An empty input is an empty log (a region that was allocated but never
+// written). It returns the log and how many whole blocks were read; a
+// corrupt superblock is a hard error (ErrCorruptSuper, wrapped).
 func ReadLog(r io.Reader, regionBytes uint64) (*Log, int, error) {
 	sraw := make([]byte, SuperBytes)
 	if _, err := io.ReadFull(r, sraw); err != nil {
@@ -281,7 +293,7 @@ func ReadLog(r io.Reader, regionBytes uint64) (*Log, int, error) {
 				"undolog: block %d fails validation with further data behind it (media rot, not a torn tail): %w",
 				l.start+uint64(read), err)
 		}
-		l.AppendBlock(b.Entries)
+		l.push(b)
 		read++
 	}
 }

@@ -2,7 +2,9 @@ package undolog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -89,6 +91,74 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	noMagic[0] = 'X'
 	if _, err := DecodeBlock(noMagic); err == nil {
 		t.Fatal("bad magic not detected")
+	}
+}
+
+// TestCheckBlock: the check-only validator accepts exactly what
+// DecodeBlock accepts, and every rejection is ErrCorruptBlock once the
+// size is right — an entry count past a block's capacity included,
+// even under a matching CRC.
+func TestCheckBlock(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	raw, err := EncodeBlock(Block{Entries: randomEntries(r, 5), MaxValidTill: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckBlock(raw); err != nil {
+		t.Fatalf("good block: %v", err)
+	}
+	if err := CheckBlock(raw[:100]); err == nil {
+		t.Fatal("short block passed")
+	}
+	flipped := bytes.Clone(raw)
+	flipped[100] ^= 1
+	noMagic := bytes.Clone(raw)
+	noMagic[0] = 'X'
+	overfull := bytes.Clone(raw)
+	overfull[4] = EntriesPerBlock + 1
+	binary.LittleEndian.PutUint32(overfull[blockCRCOffset:], crc32.Checksum(overfull[:blockCRCOffset], castagnoli))
+	for name, bad := range map[string][]byte{"bit flip": flipped, "bad magic": noMagic, "entry count": overfull} {
+		if err := CheckBlock(bad); !errors.Is(err, ErrCorruptBlock) {
+			t.Fatalf("%s: CheckBlock = %v, want ErrCorruptBlock", name, err)
+		}
+		if _, err := DecodeBlock(bad); !errors.Is(err, ErrCorruptBlock) {
+			t.Fatalf("%s: DecodeBlock = %v, want ErrCorruptBlock", name, err)
+		}
+	}
+}
+
+// TestReadLogKeepsStoredBlocks: ReadLog keeps each block as stored — an
+// expiration tag past its entries' and an empty block included — so
+// the recovery scan stops where the stored tags say and the log
+// re-serializes to the bytes it was read from.
+func TestReadLogKeepsStoredBlocks(t *testing.T) {
+	var region bytes.Buffer
+	region.Write(EncodeSuper(Super{Version: SuperVersion, RegionBytes: 1 << 20}))
+	for _, b := range []Block{
+		{Entries: []Entry{{Line: 1, ValidFrom: 0, ValidTill: 1, Old: 10}}, MaxValidTill: 3},
+		{MaxValidTill: 4},
+		{Entries: []Entry{{Line: 2, ValidFrom: 3, ValidTill: 5, Old: 20}}, MaxValidTill: 5},
+	} {
+		raw, err := EncodeBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		region.Write(raw)
+	}
+	l, read, err := ReadLog(bytes.NewReader(region.Bytes()), 0)
+	if err != nil || read != 3 || l.Blocks() != 3 {
+		t.Fatalf("read=%d blocks=%d err=%v, want 3 and 3", read, l.Blocks(), err)
+	}
+	var again bytes.Buffer
+	if _, err := l.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), region.Bytes()) {
+		t.Fatal("the log does not re-serialize to the bytes it was read from")
+	}
+	img := mem.NewImage()
+	if applied, scanned := l.ApplyTo(img, 2); applied != 0 || scanned != 3 {
+		t.Fatalf("recovery to epoch 2 applied %d over %d blocks, want 0 over 3 (the stored tags keep the scan going)", applied, scanned)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"picl/internal/mem"
 )
 
-// FuzzDecodeBlock ensures the durable-block parser never panics and never
+// FuzzDecodeBlock ensures the durable-block parser never panics, never
 // accepts a mutated block as valid unless the mutation left the CRC'd
-// region untouched.
+// region untouched, and accepts exactly what CheckBlock accepts.
 func FuzzDecodeBlock(f *testing.F) {
 	good, _ := EncodeBlock(Block{
 		Entries: []Entry{
@@ -23,6 +23,9 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		b, err := DecodeBlock(raw)
+		if cerr := CheckBlock(raw); (cerr == nil) != (err == nil) {
+			t.Fatalf("CheckBlock = %v, DecodeBlock = %v: the validator and the decoder disagree", cerr, err)
+		}
 		if err != nil {
 			return
 		}

@@ -113,7 +113,12 @@ func (l *Log) AppendBlock(entries []Entry) {
 		cp = make([]Entry, len(entries))
 	}
 	copy(cp, entries)
-	l.blocks = append(l.blocks, Block{Entries: cp, MaxValidTill: maxTill})
+	l.push(Block{Entries: cp, MaxValidTill: maxTill})
+}
+
+// push appends b as it is and accounts its 2 KB write.
+func (l *Log) push(b Block) {
+	l.blocks = append(l.blocks, b)
 	l.liveBytes += BlockBytes
 	l.totalBytes += BlockBytes
 	l.totalAppends++
@@ -174,27 +179,39 @@ func (l *Log) GC(persisted mem.EpochID) uint64 {
 }
 
 // ApplyTo patches image img back to the end-of-epoch state of persisted,
-// scanning blocks from the tail backward and entries within a block in
-// reverse, so the oldest entry for an address is applied last (it wins,
-// per the paper's recovery rule). The scan stops at the first block whose
-// MaxValidTill <= persisted — everything older is expired.
-// It returns the number of entries applied and blocks scanned.
+// scanning blocks from the tail backward with Block.Apply, and stopping
+// at the first block whose MaxValidTill <= persisted — everything older
+// is expired. It returns the number of entries applied and blocks
+// scanned (the stop block not included).
 func (l *Log) ApplyTo(img *mem.Image, persisted mem.EpochID) (applied, scanned int) {
 	for i := len(l.blocks) - 1; i >= 0; i-- {
-		b := &l.blocks[i]
-		if b.MaxValidTill.AtMost(persisted) {
+		n, stop := l.blocks[i].Apply(img, persisted)
+		if stop {
 			break
 		}
+		applied += n
 		scanned++
-		for j := len(b.Entries) - 1; j >= 0; j-- {
-			e := b.Entries[j]
-			if e.Covers(persisted) {
-				img.Write(e.Line, e.Old)
-				applied++
-			}
-		}
 	}
 	return applied, scanned
+}
+
+// Apply is one step of the backward recovery scan (paper §IV-B), shared
+// by Log.ApplyTo and the durable store's streamed scan: a block whose
+// expiration tag is at or before persisted ends the scan (stop), since
+// it and every block older than it are expired. Otherwise the block's
+// entries covering persisted are written to img in reverse, so the
+// oldest entry for an address, applied last, wins; it returns how many.
+func (b *Block) Apply(img *mem.Image, persisted mem.EpochID) (applied int, stop bool) {
+	if b.MaxValidTill.AtMost(persisted) {
+		return 0, true
+	}
+	for j := len(b.Entries) - 1; j >= 0; j-- {
+		if e := b.Entries[j]; e.Covers(persisted) {
+			img.Write(e.Line, e.Old)
+			applied++
+		}
+	}
+	return applied, false
 }
 
 // LiveBytes is the current durable log footprint.

@@ -152,6 +152,28 @@ func TestApplyToEarlyStop(t *testing.T) {
 	}
 }
 
+// TestBlockApply: one step of the backward scan applies a live block's
+// covering entries newest first, so its oldest entry for a line wins,
+// and reports a block expired at or before the target as the stop
+// without touching the image.
+func TestBlockApply(t *testing.T) {
+	b := Block{Entries: []Entry{
+		{Line: 7, ValidFrom: 1, ValidTill: 3, Old: 111},
+		{Line: 7, ValidFrom: 2, ValidTill: 4, Old: 222},
+		{Line: 8, ValidFrom: 3, ValidTill: 4, Old: 333}, // starts after epoch 2
+	}, MaxValidTill: 4}
+	img := mem.NewImage()
+	if applied, stop := b.Apply(img, 2); applied != 2 || stop {
+		t.Fatalf("Apply to epoch 2 = (%d, %v), want (2, false)", applied, stop)
+	}
+	if img.Read(7) != 111 || img.Read(8) != 0 {
+		t.Fatalf("line 7 = %d, line 8 = %d; want the oldest entry 111 and no write", img.Read(7), img.Read(8))
+	}
+	if applied, stop := b.Apply(img, 4); applied != 0 || !stop {
+		t.Fatalf("Apply to epoch 4 = (%d, %v), want the stop", applied, stop)
+	}
+}
+
 func TestTruncateTo(t *testing.T) {
 	l := NewLog(0)
 	for i := 1; i <= 4; i++ {
