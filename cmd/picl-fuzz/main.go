@@ -19,7 +19,9 @@
 //     power cuts and degradations must recover bit-exactly to the epoch
 //     the marker names, whatever shape the cut left the unsynced log
 //     blocks in; injected bit rot must surface as a hard corruption
-//     error, never pass silently; a torn commit append, in order or out
+//     error, never pass silently — a recovery that succeeds over a log
+//     prefix holding a rotted block fails the point; a torn commit
+//     append, in order or out
 //     of it, must recover the last completed commit; stale
 //     *.tmp files must be swept; and a degraded machine must keep
 //     serving reads and stats while writes fail (graceful degradation).
@@ -374,12 +376,8 @@ func runStoragePoint(dir string, seed uint64, gaps []int) (string, string, fault
 		}
 		return fmt.Sprintf("recovery error: %v (%v)", err, c), outcome, c
 	}
-	if c.RotBits > 0 && outcome != "degraded" {
-		// Rot with a successful recovery is only legal if flips cancelled
-		// out (same bit hit twice) — the bit-exact check below still
-		// applies. Under degradation the log may have frozen before the
-		// rotted block was covered by the marker scan; fall through.
-		_ = c
+	if blk, ok := undetectedRot(inj.LogRot(), uint64(info.BlocksRead)); ok {
+		return fmt.Sprintf("rot in block %d of the %d-block log prefix recovery read went undetected (%v)", blk, info.BlocksRead, c), outcome, c
 	}
 	if int(info.Marker) >= len(snaps) {
 		return fmt.Sprintf("marker %d but only %d epochs sealed (%v)", info.Marker, len(snaps)-1, c), outcome, c
@@ -392,4 +390,27 @@ func runStoragePoint(dir string, seed uint64, gaps []int) (string, string, fault
 		return fmt.Sprintf("stale tmp files survive recovery: %v", tmps), outcome, c
 	}
 	return "", outcome, c
+}
+
+// undetectedRot reports a block of the recovered log prefix [0, named)
+// that the injector left rotted — some bit of it flipped an odd number
+// of times — which a recovery that succeeded therefore failed to
+// report. Rot strikes only the prefix the last sealed commit names,
+// which no later commit shortens and no write lands in, so every such
+// block must fail validation, degraded runs included: a degraded
+// machine commits nothing more, and recovery reads the prefix of its
+// last commit.
+func undetectedRot(flips []fault.Flip, named uint64) (uint64, bool) {
+	odd := map[fault.Flip]bool{}
+	for _, f := range flips {
+		if f.Block < named {
+			odd[f] = !odd[f]
+		}
+	}
+	for _, f := range flips {
+		if odd[f] {
+			return f.Block, true
+		}
+	}
+	return 0, false
 }

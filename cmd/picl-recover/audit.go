@@ -41,6 +41,11 @@ func auditStore(dir string) int {
 	}
 	fmt.Printf("  undo scan:          %d entries applied over %d blocks\n", info.Applied, info.Scanned)
 	fmt.Printf("  recovered lines:    %d\n", img.Len())
+	bound := fmt.Sprintf("at most %d per line: the next Open keeps the image", storage.CompactRatio)
+	if info.Records > storage.CompactRatio*int64(info.Lines) {
+		bound = fmt.Sprintf("more than %d per line: the next Open compacts the image", storage.CompactRatio)
+	}
+	fmt.Printf("  image records:      %d for %d live lines (%s)\n", info.Records, info.Lines, bound)
 
 	violations := 0
 	fail := func(format string, args ...any) {

@@ -141,6 +141,7 @@ func TestSmokeLogAudit(t *testing.T) {
   log blocks read:    17
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
+  image records:      68 for 24 live lines (more than 2 per line: the next Open compacts the image)
 store consistent: recovery reproduces the epoch-7 checkpoint
 `
 	if out != golden {
@@ -177,6 +178,7 @@ func TestSmokeLogAuditTorn(t *testing.T) {
   log tail ignored:   2148 bytes past the 17-block prefix the marker's commit names
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
+  image records:      68 for 24 live lines (more than 2 per line: the next Open compacts the image)
 store consistent: recovery reproduces the epoch-7 checkpoint
 `
 	if out != golden {
@@ -222,9 +224,10 @@ func TestSmokeLogAuditTornBatch(t *testing.T) {
 	const golden = `durable store audit: store
   marker epoch:       7
   log blocks read:    17
-  image torn batch:   48 bytes dropped; the marker is the commit record at byte 1640
+  image torn batch:   48 bytes dropped; the marker is the commit record at byte 1616
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
+  image records:      68 for 24 live lines (more than 2 per line: the next Open compacts the image)
 store consistent: recovery reproduces the epoch-7 checkpoint
 `
 	if out != golden {
@@ -258,9 +261,10 @@ func TestSmokeLogAuditImageTorn(t *testing.T) {
 	const golden = `durable store audit: store
   marker epoch:       7
   log blocks read:    17
-  image torn batch:   11 bytes dropped; the marker is the commit record at byte 1640
+  image torn batch:   11 bytes dropped; the marker is the commit record at byte 1616
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
+  image records:      68 for 24 live lines (more than 2 per line: the next Open compacts the image)
 store consistent: recovery reproduces the epoch-7 checkpoint
 `
 	if out != golden {

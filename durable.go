@@ -38,9 +38,13 @@ func wrapStorageErr(err error) error {
 // line-granular memory image, whose last commit record is the
 // persisted-epoch marker (see DESIGN.md §10). Open first runs crash
 // recovery against whatever the directory holds — a previous SIGKILL,
-// power cut, or clean Close all leave a recoverable store — then
-// compacts the recovered state into a fresh epoch-0 baseline and
-// returns a machine seeded with it. The recovered image and epoch are
+// power cut, or clean Close all leave a recoverable store — then seals
+// the recovered state as a fresh epoch-0 baseline and returns a machine
+// seeded with it. Sealing costs what recovery changed, not what the
+// store holds: the image gains only the lines the undo scan rolled back
+// and two epoch-0 commits, and the new session overwrites the undo log
+// in place from its first block. Only an image grown past two records
+// per live line is rewritten whole. The recovered image and epoch are
 // available via Recovered.
 //
 // Options are as for New, except the scheme is fixed to "picl"
@@ -67,9 +71,9 @@ func Open(path string, opts ...Option) (*Machine, error) {
 		d.Close()
 		return nil, wrapStorageErr(err)
 	}
-	// Compact the recovered state into a fresh epoch-0 baseline so the
-	// new machine's epoch numbering and the store agree from the start.
-	if err := d.Reset(img); err != nil {
+	// Seal the recovered state as a fresh epoch-0 baseline so the new
+	// machine's epoch numbering and the store agree from the start.
+	if err := d.Reset(); err != nil {
 		d.Close()
 		return nil, wrapStorageErr(err)
 	}

@@ -459,15 +459,41 @@ func TestDurableCommitImageAppendOnly(t *testing.T) {
 // page cache may write them back in any shape and order. The store holds
 // an ACS-gap commit whose batch carries evictions of a newer epoch, whose
 // undo entries lie in the log prefix the commit names, then three blocks
-// appended after that commit's log sync. Every combination of those
-// blocks landing whole, as zeros, as garbage or torn reopens to the
-// commit's epoch bit-exactly; a bad block inside the named prefix fails
-// Open with ErrTornLog.
+// appended after that commit's log sync. The session overwrote a longer
+// log of an earlier session in place, so a block that never reached the
+// disk can leave the earlier session's block there: stale, whole and
+// CRC-valid. Every combination of those blocks landing whole, stale, as
+// zeros, as garbage or torn reopens to the commit's epoch bit-exactly; a
+// bad block inside the named prefix fails Open with ErrTornLog.
 func TestOpenUnsyncedLogMatrix(t *testing.T) {
 	const lines = 1024
 	root := t.TempDir()
 	dir := filepath.Join(root, "store")
-	m, err := Open(dir, WithSmallCaches(), WithConfig(Config{ACSGap: 1, BufferEntries: 4}))
+	opts := []Option{WithSmallCaches(), WithConfig(Config{ACSGap: 1, BufferEntries: 4})}
+	m, err := Open(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(1); e <= 3; e++ { // the earlier session
+		for i := uint64(0); i < lines; i++ {
+			if err := m.Write(i*64, e*10+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.CommitEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, storage.LogFileName)
+	old, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &fsyncLog{}
+	m, err = Open(dir, append(opts, WithStoreWrapper(w))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,16 +507,11 @@ func TestOpenUnsyncedLogMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	logPath := filepath.Join(dir, storage.LogFileName)
-	size := func() int64 {
-		fi, err := os.Stat(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fi.Size()
-	}
-	prefix := size() // the commit synced every block appended so far
-	for i := uint64(0); size() < prefix+3*undolog.BlockBytes; i++ {
+	// The session's blocks start at block 0, and the commit synced every
+	// block appended so far.
+	named := w.blocks
+	prefix := undolog.SuperBytes + named*undolog.BlockBytes
+	for i := uint64(0); w.blocks < named+3; i++ {
 		if i == lines {
 			t.Fatal("epoch 3 appended fewer than three undo blocks")
 		}
@@ -506,8 +527,9 @@ func TestOpenUnsyncedLogMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) != int(prefix)+3*undolog.BlockBytes {
-		t.Fatalf("the log holds %d bytes past its %d-byte prefix, want three blocks", len(full)-int(prefix), prefix)
+	if len(old) < prefix+3*undolog.BlockBytes || len(full) != len(old) {
+		t.Fatalf("the earlier session's log holds %d bytes, this one %d over a %d-byte prefix: want the earlier one longer, overwritten in place",
+			len(old), len(full), prefix)
 	}
 	check := func(what string, d string) {
 		t.Helper()
@@ -549,15 +571,22 @@ func TestOpenUnsyncedLogMatrix(t *testing.T) {
 		t.Fatal("the commit's batch holds no line newer than its epoch")
 	}
 
+	for b := 0; b < 3; b++ {
+		at := prefix + b*undolog.BlockBytes
+		stale := old[at : at+undolog.BlockBytes]
+		if undolog.CheckBlock(stale) != nil || bytes.Equal(stale, full[at:at+undolog.BlockBytes]) {
+			t.Fatalf("block %d past the prefix: the earlier session's is not a valid block other than this session's", named+b)
+		}
+	}
 	dst := filepath.Join(root, "cut")
-	outcomes := []string{"whole", "zeros", "garbage", "torn"}
-	for combo := 0; combo < 64; combo++ {
+	outcomes := []string{"whole", "zeros", "garbage", "torn", "stale"}
+	for combo := 0; combo < 125; combo++ {
 		log := bytes.Clone(full[:prefix])
 		var what []string
-		for b, c := 0, combo; b < 3; b, c = b+1, c/4 {
-			blk := full[int(prefix)+b*undolog.BlockBytes : int(prefix)+(b+1)*undolog.BlockBytes]
-			landed := bytes.Clone(blk)
-			switch c % 4 {
+		for b, c := 0, combo; b < 3; b, c = b+1, c/5 {
+			at := prefix + b*undolog.BlockBytes
+			landed := bytes.Clone(full[at : at+undolog.BlockBytes])
+			switch c % 5 {
 			case 1:
 				clear(landed)
 			case 2:
@@ -569,9 +598,11 @@ func TestOpenUnsyncedLogMatrix(t *testing.T) {
 				if b == 2 {
 					landed = landed[:700+b*300] // the file ends mid-block
 				}
+			case 4:
+				copy(landed, old[at:])
 			}
 			log = append(log, landed...)
-			what = append(what, outcomes[c%4])
+			what = append(what, outcomes[c%5])
 		}
 		copyStore(t, dir, dst)
 		if err := os.WriteFile(filepath.Join(dst, storage.LogFileName), log, 0o644); err != nil {
@@ -582,7 +613,6 @@ func TestOpenUnsyncedLogMatrix(t *testing.T) {
 
 	// Rot in the prefix, its final block included, is never taken for
 	// an unsynced block.
-	named := (int(prefix) - undolog.SuperBytes) / undolog.BlockBytes
 	for b := named - 1; b >= 0; b -= 1 + b/4 {
 		bad := bytes.Clone(full)
 		bad[undolog.SuperBytes+b*undolog.BlockBytes+undolog.BlockBytes/2] ^= 0x10

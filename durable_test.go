@@ -12,6 +12,7 @@ import (
 
 	"picl/internal/mem"
 	"picl/internal/storage"
+	"picl/internal/undolog"
 )
 
 // writeWorkload drives a recognizable workload: lines 0..n-1 get
@@ -317,10 +318,12 @@ func TestDurableCommitMarkerInPlace(t *testing.T) {
 // fsyncLog is a storage.Wrapper that records, in order, the fsyncs of
 // a picl.Open store: "log" for a log Sync with blocks appended since the
 // previous one (a Sync with none writes nothing), "commit" for a marker
-// Set, the image append and its fsync.
+// Set, the image append and its fsync. It also counts the log blocks
+// appended.
 type fsyncLog struct {
 	ops     []string
 	pending bool // blocks appended since the last log sync
+	blocks  int
 }
 
 func (w *fsyncLog) WrapLog(l storage.LogStore) storage.LogStore        { return &fsyncedLog{l, w} }
@@ -336,6 +339,7 @@ type fsyncedLog struct {
 
 func (l *fsyncedLog) AppendBlock(raw []byte) error {
 	l.w.pending = true
+	l.w.blocks++
 	return l.LogStore.AppendBlock(raw)
 }
 
@@ -362,9 +366,10 @@ func (mk *fsyncedMarker) Set(e mem.EpochID) error {
 // unsynced. Sync fsyncs once, its commit append: the bulk ACS leaves
 // nothing for recovery to undo, so the log is not synced. A commit the
 // ACS-gap scan makes at CommitEpoch fsyncs the log, then its commit. The
-// bytes each commit appends to undo.log and image.dat are the ones the
-// protocol that fsynced every undo block appended; only the flushes
-// changed.
+// bytes each commit writes to undo.log and appends to image.dat are the
+// ones the protocol that fsynced every undo block wrote; only the
+// flushes changed, and the log blocks a Sync leaves dead are overwritten
+// in place by the next commit's.
 func TestDurableCommitFsyncSchedule(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	w := &fsyncLog{}
@@ -384,8 +389,8 @@ func TestDurableCommitFsyncSchedule(t *testing.T) {
 	wantImg := []int64{1560, 1560, 1560, 1560, 1560, 1560, 1560, 1560, 0, 0, 0, 1560, 1560, 1560, 1560, 1560}
 	line := uint64(1)
 	for c := range wantLog {
-		l0, i0 := size(storage.LogFileName), size(storage.ImageFileName)
-		w.ops = nil
+		i0 := size(storage.ImageFileName)
+		w.ops, w.blocks = nil, 0
 		for i := 0; i < 64; i++ {
 			line = line * 6364136223846793005 % (1 << 16)
 			if err := m.Write(line*64, uint64(c*64+i)|1); err != nil {
@@ -412,18 +417,18 @@ func TestDurableCommitFsyncSchedule(t *testing.T) {
 		if !slices.Equal(w.ops, want) {
 			t.Fatalf("commit %d: fsynced %v, want %v", c, w.ops, want)
 		}
-		if dl, di := size(storage.LogFileName)-l0, size(storage.ImageFileName)-i0; dl != wantLog[c] || di != wantImg[c] {
-			t.Fatalf("commit %d appended %d log and %d image bytes, want %d and %d", c, dl, di, wantLog[c], wantImg[c])
+		if dl, di := int64(w.blocks)*undolog.BlockBytes, size(storage.ImageFileName)-i0; dl != wantLog[c] || di != wantImg[c] {
+			t.Fatalf("commit %d wrote %d log and appended %d image bytes, want %d and %d", c, dl, di, wantLog[c], wantImg[c])
 		}
 	}
 }
 
-// TestReopenMarkerRot: the compaction on Open seals epoch 0 twice, so
-// rot in the final commit record before the new machine commits
-// anything recovers epoch 0 with the compacted image — never the
-// previous machine's marker, whose log the compaction deleted. Rot in
-// the commit record before it, which has a sealed batch behind it, is
-// an error.
+// TestReopenMarkerRot: Open seals epoch 0 twice, so rot in the final
+// commit record before the new machine commits anything recovers epoch
+// 0 with the recovered image — never the previous machine's marker,
+// whose log prefix the new session overwrites in place. Rot in the
+// commit record before it, which has a sealed batch behind it, is an
+// error.
 func TestReopenMarkerRot(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	m, err := Open(dir)

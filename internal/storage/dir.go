@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -29,9 +30,26 @@ type Dir struct {
 	Log  LogStore
 	Img  ImageStore
 	Mk   MarkerStore
-	mk   *Marker // the unwrapped marker: Reset points it at the compacted image
-	wrap Wrapper // re-applied to components reopened by Reset
+	mk   *Marker    // the unwrapped marker: Reset points it at the compacted image
+	wrap Wrapper    // re-applied to the image Reset's compaction opens
+	rec  *recovered // what the last Recover found, for Reset to seal
 }
+
+// recovered is the report Recover leaves for Reset: the image it
+// returned, the epoch it recovered to, and the lines its undo scan
+// changed relative to what the image file replays.
+type recovered struct {
+	img     *mem.Image
+	marker  mem.EpochID
+	changed []mem.LineAddr
+}
+
+// CompactRatio bounds the image file across Opens: Reset rewrites it
+// whole when it holds more than CompactRatio records per live line —
+// line and commit records alike, so sessions that commit without
+// writing cannot grow it past the bound either — and otherwise appends
+// to it only what recovery changed.
+const CompactRatio = 2
 
 // OpenDir opens (creating if absent) a durable store directory. The
 // image opens first, so a store whose image is refused (an older
@@ -63,7 +81,7 @@ func OpenDir(path string) (*Dir, error) {
 func (d *Dir) Path() string { return d.path }
 
 // Wrap interposes w on every component and remembers it, so Reset
-// re-wraps the fresh components it opens. Install after Recover/Reset
+// re-wraps the image its compaction opens. Install after Recover/Reset
 // (mount-time recovery should read the real files) and before handing
 // the Dir to a machine.
 func (d *Dir) Wrap(w Wrapper) {
@@ -89,7 +107,9 @@ type RecoverInfo struct {
 	BlocksRead int
 	// TornBytes is how many log bytes past that prefix were dropped:
 	// blocks appended after the last log sync, whether a crash left
-	// them whole, zeroed, garbage or torn, and any partial tail.
+	// them whole, zeroed, garbage or torn; stale blocks a rewind left
+	// behind the append point, which the session never overwrote; and
+	// any partial tail.
 	TornBytes uint64
 	// ImageTornBytes is how many torn image batch bytes — a commit
 	// append the crash interrupted, or rot in the final batch — were
@@ -101,6 +121,13 @@ type RecoverInfo struct {
 	Applied, Scanned int
 	// Lines is the recovered image's non-zero line count.
 	Lines int
+	// Changed is how many lines the undo scan changed: the batch Reset
+	// appends to an image it does not compact.
+	Changed int
+	// Records is how many records the image file holds, line and commit
+	// records alike; Reset compacts it when they exceed CompactRatio
+	// per live line.
+	Records int64
 }
 
 // Recover rebuilds the consistent memory image from the directory's
@@ -114,8 +141,10 @@ type RecoverInfo struct {
 // was synced before the commit sealed, so a block of it that fails
 // validation, or is missing, is rot (undolog.ErrCorruptBlock); whatever
 // lies past it was never synced under any commit and is dropped,
-// whatever its shape.
+// whatever its shape. Recover also keeps what Reset seals: the image
+// it returns and the lines its scan changed.
 func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
+	d.rec = nil
 	if err := d.removeStaleTmp(); err != nil {
 		return nil, RecoverInfo{}, err
 	}
@@ -135,13 +164,14 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}
-	applied, scanned, err := applyLog(d.Log, start, named, img, marker)
+	applied, scanned, changed, err := applyLog(d.Log, start, named, img, marker)
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}
 	if err := d.Log.Truncate(named); err != nil {
 		return nil, RecoverInfo{}, err
 	}
+	d.rec = &recovered{img: img, marker: marker, changed: changed}
 	return img, RecoverInfo{
 		Marker:         marker,
 		MarkerAt:       max(d.mk.im.size-imageRecBytes, 0),
@@ -151,6 +181,8 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 		Applied:        applied,
 		Scanned:        scanned,
 		Lines:          img.Len(),
+		Changed:        len(changed),
+		Records:        d.mk.im.Records(),
 	}, nil
 }
 
@@ -175,35 +207,77 @@ func (d *Dir) removeStaleTmp() error {
 	return d.Mk.SyncDir()
 }
 
-// Reset compacts the store to a fresh epoch-0 baseline holding exactly
-// img: the image file is atomically replaced with one record per live
-// line, sealed under the recovered epoch, the log is emptied, and the
-// marker returns to 0. `picl.Open` calls this after recovery so a new
-// machine's epoch numbering starts clean.
+// Reset seals what the last Recover returned as the new session's
+// epoch-0 baseline, so a new machine's epoch numbering starts clean.
+// An image holding at most CompactRatio records per live line is kept:
+// the lines the undo scan changed are appended as one batch, in
+// ascending line order, sealed under the recovered epoch and naming an
+// empty log prefix (no batch when the scan changed nothing), and epoch
+// 0 is sealed twice, each seal its own append and fsync. A larger image
+// is compacted instead: atomically replaced by one record per live
+// line, sealed the same way and followed by the two epoch-0 seals. Only
+// then is the log rewound to its first block, in place: the new
+// session's blocks overwrite the old ones from there.
 //
-// Every intermediate crash point is safe: until the image rename lands
-// the old image+log still recover; after it, the compacted image is
-// sealed under the recovered epoch and names an empty log prefix, so
-// recovery applies none of the old log's entries — the compaction wrote
-// exactly the state they would restore — and drops the old log whole. The log swap (remove, create) is a directory change,
-// so the directory is fsynced before the marker enters the new
-// numbering: otherwise a power cut after the new session's first
-// commits could bring the old log back, or leave none, beside a
-// new-session marker. Epoch 0 is then sealed twice, so the commit
-// recovery falls back to when the newest one is torn or rots is never
-// the old session's, whose log is gone.
-func (d *Dir) Reset(img *mem.Image) error {
-	e, err := d.Mk.Get()
-	if err != nil {
-		return err
+// Every intermediate crash point is safe. Until the first seal, the old
+// image and log still recover. From it on, the image file replays
+// exactly the recovered state and the newest commits name an empty
+// prefix, so recovery reads none of the old log. The second epoch-0
+// seal means the commit recovery falls back to when the newest one is
+// torn or rots is never the old session's, whose log prefix the new
+// session overwrites; the rewind waits for it (the overwrite invariant,
+// DESIGN.md §10.2). Reset fails unless Recover ran since the last
+// Reset: it seals only what recovery read from these files.
+func (d *Dir) Reset() error {
+	r := d.rec
+	if r == nil {
+		return errors.New("storage: Reset without a Recover of the store")
 	}
+	d.rec = nil
+	start := d.Log.Super().Start
+	if d.mk.im.Records() > CompactRatio*int64(r.img.Len()) {
+		if err := d.compact(r.img, r.marker, start); err != nil {
+			return err
+		}
+		return d.Log.Rewind(start)
+	}
+	d.mk.im.syncedLog = start
+	if len(r.changed) > 0 {
+		for _, l := range r.changed {
+			//lint:ignore walorder the diff batch restores recovered values; recovery at its commit reads no log
+			if err := d.Img.WriteLine(l, r.img.Read(l)); err != nil {
+				return err
+			}
+		}
+		//lint:ignore walorder the diff's commit names an empty log prefix, so no log sync orders it
+		if err := d.Mk.Set(r.marker); err != nil {
+			return err
+		}
+	}
+	for range 2 {
+		if err := d.Mk.Set(0); err != nil {
+			return err
+		}
+	}
+	return d.Log.Rewind(start)
+}
+
+// compact atomically replaces the image file with one record per live
+// line of img, sealed as epoch e, then epoch 0 sealed twice, every
+// commit naming the empty log prefix that ends at block start: written
+// to a temp file, fsynced, renamed over the image, and the directory
+// fsynced. The seals share the temp file's one write and fsync: the
+// file is whole before the rename makes it the image, so no seal of it
+// can land torn or out of order, and rot in its final one falls back to
+// an epoch-0 seal, never to a compaction with no commit behind it.
+func (d *Dir) compact(img *mem.Image, e mem.EpochID, start uint64) error {
 	imgPath := filepath.Join(d.path, ImageFileName)
 	tmp := imgPath + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	compacted, err := writeCompacted(f, img, e)
+	compacted, err := writeCompacted(f, img, e, start)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -228,41 +302,15 @@ func (d *Dir) Reset(img *mem.Image) error {
 	if d.wrap != nil {
 		d.Img = d.wrap.WrapImage(d.Img)
 	}
-
-	// Fresh, empty log: recreate rather than truncate so the block
-	// numbering restarts at 0 alongside the new machine's epochs.
-	region := d.Log.Super().RegionBytes
-	logPath := filepath.Join(d.path, LogFileName)
-	if err := d.Log.Close(); err != nil {
-		return err
-	}
-	if err := os.Remove(logPath); err != nil {
-		return err
-	}
-	log2, err := OpenFile(logPath, region)
-	if err != nil {
-		return err
-	}
-	d.Log = log2
-	if d.wrap != nil {
-		d.Log = d.wrap.WrapLog(d.Log)
-	}
-	if err := d.Mk.SyncDir(); err != nil {
-		return err
-	}
-	for range 2 {
-		if err := d.Mk.Set(0); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // writeCompacted writes a one-batch image holding img, sealed as epoch
-// e and naming an empty log prefix, into the empty file f, and returns
+// e, and two empty epoch-0 commits behind it, all naming the empty log
+// prefix that ends at block start, into the empty file f, and returns
 // it as an open image. The records follow mem.Image.Each's ascending
 // line order, so the bytes are a function of img's content alone.
-func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID) (*ImageFile, error) {
+func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID, start uint64) (*ImageFile, error) {
 	if _, err := f.Write(imageHeader[:]); err != nil {
 		return nil, err
 	}
@@ -284,12 +332,15 @@ func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID) (*ImageFile, erro
 		buf = appendImageRecord(buf, l, w)
 		n++
 	})
-	buf = appendCommitRecord(buf, commitRec{epoch: e, count: n, sum: crc32.Update(sum, castagnoli, buf)})
+	buf = appendCommitRecord(buf, commitRec{epoch: e, logBlocks: start, count: n, sum: crc32.Update(sum, castagnoli, buf)})
+	for range 2 {
+		buf = appendCommitRecord(buf, commitRec{logBlocks: start})
+	}
 	flush()
 	if err != nil {
 		return nil, err
 	}
-	return &ImageFile{f: f, size: imageHeaderBytes + (n+1)*imageRecBytes, epoch: e}, nil
+	return &ImageFile{f: f, size: imageHeaderBytes + (n+3)*imageRecBytes, sealedLog: start, syncedLog: start}, nil
 }
 
 // PersistMarker durably advances the persisted-epoch marker, enforcing
@@ -312,7 +363,18 @@ func (d *Dir) PersistMarker(e mem.EpochID) error {
 // recovery at e applies no undo entry — every entry logged so far ends
 // at or before e. Only core.PiCL.ForcePersist may reach it (walorder
 // checks that); any other commit goes through PersistMarker.
-func (d *Dir) PersistBulk(e mem.EpochID) error { return d.Mk.Set(e) }
+//
+// Every block past the named prefix is then dead: a later commit names
+// either the same prefix (another bulk commit) or a fresh sync (an
+// ACS-gap commit, whose recovery applies no entry of an epoch <= e).
+// So the log is rewound to the prefix's end, and a session that commits
+// only with Sync reuses the same blocks instead of growing its log.
+func (d *Dir) PersistBulk(e mem.EpochID) error {
+	if err := d.Mk.Set(e); err != nil {
+		return err
+	}
+	return d.Log.Rewind(d.mk.im.LogBlocks())
+}
 
 // Close releases every component; image records no commit sealed are
 // dropped.

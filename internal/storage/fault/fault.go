@@ -31,17 +31,22 @@
 //   - A power cut keeps the log up to the last acknowledged-sync
 //     watermark; every block appended since lands whole, as zeros, as
 //     garbage or torn, each independently of the others, in any order
-//     a page cache may write them back. It discards the image's staged
-//     records, optionally tearing the commit append the next marker Set
-//     would make: a prefix of it, or — out of order — its later part
-//     behind zeros or garbage. Sealed batches are never touched, so the
-//     marker stays the last completed Set. After the cut every
-//     intercepted call fails with storage.ErrPowerLost.
+//     a page cache may write them back. The log is reused in place
+//     (Rewind), so an append can overwrite a stale block: unwritten, it
+//     leaves that old, CRC-valid block where it went, and torn, the old
+//     block's tail behind its own head. A Rewind lowers the watermark
+//     with it. The cut discards the image's staged records, optionally
+//     tearing the commit append the next marker Set would make: a
+//     prefix of it, or — out of order — its later part behind zeros or
+//     garbage. Sealed batches are never touched, so the marker stays
+//     the last completed Set. After the cut every intercepted call
+//     fails with storage.ErrPowerLost.
 package fault
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"syscall"
 
 	"picl/internal/mem"
@@ -132,14 +137,18 @@ type Counts struct {
 	// zeroed, garbage or torn with a later one landed behind it: the
 	// shape a log read without a named prefix takes for mid-log rot.
 	LogReorders uint64
+	// LogStale counts power cuts that left an unsynced overwrite as the
+	// stale block it overwrote in place: a whole, CRC-valid block from
+	// before a rewind, past the prefix the last commit names.
+	LogStale uint64
 }
 
 // String renders the counts as one stable line.
 func (c Counts) String() string {
 	return fmt.Sprintf(
-		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d img_rot=%d img_reorder=%d log_reorder=%d",
+		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d img_rot=%d img_reorder=%d log_reorder=%d log_stale=%d",
 		c.Ops, c.SyncFails, c.SyncDrops, c.ShortWrites, c.ENOSPC,
-		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.ImgRotBits, c.ImgReorders, c.LogReorders)
+		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.ImgRotBits, c.ImgReorders, c.LogReorders, c.LogStale)
 }
 
 // Add accumulates other into c (campaign aggregation).
@@ -157,6 +166,7 @@ func (c *Counts) Add(other Counts) {
 	c.ImgRotBits += other.ImgRotBits
 	c.ImgReorders += other.ImgReorders
 	c.LogReorders += other.LogReorders
+	c.LogStale += other.LogStale
 }
 
 // Decision classes: each fault roll mixes its class into the stream so
@@ -210,10 +220,15 @@ type Injector struct {
 	crashAt uint64 // 0 = no cut scheduled
 	crashed bool
 	counts  Counts
+	flips   []Flip // every bit rot flipped in a log block, in order
 
 	log *Log
 	img *Image
 }
+
+// Flip is one bit the injector flipped in a stored log block (absolute
+// block numbering, as storage.LogStore.Blocks counts).
+type Flip struct{ Block, Bit uint64 }
 
 // New builds an injector for the given seed and profile. The power-cut
 // operation index, if the profile schedules one, is derived from the
@@ -243,6 +258,11 @@ func (in *Injector) Ops() uint64 { return in.op }
 
 // Counts returns a snapshot of the injection counters.
 func (in *Injector) Counts() Counts { return in.counts }
+
+// LogRot returns every bit flipped in a log block so far, in order. A
+// block of a recovered prefix that holds a bit flipped an odd number of
+// times is rot recovery must have reported.
+func (in *Injector) LogRot() []Flip { return slices.Clone(in.flips) }
 
 // rand derives the decision value for (current op, class).
 func (in *Injector) rand(class uint64) uint64 {
@@ -330,8 +350,9 @@ type Log struct {
 	// watermark of the last acknowledged sync).
 	durable uint64
 	// pending holds clones of blocks appended since that sync — what the
-	// cut lands in any shape.
-	pending [][]byte
+	// cut lands in any shape — and old, for each, the stale block it
+	// overwrote in place (nil where the file held none).
+	pending, old [][]byte
 }
 
 // AppendBlock implements storage.Backend with injected ENOSPC, short
@@ -354,10 +375,18 @@ func (l *Log) AppendBlock(raw []byte) error {
 		}
 		return fmt.Errorf("%w: short append: %d of %d bytes reached the device", ErrInjected, n, len(raw))
 	}
+	var old []byte
+	if l.f != nil {
+		old = make([]byte, len(raw))
+		if l.b.ReadBlocks(l.b.Blocks(), old) != nil {
+			old = nil // no stale block there: the append extends the file
+		}
+	}
 	if err := l.b.AppendBlock(raw); err != nil {
 		return err
 	}
 	l.pending = append(l.pending, append([]byte(nil), raw...))
+	l.old = append(l.old, old)
 	if l.f != nil && l.in.roll(classRot, p.RotEvery) {
 		// Single-bit rot, only in the log prefix the last sealed commit
 		// names: recovery reads every block of it, so the CRC failure
@@ -372,6 +401,7 @@ func (l *Log) AppendBlock(raw []byte) error {
 				return err
 			}
 			l.in.counts.RotBits++
+			l.in.flips = append(l.in.flips, Flip{blk, bit})
 		}
 	}
 	return nil
@@ -399,14 +429,31 @@ func (l *Log) Sync() error {
 		// manufacture unrecoverable-by-design corruption.
 		l.in.counts.SyncDrops++
 		l.durable = l.b.Blocks()
-		l.pending = nil
+		l.pending, l.old = nil, nil
 		return nil
 	}
 	if err := l.b.Sync(); err != nil {
 		return err
 	}
 	l.durable = l.b.Blocks()
-	l.pending = nil
+	l.pending, l.old = nil, nil
+	return nil
+}
+
+// Rewind implements storage.LogStore. It does no I/O, so nothing is
+// injected, but the acknowledged watermark follows the append point
+// down: the blocks from n on are stale, and a cut lands the appends
+// that overwrite them in any shape, the stale block itself included.
+func (l *Log) Rewind(n uint64) error {
+	if l.in.crashed {
+		return fmt.Errorf("%w: log rewind after the cut at op %d", storage.ErrPowerLost, l.in.crashAt)
+	}
+	if err := l.b.Rewind(n); err != nil {
+		return err
+	}
+	l.durable = min(l.durable, n)
+	keep := min(n-l.durable, uint64(len(l.pending)))
+	l.pending, l.old = l.pending[:keep], l.old[:keep]
 	return nil
 }
 
@@ -414,10 +461,12 @@ func (l *Log) Sync() error {
 // block appended since as a page cache may have written it back when
 // the power went: each one independently whole, as zeros (it never
 // reached the disk), as garbage, or torn (a prefix of it, zeros
-// behind), whatever became of the blocks in front of it. The file then
-// ends after the last block that landed — mid-block if that one is
-// torn — or, half the time, after the last block appended, as when the
-// size update reached the disk and the data did not.
+// behind), whatever became of the blocks in front of it. An append that
+// overwrote a stale block in place leaves that old block where it
+// never reached the disk, and the old block's tail behind a torn head.
+// The file then ends after the last block that landed — mid-block if
+// that one is torn — or, half the time, after the last block appended,
+// as when the size update reached the disk and the data did not.
 func (l *Log) crash() {
 	if l.f == nil {
 		return
@@ -425,13 +474,16 @@ func (l *Log) crash() {
 	roll := l.in.rand(classCrashLogSuffix)
 	landed := make([][]byte, len(l.pending))
 	var torn uint64
-	damaged, reordered := false, false
+	damaged, reordered, stale := false, false, false
 	for i, raw := range l.pending {
+		old := l.old[i]
 		r := splitmix64(roll + uint64(i) + 1)
 		switch r % 4 {
 		case 0:
 			landed[i] = raw
-		case 1: // zeros: nothing written
+		case 1: // nothing written: zeros, or the stale block it overwrote
+			landed[i] = old
+			stale = stale || old != nil
 		case 2:
 			landed[i] = make([]byte, len(raw))
 			for j, b := range raw {
@@ -440,6 +492,9 @@ func (l *Log) crash() {
 		case 3:
 			n := 1 + (r>>2)%uint64(len(raw)-1)
 			landed[i] = raw[:n:n]
+			if old != nil {
+				landed[i] = append(landed[i], old[n:]...)
+			}
 			torn++
 		}
 		reordered = reordered || damaged && len(landed[i]) > 0
@@ -454,6 +509,9 @@ func (l *Log) crash() {
 	l.in.counts.TornAppends += torn
 	if reordered {
 		l.in.counts.LogReorders++
+	}
+	if stale {
+		l.in.counts.LogStale++
 	}
 }
 

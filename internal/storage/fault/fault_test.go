@@ -375,3 +375,62 @@ func TestCommitFailRetries(t *testing.T) {
 		t.Fatalf("recovered %d lines at marker %d (err %v), want 8 at 8", img.Len(), info.Marker, err)
 	}
 }
+
+// TestRewindLandsStale: after a rewind the watermark follows the append
+// point down, and a cut can leave an unsynced overwrite as the stale
+// block it overwrote — whole and valid, past every block that was
+// acknowledged.
+func TestRewindLandsStale(t *testing.T) {
+	var stale uint64
+	for seed := uint64(0); seed < 32 && stale == 0; seed++ {
+		d, in := openWrapped(t, seed, Profile{})
+		block := func(v mem.Word) []byte {
+			raw, _ := undolog.EncodeBlock(undolog.Block{Entries: []undolog.Entry{{Line: 1, ValidTill: 1, Old: v}}, MaxValidTill: 1})
+			return raw
+		}
+		for v := range mem.Word(6) {
+			if err := d.Log.AppendBlock(block(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Log.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Log.Rewind(2); err != nil {
+			t.Fatal(err)
+		}
+		for v := range mem.Word(3) {
+			if err := d.Log.AppendBlock(block(100 + v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in.crash()
+		if err := d.Log.Rewind(0); !errors.Is(err, storage.ErrPowerLost) {
+			t.Fatalf("rewind after the cut: %v, want ErrPowerLost", err)
+		}
+		path := d.Path()
+		d.Close()
+		raw, err := os.ReadFile(filepath.Join(path, "undo.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw[undolog.SuperBytes:undolog.SuperBytes+2*undolog.BlockBytes], append(block(0), block(1)...)) {
+			t.Fatalf("seed %d: the cut damaged the blocks below the rewind", seed)
+		}
+		if in.Counts().LogStale == 0 {
+			continue
+		}
+		stale++
+		found := false
+		for b := 2; b < 5; b++ {
+			at := undolog.SuperBytes + b*undolog.BlockBytes
+			found = found || len(raw) >= at+undolog.BlockBytes && bytes.Equal(raw[at:at+undolog.BlockBytes], block(mem.Word(b)))
+		}
+		if !found {
+			t.Fatalf("seed %d: a stale landing counted, but no overwritten block holds its old bytes", seed)
+		}
+	}
+	if stale == 0 {
+		t.Fatal("32 seeds never left an overwrite as the stale block")
+	}
+}

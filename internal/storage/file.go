@@ -14,11 +14,14 @@ import (
 // be fed straight to undolog.ReadLog. Appends are sequential positional
 // writes of exactly one block (the row-buffer-sized flush the paper's
 // on-chip undo buffer issues); durability is deferred to Sync, which
-// maps to fsync.
+// maps to fsync. Rewind moves the append point back without I/O, so a
+// log's space is reused where it lies: the blocks past the append point
+// stay on file, stale, until appends overwrite them in place.
 type File struct {
 	f      *os.File
 	super  undolog.Super
-	blocks uint64 // total blocks including the GC'd prefix
+	blocks uint64 // the append point: total blocks including the GC'd prefix
+	stored uint64 // whole blocks on file, stale ones past a Rewind included
 	torn   uint64 // partial tail bytes discarded at open
 	dirty  bool
 }
@@ -84,6 +87,7 @@ func OpenFile(path string, regionBytes uint64) (*File, error) {
 		}
 	}
 	lf.blocks = super.Start + whole
+	lf.stored = lf.blocks
 	return lf, nil
 }
 
@@ -95,7 +99,8 @@ func (lf *File) Super() undolog.Super { return lf.super }
 func (lf *File) TornBytes() uint64 { return lf.torn }
 
 // AppendBlock implements Backend: one sequential positional block
-// write. The data is staged in the OS page cache until Sync.
+// write at the append point, over a stale block if a Rewind left one
+// there. The data is staged in the OS page cache until Sync.
 func (lf *File) AppendBlock(raw []byte) error {
 	if err := checkBlock(raw); err != nil {
 		return err
@@ -105,7 +110,22 @@ func (lf *File) AppendBlock(raw []byte) error {
 		return err
 	}
 	lf.blocks++
+	lf.stored = max(lf.stored, lf.blocks)
 	lf.dirty = true
+	return nil
+}
+
+// Rewind implements LogStore: the append point moves back to block n
+// (absolute numbering, between the GC'd prefix and Blocks) with no I/O.
+// The blocks from n on stay on file, stale, and the next appends
+// overwrite them in place; recovery never reads them, since they lie
+// past every prefix a sealed commit names (see the package ordering
+// contract).
+func (lf *File) Rewind(n uint64) error {
+	if n < lf.super.Start || n > lf.blocks {
+		return fmt.Errorf("storage: rewind to block %d outside [%d, %d]", n, lf.super.Start, lf.blocks)
+	}
+	lf.blocks = n
 	return nil
 }
 
@@ -135,19 +155,20 @@ func (lf *File) ReadAll() ([]byte, error) {
 }
 
 // ReadBlocks implements LogStore: one positional read of the stored
-// blocks from block first on into p.
+// blocks from block first on into p — stale blocks past a Rewind
+// included, which only fault injection reads.
 func (lf *File) ReadBlocks(first uint64, p []byte) error {
 	n := uint64(len(p)) / undolog.BlockBytes
-	if uint64(len(p))%undolog.BlockBytes != 0 || first < lf.super.Start || first+n > lf.blocks {
+	if uint64(len(p))%undolog.BlockBytes != 0 || first < lf.super.Start || first+n > lf.stored {
 		return fmt.Errorf("storage: read of %d bytes at block %d, the log stores whole blocks [%d, %d)",
-			len(p), first, lf.super.Start, lf.blocks)
+			len(p), first, lf.super.Start, lf.stored)
 	}
 	_, err := lf.f.ReadAt(p, undolog.SuperBytes+int64(first-lf.super.Start)*undolog.BlockBytes)
 	return err
 }
 
 // Truncate implements Backend: discard tail blocks so n total remain,
-// durably.
+// durably, stale ones included.
 func (lf *File) Truncate(n uint64) error {
 	if n < lf.super.Start {
 		return fmt.Errorf("storage: truncate to %d below GC'd prefix %d", n, lf.super.Start)
@@ -158,7 +179,7 @@ func (lf *File) Truncate(n uint64) error {
 	if err := lf.f.Truncate(undolog.SuperBytes + int64(n-lf.super.Start)*undolog.BlockBytes); err != nil {
 		return err
 	}
-	lf.blocks = n
+	lf.blocks, lf.stored = n, n
 	return lf.f.Sync()
 }
 
@@ -166,7 +187,8 @@ func (lf *File) Truncate(n uint64) error {
 // cover whole blocks another process appended to the shared region
 // (the serving daemon's cross-process result store). A partial tail —
 // a foreign append still in flight — is left alone: it is not this
-// process's crash to repair. Refresh never shrinks the count.
+// process's crash to repair. Refresh never shrinks the count, and is
+// for logs that never Rewind.
 func (lf *File) Refresh() error {
 	fi, err := lf.f.Stat()
 	if err != nil {
@@ -180,6 +202,7 @@ func (lf *File) Refresh() error {
 	if whole > lf.blocks {
 		lf.blocks = whole
 	}
+	lf.stored = max(lf.stored, lf.blocks)
 	return nil
 }
 
@@ -203,8 +226,9 @@ func (lf *File) TearTail(raw []byte, n int) error {
 // after the last sync: the file is cut back to n total blocks, then
 // landed[i] is written where block n+i went — a short slice is a torn
 // block, an empty one never reached the disk (zeros, if anything landed
-// behind it) — and forced to media. The logical count becomes n. Fault
-// injection only (internal/storage/fault).
+// behind it) — and forced to media. The logical count becomes n, and
+// the file is reopened before it is read again. Fault injection only
+// (internal/storage/fault).
 func (lf *File) LandUnsynced(n uint64, landed [][]byte) error {
 	if err := lf.Truncate(n); err != nil {
 		return err

@@ -63,7 +63,8 @@ var ErrCorruptImage = errors.New("storage: corrupt image file")
 // marker, and names the undo-log prefix recovery at its epoch reads.
 // Load replays the records in file order, so a line's last record wins.
 // The file grows by one record per line written back, and one per
-// commit, until Dir.Reset compacts it to one record per live line.
+// commit, until an Open finds more than CompactRatio records per live
+// line and Dir.Reset compacts it to one record per live line.
 //
 // A crash can leave only a torn batch: whatever follows the last commit
 // record whose batch validates, in any order the page cache wrote it
@@ -260,6 +261,15 @@ func (im *ImageFile) commit(e mem.EpochID) error {
 // names (0 for an image with none): recovery at the marker reads the
 // log up to there and drops the rest.
 func (im *ImageFile) LogBlocks() uint64 { return im.sealedLog }
+
+// Records reports how many records the file holds up to the last sealed
+// commit: line records and commit records alike.
+func (im *ImageFile) Records() int64 {
+	if im.size == 0 {
+		return 0
+	}
+	return (im.size - imageHeaderBytes) / imageRecBytes
+}
 
 // Load replays the file's sealed batches into a functional memory
 // image, in file order, so a line's last record wins; staged records

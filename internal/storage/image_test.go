@@ -480,10 +480,10 @@ func TestImageCutZeros(t *testing.T) {
 	}
 }
 
-// TestResetWritesImageFormat: the compaction writes the header, one
-// record per live line and a commit record sealing them under the
-// recovered epoch, then seals epoch 0 twice; a commit after it appends
-// behind them.
+// TestResetWritesImageFormat: an image holding more than two records
+// per live line is compacted — the header, one record per live line and
+// a commit record sealing them under the recovered epoch — then epoch 0
+// is sealed twice; a commit after it appends behind them.
 func TestResetWritesImageFormat(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir)
@@ -491,14 +491,22 @@ func TestResetWritesImageFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	want := mem.NewImage()
+	for pass := 3; pass >= 1; pass-- { // 30 line records, the last pass's values win
+		for i := 1; i <= 10; i++ {
+			if err := d.Img.WriteLine(mem.LineAddr(i*3), mem.Word(i*pass)); err != nil {
+				t.Fatal(err)
+			}
+			want.Write(mem.LineAddr(i*3), mem.Word(i*pass))
+		}
+	}
 	if err := d.PersistMarker(7); err != nil {
 		t.Fatal(err)
 	}
-	want := mem.NewImage()
-	for i := 1; i <= 10; i++ {
-		want.Write(mem.LineAddr(i*3), mem.Word(i))
+	if _, info, err := d.Recover(); err != nil || info.Records != 31 || info.Lines != 10 {
+		t.Fatalf("recover: info %+v, err %v; want 31 records for 10 lines", info, err)
 	}
-	if err := d.Reset(want); err != nil {
+	if err := d.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, ImageFileName)

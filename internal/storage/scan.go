@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"picl/internal/mem"
 	"picl/internal/undolog"
@@ -63,12 +64,19 @@ func checkLog(lg LogStore, start, named uint64) error {
 // from its end, decoding each block and applying it with Block.Apply,
 // until the first block whose expiration tag is at or before marker.
 // It returns the entries applied and the blocks scanned, counted as
-// ApplyTo counts them.
-func applyLog(lg LogStore, start, named uint64, img *mem.Image, marker mem.EpochID) (applied, scanned int, err error) {
+// ApplyTo counts them, and the lines whose value the scan changed, in
+// ascending order: what img holds beyond what the image file replays.
+func applyLog(lg LogStore, start, named uint64, img *mem.Image, marker mem.EpochID) (applied, scanned int, changed []mem.LineAddr, err error) {
+	replayed := map[mem.LineAddr]mem.Word{} // each line the scan writes, as the image file replays it
 	err = eachStored(lg, start, named, true, func(_ uint64, raw []byte) (bool, error) {
 		b, err := undolog.DecodeBlock(raw)
 		if err != nil {
 			return false, err
+		}
+		for _, e := range b.Entries {
+			if _, ok := replayed[e.Line]; !ok && e.Covers(marker) {
+				replayed[e.Line] = img.Read(e.Line)
+			}
 		}
 		n, stop := b.Apply(img, marker)
 		if stop {
@@ -78,7 +86,13 @@ func applyLog(lg LogStore, start, named uint64, img *mem.Image, marker mem.Epoch
 		scanned++
 		return true, nil
 	})
-	return applied, scanned, err
+	for l, w := range replayed {
+		if img.Read(l) != w {
+			changed = append(changed, l)
+		}
+	}
+	slices.Sort(changed)
+	return applied, scanned, changed, err
 }
 
 // EachBlock calls fn on every block the log stores, oldest first,

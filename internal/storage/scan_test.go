@@ -276,6 +276,9 @@ func FuzzRecoverLog(f *testing.F) {
 	rotStop[undolog.SuperBytes+undolog.BlockBytes+9] ^= 1 // the stop block's tag
 	f.Add(rotStop, uint32(3), uint32(2))
 	f.Add(append(bytes.Clone(bulk), make([]byte, undolog.BlockBytes+5)...), uint32(2), uint32(2)) // unsynced zeros and a torn tail
+	// A stale block a rewind left past the prefix: whole, valid, and
+	// holding entries that would cover the marker if recovery read it.
+	f.Add(append(bytes.Clone(bulk), logBytes(newer)[undolog.SuperBytes:]...), uint32(2), uint32(2))
 	f.Add([]byte{}, uint32(0), uint32(0))
 	f.Add(bulk[:10], uint32(0), uint32(0))
 	f.Fuzz(func(t *testing.T, raw []byte, named, marker uint32) {

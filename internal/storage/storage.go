@@ -46,32 +46,38 @@
 //  3. Commit in place: Marker.Set appends that batch to the open image
 //     file with one positional write and one fsync — no temp file,
 //     rename or directory fsync on the commit path, and never a write
-//     below the last sealed commit. Files replaced whole (Reset's image
-//     compaction) go through write-temp + fsync + rename + directory
-//     fsync; Reset seals the compaction under the recovered epoch
-//     naming an empty log prefix, and fsyncs the directory after
-//     recreating the log before it seals epoch 0, twice.
+//     below the last sealed commit. The log is reused in place, never
+//     removed or recreated, under the overwrite invariant: no log write
+//     lands below the largest prefix either of the two newest sealed
+//     commits names. A bulk commit rewinds it to the prefix it names;
+//     Reset seals the recovered state — the lines recovery changed,
+//     under the recovered epoch and naming an empty prefix, then epoch
+//     0 twice — before it rewinds the log to its first block. A file
+//     replaced whole (Reset's image compaction, past CompactRatio) goes
+//     through write-temp + fsync + rename + directory fsync.
 //
 // # Torn data and rot
 //
 // A crash can leave the log's unsynced blocks — everything past the
 // count of its last sync — in any shape: each one whole, zeros,
-// garbage or torn, in any order, since a page cache writes unsynced
-// pages back as it likes; and it can tear the image's in-flight commit
+// garbage, torn, or the stale block from before a rewind that it
+// overwrote, in any order, since a page cache writes unsynced pages
+// back as it likes; and it can tear the image's in-flight commit
 // batch, in order or out of it. Both are survivable by construction.
 // Dir.Recover reads the log only up to the prefix the last sealed
-// commit names and drops the rest, whatever its shape: no commit
-// needed it. It reads that prefix in fixed-size chunks, twice: it
-// validates every block of it without decoding entries, then scans it
-// backward from its end one block at a time, applying each until the
-// first that expired at or before the marker (paper §IV-B) — so its
-// memory is bounded by the image, not by the log. OpenImage keeps the image up to the last commit record
-// whose batch validates and drops the rest as a torn batch: whatever of
-// an interrupted append landed, in whatever order, its commit record
-// cannot seal it. Every record of that batch belongs to writes after
-// the last marker, so recovery's backward undo scan over the named
-// prefix overwrites the lines whether their records survived whole,
-// torn or not at all.
+// commit names and drops the rest, whatever its shape — stale blocks a
+// rewind left behind the append point included: no commit needed it.
+// It reads that prefix in fixed-size chunks, twice: it validates every
+// block of it without decoding entries, then scans it backward from
+// its end one block at a time, applying each until the first that
+// expired at or before the marker (paper §IV-B) — so its memory is
+// bounded by the image, not by the log. OpenImage keeps the image up
+// to the last commit record whose batch validates and drops the rest
+// as a torn batch: whatever of an interrupted append landed, in
+// whatever order, its commit record cannot seal it. Every record of
+// that batch belongs to writes after the last marker, so recovery's
+// backward undo scan over the named prefix overwrites the lines
+// whether their records survived whole, torn or not at all.
 //
 // Rot is not a tear. Every block of the named prefix was synced before
 // its commit sealed, so a block of it that fails validation, or is

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -338,24 +339,48 @@ func TestDirRecoverCycle(t *testing.T) {
 		t.Fatalf("recovered image differs: %v", img.Diff(want, 5))
 	}
 
-	// Reset compacts to the recovered baseline: empty log, marker 0,
-	// identical content.
+	// Reset keeps the image — 12 line records and a commit record for 8
+	// live lines — and appends the lines the scan changed, ascending,
+	// sealed under epoch 1 and naming an empty log prefix, then epoch 0
+	// twice. The log stays where it is, its block now stale.
+	imgPath, logPath := filepath.Join(dir, ImageFileName), filepath.Join(dir, LogFileName)
+	before, _ := os.ReadFile(imgPath)
+	logBefore, _ := os.ReadFile(logPath)
 	d2, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.Reset(img); err != nil {
+	if err := d2.Reset(); err == nil {
+		t.Fatal("Reset without a Recover succeeded")
+	}
+	if _, info, err := d2.Recover(); err != nil || info.Changed != 4 || info.Records != 13 {
+		t.Fatalf("recover before reset: info %+v, err %v; want 4 lines changed of 13 records", info, err)
+	}
+	if err := d2.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var diff []byte
+	for i := 1; i <= 4; i++ {
+		diff = appendImageRecord(diff, mem.LineAddr(i), want.Read(mem.LineAddr(i)))
+	}
+	tail := appendCommitRecord(bytes.Clone(diff), commitRec{epoch: 1, count: 4, sum: crc32.Checksum(diff, castagnoli)})
+	tail = appendCommitRecord(appendCommitRecord(tail, commitRec{}), commitRec{})
+	after, _ := os.ReadFile(imgPath)
+	if !bytes.Equal(after, append(before, tail...)) {
+		t.Fatalf("reset turned a %d-byte image into %d bytes, want it followed by the 4-line diff and two epoch-0 seals", len(before), len(after))
+	}
+	if logAfter, _ := os.ReadFile(logPath); !bytes.Equal(logAfter, logBefore) {
+		t.Fatal("reset rewrote the log")
+	}
 	img2, info2, err := RecoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info2.Marker.AtMost(0) || info2.BlocksRead != 0 {
-		t.Fatalf("post-reset info = %+v", info2)
+	if !info2.Marker.AtMost(0) || info2.BlocksRead != 0 || info2.Applied != 0 || info2.TornBytes != undolog.BlockBytes {
+		t.Fatalf("post-reset info = %+v, want epoch 0, nothing read and the stale block dropped", info2)
 	}
 	if !img2.Equal(want) {
 		t.Fatalf("post-reset image differs: %v", img2.Diff(want, 5))
@@ -488,7 +513,7 @@ func (p *passWrapper) WrapImage(im ImageStore) ImageStore    { p.imgs++; return 
 func (p *passWrapper) WrapMarker(mk MarkerStore) MarkerStore { p.mks++; return mk }
 
 // TestDirWrapAndSync: Wrap interposes on all three components (and
-// again on the fresh components a Reset opens); a staged line reaches
+// again on the image a Reset's compaction opens); a staged line reaches
 // the image file sealed by PersistMarker's commit; Path reports the
 // directory.
 func TestDirWrapAndSync(t *testing.T) {
@@ -516,28 +541,58 @@ func TestDirWrapAndSync(t *testing.T) {
 	if img, info, err := d.Recover(); err != nil || info.Marker != 1 || img.Read(1) != 42 {
 		t.Fatalf("recovered marker %d line 1 = %d (err %v), want marker 1 and 42", info.Marker, img.Read(1), err)
 	}
-	if err := d.Reset(mem.NewImage()); err != nil {
+	if err := d.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	// Reset replaces the image and log (re-wrapped); the marker keeps its
-	// handle and follows the compacted image, so the already-wrapped
-	// component persists.
-	if w.logs != 2 || w.imgs != 2 || w.mks != 1 {
-		t.Fatalf("Reset did not re-wrap: %+v", *w)
+	// One line record and a commit record for one live line: Reset keeps
+	// the image and the log, and re-wraps neither.
+	if w.logs != 1 || w.imgs != 1 || w.mks != 1 {
+		t.Fatalf("Reset of a compact store re-wrapped: %+v", *w)
+	}
+	// Five more records of the line pass two per live line: Reset
+	// compacts the image (re-wrapped) and still keeps the log; the marker
+	// keeps its handle and follows the compacted image.
+	for range 5 {
+		if err := d.Img.WriteLine(1, 43); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.PersistMarker(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if w.logs != 1 || w.imgs != 2 || w.mks != 1 {
+		t.Fatalf("Reset's compaction did not re-wrap the image alone: %+v", *w)
 	}
 }
 
 // orderWrapper records, in order, the Reset steps that reach the
-// components it wraps: a log (re)opened, a directory fsync, a marker Set.
+// components it wraps: a directory fsync, a marker Set, an image
+// reopened, a log rewind.
 type orderWrapper struct{ events []string }
 
-func (w *orderWrapper) WrapLog(l LogStore) LogStore {
-	w.events = append(w.events, "log")
-	return l
+func (w *orderWrapper) WrapLog(l LogStore) LogStore { return &orderLog{l, w} }
+func (w *orderWrapper) WrapImage(im ImageStore) ImageStore {
+	w.events = append(w.events, "image")
+	return im
 }
-func (w *orderWrapper) WrapImage(im ImageStore) ImageStore { return im }
 func (w *orderWrapper) WrapMarker(mk MarkerStore) MarkerStore {
 	return &orderMarker{mk, w}
+}
+
+type orderLog struct {
+	LogStore
+	w *orderWrapper
+}
+
+func (l *orderLog) Rewind(n uint64) error {
+	l.w.events = append(l.w.events, fmt.Sprintf("rewind %d", n))
+	return l.LogStore.Rewind(n)
 }
 
 type orderMarker struct {
@@ -555,25 +610,71 @@ func (mk *orderMarker) SyncDir() error {
 	return mk.MarkerStore.SyncDir()
 }
 
-// TestResetOrder: Reset fsyncs the directory once after the image
-// rename and once after recreating the log — before the marker enters
-// the new numbering — and then seals epoch 0 twice.
+// TestResetOrder: Reset of a compact store seals the lines recovery
+// changed under the recovered epoch (if any), then epoch 0 twice, and
+// only then rewinds the log; over the bound it compacts the image, the
+// epoch-0 seals inside it (rename, then the directory fsync), before
+// the rewind. No step reopens the log or touches the directory
+// otherwise.
 func TestResetOrder(t *testing.T) {
+	steps := func(dir string) string {
+		t.Helper()
+		d, err := OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if _, _, err := d.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		w := &orderWrapper{}
+		d.Wrap(w)
+		w.events = nil
+		if err := d.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(w.events)
+	}
 	dir := t.TempDir()
+	if got, want := steps(dir), "[set 0 set 0 rewind 0]"; got != want {
+		t.Fatalf("Reset of an empty store: %s, want %s", got, want)
+	}
+
+	// Epoch 2 sealed with an eviction of epoch 3 that the synced log
+	// rolls back: recovery changes one line of five, and the image holds
+	// nine records, the two epoch-0 seals included.
 	d, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	w := &orderWrapper{}
-	d.Wrap(w)
-	w.events = nil
-	if err := d.Reset(mem.NewImage()); err != nil {
+	for l := mem.LineAddr(1); l <= 5; l++ {
+		d.Img.WriteLine(l, mem.Word(10*l))
+	}
+	raw, _ := undolog.EncodeBlock(undolog.Block{
+		Entries:      []undolog.Entry{{Line: 2, ValidFrom: 2, ValidTill: 3, Old: 20}},
+		MaxValidTill: 3,
+	})
+	if err := d.Log.AppendBlock(raw); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"syncdir", "log", "syncdir", "set 0", "set 0"}
-	if fmt.Sprint(w.events) != fmt.Sprint(want) {
-		t.Fatalf("Reset steps = %v, want %v", w.events, want)
+	d.Img.WriteLine(2, 30)
+	if err := d.PersistMarker(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := steps(dir), "[set 2 set 0 set 0 rewind 0]"; got != want {
+		t.Fatalf("Reset with a one-line diff: %s, want %s", got, want)
+	}
+	// Seven line records, one of them the diff's, and six commit records
+	// for five live lines: over the bound, Reset compacts.
+	if got, want := steps(dir), "[syncdir image rewind 0]"; got != want {
+		t.Fatalf("Reset past the compaction bound: %s, want %s", got, want)
+	}
+	// The compaction left eight records for five lines.
+	if got, want := steps(dir), "[set 0 set 0 rewind 0]"; got != want {
+		t.Fatalf("Reset after the compaction: %s, want %s", got, want)
 	}
 }
 
@@ -709,5 +810,95 @@ func TestFileRotBit(t *testing.T) {
 	}
 	if _, _, err := undolog.ReadLog(bytes.NewReader(all), 0); !errors.Is(err, undolog.ErrCorruptBlock) {
 		t.Fatalf("rotted block read back as %v, want ErrCorruptBlock", err)
+	}
+}
+
+// TestFileRewind: a rewind moves the append point back with no I/O; the
+// blocks past it stay stored and readable, the next append overwrites
+// the first of them in place, and a reopen sees every stored block.
+func TestFileRewind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "undo.log")
+	lf, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func(v mem.Word) []byte {
+		raw, _ := undolog.EncodeBlock(undolog.Block{Entries: []undolog.Entry{{Line: 1, ValidTill: 1, Old: v}}, MaxValidTill: 1})
+		return raw
+	}
+	for v := range mem.Word(4) {
+		if err := lf.AppendBlock(block(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lf.Rewind(5); err == nil {
+		t.Fatal("rewind past the append point accepted")
+	}
+	if err := lf.Rewind(1); err != nil || lf.Blocks() != 1 {
+		t.Fatalf("rewind to 1: blocks %d, err %v", lf.Blocks(), err)
+	}
+	got := make([]byte, undolog.BlockBytes)
+	if err := lf.ReadBlocks(2, got); err != nil || !bytes.Equal(got, block(2)) {
+		t.Fatalf("stale block 2 after the rewind: err %v", err)
+	}
+	if err := lf.AppendBlock(block(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(undolog.EncodeSuper(lf.Super()), block(0)...)
+	want = append(append(append(want, block(9)...), block(2)...), block(3)...)
+	if !bytes.Equal(raw, want) {
+		t.Fatalf("the log holds %d bytes, want blocks 0, 9, 2, 3 in place", len(raw))
+	}
+	re, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Blocks() != 4 {
+		t.Fatalf("reopen sees %d blocks, want the 4 stored", re.Blocks())
+	}
+}
+
+// TestPersistBulkRewinds: the bulk commit rewinds the log to the prefix
+// it names, so the blocks appended since the last sync are overwritten
+// by the next ones, and the commit after them still recovers.
+func TestPersistBulkRewinds(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := undolog.EncodeBlock(undolog.Block{Entries: []undolog.Entry{{Line: 1, ValidTill: 1, Old: 7}}, MaxValidTill: 1})
+	if err := d.Log.AppendBlock(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PersistMarker(1); err != nil { // names block 0
+		t.Fatal(err)
+	}
+	for range 3 {
+		if err := d.Log.AppendBlock(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Img.WriteLine(1, 5)
+	if err := d.PersistBulk(2); err != nil {
+		t.Fatal(err)
+	}
+	if d.Log.Blocks() != 1 {
+		t.Fatalf("after the bulk commit the log appends at block %d, want 1", d.Log.Blocks())
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, info, err := RecoverDir(dir)
+	if err != nil || info.Marker != 2 || info.BlocksRead != 1 || info.TornBytes != 3*undolog.BlockBytes || img.Read(1) != 5 {
+		t.Fatalf("recovered %+v, line 1 = %d, err %v; want epoch 2 over one block with three stale blocks dropped", info, img.Read(1), err)
 	}
 }

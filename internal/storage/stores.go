@@ -15,9 +15,9 @@ import (
 var ErrPowerLost = errors.New("storage: simulated power loss")
 
 // LogStore is what a Dir needs from its undo-log component: the Backend
-// block operations plus the superblock geometry, torn-tail report and
-// positional block reads File provides. File implements it; fault
-// wrappers decorate it.
+// block operations plus the superblock geometry, torn-tail report,
+// positional block reads and the in-place rewind File provides. File
+// implements it; fault wrappers decorate it.
 type LogStore interface {
 	Backend
 	Super() undolog.Super
@@ -26,6 +26,12 @@ type LogStore interface {
 	// stored blocks from block first on (absolute numbering, as Blocks
 	// counts).
 	ReadBlocks(first uint64, p []byte) error
+	// Rewind moves the append point back to block n, between the GC'd
+	// prefix and Blocks, without I/O: the blocks from n on stay stored,
+	// stale, and the next appends overwrite them in place. The caller
+	// keeps the overwrite invariant: n is at or above every log prefix
+	// the two newest sealed commits name.
+	Rewind(n uint64) error
 }
 
 // ImageStore is what a Dir needs from its image component — the durable
