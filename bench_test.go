@@ -343,7 +343,8 @@ const durableLines = 1 << 16
 
 // BenchmarkDurableCommit times one durable commit on a picl.Open store:
 // 64 writes spread over the footprint, then Sync — its undo blocks
-// appended unsynced, then one commit append to the image and its fsync.
+// appended unsynced, then one commit written over the image's zero
+// padding and its fsync.
 func BenchmarkDurableCommit(b *testing.B) {
 	m, err := Open(b.TempDir())
 	if err != nil {

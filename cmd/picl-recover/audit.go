@@ -39,6 +39,12 @@ func auditStore(dir string) int {
 		fmt.Printf("  image torn batch:   %d bytes dropped; the marker is the commit record at byte %d\n",
 			info.ImageTornBytes, info.MarkerAt)
 	}
+	switch {
+	case info.ImagePadBytes > 0 && info.ImageTornBytes > 0:
+		fmt.Printf("  image padding:      %d zero bytes behind the torn batch, dropped with it\n", info.ImagePadBytes)
+	case info.ImagePadBytes > 0:
+		fmt.Printf("  image padding:      %d zero bytes behind the sealed batches, kept for later commits to overwrite\n", info.ImagePadBytes)
+	}
 	fmt.Printf("  undo scan:          %d entries applied over %d blocks\n", info.Applied, info.Scanned)
 	fmt.Printf("  recovered lines:    %d\n", img.Len())
 	bound := fmt.Sprintf("at most %d per line: the next Open keeps the image", storage.CompactRatio)

@@ -139,6 +139,7 @@ func TestSmokeLogAudit(t *testing.T) {
 	const golden = `durable store audit: store
   marker epoch:       7
   log blocks read:    17
+  image padding:      63880 zero bytes behind the sealed batches, kept for later commits to overwrite
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
   image records:      68 for 24 live lines (more than 2 per line: the next Open compacts the image)
@@ -176,6 +177,7 @@ func TestSmokeLogAuditTorn(t *testing.T) {
   marker epoch:       7
   log blocks read:    17
   log tail ignored:   2148 bytes past the 17-block prefix the marker's commit names
+  image padding:      63880 zero bytes behind the sealed batches, kept for later commits to overwrite
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
   image records:      68 for 24 live lines (more than 2 per line: the next Open compacts the image)
@@ -210,7 +212,7 @@ func TestSmokeLogAuditTornBatch(t *testing.T) {
 	if err := im.WriteLine(3, 77); err != nil {
 		t.Fatal(err)
 	}
-	if torn, err := im.Cut(30, true, false); !torn || err != nil {
+	if torn, _, err := im.Cut(30, true, false, true); !torn || err != nil {
 		t.Fatalf("cut: torn=%v err=%v", torn, err)
 	}
 	if err := im.Close(); err != nil {
@@ -225,6 +227,7 @@ func TestSmokeLogAuditTornBatch(t *testing.T) {
   marker epoch:       7
   log blocks read:    17
   image torn batch:   48 bytes dropped; the marker is the commit record at byte 1616
+  image padding:      63832 zero bytes behind the torn batch, dropped with it
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
   image records:      68 for 24 live lines (more than 2 per line: the next Open compacts the image)
@@ -236,18 +239,18 @@ store consistent: recovery reproduces the epoch-7 checkpoint
 }
 
 // TestSmokeLogAuditImageTorn: the same store with a partial record
-// behind its image — the trace of a crash early in a commit's append —
-// drops it on open; the audit adds the torn-batch line and still
-// verifies consistent.
+// at its image's sealed end, over the zero padding — the trace of a
+// crash early in a commit — drops it on open with the padding behind
+// it; the audit adds the torn-batch line and still verifies consistent.
 func TestSmokeLogAuditImageTorn(t *testing.T) {
 	work := t.TempDir()
 	store := filepath.Join(work, "store")
 	buildStore(t, store)
-	f, err := os.OpenFile(filepath.Join(store, storage.ImageFileName), os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(filepath.Join(store, storage.ImageFileName), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0xA5, 0xA5, 0xA5}); err != nil {
+	if _, err := f.WriteAt([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0xA5, 0xA5, 0xA5}, 1640); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -262,6 +265,7 @@ func TestSmokeLogAuditImageTorn(t *testing.T) {
   marker epoch:       7
   log blocks read:    17
   image torn batch:   11 bytes dropped; the marker is the commit record at byte 1616
+  image padding:      63869 zero bytes behind the torn batch, dropped with it
   undo scan:          0 entries applied over 0 blocks
   recovered lines:    24
   image records:      68 for 24 live lines (more than 2 per line: the next Open compacts the image)

@@ -73,6 +73,23 @@ func snapshotStore(t *testing.T, dir string) (mem.EpochID, *mem.Image) {
 	return info.Marker, img
 }
 
+// readImage reads the image file at path and returns its bytes and its
+// sealed end: on a store with nothing torn, the end of its last non-zero
+// byte (a commit record ends in "SEAL"), the zero padding behind it cut
+// off.
+func readImage(t *testing.T, path string) ([]byte, int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, len(bytes.TrimRight(raw, "\x00"))
+}
+
+// imagePadStep is storage's imageIOBytes: the step the image's zero
+// padding grows by.
+const imagePadStep = 2730 * 24
+
 // recoverWithImage copies the store in src to dst with raw as its image
 // and recovers it.
 func recoverWithImage(t *testing.T, src, dst string, raw []byte) (*mem.Image, storage.RecoverInfo, error) {
@@ -84,11 +101,12 @@ func recoverWithImage(t *testing.T, src, dst string, raw []byte) (*mem.Image, st
 	return storage.RecoverDir(dst)
 }
 
-// TestOpenImageTornTailMatrix: a crash can cut a commit's append — its
-// line records and the commit record that seals them — at any byte. For
-// every such cut, Open drops the torn batch and recovers the previous
-// commit bit-exactly: the undo entries synced ahead of the torn records
-// roll their lines back. The whole append recovers the commit.
+// TestOpenImageTornTailMatrix: a crash can cut a commit's batch — its
+// line records and the commit record that seals them — at any byte,
+// with the file ending there or zero padding behind it. For every such
+// cut, Open drops the torn batch and recovers the previous commit
+// bit-exactly: the undo entries synced ahead of the torn records roll
+// their lines back. The whole batch recovers the commit.
 func TestOpenImageTornTailMatrix(t *testing.T) {
 	root := t.TempDir()
 	base := filepath.Join(root, "store")
@@ -98,10 +116,8 @@ func TestOpenImageTornTailMatrix(t *testing.T) {
 	}
 	writeWorkload(t, m, 24, 700)
 	imgPath := filepath.Join(base, storage.ImageFileName)
-	synced, err := os.ReadFile(imgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	synced, syncedEnd := readImage(t, imgPath)
+	synced = synced[:syncedEnd]
 	marker, _ := snapshotStore(t, base)
 
 	// The commit whose append the matrix cuts.
@@ -115,19 +131,22 @@ func TestOpenImageTornTailMatrix(t *testing.T) {
 	}
 	m.Crash()
 	m.Close()
-	full, err := os.ReadFile(imgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	padded, fullEnd := readImage(t, imgPath)
+	full := padded[:fullEnd]
 	if len(full) < len(synced)+3*24 || !bytes.Equal(full[:len(synced)], synced) {
 		t.Fatalf("the commit appended %d bytes to %d, want two records and a commit record or more behind them",
 			len(full)-len(synced), len(synced))
 	}
 
 	cut := filepath.Join(root, "cut")
-	for off := len(synced); off <= len(full); off++ {
+	for c := 2 * len(synced); c <= 2*len(full)+1; c++ {
+		off, pad := c/2, c%2 == 1 // the file ends at the cut, or its padding follows
 		copyStore(t, base, cut)
-		if err := os.Truncate(filepath.Join(cut, storage.ImageFileName), int64(off)); err != nil {
+		raw := bytes.Clone(padded[:off])
+		if pad {
+			raw = append(raw, make([]byte, len(padded)-off)...)
+		}
+		if err := os.WriteFile(filepath.Join(cut, storage.ImageFileName), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		re, err := Open(cut, WithSmallCaches())
@@ -185,14 +204,11 @@ func TestOpenFinalRecordRot(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, storage.ImageFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, end := readImage(t, filepath.Join(dir, storage.ImageFileName))
 	rot := filepath.Join(root, "rot")
 	for bit := 0; bit < 24*8; bit++ {
 		bad := bytes.Clone(raw)
-		bad[len(bad)-24+bit/8] ^= 1 << (bit % 8)
+		bad[end-24+bit/8] ^= 1 << (bit % 8)
 		img, info, err := recoverWithImage(t, dir, rot, bad)
 		if err != nil || info.Marker != epoch {
 			t.Fatalf("bit %d: recovered epoch %d err=%v, want the previous commit's %d", bit, info.Marker, err, epoch)
@@ -226,10 +242,8 @@ func TestOpenReorderedBatchMatrix(t *testing.T) {
 	}
 	writeWorkload(t, m, 24, 700)
 	imgPath := filepath.Join(dir, storage.ImageFileName)
-	synced, err := os.ReadFile(imgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	synced, syncedEnd := readImage(t, imgPath)
+	synced = synced[:syncedEnd]
 	epoch, golden := snapshotStore(t, dir)
 	for i := 0; i < 200; i++ {
 		if err := m.Write(uint64(i)*64, 5000+uint64(i)); err != nil {
@@ -241,10 +255,8 @@ func TestOpenReorderedBatchMatrix(t *testing.T) {
 	}
 	m.Crash()
 	m.Close()
-	full, err := os.ReadFile(imgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	padded, fullEnd := readImage(t, imgPath)
+	full := padded[:fullEnd]
 	page := (len(synced)/4096 + 1) * 4096
 	if page >= len(full) {
 		t.Fatalf("the batch [%d, %d) does not span a 4 KB boundary", len(synced), len(full))
@@ -257,15 +269,15 @@ func TestOpenReorderedBatchMatrix(t *testing.T) {
 	dst := filepath.Join(root, "torn")
 	for _, split := range splits {
 		for _, garbage := range []bool{false, true} {
-			bad := bytes.Clone(full)
+			bad := bytes.Clone(padded)
 			for i := len(synced); i < len(synced)+split; i++ {
 				bad[i] = 0
 				if garbage {
 					bad[i] = full[i] ^ 0xA5
 				}
 			}
-			if bytes.Equal(bad, full) {
-				continue // the batch holds zeros there: the whole append landed
+			if bytes.Equal(bad, padded) {
+				continue // the batch holds zeros there: the whole batch landed
 			}
 			img, info, err := recoverWithImage(t, dir, dst, bad)
 			if err != nil || info.Marker != epoch {
@@ -303,10 +315,7 @@ func TestOpenImageRotFails(t *testing.T) {
 	}
 	writeWorkload(t, m, 24, 100)
 	path := filepath.Join(dir, storage.ImageFileName)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, before := readImage(t, path)
 	for i := 0; i < 8; i++ {
 		if err := m.Write(uint64(i)*64, 500+uint64(i)); err != nil {
 			t.Fatal(err)
@@ -318,13 +327,13 @@ func TestOpenImageRotFails(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, end := readImage(t, path)
 	bits := []int{(8 + 5) * 8} // the compacted batch's commit record, behind the 8-byte header
-	for bit := len(before) * 8; bit < (len(raw)-24)*8; bit++ {
+	for bit := before * 8; bit < (end-24)*8; bit++ {
 		bits = append(bits, bit) // the last Sync's batch; Close's commit sealed over it
+	}
+	if len(bits) < 9*24*8 {
+		t.Fatalf("the last Sync's batch spans %d bits, want its 8 lines and commit record or more", len(bits)-1)
 	}
 	rot := filepath.Join(root, "rot")
 	for _, bit := range bits {
@@ -413,9 +422,11 @@ func TestOpenLegacyImageFails(t *testing.T) {
 	}
 }
 
-// TestDurableCommitImageAppendOnly: a durable commit only appends to
-// the image — no byte below its pre-commit size changes — and the file
-// grows by one record per line written back plus the commit record.
+// TestDurableCommitImageAppendOnly: a durable commit only writes past
+// the image's sealed end — no byte below it changes — and the sealed
+// bytes grow by one record per line written back plus the commit
+// record. The file's length changes only when the zero padding is
+// extended: on at most one commit per imagePadStep of sealed bytes.
 func TestDurableCommitImageAppendOnly(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	p := &imageProbe{}
@@ -426,11 +437,10 @@ func TestDurableCommitImageAppendOnly(t *testing.T) {
 	defer m.Close()
 	path := filepath.Join(dir, storage.ImageFileName)
 	line := uint64(1)
-	for c := 0; c < 6; c++ {
-		before, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	_, start := readImage(t, path)
+	resized := 0
+	for c := 0; c < 96; c++ {
+		before, end := readImage(t, path)
 		p.lines = 0
 		for i := 0; i < 64; i++ {
 			line = line * 6364136223846793005 % (1 << 16)
@@ -441,17 +451,21 @@ func TestDurableCommitImageAppendOnly(t *testing.T) {
 		if _, err := m.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		after, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		after, afterEnd := readImage(t, path)
+		if p.lines == 0 || afterEnd != end+24*(p.lines+1) {
+			t.Fatalf("commit %d: %d lines written back grew the sealed image %d -> %d bytes, want 24 per line and 24 more",
+				c, p.lines, end, afterEnd)
 		}
-		if p.lines == 0 || len(after) != len(before)+24*(p.lines+1) {
-			t.Fatalf("commit %d: %d lines written back grew the image %d -> %d bytes, want 24 per line and 24 more",
-				c, p.lines, len(before), len(after))
+		if !bytes.Equal(after[:end], before[:end]) {
+			t.Fatalf("commit %d rewrote bytes below the image's pre-commit sealed end", c)
 		}
-		if !bytes.Equal(after[:len(before)], before) {
-			t.Fatalf("commit %d rewrote bytes below the image's pre-commit size", c)
+		if len(after) != len(before) {
+			resized++
 		}
+	}
+	_, end := readImage(t, path)
+	if limit := 1 + (end-start)/imagePadStep; resized > limit || resized == 0 {
+		t.Fatalf("96 commits sealed %d bytes and changed the image's length %d times, want 1 to %d", end-start, resized, limit)
 	}
 }
 

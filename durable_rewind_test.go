@@ -63,10 +63,8 @@ func TestOpenCompactStoreWritesOnlySeals(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	copyStore(t, base, dir)
 	imgPath, logPath := filepath.Join(dir, storage.ImageFileName), filepath.Join(dir, storage.LogFileName)
-	img0, err := os.ReadFile(imgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img0, end0 := readImage(t, imgPath)
+	img0 = img0[:end0]
 	log0, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -80,10 +78,8 @@ func TestOpenCompactStoreWritesOnlySeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	img1, err := os.ReadFile(imgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img1, end1 := readImage(t, imgPath)
+	img1 = img1[:end1]
 	if grown := len(img1) - len(img0); grown > 24*(3+info.Changed) || !bytes.Equal(img1[:len(img0)], img0) {
 		t.Fatalf("Open grew the image %d -> %d bytes (%d lines changed) or rewrote its prefix; want at most three commit records and the changed lines appended",
 			len(img0), len(img1), info.Changed)
@@ -143,8 +139,9 @@ func TestSyncOnlyLogBounded(t *testing.T) {
 }
 
 // TestReopenSessionsImageBounded: sessions that reopen the store and
-// rewrite part of it keep image.dat within CompactRatio records per
-// live line plus what one session appends, however many sessions run.
+// rewrite part of it keep image.dat's sealed bytes within CompactRatio
+// records per live line plus what one session appends, however many
+// sessions run, and the zero padding behind them within one extension.
 func TestReopenSessionsImageBounded(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	m := populateStore(t, dir)
@@ -157,8 +154,9 @@ func TestReopenSessionsImageBounded(t *testing.T) {
 	bound := int64(8 + 24*(storage.CompactRatio*reopenLines+sessionRecords))
 	x := uint64(7)
 	compactions := 0
+	imgPath := filepath.Join(dir, storage.ImageFileName)
 	for s := 0; s < 16; s++ {
-		before := fileSize(t, dir, storage.ImageFileName)
+		_, before := readImage(t, imgPath)
 		m, err := Open(dir, WithSmallCaches())
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +164,7 @@ func TestReopenSessionsImageBounded(t *testing.T) {
 		if img, _ := m.Recovered(); img.Lines() != reopenLines {
 			t.Fatalf("session %d recovered %d lines, want %d", s, img.Lines(), reopenLines)
 		}
-		if fileSize(t, dir, storage.ImageFileName) < before {
+		if _, after := readImage(t, imgPath); after < before {
 			compactions++
 		}
 		for range 20 {
@@ -178,8 +176,12 @@ func TestReopenSessionsImageBounded(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if size := fileSize(t, dir, storage.ImageFileName); size > bound {
-			t.Fatalf("after %d sessions image.dat holds %d bytes, over %d: two records per live line and one session", s+1, size, bound)
+		raw, size := readImage(t, imgPath)
+		if int64(size) > bound {
+			t.Fatalf("after %d sessions image.dat holds %d sealed bytes, over %d: two records per live line and one session", s+1, size, bound)
+		}
+		if pad := len(raw) - size; pad > imagePadStep {
+			t.Fatalf("after %d sessions image.dat holds %d bytes of zero padding, over one %d-byte extension", s+1, pad, imagePadStep)
 		}
 	}
 	if compactions == 0 {

@@ -363,13 +363,14 @@ func (mk *fsyncedMarker) Set(e mem.EpochID) error {
 
 // TestDurableCommitFsyncSchedule pins where a durable commit fsyncs. The
 // 64 writes of a commit fsync nothing: their undo blocks are appended
-// unsynced. Sync fsyncs once, its commit append: the bulk ACS leaves
-// nothing for recovery to undo, so the log is not synced. A commit the
-// ACS-gap scan makes at CommitEpoch fsyncs the log, then its commit. The
-// bytes each commit writes to undo.log and appends to image.dat are the
-// ones the protocol that fsynced every undo block wrote; only the
-// flushes changed, and the log blocks a Sync leaves dead are overwritten
-// in place by the next commit's.
+// unsynced. Sync fsyncs once, its commit: the bulk ACS leaves nothing
+// for recovery to undo, so the log is not synced. A commit the ACS-gap
+// scan makes at CommitEpoch fsyncs the log, then its commit. The bytes
+// each commit writes to undo.log and seals in image.dat are the ones
+// the protocol that fsynced every undo block wrote; only the flushes
+// changed, the log blocks a Sync leaves dead are overwritten in place
+// by the next commit's, and the image's batches overwrite its zero
+// padding.
 func TestDurableCommitFsyncSchedule(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	w := &fsyncLog{}
@@ -378,18 +379,15 @@ func TestDurableCommitFsyncSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	size := func(name string) int64 {
-		fi, err := os.Stat(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fi.Size()
+	sealed := func() int64 {
+		_, end := readImage(t, filepath.Join(dir, storage.ImageFileName))
+		return int64(end)
 	}
 	wantLog := []int64{6144, 6144, 6144, 6144, 6144, 6144, 6144, 6144, 4096, 4096, 4096, 8192, 6144, 6144, 6144, 6144}
 	wantImg := []int64{1560, 1560, 1560, 1560, 1560, 1560, 1560, 1560, 0, 0, 0, 1560, 1560, 1560, 1560, 1560}
 	line := uint64(1)
 	for c := range wantLog {
-		i0 := size(storage.ImageFileName)
+		i0 := sealed()
 		w.ops, w.blocks = nil, 0
 		for i := 0; i < 64; i++ {
 			line = line * 6364136223846793005 % (1 << 16)
@@ -417,8 +415,8 @@ func TestDurableCommitFsyncSchedule(t *testing.T) {
 		if !slices.Equal(w.ops, want) {
 			t.Fatalf("commit %d: fsynced %v, want %v", c, w.ops, want)
 		}
-		if dl, di := int64(w.blocks)*undolog.BlockBytes, size(storage.ImageFileName)-i0; dl != wantLog[c] || di != wantImg[c] {
-			t.Fatalf("commit %d wrote %d log and appended %d image bytes, want %d and %d", c, dl, di, wantLog[c], wantImg[c])
+		if dl, di := int64(w.blocks)*undolog.BlockBytes, sealed()-i0; dl != wantLog[c] || di != wantImg[c] {
+			t.Fatalf("commit %d wrote %d log and sealed %d image bytes, want %d and %d", c, dl, di, wantLog[c], wantImg[c])
 		}
 	}
 }
@@ -451,11 +449,8 @@ func TestReopenMarkerRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, storage.ImageFileName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := len(raw) - 24
+	raw, end := readImage(t, path)
+	final := end - 24
 	for bit := 0; bit < 2*24*8; bit++ {
 		rot := bytes.Clone(raw)
 		rot[final-24+bit/8] ^= 1 << (bit % 8)

@@ -94,7 +94,9 @@ func packIdx(llci, l2i int32) uint64 {
 // Invariants: bit j of state[s] is set exactly when tags[s*ways+j] != 0,
 // and then tags[i] == uint64(addr)+1; dirty and priv bits are only ever
 // set for valid ways. Every mutation point (Place, victimSlot+installAt,
-// Invalidate, Reset, the LineRef setters) maintains this.
+// Invalidate, Reset, the LineRef setters) maintains this. In the LLC,
+// bit s of dirtySets is set whenever set s holds a dirty or PrivDirty
+// way (see dirtySets).
 type Cache struct {
 	cfg     Config
 	sets    int
@@ -109,6 +111,17 @@ type Cache struct {
 	eids  []mem.EpochID // per line: epoch tag
 	owner []int8        // per line: private holder (LLC only; -1 none)
 	state []uint64      // per set: valid | dirty<<dShift | priv<<pShift
+	// dirtySets summarizes the state words for the bulk scan: bit s%64 of
+	// word s/64 is set whenever set s holds a dirty or PrivDirty way, so
+	// Hierarchy.FlushDirty visits only flagged sets instead of every
+	// state word. The invariant is one-way and holds for the LLC: every
+	// transition that sets a dirty or priv bit there marks the set (the
+	// hierarchy's LLC installs, victim folds and EID forwarding, plus
+	// installAt, Place and the LineRef setters on any cache); only
+	// FlushDirty clears a bit, once its set holds neither, and Reset
+	// clears them all. A stale bit costs one wasted visit, never a
+	// missed line.
+	dirtySets []uint64
 	// idx packs, per private-cache line, two outer-level plane indices
 	// the line was fetched through: the LLC index in the high 32 bits and
 	// (for L1 lines) the L2 index in the low 32, each -1 when unknown.
@@ -116,7 +129,9 @@ type Cache struct {
 	// without a tag scan. Purely a performance hint: every consumer
 	// validates the tag at the index and falls back to a scan, so a stale
 	// entry costs one extra compare and can never change behavior. One
-	// packed word keeps the install path at a single hint store.
+	// packed word keeps the install path at a single hint store. Only the
+	// private levels have the plane (newPrivate); it is nil in the LLC,
+	// whose lines are never reached through an outer level.
 	idx []uint64
 	// hint caches, per set, the way of the last hit or install — an MRU
 	// shortcut for the tag scan. With the workloads' locality most
@@ -150,26 +165,39 @@ func New(cfg Config) *Cache {
 	}
 	n := sets * cfg.Ways
 	c := &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		setMask:  uint64(sets - 1),
-		ways:     cfg.Ways,
-		fullMask: (uint64(1) << uint(cfg.Ways)) - 1,
-		tags:     make([]uint64, n),
-		lru:      make([]uint64, n),
-		data:     make([]mem.Word, n),
-		eids:     make([]mem.EpochID, n),
-		owner:    make([]int8, n),
-		state:    make([]uint64, sets),
-		idx:      make([]uint64, n),
-		hint:     make([]uint8, sets),
+		cfg:       cfg,
+		sets:      sets,
+		setMask:   uint64(sets - 1),
+		ways:      cfg.Ways,
+		fullMask:  (uint64(1) << uint(cfg.Ways)) - 1,
+		tags:      make([]uint64, n),
+		lru:       make([]uint64, n),
+		data:      make([]mem.Word, n),
+		eids:      make([]mem.EpochID, n),
+		owner:     make([]int8, n),
+		state:     make([]uint64, sets),
+		dirtySets: make([]uint64, (sets+63)/64),
+		hint:      make([]uint8, sets),
 	}
-	for i := range c.idx {
-		c.idx[i] = noIdx
+	for i := range c.owner {
 		c.owner[i] = -1
 	}
 	return c
 }
+
+// newPrivate builds a private-level cache (an L1 or L2): New plus the
+// idx plane of outer-level hints, which only the private levels read.
+func newPrivate(cfg Config) *Cache {
+	c := New(cfg)
+	c.idx = make([]uint64, len(c.tags))
+	for i := range c.idx {
+		c.idx[i] = noIdx
+	}
+	return c
+}
+
+// markDirty flags set s in the dirty-set summary.
+func (c *Cache) markDirty(s int) { c.dirtySets[s>>6] |= 1 << uint(s&63) }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
@@ -242,6 +270,7 @@ func (r LineRef) SetDirty(d bool) {
 	s, bit := r.setBit()
 	if d {
 		r.c.state[s] |= bit << dShift
+		r.c.markDirty(s)
 	} else {
 		r.c.state[s] &^= bit << dShift
 	}
@@ -252,6 +281,7 @@ func (r LineRef) SetPrivDirty(d bool) {
 	s, bit := r.setBit()
 	if d {
 		r.c.state[s] |= bit << pShift
+		r.c.markDirty(s)
 	} else {
 		r.c.state[s] &^= bit << pShift
 	}
@@ -426,7 +456,8 @@ func (c *Cache) victimSlot(l mem.LineAddr) (i int, evict bool) {
 
 // installAt writes line l into way i (chosen by victimSlot or a tag
 // scan), leaving it most recently used, unowned, and with a clear
-// PrivDirty marker.
+// PrivDirty marker. An idx hint left by the way's previous line stays:
+// every reader validates it against the tag.
 func (c *Cache) installAt(i int, l mem.LineAddr, data mem.Word, eid mem.EpochID, dirty bool) {
 	c.stamp++
 	c.tags[i] = uint64(l) + 1
@@ -434,13 +465,13 @@ func (c *Cache) installAt(i int, l mem.LineAddr, data mem.Word, eid mem.EpochID,
 	c.data[i] = data
 	c.eids[i] = eid
 	c.owner[i] = -1
-	c.idx[i] = noIdx
 	s := int(uint64(l) & c.setMask)
 	c.hint[s] = uint8(i - s*c.ways)
 	bit := uint64(1) << uint(i-s*c.ways)
 	w := c.state[s] | bit
 	if dirty {
 		w |= bit << dShift
+		c.markDirty(s)
 	} else {
 		w &^= bit << dShift
 	}
@@ -473,6 +504,7 @@ func (c *Cache) Place(l mem.LineAddr, data mem.Word, eid mem.EpochID, dirty bool
 			c.lru[i] = c.stamp
 			if dirty {
 				c.state[base/c.ways] |= (uint64(1) << uint(j)) << dShift
+				c.markDirty(base / c.ways)
 			}
 			return LineRef{c, int32(i)}, nil
 		}
@@ -560,12 +592,15 @@ func (c *Cache) Reset() {
 		c.data[i] = 0
 		c.eids[i] = 0
 		c.owner[i] = -1
+	}
+	for i := range c.idx {
 		c.idx[i] = noIdx
 	}
 	for s := range c.state {
 		c.state[s] = 0
 		c.hint[s] = 0
 	}
+	clear(c.dirtySets)
 	c.stamp = 0
 	c.stats = Stats{}
 }

@@ -87,8 +87,8 @@ func NewHierarchy(cfg HierarchyConfig, backend Backend, observer StoreObserver) 
 		l1cfg, l2cfg := cfg.L1, cfg.L2
 		l1cfg.Name = fmt.Sprintf("l1.%d", i)
 		l2cfg.Name = fmt.Sprintf("l2.%d", i)
-		h.l1 = append(h.l1, New(l1cfg))
-		h.l2 = append(h.l2, New(l2cfg))
+		h.l1 = append(h.l1, newPrivate(l1cfg))
+		h.l2 = append(h.l2, newPrivate(l2cfg))
 	}
 	h.llc = New(cfg.LLC)
 	return h
@@ -240,6 +240,7 @@ func (h *Hierarchy) installLLC(now uint64, l mem.LineAddr, data mem.Word, eid me
 	nw := (w | bit) &^ (bit<<dShift | bit<<pShift)
 	if dirty {
 		nw |= bit << dShift
+		llc.markDirty(s)
 	}
 	llc.state[s] = nw
 	stall := now
@@ -314,6 +315,7 @@ func (h *Hierarchy) installL2(now uint64, core int, l mem.LineAddr, data mem.Wor
 	if vdirty {
 		llc.data[li], llc.eids[li] = vdata, veid
 		llc.state[s] |= bit << dShift
+		llc.markDirty(s)
 	}
 	// All private copies of the victim are gone now.
 	llc.state[s] &^= bit << pShift
@@ -396,6 +398,7 @@ func (h *Hierarchy) drainL1Victim(core int, vaddr mem.LineAddr, vdata mem.Word, 
 		llc.data[li], llc.eids[li] = vdata, veid
 		llc.state[s] |= bit << dShift
 		llc.state[s] &^= bit << pShift
+		llc.markDirty(s)
 	}
 }
 
@@ -445,6 +448,7 @@ func (h *Hierarchy) fetch(now uint64, core int, l mem.LineAddr) (l1i int, lat ui
 			if dirty {
 				llc.data[llci], llc.eids[llci] = data, eid
 				llc.state[s] |= bit << dShift
+				llc.markDirty(s)
 			}
 		} else if llc.state[s]&(bit<<pShift) != 0 {
 			// Our own private copies were supposedly dirty but L1/L2
@@ -528,6 +532,7 @@ func (h *Hierarchy) Store(now uint64, core int, l mem.LineAddr, data mem.Word) u
 		// line is dirty in a private cache and at which epoch.
 		llc.eids[llci] = newEID
 		llc.state[ls] |= lbit << pShift
+		llc.markDirty(ls)
 		llc.owner[llci] = int8(core)
 	}
 	return stall
@@ -540,30 +545,40 @@ func (h *Hierarchy) Store(now uint64, core int, l mem.LineAddr, data mem.Word) u
 // are dirty private copies, they would have to be snooped and written
 // back").
 //
-// The walk is the packed-plane ACS scan: one state-word test per set
-// skips clean sets outright, and TrailingZeros64 jumps straight to the
-// dirty ways; only matching ways touch the EID/data planes.
+// The walk is the packed-plane ACS scan over the LLC's dirty-set
+// summary: it visits only the sets the summary flags, in ascending
+// order, so a scan costs what is dirty rather than what the LLC holds,
+// and the output is the full walk's. In a visited set, one state-word
+// test finds the dirty ways and TrailingZeros64 jumps straight to them;
+// only matching ways touch the EID/data planes. A set left with no
+// dirty or PrivDirty way drops out of the summary.
 func (h *Hierarchy) FlushDirty(pred func(mem.LineAddr, mem.EpochID) bool) []DirtyLine {
 	var out []DirtyLine
 	llc := h.llc
-	for s := 0; s < llc.sets; s++ {
-		base := s * llc.ways
-		sw := llc.state[s]
-		for w := sw & (sw>>dShift | sw>>pShift) & llc.fullMask; w != 0; w &= w - 1 {
-			j := bits.TrailingZeros64(w)
-			li := base + j
-			addr := mem.LineAddr(llc.tags[li] - 1)
-			if pred != nil && !pred(addr, llc.eids[li]) {
-				continue
+	for k, flagged := range llc.dirtySets {
+		for ; flagged != 0; flagged &= flagged - 1 {
+			s := k<<6 | bits.TrailingZeros64(flagged)
+			base := s * llc.ways
+			sw := llc.state[s]
+			for w := sw & (sw>>dShift | sw>>pShift) & llc.fullMask; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				li := base + j
+				addr := mem.LineAddr(llc.tags[li] - 1)
+				if pred != nil && !pred(addr, llc.eids[li]) {
+					continue
+				}
+				bit := uint64(1) << uint(j)
+				data, eid, dirty := h.snoopPrivate(li, s, bit, false)
+				if !dirty {
+					continue
+				}
+				llc.data[li], llc.eids[li] = data, eid
+				llc.state[s] &^= bit << dShift
+				out = append(out, DirtyLine{Addr: addr, Data: data, EID: eid})
 			}
-			bit := uint64(1) << uint(j)
-			data, eid, dirty := h.snoopPrivate(li, s, bit, false)
-			if !dirty {
-				continue
+			if sw := llc.state[s]; sw&(sw>>dShift|sw>>pShift)&llc.fullMask == 0 {
+				llc.dirtySets[k] &^= 1 << uint(s&63)
 			}
-			llc.data[li], llc.eids[li] = data, eid
-			llc.state[s] &^= bit << dShift
-			out = append(out, DirtyLine{Addr: addr, Data: data, EID: eid})
 		}
 	}
 	return out
@@ -590,6 +605,21 @@ func (h *Hierarchy) CheckInclusion() error {
 		check("l2", h.l2[core])
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// CheckDirtySummary verifies the LLC's dirty-set summary against its
+// state words: every set holding a dirty or PrivDirty way has its bit
+// set, so FlushDirty's walk of the flagged sets misses no line a walk
+// of every set would find.
+func (h *Hierarchy) CheckDirtySummary() error {
+	llc := h.llc
+	for s, sw := range llc.state {
+		if sw&(sw>>dShift|sw>>pShift)&llc.fullMask != 0 && llc.dirtySets[s>>6]&(1<<uint(s&63)) == 0 {
+			return fmt.Errorf("dirty-set summary violated: LLC set %d holds dirty ways %#x but is not flagged",
+				s, sw&(sw>>dShift|sw>>pShift)&llc.fullMask)
 		}
 	}
 	return nil

@@ -224,10 +224,16 @@ func TestInclusionInvariantUnderRandomTraffic(t *testing.T) {
 			if err := h.CheckInclusion(); err != nil {
 				t.Fatalf("iteration %d: %v", i, err)
 			}
+			if err := h.CheckDirtySummary(); err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
 			o.system++
 		}
 	}
 	if err := h.CheckInclusion(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CheckDirtySummary(); err != nil {
 		t.Fatal(err)
 	}
 	_ = b

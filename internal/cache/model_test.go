@@ -136,6 +136,9 @@ func TestSharedLineMigration(t *testing.T) {
 			if err := h.CheckInclusion(); err != nil {
 				t.Fatal(err)
 			}
+			if err := h.CheckDirtySummary(); err != nil {
+				t.Fatal(err)
+			}
 			o.system++
 			// Periodic flush keeps the clean/stale interactions honest.
 			if i%10000 == 0 {

@@ -5,7 +5,8 @@
 //
 // Durability model: the NVM controller is FCFS, so writes become durable
 // in submission order. Every persistent-state mutation is performed
-// immediately on the scheme's current state but registers an undo closure
+// immediately on the scheme's current state but registers its rollback
+// — an undo closure, or for an in-place line write the line's old word —
 // tagged with the write's completion time. A crash at time T durably
 // retains exactly the prefix of writes with completion <= T; the
 // remaining suffix is rolled back in reverse order. This gives the
@@ -125,9 +126,15 @@ type Base struct {
 	sinkErr error
 }
 
+// inflightOp is the crash rollback of one persistent mutation whose
+// write completes at done: the closure undo, or, when undo is nil, an
+// in-place line write that restores line's old word in Cur (the
+// write-back path records that without allocating a closure).
 type inflightOp struct {
 	done uint64
 	undo func()
+	line mem.LineAddr
+	old  mem.Word
 }
 
 // NewBase initializes the shared state. functional enables content and
@@ -209,8 +216,7 @@ func (b *Base) PersistLineWrite(now uint64, op nvm.Op, l mem.LineAddr, data mem.
 	if !b.Functional {
 		return b.Ctl.Submit(now, op, mem.LineSize)
 	}
-	old := b.Cur.Read(l)
-	b.Cur.Write(l, data)
+	old := b.Cur.Swap(l, data)
 	// Mirror only while the store is healthy: after a sticky failure the
 	// on-disk image must freeze in the state its last durable marker
 	// covers, not accumulate writes whose undo coverage never made it.
@@ -219,7 +225,9 @@ func (b *Base) PersistLineWrite(now uint64, op nvm.Op, l mem.LineAddr, data mem.
 			b.NoteDurableErr(now, err)
 		}
 	}
-	return b.Persist(now, op, mem.LineSize, func() { b.Cur.Write(l, old) })
+	done := b.Ctl.Submit(now, op, mem.LineSize)
+	b.inflight = append(b.inflight, inflightOp{done: done, line: l, old: old})
+	return done
 }
 
 // SetLineSink installs (or clears, with nil) the durable mirror for
@@ -273,7 +281,11 @@ func (b *Base) Settle(now uint64) {
 func (b *Base) CrashAt(t uint64) {
 	b.Settle(t)
 	for i := len(b.inflight) - 1; i >= 0; i-- {
-		b.inflight[i].undo()
+		if op := &b.inflight[i]; op.undo != nil {
+			op.undo()
+		} else {
+			b.Cur.Write(op.line, op.old)
+		}
 	}
 	b.inflight = nil
 	b.crashed = true

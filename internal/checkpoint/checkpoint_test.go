@@ -111,6 +111,33 @@ func TestPersistLineWrite(t *testing.T) {
 	}
 }
 
+// TestPersistLineWriteRollbackOrder: line writes record their rollback
+// without a closure, interleaved with closure-backed mutations; a crash
+// undoes both kinds in one reverse submission order, so a line written
+// twice returns to its value before the first write, and a closure sees
+// the line as it was when its own mutation ran.
+func TestPersistLineWriteRollbackOrder(t *testing.T) {
+	b := newBase(true)
+	b.Cur.Write(7, 70)
+	d0 := b.PersistLineWrite(0, nvm.OpWriteback, 7, 71)
+	var seen []mem.Word
+	b.Persist(0, nvm.OpWriteback, 64, func() { seen = append(seen, b.Cur.Read(7)) })
+	b.PersistLineWrite(0, nvm.OpWriteback, 7, 72)
+	b.PersistLineWrite(0, nvm.OpWriteback, 8, 80)
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.PersistLineWrite(0, nvm.OpWriteback, 9, 90)
+		b.inflight = b.inflight[:4]
+	}); allocs != 0 {
+		t.Fatalf("PersistLineWrite allocates %.1f times per call, want 0", allocs)
+	}
+	b.Cur.Write(9, 0)
+	b.CrashAt(d0)
+	if b.Cur.Read(7) != 71 || b.Cur.Read(8) != 0 || len(seen) != 1 || seen[0] != 71 {
+		t.Fatalf("after the crash line 7 = %d, line 8 = %d, the closure saw %v; want 71, 0, [71]",
+			b.Cur.Read(7), b.Cur.Read(8), seen)
+	}
+}
+
 func TestPersistLineWriteTimingOnly(t *testing.T) {
 	b := newBase(false)
 	// Must not panic nor track anything without a functional image.

@@ -129,8 +129,8 @@ func (p *PiCL) Log() *undolog.Log { return p.log }
 // SetDurable attaches (or detaches, with nil) a durable store
 // directory: undo blocks are appended to its log file unsynced,
 // in-place line writes are staged for its image file, and each
-// persisted epoch is one image append carrying the staged writes and
-// the commit record that seals them. An ACS-gap commit syncs the log
+// persisted epoch is one image write at its sealed end carrying the
+// staged writes and the commit record that seals them. An ACS-gap commit syncs the log
 // first; the bulk ACS's commit does not need to (see ForcePersist). The
 // machine must be functional. Install before the run starts — typically
 // right after seeding the recovered image with SeedImage.

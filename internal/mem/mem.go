@@ -200,22 +200,30 @@ func (im *Image) Read(l LineAddr) Word {
 }
 
 // Write sets the content of line l.
-func (im *Image) Write(l LineAddr, w Word) {
-	if im.track {
-		if _, seen := im.cur[l]; !seen {
-			im.cur[l] = im.Read(l)
-		}
-	}
+func (im *Image) Write(l LineAddr, w Word) { im.Swap(l, w) }
+
+// Swap sets the content of line l and returns what it held before,
+// with one page lookup for both: the write-back path, which keeps the
+// old word for its crash rollback, reads and writes the line at once.
+func (im *Image) Swap(l LineAddr, w Word) Word {
 	k := l.Page()
 	p := im.pages[k]
+	var old Word
+	if p != nil {
+		old = p.w[l%LinesPerPage]
+	}
+	if im.track {
+		if _, seen := im.cur[l]; !seen {
+			im.cur[l] = old
+		}
+	}
 	if p == nil {
 		if w == 0 {
-			return
+			return 0
 		}
 		p = new(page)
 		im.pages[k] = p
 	}
-	old := p.w[l%LinesPerPage]
 	p.w[l%LinesPerPage] = w
 	switch {
 	case old == 0 && w != 0:
@@ -228,6 +236,7 @@ func (im *Image) Write(l LineAddr, w Word) {
 			delete(im.pages, k)
 		}
 	}
+	return old
 }
 
 // EnableHistory starts history recording. The current state becomes

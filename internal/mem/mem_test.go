@@ -197,6 +197,35 @@ func TestImageBasics(t *testing.T) {
 	}
 }
 
+// TestImageSwap: Swap returns what the line held and leaves the image
+// exactly as Write would, page counts and history included.
+func TestImageSwap(t *testing.T) {
+	sw, wr := NewImage(), NewImage()
+	sw.EnableHistory()
+	wr.EnableHistory()
+	steps := []struct {
+		l LineAddr
+		w Word
+	}{{5, 42}, {5, 43}, {70, 7}, {5, 0}, {70, 0}, {9, 0}, {9, 1}}
+	for i, s := range steps {
+		if old := sw.Swap(s.l, s.w); old != wr.Read(s.l) {
+			t.Fatalf("step %d: Swap(%v) returned %d, the line held %d", i, s.l, old, wr.Read(s.l))
+		}
+		wr.Write(s.l, s.w)
+		if !sw.Equal(wr) || sw.Len() != wr.Len() || len(sw.pages) != len(wr.pages) {
+			t.Fatalf("step %d: Swap left %d lines on %d pages, Write %d on %d",
+				i, sw.Len(), len(sw.pages), wr.Len(), len(wr.pages))
+		}
+		if i == 2 {
+			sw.Mark()
+			wr.Mark()
+		}
+	}
+	if !sw.At(0).Equal(wr.At(0)) || !sw.At(1).Equal(wr.At(1)) || sw.At(1).Read(5) != 43 {
+		t.Fatal("Swap's history differs from Write's")
+	}
+}
+
 func TestImageCloneIsDeep(t *testing.T) {
 	im := NewImage()
 	im.Write(1, 10)

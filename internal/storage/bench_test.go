@@ -29,8 +29,8 @@ func benchImage(b *testing.B) *ImageFile {
 }
 
 // BenchmarkImageSync is one durable commit's image layer: stage the 64
-// lines a commit writes back into a 2^16-line image, then append them
-// sealed by a commit record (the marker Set). random
+// lines a commit writes back into a 2^16-line image, then write them
+// at the sealed end, sealed by a commit record (the marker Set). random
 // draws the lines uniformly, as the durable-commit workload does;
 // adjacent writes 64 consecutive lines from a random start.
 func BenchmarkImageSync(b *testing.B) {

@@ -111,10 +111,15 @@ type RecoverInfo struct {
 	// behind the append point, which the session never overwrote; and
 	// any partial tail.
 	TornBytes uint64
-	// ImageTornBytes is how many torn image batch bytes — a commit
-	// append the crash interrupted, or rot in the final batch — were
-	// discarded at open.
+	// ImageTornBytes is how many torn image batch bytes — a commit the
+	// crash interrupted, or rot in the final batch — were discarded at
+	// open: the bytes past the sealed end up to the last non-zero one.
+	// Zero padding is never torn: a cleanly closed image reports 0.
 	ImageTornBytes uint64
+	// ImagePadBytes is the zero padding the image held behind its sealed
+	// end and any torn bytes at open: kept for later commits to
+	// overwrite, or dropped with the torn bytes in front of it.
+	ImagePadBytes uint64
 	// Applied and Scanned report the backward undo scan's work, counted
 	// as undolog.Log.ApplyTo counts them: the entries applied, and the
 	// blocks scanned in front of the block it stopped at.
@@ -178,6 +183,7 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 		BlocksRead:     int(named - start),
 		TornBytes:      (have-named)*undolog.BlockBytes + d.Log.TornBytes(),
 		ImageTornBytes: d.mk.im.TornBytes(),
+		ImagePadBytes:  d.mk.im.pad,
 		Applied:        applied,
 		Scanned:        scanned,
 		Lines:          img.Len(),
@@ -340,7 +346,8 @@ func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID, start uint64) (*I
 	if err != nil {
 		return nil, err
 	}
-	return &ImageFile{f: f, size: imageHeaderBytes + (n+3)*imageRecBytes, sealedLog: start, syncedLog: start}, nil
+	size := imageHeaderBytes + (n+3)*imageRecBytes
+	return &ImageFile{f: f, size: size, alloc: size, sealedLog: start, syncedLog: start}, nil
 }
 
 // PersistMarker durably advances the persisted-epoch marker, enforcing

@@ -36,10 +36,12 @@
 //     leaves that old, CRC-valid block where it went, and torn, the old
 //     block's tail behind its own head. A Rewind lowers the watermark
 //     with it. The cut discards the image's staged records, optionally
-//     tearing the commit append the next marker Set would make: a
-//     prefix of it, or — out of order — its later part behind zeros or
-//     garbage. Sealed batches are never touched, so the marker stays
-//     the last completed Set. After the cut every intercepted call
+//     tearing the commit the next marker Set would make: a prefix of
+//     it, or — out of order — its later part behind zeros or garbage,
+//     over the zero padding, and where the commit would have extended
+//     the padding, that extension landed or lost with the file at its
+//     previous length. Sealed batches are never touched, so the marker
+//     stays the last completed Set. After the cut every intercepted call
 //     fails with storage.ErrPowerLost.
 package fault
 
@@ -141,14 +143,18 @@ type Counts struct {
 	// stale block it overwrote in place: a whole, CRC-valid block from
 	// before a rewind, past the prefix the last commit names.
 	LogStale uint64
+	// ImgExtLost counts power cuts that lost the image's unsynced zero
+	// padding extension with the commit that made it: the file kept its
+	// previous length, and the batch bytes past it never landed.
+	ImgExtLost uint64
 }
 
 // String renders the counts as one stable line.
 func (c Counts) String() string {
 	return fmt.Sprintf(
-		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d img_rot=%d img_reorder=%d log_reorder=%d log_stale=%d",
+		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d img_rot=%d img_reorder=%d log_reorder=%d log_stale=%d img_ext_lost=%d",
 		c.Ops, c.SyncFails, c.SyncDrops, c.ShortWrites, c.ENOSPC,
-		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.ImgRotBits, c.ImgReorders, c.LogReorders, c.LogStale)
+		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.ImgRotBits, c.ImgReorders, c.LogReorders, c.LogStale, c.ImgExtLost)
 }
 
 // Add accumulates other into c (campaign aggregation).
@@ -167,6 +173,7 @@ func (c *Counts) Add(other Counts) {
 	c.ImgReorders += other.ImgReorders
 	c.LogReorders += other.LogReorders
 	c.LogStale += other.LogStale
+	c.ImgExtLost += other.ImgExtLost
 }
 
 // Decision classes: each fault roll mixes its class into the stream so
@@ -199,6 +206,7 @@ const (
 	classImgRotBit
 	classCrashImgReorder
 	classCrashLogSuffix
+	classCrashImgExtend
 )
 
 // splitmix64 is the standard 64-bit mixer (Steele et al.); one round
@@ -551,12 +559,15 @@ func (im *Image) WriteLine(l mem.LineAddr, w mem.Word) error {
 }
 
 // crash discards the image's staged records — they never left the
-// process — and half the time tears the commit append that would have
-// sealed them: in order, a prefix of it or as many garbage bytes; out
-// of order, its later part behind zeros or garbage. The records belong
-// to writes after the last commit, which the undo log covers
-// (write-ahead rules 1 and 2), and the torn batch never validates, so
-// recovery lands on the last commit and rolls the writes back.
+// process — and half the time tears the commit that would have sealed
+// them: in order, a prefix of it or as many garbage bytes; out of
+// order, its later part behind zeros or garbage. A batch that would run
+// past the file's length comes with the zero padding extension the
+// commit makes first, which lands or, half the time, is lost, leaving
+// the file at its previous length. The records belong to writes after
+// the last commit, which the undo log covers (write-ahead rules 1 and
+// 2), and the torn batch never validates, so recovery lands on the last
+// commit and rolls the writes back.
 func (im *Image) crash() {
 	if im.f == nil {
 		return
@@ -567,11 +578,19 @@ func (im *Image) crash() {
 	}
 	reorder := im.in.rand(classCrashImgReorder)%2 == 0
 	garbage := im.in.rand(classCrashImgGarbage)%2 == 0
-	if torn, err := im.f.Cut(tear, reorder, garbage); torn && err == nil {
+	extended := im.in.rand(classCrashImgExtend)%2 == 0
+	torn, lost, err := im.f.Cut(tear, reorder, garbage, extended)
+	if err != nil {
+		return
+	}
+	if torn {
 		im.in.counts.ImageTears++
 		if reorder {
 			im.in.counts.ImgReorders++
 		}
+	}
+	if lost {
+		im.in.counts.ImgExtLost++
 	}
 }
 

@@ -258,10 +258,15 @@ func TestMarkerTearRecovers(t *testing.T) {
 	}
 }
 
+// sealedPart returns raw up to its last non-zero byte: the sealed end
+// of an image with nothing torn, or the end of the torn bytes.
+func sealedPart(raw []byte) []byte { return bytes.TrimRight(raw, "\x00") }
+
 // TestImageCutDiscardsStaged: the power cut drops the image's staged
-// records — at most a torn commit append reaches the file, past every
-// sealed record — and Close after ErrPowerLost writes nothing to
-// image.dat. Recovery reads the sealed records and reports the tear.
+// records — at most a torn commit reaches the file, over the zero
+// padding past every sealed record — and Close after ErrPowerLost writes
+// nothing to image.dat. Recovery reads the sealed records and reports
+// the tear.
 func TestImageCutDiscardsStaged(t *testing.T) {
 	tears := 0
 	for seed := uint64(0); seed < 32; seed++ {
@@ -274,7 +279,8 @@ func TestImageCutDiscardsStaged(t *testing.T) {
 			var err error
 			if op == 4 {
 				err = d.Mk.Set(1)
-				sealed, _ = os.ReadFile(path)
+				raw, _ := os.ReadFile(path)
+				sealed = sealedPart(raw)
 			} else {
 				err = d.Img.WriteLine(mem.LineAddr(op), mem.Word(op))
 			}
@@ -286,9 +292,9 @@ func TestImageCutDiscardsStaged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn := len(cut) - len(sealed)
+		torn := len(sealedPart(cut)) - len(sealed)
 		if torn < 0 || torn > 4*24 || !bytes.Equal(cut[:len(sealed)], sealed) {
-			t.Fatalf("seed %d: the cut left %d bytes over %d sealed ones", seed, len(cut), len(sealed))
+			t.Fatalf("seed %d: the cut left the image sealed to byte %d over %d sealed ones", seed, len(sealedPart(cut)), len(sealed))
 		}
 		if torn > 0 {
 			tears++
@@ -313,6 +319,60 @@ func TestImageCutDiscardsStaged(t *testing.T) {
 	}
 	if tears == 0 || tears == 32 {
 		t.Fatalf("%d of 32 cuts tore the image; want some of each", tears)
+	}
+}
+
+// TestImageCutLosesExtension: a cut during a commit whose batch runs
+// past the image file's length either lands the zero padding extension
+// the commit made first, or loses it, and then the file ends at its
+// previous length with only the batch bytes inside it landed; either
+// way recovery lands on the last sealed commit and reports the tear.
+func TestImageCutLosesExtension(t *testing.T) {
+	// One commit of 2727 lines leaves 40 bytes of padding: the next
+	// batch, two lines and its commit record, runs past it.
+	const lines = 2727
+	lost, extended := 0, 0
+	for seed := uint64(0); seed < 32; seed++ {
+		d, in := openWrapped(t, seed, Profile{CrashAtMin: lines + 4, CrashWindow: 1})
+		path := filepath.Join(d.Path(), storage.ImageFileName)
+		for l := range mem.LineAddr(lines) {
+			if err := d.Img.WriteLine(l, mem.Word(l+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Mk.Set(1); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := os.ReadFile(path)
+		d.Img.WriteLine(lines, 1)
+		d.Img.WriteLine(lines+1, 1)
+		if err := d.Mk.Set(2); !errors.Is(err, storage.ErrPowerLost) {
+			t.Fatalf("seed %d: the cut commit = %v, want ErrPowerLost", seed, err)
+		}
+		d.Close()
+		cut, _ := os.ReadFile(path)
+		c := in.Counts()
+		switch {
+		case c.ImgExtLost > 0:
+			lost++
+			if len(cut) != len(before) {
+				t.Fatalf("seed %d: the extension was lost but the image holds %d bytes, want its previous %d", seed, len(cut), len(before))
+			}
+		case len(cut) > len(before):
+			extended++
+		}
+		if !bytes.Equal(cut[:len(sealedPart(before))], sealedPart(before)) {
+			t.Fatalf("seed %d: the cut changed sealed bytes", seed)
+		}
+		img, info, err := storage.RecoverDir(d.Path())
+		if err != nil || info.Marker != 1 || img.Len() != lines ||
+			info.ImageTornBytes != uint64(len(sealedPart(cut))-len(sealedPart(before))) {
+			t.Fatalf("seed %d: recovered %d lines at marker %d, torn %d, err %v; want %d at 1 and the tear reported (%v)",
+				seed, img.Len(), info.Marker, info.ImageTornBytes, err, lines, c)
+		}
+	}
+	if lost == 0 || extended == 0 {
+		t.Fatalf("32 cuts lost %d extensions and landed %d; want both", lost, extended)
 	}
 }
 

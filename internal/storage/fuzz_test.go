@@ -46,9 +46,12 @@ func sealedImage(raw []byte) (img *mem.Image, last commitRec, ok bool) {
 
 // FuzzOpenImage: for arbitrary image.dat bytes, OpenImage, Load and the
 // marker's Get never panic, and either fail with ErrCorruptImage or
-// keep a prefix of the bytes made only of sealed batches, dropping the
-// rest as a torn batch: Load returns exactly what those batches replay
-// to, Get the last one's epoch and LogBlocks the log prefix it names.
+// keep a prefix of the bytes made only of sealed batches and zero
+// padding: a tail of zeros alone is kept whole and nothing is torn;
+// otherwise the file is cut at the sealed end, the bytes up to the last
+// non-zero one reported torn and the zeros behind them as padding.
+// Load returns exactly what the sealed batches replay to, Get the last
+// one's epoch and LogBlocks the log prefix it names.
 func FuzzOpenImage(f *testing.F) {
 	im := &ImageFile{}
 	im.WriteLine(1, 11)
@@ -75,6 +78,10 @@ func FuzzOpenImage(f *testing.F) {
 	f.Add(rot)
 	f.Add([]byte{'P', 'C', 'L', 'I', 2, 0, 0, 0})
 	f.Add(v3)
+	f.Add(append(bytes.Clone(two), make([]byte, 1000)...))              // a clean padded tail
+	f.Add(append(bytes.Clone(two[:len(two)-7]), make([]byte, 1000)...)) // a torn batch, then padding
+	f.Add(append(bytes.Clone(one), make([]byte, 4096-len(one))...))     // a padding extension that landed up to a page
+	f.Add(make([]byte, 100))                                            // only the first commit's padding landed
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		path := filepath.Join(t.TempDir(), ImageFileName)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -103,13 +110,16 @@ func FuzzOpenImage(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(raw, kept) || im.TornBytes() != uint64(len(raw)-len(kept)) {
-			t.Fatalf("open kept %d of %d bytes and reports %d torn, want a prefix and the rest torn",
-				len(kept), len(raw), im.TornBytes())
+		sealed := kept[:lastNonZero(kept)+1]
+		torn := lastNonZero(raw) + 1 - len(sealed)
+		if !bytes.HasPrefix(raw, kept) || (len(kept) == len(raw)) != (torn == 0) || torn > 0 && len(kept) != len(sealed) ||
+			im.TornBytes() != uint64(torn) || im.pad != uint64(len(raw)-len(sealed)-torn) {
+			t.Fatalf("open kept %d of %d bytes, sealed to byte %d, and reports %d torn and %d padding; want a prefix, cut at the sealed end unless only zeros follow it, and %d torn",
+				len(kept), len(raw), len(sealed), im.TornBytes(), im.pad, torn)
 		}
-		want, last, ok := sealedImage(kept)
+		want, last, ok := sealedImage(sealed)
 		if !ok {
-			t.Fatalf("load accepted %x, which is not whole sealed batches", kept)
+			t.Fatalf("load accepted %x, which is not whole sealed batches", sealed)
 		}
 		if !img.Equal(want) || e != last.epoch || im.LogBlocks() != last.logBlocks {
 			t.Fatalf("load returned epoch %d, log prefix %d and %v, the sealed batches hold epoch %d naming %d blocks",

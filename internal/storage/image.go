@@ -14,7 +14,8 @@ import (
 )
 
 // The image file is a short header followed by fixed-size records
-// appended one commit at a time. A line record is the line address
+// written one commit at a time, then zero padding that later commits
+// overwrite (see ImageFile). A line record is the line address
 // (u64), its word (u64), the CRC32C of those 16 bytes (u32) and 4 zero
 // bytes. A commit record seals the line records between it and the
 // previous commit record, its batch: the epoch it persists (u32), the
@@ -39,9 +40,13 @@ var imageHeader = [imageHeaderBytes]byte{'P', 'C', 'L', 'I', 4, 0, 0, 0}
 const commitTag = 0x4C414553
 
 // imageIOBytes is the buffer the whole-file passes (Load, Reset's
-// compaction) read or write records through: one syscall per 2730
-// records instead of one per record.
+// compaction) read or write records through — one syscall per 2730
+// records instead of one per record — and the step in which commit
+// extends the file's zero padding and findSealed skips it.
 const imageIOBytes = 2730 * imageRecBytes
+
+// imageZeros is the zero padding commit extends the file with.
+var imageZeros [imageIOBytes]byte
 
 // castagnoli is the CRC32C table behind every checksum the package
 // writes: image records, commit batches and result records.
@@ -54,28 +59,43 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ErrCorruptImage = errors.New("storage: corrupt image file")
 
 // ImageFile is the durable line-granular memory image: the on-disk
-// stand-in for the NVM array itself, kept as an append-only log of
-// CRC-checked line records sealed by commit records. WriteLine stages a
-// record in memory; commit (Marker.Set) appends everything staged plus
-// the commit record sealing it, with one positional write at the tail
-// and one fsync, the sequential row-sized write discipline the undo log
+// stand-in for the NVM array itself, kept as a log of CRC-checked line
+// records sealed by commit records. WriteLine stages a record in
+// memory; commit (Marker.Set) writes everything staged plus the commit
+// record sealing it at the sealed end, with one positional write and
+// one fsync, the sequential row-sized write discipline the undo log
 // already follows. The last sealed commit record is the persisted-epoch
 // marker, and names the undo-log prefix recovery at its epoch reads.
 // Load replays the records in file order, so a line's last record wins.
-// The file grows by one record per line written back, and one per
+// The sealed records grow by one per line written back, and one per
 // commit, until an Open finds more than CompactRatio records per live
-// line and Dir.Reset compacts it to one record per live line.
+// line and Dir.Reset compacts the file to one record per live line.
 //
-// A crash can leave only a torn batch: whatever follows the last commit
-// record whose batch validates, in any order the page cache wrote it
-// back. OpenImage drops it and reports it (TornBytes). An invalid
-// record or batch with a sealed batch behind it is rot, and Load fails
-// with ErrCorruptImage rather than return an older line.
+// The file is the header, the sealed batches, then zero padding: when
+// a batch would run past the file's length, commit first extends the
+// file with imageIOBytes of zeros, so most commits overwrite blocks
+// already allocated and their fsync has no new file length to make
+// durable. Zeros never read as a record — 16 zero bytes never carry a
+// matching CRC32C, and a commit record ends in commitTag — so the
+// sealed end is the last non-zero record that validates.
+//
+// A crash can leave only a torn batch: whatever of the in-flight commit
+// landed behind the sealed end, in any order the page cache wrote it
+// back, and the padding extension it made or not. OpenImage drops the
+// non-zero bytes past the sealed end, the padding behind them with
+// them, and reports them (TornBytes); an all-zero tail is kept as it
+// is. No batch that validates ever lies past the sealed end: after
+// OpenImage every byte there is zero, and a commit writes there only
+// its own batch. An invalid record or batch with a sealed batch behind
+// it is rot, and Load fails with ErrCorruptImage rather than return an
+// older line.
 type ImageFile struct {
 	f      *os.File
 	size   int64       // bytes on file: header through the last sealed commit record (0 until the first commit)
+	alloc  int64       // the file's length: size, then the zero padding commits overwrite
 	staged []byte      // line records staged since the last commit
 	torn   uint64      // torn batch bytes dropped at open
+	pad    uint64      // zero padding behind the sealed end and the torn bytes at open
 	epoch  mem.EpochID // the last sealed commit's epoch (0 before the first commit)
 	// sealedLog is the undo-log block count the last sealed commit
 	// names; syncedLog is the count the next commit names: the log's
@@ -85,9 +105,11 @@ type ImageFile struct {
 }
 
 // OpenImage opens (creating if absent) a durable image file and drops a
-// torn batch: everything behind the last commit record whose batch
-// validates, or a prefix of the header a first commit left. A file
-// whose header is not this format's is an error, and the file is left
+// torn batch: the non-zero bytes behind the last commit record whose
+// batch validates, or a prefix of the header a first commit left, with
+// the zero padding behind them. A tail of zeros alone is padding and
+// stays: OpenImage then neither truncates nor fsyncs. A file whose
+// header is not this format's is an error, and the file is left
 // untouched.
 func OpenImage(path string) (*ImageFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -99,13 +121,16 @@ func OpenImage(path string) (*ImageFile, error) {
 		f.Close()
 		return nil, err
 	}
-	im := &ImageFile{f: f}
-	err = im.findSealed(fi.Size())
+	im := &ImageFile{f: f, alloc: fi.Size()}
+	end, err := im.findSealed(fi.Size())
 	im.syncedLog = im.sealedLog
-	if err == nil && im.size < fi.Size() {
-		im.torn = uint64(fi.Size() - im.size)
-		if err = f.Truncate(im.size); err == nil {
-			err = f.Sync()
+	if err == nil {
+		im.pad = uint64(fi.Size() - end) // end >= size: a commit record ends in commitTag
+		if end > im.size {
+			im.torn, im.alloc = uint64(end-im.size), im.size
+			if err = f.Truncate(im.size); err == nil {
+				err = f.Sync()
+			}
 		}
 	}
 	if err != nil {
@@ -115,28 +140,35 @@ func OpenImage(path string) (*ImageFile, error) {
 	return im, nil
 }
 
-// findSealed checks the header of a file of n bytes and scans back from
-// its final whole record for the last commit record whose batch
-// validates, leaving size, epoch and sealedLog at it (size 0 if there
-// is none).
-// Only that tail is read: the records in front of the batch are checked
-// by Load.
-func (im *ImageFile) findSealed(n int64) error {
-	if n == 0 {
-		return nil
+// findSealed scans a file of n bytes for the last commit record whose
+// batch validates, leaving size, epoch and sealedLog at it (size 0 if
+// there is none), and returns the end of the file's non-zero bytes.
+// The zero padding is skipped in imageIOBytes reads from the end; the
+// header is checked, then records are read back one at a time from the
+// last whole one holding a non-zero byte: zeros never validate. Only
+// that tail is read: the records in front of the batch are checked by
+// Load.
+func (im *ImageFile) findSealed(n int64) (int64, error) {
+	end, err := im.dataEnd(n)
+	if err != nil || end == 0 {
+		return 0, err
 	}
-	head := make([]byte, min(n, imageHeaderBytes))
+	head := make([]byte, min(end, imageHeaderBytes))
 	if _, err := im.f.ReadAt(head, 0); err != nil {
-		return err
+		return 0, err
 	}
 	if !bytes.Equal(head, imageHeader[:len(head)]) {
-		return fmt.Errorf("%w: %s does not start with the version-%d image header %x (an image from an older format?)",
+		return 0, fmt.Errorf("%w: %s does not start with the version-%d image header %x (an image from an older format?)",
 			ErrCorruptImage, im.f.Name(), imageHeader[4], imageHeader)
 	}
+	if end <= imageHeaderBytes {
+		return end, nil
+	}
+	last := min((end-imageHeaderBytes-1)/imageRecBytes, (n-imageHeaderBytes)/imageRecBytes-1)
 	var rec [imageRecBytes]byte
-	for at := imageHeaderBytes + (n-imageHeaderBytes)/imageRecBytes*imageRecBytes - imageRecBytes; at >= imageHeaderBytes; at -= imageRecBytes {
+	for at := imageHeaderBytes + last*imageRecBytes; at >= imageHeaderBytes; at -= imageRecBytes {
 		if _, err := im.f.ReadAt(rec[:], at); err != nil {
-			return err
+			return 0, err
 		}
 		c, ok := decodeCommitRecord(rec[:])
 		if !ok || c.count > (at-imageHeaderBytes)/imageRecBytes {
@@ -145,14 +177,45 @@ func (im *ImageFile) findSealed(n int64) error {
 		start := at - c.count*imageRecBytes
 		h := crc32.New(castagnoli)
 		if _, err := io.Copy(h, io.NewSectionReader(im.f, start, at-start)); err != nil {
-			return err
+			return 0, err
 		}
 		if h.Sum32() == c.sum {
 			im.size, im.epoch, im.sealedLog = at+imageRecBytes, c.epoch, c.logBlocks
-			return nil
+			return end, nil
 		}
 	}
-	return nil
+	return end, nil
+}
+
+// dataEnd returns the offset just past the last non-zero byte among the
+// file's first n (0 if there is none), reading back from n in
+// imageIOBytes chunks: zero padding costs a read per chunk, not one per
+// record.
+func (im *ImageFile) dataEnd(n int64) (int64, error) {
+	buf := make([]byte, min(n, imageIOBytes))
+	for hi := n; hi > 0; {
+		lo := max(hi-imageIOBytes, 0)
+		chunk := buf[:hi-lo]
+		if _, err := im.f.ReadAt(chunk, lo); err != nil {
+			return 0, err
+		}
+		if i := lastNonZero(chunk); i >= 0 {
+			return lo + int64(i) + 1, nil
+		}
+		hi = lo
+	}
+	return 0, nil
+}
+
+// lastNonZero returns the index of b's last non-zero byte, or -1.
+func lastNonZero(b []byte) int {
+	i := len(b)
+	for i >= 8 && binary.LittleEndian.Uint64(b[i-8:i]) == 0 {
+		i -= 8
+	}
+	for i--; i >= 0 && b[i] == 0; i-- {
+	}
+	return i
 }
 
 // appendImageRecord appends the record for line l holding w to b.
@@ -218,7 +281,7 @@ func (im *ImageFile) WriteLine(l mem.LineAddr, w mem.Word) error {
 // durable on its own.
 func (im *ImageFile) Sync() error { return nil }
 
-// batch returns the bytes the next commit appends for epoch e: the
+// batch returns the bytes the next commit writes for epoch e: the
 // header when the file is empty, every staged record, and the commit
 // record sealing them and naming syncedLog. It may write into the
 // staging buffer's spare capacity, never into its records.
@@ -235,16 +298,21 @@ func (im *ImageFile) batch(e mem.EpochID) []byte {
 	return buf
 }
 
-// commit durably records epoch e: it appends every staged record and
-// the commit record sealing them at the tail with one positional write,
-// and fsyncs. A failed commit keeps the records staged and the tail
-// where it was, so a retry writes the same bytes again.
+// commit durably records epoch e: it writes every staged record and
+// the commit record sealing them at the sealed end with one positional
+// write, over the zero padding (extending it first if the batch would
+// run past the file's length), and fsyncs. A failed commit keeps the
+// records staged and the sealed end where it was, so a retry writes the
+// same bytes again.
 func (im *ImageFile) commit(e mem.EpochID) error {
 	if uint64(e) > math.MaxUint32 || im.syncedLog > math.MaxUint32 {
 		return fmt.Errorf("storage: epoch %d or log block count %d does not fit the version-%d commit record",
 			e, im.syncedLog, imageHeader[4])
 	}
 	buf := im.batch(e)
+	if err := im.extend(im.size + int64(len(buf))); err != nil {
+		return err
+	}
 	if _, err := im.f.WriteAt(buf, im.size); err != nil {
 		return err
 	}
@@ -254,6 +322,21 @@ func (im *ImageFile) commit(e mem.EpochID) error {
 	im.size += int64(len(buf))
 	im.epoch, im.sealedLog = e, im.syncedLog
 	im.staged = im.staged[:0]
+	return nil
+}
+
+// extend grows the file with zero padding, imageIOBytes at a time from
+// its end, until it holds at least end bytes. The padding becomes
+// durable with the fsync of the commit that needed it, so it is
+// allocated and written once for every imageIOBytes of batches, and the
+// commits in between overwrite it in place.
+func (im *ImageFile) extend(end int64) error {
+	for im.alloc < end {
+		if _, err := im.f.WriteAt(imageZeros[:], im.alloc); err != nil {
+			return err
+		}
+		im.alloc += imageIOBytes
+	}
 	return nil
 }
 
@@ -322,24 +405,30 @@ func (im *ImageFile) Load() (*mem.Image, error) {
 }
 
 // TornBytes reports how many torn batch bytes were dropped when the
-// file was opened (0 for a cleanly closed image).
+// file was opened: the bytes past the sealed end up to the last
+// non-zero one (0 for a cleanly closed image, whatever its padding).
 func (im *ImageFile) TornBytes() uint64 { return im.torn }
 
 // Cut simulates a power cut against the image: every staged record is
 // lost with the process. With tear > 0 (0 tears nothing) the cut lands
-// partway through the n-byte commit append the next Set would make —
-// the staged records and a commit record sealing the next epoch — at
-// byte split = 1 + (tear-1) mod (n-1) of it. In order, the first split
-// bytes land, or as many garbage bytes. Out of order (reorder), the
-// bytes from split on land and the first split bytes are zeros, or
-// garbage: the page cache wrote the later pages back first. Either way
-// the batch never validates, and sealed records are never touched. It
-// reports whether it tore anything. Fault injection only.
-func (im *ImageFile) Cut(tear uint64, reorder, garbage bool) (bool, error) {
+// partway through the n-byte commit the next Set would make — the
+// staged records and a commit record sealing the next epoch — at byte
+// split = 1 + (tear-1) mod (n-1) of it. In order, the first split bytes
+// land, or as many garbage bytes. Out of order (reorder), the bytes
+// from split on land and the first split bytes are zeros, or garbage:
+// the page cache wrote the later pages back first. A batch that runs
+// past the file's length comes with the padding extension the commit
+// makes first: with extended it landed, and without it the file keeps
+// its previous length, and whatever of the batch lay past it is lost.
+// Either way the batch never validates, and sealed records are never
+// touched. It reports whether it tore anything — whether a non-zero
+// byte landed past the sealed end — and whether it lost an extension
+// the batch needed. Fault injection only.
+func (im *ImageFile) Cut(tear uint64, reorder, garbage, extended bool) (torn, lost bool, err error) {
 	buf := im.batch(im.epoch + 1)
 	im.staged = nil
 	if tear == 0 {
-		return false, nil
+		return false, false, nil
 	}
 	head := 0
 	if im.size == 0 {
@@ -362,14 +451,25 @@ func (im *ImageFile) Cut(tear uint64, reorder, garbage bool) (bool, error) {
 		}
 	case reorder:
 		if bytes.Equal(damaged, make([]byte, split)) {
-			return false, nil // the batch's own bytes are zeros there: nothing would be torn
+			return false, false, nil // the batch's own bytes are zeros there: nothing would be torn
 		}
 		clear(damaged)
 	}
-	if _, err := im.f.WriteAt(append(buf[:head:head], b...), im.size); err != nil {
-		return false, err
+	lost = im.size+int64(len(buf)) > im.alloc && !extended
+	if !lost {
+		if err := im.extend(im.size + int64(len(buf))); err != nil {
+			return false, lost, err
+		}
 	}
-	return true, im.f.Sync()
+	landed := append(buf[:head:head], b...)
+	landed = landed[:min(int64(len(landed)), im.alloc-im.size)]
+	if lastNonZero(landed) < 0 {
+		return false, lost, im.f.Sync() // only zeros landed: nothing is torn
+	}
+	if _, err := im.f.WriteAt(landed, im.size); err != nil {
+		return false, lost, err
+	}
+	return true, lost, im.f.Sync()
 }
 
 // RotBit flips one bit of a record with a sealed batch behind it — rot
@@ -410,11 +510,12 @@ func (im *ImageFile) Close() error { return im.f.Close() }
 // Marker is the durable persisted-epoch record — the pointer the OS
 // reads first during recovery (paper §IV-B). It has no file of its own:
 // it is the image log's last sealed commit record, so advancing it and
-// making the image writes it covers durable are one append. Set appends
+// making the image writes it covers durable are one write. Set writes
 // the staged line records and the commit record sealing them as epoch
 // e, naming the log prefix synced last (Dir.PersistMarker raises it),
-// with one positional write and one fsync; a crash tears only that
-// batch, which OpenImage drops, so Get finds the last completed Set.
+// at the sealed end with one positional write and one fsync; a crash
+// tears only that batch, which OpenImage drops, so Get finds the last
+// completed Set.
 type Marker struct {
 	im   *ImageFile
 	dirf *os.File // the store directory: SyncDir

@@ -52,9 +52,9 @@ func commitImage(t *testing.T, path string, writes []lineWrite, e mem.EpochID) {
 
 // opened is what OpenImage and Load made of an image file.
 type opened struct {
-	img   *mem.Image
-	torn  uint64
-	epoch mem.EpochID
+	img       *mem.Image
+	torn, pad uint64
+	epoch     mem.EpochID
 }
 
 // loadImage opens the image at path and loads it.
@@ -66,7 +66,7 @@ func loadImage(t *testing.T, path string) (opened, error) {
 	}
 	defer im.Close()
 	img, err := im.Load()
-	return opened{img, im.TornBytes(), im.epoch}, err
+	return opened{img, im.TornBytes(), im.pad, im.epoch}, err
 }
 
 func fileSize(t *testing.T, path string) int64 {
@@ -76,6 +76,21 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// sealedPart returns raw up to its last non-zero byte: on an image with
+// nothing torn, its sealed end, the zero padding behind it cut off.
+func sealedPart(raw []byte) []byte { return raw[:lastNonZero(raw)+1] }
+
+// readSealed reads the image at path up to its sealed end, checking
+// that nothing but zero padding follows.
+func readSealed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealedPart(raw)
 }
 
 // twoCommits writes seven line writes as two commits into a fresh image
@@ -89,10 +104,7 @@ func twoCommits(t *testing.T, path string) ([]lineWrite, []byte, int) {
 	}
 	commitImage(t, path, writes[:3], 4)
 	commitImage(t, path, writes[3:], 5)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := readSealed(t, path)
 	first := imageHeaderBytes + 4*imageRecBytes
 	if len(full) != first+5*imageRecBytes {
 		t.Fatalf("two commits left %d bytes", len(full))
@@ -139,8 +151,8 @@ func TestImageFileRoundTrip(t *testing.T) {
 	if err := im.commit(4); err != nil {
 		t.Fatal(err)
 	}
-	if size := fileSize(t, path); size != imageHeaderBytes+202*imageRecBytes {
-		t.Fatalf("file is %d bytes after two commits, want header + 200 line records + 2 commit records", size)
+	if size := len(readSealed(t, path)); size != imageHeaderBytes+202*imageRecBytes {
+		t.Fatalf("file is sealed to byte %d after two commits, want header + 200 line records + 2 commit records", size)
 	}
 	want := replay(writes)
 	got, err := im.Load()
@@ -159,12 +171,12 @@ func TestImageFileRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: epoch %d torn=%d err=%v", o.epoch, o.torn, err)
 	}
 
-	raw, _ := os.ReadFile(path)
+	raw := readSealed(t, path)
 	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	o, err = loadImage(t, path)
-	if err != nil || o.torn != 50*imageRecBytes+imageRecBytes-7 || o.epoch != 3 {
+	if err != nil || o.torn != uint64(len(sealedPart(raw[:len(raw)-7]))-(imageHeaderBytes+151*imageRecBytes)) || o.epoch != 3 {
 		t.Fatalf("after a torn commit record: epoch %d torn=%d err=%v, want epoch 3 and the batch dropped", o.epoch, o.torn, err)
 	}
 	if want := replay(writes[:150]); !o.img.Equal(want) {
@@ -173,34 +185,45 @@ func TestImageFileRoundTrip(t *testing.T) {
 }
 
 // TestImageTornTailMatrix cuts the image at every byte offset of two
-// commits, the first into an empty file (header included): open must
-// drop everything behind the last whole commit record, report it, and
-// load exactly the batches in front of the cut at their epoch.
+// commits, the first into an empty file (header included), and again
+// with zero padding behind the cut: open must drop the non-zero bytes
+// behind the last whole commit record, with the padding behind them,
+// report them, and load exactly the batches in front of the cut at
+// their epoch; a cut with nothing but padding behind the sealed end
+// keeps the file as it is.
 func TestImageTornTailMatrix(t *testing.T) {
 	dir := t.TempDir()
 	writes, full, first := twoCommits(t, filepath.Join(dir, "image.dat"))
 	cut := filepath.Join(dir, "cut.dat")
 	for off := 0; off <= len(full); off++ {
-		if err := os.WriteFile(cut, full[:off], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		keep, sealed, epoch := 0, 0, mem.EpochID(0)
-		switch {
-		case off == len(full):
-			keep, sealed, epoch = off, 7, 5
-		case off >= first:
-			keep, sealed, epoch = first, 3, 4
-		}
-		o, err := loadImage(t, cut)
-		if err != nil {
-			t.Fatalf("cut at %d: %v", off, err)
-		}
-		if o.torn != uint64(off-keep) || fileSize(t, cut) != int64(keep) || o.epoch != epoch {
-			t.Fatalf("cut at %d: torn=%d size=%d epoch %d, want torn %d size %d epoch %d",
-				off, o.torn, fileSize(t, cut), o.epoch, off-keep, keep, epoch)
-		}
-		if want := replay(writes[:sealed]); !o.img.Equal(want) {
-			t.Fatalf("cut at %d: %v", off, o.img.Diff(want, 5))
+		for _, pad := range []int{0, 100} {
+			raw := append(bytes.Clone(full[:off]), make([]byte, pad)...)
+			if err := os.WriteFile(cut, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			keep, sealed, epoch := 0, 0, mem.EpochID(0)
+			switch {
+			case off == len(full):
+				keep, sealed, epoch = off, 7, 5
+			case off >= first:
+				keep, sealed, epoch = first, 3, 4
+			}
+			torn := len(sealedPart(full[keep:off])) // the non-zero bytes past the sealed end
+			size := keep
+			if torn == 0 {
+				size = len(raw) // padding alone stays
+			}
+			o, err := loadImage(t, cut)
+			if err != nil {
+				t.Fatalf("cut at %d pad %d: %v", off, pad, err)
+			}
+			if o.torn != uint64(torn) || o.pad != uint64(len(raw)-keep-torn) || fileSize(t, cut) != int64(size) || o.epoch != epoch {
+				t.Fatalf("cut at %d pad %d: torn=%d padding %d size=%d epoch %d, want torn %d padding %d size %d epoch %d",
+					off, pad, o.torn, o.pad, fileSize(t, cut), o.epoch, torn, len(raw)-keep-torn, size, epoch)
+			}
+			if want := replay(writes[:sealed]); !o.img.Equal(want) {
+				t.Fatalf("cut at %d pad %d: %v", off, pad, o.img.Diff(want, 5))
+			}
 		}
 	}
 }
@@ -237,6 +260,34 @@ func TestImageRot(t *testing.T) {
 			if want := replay(writes[:3]); !o.img.Equal(want) {
 				t.Fatalf("final batch at %d bit %d: %v", at, bit, o.img.Diff(want, 5))
 			}
+		}
+	}
+}
+
+// TestImageRotPaddedUntouched: a padded image with rot in a batch that
+// has a sealed batch behind it fails recovery with ErrCorruptImage, and
+// the failed open leaves the file byte-identical: its zero padding is
+// neither torn nor truncated, so nothing is written before Load finds
+// the rot.
+func TestImageRotPaddedUntouched(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, ImageFileName)
+	_, _, first := twoCommits(t, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != imageIOBytes || len(sealedPart(raw)) == len(raw) {
+		t.Fatalf("two commits left %d bytes sealed to %d, want them padded to %d", len(raw), len(sealedPart(raw)), imageIOBytes)
+	}
+	for _, at := range []int{imageHeaderBytes + 5, first - 1} {
+		bad := bytes.Clone(raw)
+		bad[at] ^= 0x08
+		if _, _, err := recoverImage(t, dir, bad); !errors.Is(err, ErrCorruptImage) {
+			t.Fatalf("rot at byte %d of a padded image: recover = %v, want ErrCorruptImage", at, err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, bad) {
+			t.Fatalf("rot at byte %d: the failed recovery changed the padded image (%d -> %d bytes)", at, len(bad), len(after))
 		}
 	}
 }
@@ -370,18 +421,41 @@ func TestCommitRecordOverflow(t *testing.T) {
 	if err := im.commit(1); err != nil {
 		t.Fatal(err)
 	}
-	if im.LogBlocks() != 7 || fileSize(t, path) != imageHeaderBytes+2*imageRecBytes {
-		t.Fatalf("commit names %d log blocks in a %d-byte file, want 7 in %d",
-			im.LogBlocks(), fileSize(t, path), imageHeaderBytes+2*imageRecBytes)
+	if sealed := len(readSealed(t, path)); im.LogBlocks() != 7 || sealed != imageHeaderBytes+2*imageRecBytes {
+		t.Fatalf("commit names %d log blocks in a file sealed to byte %d, want 7 to %d",
+			im.LogBlocks(), sealed, imageHeaderBytes+2*imageRecBytes)
 	}
 }
 
+// landedTear is what Cut(tear, reorder, garbage, ...) lands of batch
+// (its bytes behind any header): in order, the first split bytes, or
+// as many garbage bytes; out of order, the whole batch with the first
+// split bytes zeroed or garbage.
+func landedTear(batch []byte, tear uint64, reorder, garbage bool) []byte {
+	split := 1 + int((tear-1)%uint64(len(batch)-1))
+	b := bytes.Clone(batch)
+	if !reorder {
+		b = b[:split]
+	}
+	for i := range b[:split] {
+		switch {
+		case garbage && b[i] == 0xA5:
+			b[i] = 0x5A
+		case garbage:
+			b[i] = 0xA5
+		case reorder:
+			b[i] = 0
+		}
+	}
+	return b
+}
+
 // TestImageTearTail: a power cut (Cut) drops every staged record and,
-// only when asked, tears the commit append that would have sealed them
-// — in order or out of it, with zeros or garbage where the batch did
-// not land — past the sealed records only; the following Close writes
-// nothing, and the next open drops the torn bytes, reports them and
-// lands on the last commit.
+// only when asked, tears the commit that would have sealed them — in
+// order or out of it, with zeros or garbage where the batch did not
+// land — over the zero padding past the sealed records only; the
+// following Close writes nothing, and the next open drops the torn
+// bytes, reports them and lands on the last commit.
 func TestImageTearTail(t *testing.T) {
 	for _, c := range []struct{ reorder, garbage bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
 		dir := t.TempDir()
@@ -393,15 +467,14 @@ func TestImageTearTail(t *testing.T) {
 		// A tear of the first commit into an empty file lands behind the
 		// header.
 		im.WriteLine(9, 9)
-		if torn, err := im.Cut(5, c.reorder, c.garbage); !torn || err != nil {
+		first := bytes.Clone(im.batch(1)[imageHeaderBytes:])
+		if torn, _, err := im.Cut(5, c.reorder, c.garbage, true); !torn || err != nil {
 			t.Fatalf("%+v: cut of a first commit: torn=%v err=%v", c, torn, err)
 		}
-		want := int64(imageHeaderBytes + 5)
-		if c.reorder {
-			want = imageHeaderBytes + 2*imageRecBytes
-		}
-		if size := fileSize(t, path); size != want {
-			t.Fatalf("%+v: first-commit tear left %d bytes, want %d", c, size, want)
+		landed := append(imageHeader[:], landedTear(first, 5, c.reorder, c.garbage)...)
+		want := len(sealedPart(landed))
+		if raw, _ := os.ReadFile(path); !bytes.Equal(raw[:len(landed)], landed) || len(sealedPart(raw)) != want {
+			t.Fatalf("%+v: first-commit tear left %x, want the header and %x over zeros", c, sealedPart(raw), landed)
 		}
 		im.Close()
 		if o, err := loadImage(t, path); err != nil || o.torn != uint64(want) || o.img.Len() != 0 || o.epoch != 0 {
@@ -419,27 +492,28 @@ func TestImageTearTail(t *testing.T) {
 		if err := im.commit(6); err != nil {
 			t.Fatal(err)
 		}
-		sealed, _ := os.ReadFile(path)
+		sealed := readSealed(t, path)
 		im.WriteLine(5, 5)
-		if torn, err := im.Cut(0, c.reorder, c.garbage); torn || err != nil {
+		if torn, _, err := im.Cut(0, c.reorder, c.garbage, true); torn || err != nil {
 			t.Fatalf("%+v: cut without a tear: torn=%v err=%v", c, torn, err)
 		}
-		if after, _ := os.ReadFile(path); !bytes.Equal(after, sealed) {
+		if after := readSealed(t, path); !bytes.Equal(after, sealed) {
 			t.Fatalf("%+v: a cut without a tear changed the file", c)
 		}
 		for tear := uint64(1); tear < 3*imageRecBytes; tear++ {
 			im.WriteLine(6, 6)
 			im.WriteLine(7, 7)
-			if torn, err := im.Cut(tear, c.reorder, c.garbage); !torn || err != nil {
+			batch := bytes.Clone(im.batch(7))
+			if torn, _, err := im.Cut(tear, c.reorder, c.garbage, true); !torn || err != nil {
 				t.Fatalf("%+v: cut at %d: torn=%v err=%v", c, tear, torn, err)
 			}
 			cut, _ := os.ReadFile(path)
-			n := int(tear)
-			if c.reorder {
-				n = 3 * imageRecBytes
-			}
-			if len(cut) != len(sealed)+n || !bytes.Equal(cut[:len(sealed)], sealed) {
-				t.Fatalf("%+v: cut at %d left %d bytes, want the %d sealed ones untouched plus %d", c, tear, len(cut), len(sealed), n)
+			landed := landedTear(batch, tear, c.reorder, c.garbage)
+			n := len(sealedPart(landed))
+			if len(sealedPart(cut)) != len(sealed)+n || !bytes.Equal(cut[:len(sealed)], sealed) ||
+				!bytes.Equal(cut[len(sealed):len(sealed)+len(landed)], landed) {
+				t.Fatalf("%+v: cut at %d left the file sealed to byte %d, want the %d sealed bytes untouched plus %x over zeros",
+					c, tear, len(sealedPart(cut)), len(sealed), landed)
 			}
 			if err := im.Close(); err != nil {
 				t.Fatal(err)
@@ -471,12 +545,68 @@ func TestImageCutZeros(t *testing.T) {
 	if err := im.commit(1); err != nil {
 		t.Fatal(err)
 	}
+	before, _ := os.ReadFile(path)
 	im.WriteLine(0, 0) // 16 zero bytes lead the batch
-	if torn, err := im.Cut(16, true, false); torn || err != nil {
+	if torn, _, err := im.Cut(16, true, false, true); torn || err != nil {
 		t.Fatalf("zero-prefix reorder: torn=%v err=%v, want nothing torn", torn, err)
 	}
-	if size := fileSize(t, path); size != imageHeaderBytes+imageRecBytes {
-		t.Fatalf("zero-prefix reorder wrote to the image: %d bytes", size)
+	if after, _ := os.ReadFile(path); len(sealedPart(after)) != imageHeaderBytes+imageRecBytes || !bytes.Equal(after, before) {
+		t.Fatalf("zero-prefix reorder wrote to the image: sealed to byte %d", len(sealedPart(after)))
+	}
+}
+
+// TestImageCutLosesExtension: a cut during a commit whose batch runs
+// past the file's length can lose the zero padding extension the commit
+// made first, with whatever of the batch lay past the old length: the
+// file keeps its previous length and only the batch bytes inside it
+// land. With the extension landed the whole tear lands over zeros.
+func TestImageCutLosesExtension(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "image.dat")
+	im, err := OpenImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer im.Close()
+	var writes []lineWrite
+	for i := 0; i < imageIOBytes/imageRecBytes-2; i++ { // one commit short of the padding's end
+		writes = append(writes, lineWrite{mem.LineAddr(i), mem.Word(i + 1)})
+		im.WriteLine(mem.LineAddr(i), mem.Word(i+1))
+	}
+	if err := im.commit(1); err != nil {
+		t.Fatal(err)
+	}
+	sealed, _ := os.ReadFile(path)
+	if len(sealed) != imageIOBytes || len(sealedPart(sealed)) != imageIOBytes-imageRecBytes+imageHeaderBytes {
+		t.Fatalf("the commit left %d bytes sealed to %d, want %d with one record's room of padding short of a header",
+			len(sealed), len(sealedPart(sealed)), imageIOBytes)
+	}
+	for _, extended := range []bool{false, true} {
+		im.WriteLine(7, 70)
+		im.WriteLine(8, 80)
+		batch := bytes.Clone(im.batch(2))
+		torn, lost, err := im.Cut(uint64(len(batch)-1), false, false, extended)
+		if err != nil || !torn || lost == extended {
+			t.Fatalf("extended=%v: torn=%v lost=%v err=%v, want the tear with the extension lost=%v", extended, torn, lost, err, !extended)
+		}
+		cut, _ := os.ReadFile(path)
+		landed := landedTear(batch, uint64(len(batch)-1), false, false)
+		wantLen := len(sealed)
+		if extended {
+			wantLen += imageIOBytes
+		} else {
+			landed = landed[:len(sealed)-len(sealedPart(sealed))]
+		}
+		if len(cut) != wantLen || !bytes.Equal(cut[:len(sealedPart(sealed))], sealedPart(sealed)) ||
+			!bytes.Equal(cut[len(sealedPart(sealed)):len(sealedPart(sealed))+len(landed)], landed) {
+			t.Fatalf("extended=%v: the cut left %d bytes, want %d: the sealed ones untouched, then %x", extended, len(cut), wantLen, landed)
+		}
+		o, err := loadImage(t, path)
+		if err != nil || o.epoch != 1 || o.torn != uint64(len(sealedPart(landed))) || !o.img.Equal(replay(writes)) {
+			t.Fatalf("extended=%v: reopen: epoch %d torn=%d err=%v, want epoch 1 and %d torn", extended, o.epoch, o.torn, err, len(sealedPart(landed)))
+		}
+		if err := os.WriteFile(path, sealed, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -541,9 +671,9 @@ func TestResetWritesImageFormat(t *testing.T) {
 	if err := d.PersistMarker(1); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := os.ReadFile(path)
+	after := readSealed(t, path)
 	if len(after) != len(raw)+2*imageRecBytes || !bytes.Equal(after[:len(raw)], raw) {
-		t.Fatalf("commit after the compaction rewrote or skipped bytes: %d -> %d", len(raw), len(after))
+		t.Fatalf("commit after the compaction rewrote or skipped bytes: sealed to byte %d -> %d", len(raw), len(after))
 	}
 	want.Write(3, 99)
 	img, err := d.Img.Load()

@@ -13,7 +13,7 @@ import (
 // markerAfter returns a store directory after three commits: lines 1..3
 // as epoch 1, line 4 as epoch 2, and line 5 staged and sealed by the
 // third commit, the one under test (epoch 3). It also returns the image
-// bytes before that commit and after it.
+// bytes before that commit and after it, each up to its sealed end.
 func markerAfter(t *testing.T) (dir string, before, after []byte) {
 	t.Helper()
 	dir = t.TempDir()
@@ -32,7 +32,7 @@ func markerAfter(t *testing.T) (dir string, before, after []byte) {
 			}
 		}
 		if c.e == 3 {
-			before, _ = os.ReadFile(path)
+			before = readSealed(t, path)
 		}
 		if err := d.PersistMarker(c.e); err != nil {
 			t.Fatal(err)
@@ -41,7 +41,7 @@ func markerAfter(t *testing.T) (dir string, before, after []byte) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	after, _ = os.ReadFile(path)
+	after = readSealed(t, path)
 	return dir, before, after
 }
 
@@ -67,12 +67,13 @@ func wantEpoch2(t *testing.T, what string, img *mem.Image, info RecoverInfo, err
 }
 
 // TestMarkerTornCommitMatrix is the marker's crash matrix: a power cut
-// during the third commit can leave any prefix of its append, or any
+// during the third commit can leave any prefix of its batch, or any
 // later part of it behind zeros or garbage (an out-of-order write-back),
-// and media rot can strike any bit of it. In every case recovery lands
-// on the second commit and reports the dropped bytes; the records
-// sealed before it are never touched. The whole append landing is a
-// completed Set.
+// at the file's end or over zero padding, and media rot can strike any
+// bit of it. In every case recovery lands on the second commit and
+// reports the dropped bytes: the non-zero ones as torn, the zeros
+// behind them as padding; the records sealed before it are never
+// touched. The whole batch landing is a completed Set, padded or not.
 func TestMarkerTornCommitMatrix(t *testing.T) {
 	dir, before, after := markerAfter(t)
 	batch := after[len(before):]
@@ -92,15 +93,20 @@ func TestMarkerTornCommitMatrix(t *testing.T) {
 		cases = append(cases, rot)
 	}
 	for i, c := range cases {
-		img, info, err := recoverImage(t, dir, append(bytes.Clone(before), c...))
-		wantEpoch2(t, fmt.Sprint("case ", i), img, info, err, before)
-		if info.ImageTornBytes != uint64(len(c)) {
-			t.Fatalf("case %d: %d torn bytes reported, want %d", i, info.ImageTornBytes, len(c))
+		for _, pad := range []int{0, 1000} {
+			img, info, err := recoverImage(t, dir, append(append(bytes.Clone(before), c...), make([]byte, pad)...))
+			wantEpoch2(t, fmt.Sprint("case ", i, " pad ", pad), img, info, err, before)
+			if torn := len(sealedPart(c)); info.ImageTornBytes != uint64(torn) || info.ImagePadBytes != uint64(len(c)-torn+pad) {
+				t.Fatalf("case %d pad %d: %d torn and %d padding bytes reported, want %d and %d",
+					i, pad, info.ImageTornBytes, info.ImagePadBytes, torn, len(c)-torn+pad)
+			}
 		}
 	}
-	img, info, err := recoverImage(t, dir, after)
-	if err != nil || info.Marker != 3 || info.ImageTornBytes != 0 || img.Read(5) != 53 {
-		t.Fatalf("completed set: marker %d torn=%d line 5 = %d err=%v, want 3", info.Marker, info.ImageTornBytes, img.Read(5), err)
+	for _, pad := range []int{0, 1000} {
+		img, info, err := recoverImage(t, dir, append(bytes.Clone(after), make([]byte, pad)...))
+		if err != nil || info.Marker != 3 || info.ImageTornBytes != 0 || info.ImagePadBytes != uint64(pad) || img.Read(5) != 53 {
+			t.Fatalf("completed set, pad %d: marker %d torn=%d padding %d line 5 = %d err=%v, want 3", pad, info.Marker, info.ImageTornBytes, info.ImagePadBytes, img.Read(5), err)
+		}
 	}
 }
 
@@ -151,19 +157,28 @@ func reseal(rec []byte, count uint32, sum uint32) {
 }
 
 // TestMarkerCreationCrash: a crash during the first commit on an empty
-// image — header, records and commit record in one append — can leave
-// any prefix of that append. Each such store recovers epoch 0 with an
-// empty image, drops the torn bytes, and takes the next commit from an
-// empty file again (header included); so does one where nothing landed.
+// image — header, records and commit record in one write — can leave
+// any prefix of that write, with or without the zero padding extension
+// it made first. Each such store recovers epoch 0 with an empty image,
+// drops the torn bytes, and takes the next commit from the file's start
+// again (header included); so does one where nothing landed, or only
+// the padding.
 func TestMarkerCreationCrash(t *testing.T) {
 	im := &ImageFile{}
 	im.WriteLine(1, 1)
 	first := bytes.Clone(im.batch(1))
-	for n := 0; n < len(first); n++ {
+	for n := 0; n < 2*len(first); n++ {
 		dir := t.TempDir()
-		img, info, err := recoverImage(t, dir, first[:n])
-		if err != nil || !info.Marker.AtMost(0) || img.Len() != 0 || info.ImageTornBytes != uint64(n) || info.MarkerAt != 0 {
-			t.Fatalf("%d bytes landed: marker %d lines %d torn %d err=%v, want 0", n, info.Marker, img.Len(), info.ImageTornBytes, err)
+		landed := first[:n%len(first)]
+		if n >= len(first) {
+			landed = append(bytes.Clone(landed), make([]byte, imageIOBytes-len(landed))...)
+		}
+		torn := len(sealedPart(landed))
+		img, info, err := recoverImage(t, dir, landed)
+		if err != nil || !info.Marker.AtMost(0) || img.Len() != 0 || info.ImageTornBytes != uint64(torn) ||
+			info.ImageTornBytes+info.ImagePadBytes != uint64(len(landed)) || info.MarkerAt != 0 {
+			t.Fatalf("%d bytes landed: marker %d lines %d torn %d padding %d err=%v, want 0 with %d torn",
+				len(landed), info.Marker, img.Len(), info.ImageTornBytes, info.ImagePadBytes, err, torn)
 		}
 		d, err := OpenDir(dir)
 		if err != nil {
@@ -174,8 +189,8 @@ func TestMarkerCreationCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Close()
-		if raw, _ := os.ReadFile(filepath.Join(dir, ImageFileName)); !bytes.Equal(raw, first) {
-			t.Fatalf("%d bytes landed: the retried first commit wrote %x, want %x", n, raw, first)
+		if raw := readSealed(t, filepath.Join(dir, ImageFileName)); !bytes.Equal(raw, first) {
+			t.Fatalf("%d bytes landed: the retried first commit wrote %x, want %x", len(landed), raw, first)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package storage provides durable backends for PiCL's undo log and the
 // pieces a real on-disk deployment needs around it: a line-granular
-// durable memory image kept as an append-only log of line records, and
-// the persisted-epoch marker, which is the image log's last commit
-// record.
+// durable memory image kept as a log of line records, written at its
+// sealed end over zero padding the file is extended with ahead of the
+// commits, and the persisted-epoch marker, which is the image log's
+// last commit record.
 // It is the first layer of the stack whose state outlives the
 // simulator process — `picl.Open` builds a crash-consistent store on it,
 // cmd/picl-crash SIGKILLs real child processes against it, and
@@ -43,13 +44,15 @@
 //     logged ends at or before E, so recovery at E applies none. Nothing
 //     else writes image records, so every record on file is sealed or
 //     torn.
-//  3. Commit in place: Marker.Set appends that batch to the open image
-//     file with one positional write and one fsync — no temp file,
-//     rename or directory fsync on the commit path, and never a write
-//     below the last sealed commit. The log is reused in place, never
-//     removed or recreated, under the overwrite invariant: no log write
-//     lands below the largest prefix either of the two newest sealed
-//     commits names. A bulk commit rewinds it to the prefix it names;
+//  3. Commit in place: Marker.Set writes that batch at the open image
+//     file's sealed end, over its zero padding, with one positional
+//     write and one fsync — no temp file, rename or directory fsync on
+//     the commit path, never a write below the last sealed commit, and
+//     the file's length changes only when a batch runs past the
+//     padding and the commit extends it by imageIOBytes of zeros first.
+//     The log is reused in place, never removed or recreated, under the
+//     overwrite invariant: no log write lands below the largest prefix
+//     either of the two newest sealed commits names. A bulk commit rewinds it to the prefix it names;
 //     Reset seals the recovered state — the lines recovery changed,
 //     under the recovered epoch and naming an empty prefix, then epoch
 //     0 twice — before it rewinds the log to its first block. A file
@@ -72,12 +75,15 @@
 // its end one block at a time, applying each until the first that
 // expired at or before the marker (paper §IV-B) — so its memory is
 // bounded by the image, not by the log. OpenImage keeps the image up
-// to the last commit record whose batch validates and drops the rest
-// as a torn batch: whatever of an interrupted append landed, in
-// whatever order, its commit record cannot seal it. Every record of
-// that batch belongs to writes after the last marker, so recovery's
-// backward undo scan over the named prefix overwrites the lines
-// whether their records survived whole, torn or not at all.
+// to the last commit record whose batch validates and drops the
+// non-zero bytes past it as a torn batch, with the zero padding behind
+// them: whatever of an interrupted commit landed, in whatever order,
+// its commit record cannot seal it. Zeros never validate as a record,
+// so a tail of zero padding alone is kept as it is, and no batch that
+// validates ever lies past the sealed end. Every record of that batch
+// belongs to writes after the last marker, so recovery's backward undo
+// scan over the named prefix overwrites the lines whether their records
+// survived whole, torn or not at all.
 //
 // Rot is not a tear. Every block of the named prefix was synced before
 // its commit sealed, so a block of it that fails validation, or is

@@ -238,14 +238,15 @@ func TestMarker(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		size := fileSize(t, path)
+		size := int64(len(readSealed(t, path)))
 		if err := d.Mk.Set(e); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := d.Mk.Get(); err != nil || got != e {
 			t.Fatalf("get after set(%d) = %d err=%v", e, got, err)
 		}
-		grew := fileSize(t, path) - size
+		sealed := int64(len(readSealed(t, path)))
+		grew := sealed - size
 		if size == 0 {
 			grew -= imageHeaderBytes
 		}
@@ -253,7 +254,7 @@ func TestMarker(t *testing.T) {
 			t.Fatalf("set(%d) with %d records staged grew the image by %d bytes", e, k, grew)
 		}
 		_, info, err := RecoverDir(dir)
-		if err != nil || info.Marker != e || info.MarkerAt != fileSize(t, path)-imageRecBytes {
+		if err != nil || info.Marker != e || info.MarkerAt != sealed-imageRecBytes {
 			t.Fatalf("second handle reads %d at %d err=%v, want %d", info.Marker, info.MarkerAt, err, e)
 		}
 	}
@@ -344,7 +345,7 @@ func TestDirRecoverCycle(t *testing.T) {
 	// sealed under epoch 1 and naming an empty log prefix, then epoch 0
 	// twice. The log stays where it is, its block now stale.
 	imgPath, logPath := filepath.Join(dir, ImageFileName), filepath.Join(dir, LogFileName)
-	before, _ := os.ReadFile(imgPath)
+	before := readSealed(t, imgPath)
 	logBefore, _ := os.ReadFile(logPath)
 	d2, err := OpenDir(dir)
 	if err != nil {
@@ -368,9 +369,9 @@ func TestDirRecoverCycle(t *testing.T) {
 	}
 	tail := appendCommitRecord(bytes.Clone(diff), commitRec{epoch: 1, count: 4, sum: crc32.Checksum(diff, castagnoli)})
 	tail = appendCommitRecord(appendCommitRecord(tail, commitRec{}), commitRec{})
-	after, _ := os.ReadFile(imgPath)
+	after := readSealed(t, imgPath)
 	if !bytes.Equal(after, append(before, tail...)) {
-		t.Fatalf("reset turned a %d-byte image into %d bytes, want it followed by the 4-line diff and two epoch-0 seals", len(before), len(after))
+		t.Fatalf("reset turned an image sealed to byte %d into one sealed to %d, want it followed by the 4-line diff and two epoch-0 seals", len(before), len(after))
 	}
 	if logAfter, _ := os.ReadFile(logPath); !bytes.Equal(logAfter, logBefore) {
 		t.Fatal("reset rewrote the log")
@@ -483,7 +484,7 @@ func TestRecoverSweepsStaleTmp(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Img.WriteLine(1, 1)
-	if _, err := d.mk.im.Cut(12, true, false); err != nil {
+	if _, _, err := d.mk.im.Cut(12, true, false, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {

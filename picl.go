@@ -391,9 +391,11 @@ func (m *Machine) CrashAt(t uint64) {
 // Sync forcefully makes every committed epoch durable before returning.
 // Under PiCL this is the bulk-ACS extension (paper §IV-C): the current
 // epoch is force-ended and one scan pass persists everything, releasing
-// any buffered I/O writes. On a machine built with Open it costs one
-// fsync, the commit's image append: recovery at the synced epoch needs
-// no undo entry, so the undo log is not synced. Stop-the-world schemes
+// any buffered I/O writes; the scan visits only the LLC sets holding
+// dirty lines. On a machine built with Open it costs one fsync, the
+// commit's image write, which overwrites zero padding the image file
+// was extended with ahead of it: recovery at the synced epoch needs no
+// undo entry, so the undo log is not synced. Stop-the-world schemes
 // simply commit and drain. Returns the number of cycles the sync cost.
 func (m *Machine) Sync() (uint64, error) {
 	if err := m.checkWritable(); err != nil {
