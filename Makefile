@@ -1,18 +1,20 @@
-.PHONY: ci vet fmt-check tidy-check lint lint-fix lint-sarif build test race cover cover-update bench bench-check bench-test benchmark-module crash fuzz load load-update load-soak
+.PHONY: ci vet fmt-check tidy-check lint lint-fix lint-sarif build test race cover cover-update bench bench-test benchmark-module crash fuzz load golden load-soak
 
 # ci is the tier-1 gate: vet, formatting and go.mod hygiene, the
 # project-specific invariant linter, build everything, the full test
 # suite under the race detector (the concurrency contract in
 # internal/sim's package doc is enforced here, not just documented),
-# per-package coverage floors, then the short-mode perf gate. picl-lint
-# exits nonzero on any unsuppressed diagnostic, so a determinism/epoch/
-# lock violation fails the build exactly like a vet error, and
-# bench-check fails it on a throughput or output-byte regression
-# against the committed BENCH_PR9.json. load boots a real picl-simd
-# and gates the served bytes (and, on the recording host, req/s)
-# against SERVE_PR10.json. benchmark-module vets and tests the separate
-# benchmark/ module, which the root-level go commands never reach.
-ci: vet fmt-check tidy-check lint build race cover bench-check benchmark-module crash fuzz load
+# then per-package coverage floors. picl-lint exits nonzero on any
+# unsuppressed diagnostic, so a determinism/epoch/lock violation fails
+# the build exactly like a vet error. The test suite also pins every
+# rendered figure and table against the model registry
+# (internal/golden) and every substrate body's allocs/op
+# (internal/perf). load boots a real picl-simd and gates the served
+# bytes against the same registry. benchmark-module vets and tests the
+# separate benchmark/ module, which the root-level go commands never
+# reach. Nothing here compares wall-clock time: benchmark/ is the one
+# timing harness.
+ci: vet fmt-check tidy-check lint build race cover benchmark-module crash fuzz load
 
 vet:
 	go vet ./...
@@ -70,29 +72,16 @@ cover-update:
 	go test -covermode=atomic -coverprofile=cover.out ./...
 	go run ./cmd/picl-cover -profile cover.out -floors COVER_FLOOR.txt -update
 
-# bench re-records the perf baseline: every substrate microbenchmark at
-# full benchtime plus a short-benchtime section for CI, instr/sec for
-# the simulator throughput benchmark, the Fig. 9 PiCL GMean, and the
-# SHA-256 digests of the rendered Fig. 9/Table 5 tables. Commit the
-# refreshed BENCH_PR9.json together with any intentional perf change.
-# (BENCH_PR4.json stays committed as the pre-SoA reference point; the
-# 2x end-to-end claim in EXPERIMENTS.md is the ratio of the two.)
+# bench runs the substrate microbenchmarks (internal/perf) and prints
+# their ns/op, B/op and allocs/op. Nothing gates on the timing; their
+# allocs/op are gated by internal/perf's TestAllocsPerOp in every test
+# run.
 bench:
-	go run ./cmd/picl-perf -out BENCH_PR9.json
+	go test -run '^$$' -bench . -benchmem ./internal/perf
 
-# bench-check (part of ci) replays the short benchmark section and the
-# small-figure digests against the committed baseline: timing regression
-# on the recording host, any allocs/op growth on a zero-alloc path, or a
-# single changed output byte fails. On other hosts the timing gates are
-# skipped automatically; digests still apply. Timing is compared after
-# dividing out the Calibrate spin (host-speed drift); the tolerance here
-# is 25% rather than picl-perf's default 10% because shared-container
-# hosts show measured ±15% non-uniform drift on memory-bound benches
-# even after calibration — a real hot-path regression still trips it.
-bench-check:
-	go run ./cmd/picl-perf -check -short -tol 0.25 -baseline BENCH_PR9.json
-
-# bench-test runs the same bodies through the plain go-test harness.
+# bench-test runs the root package's benchmarks — the paper's tables
+# and figures, the recovery scan and the durable store — through the
+# plain go-test harness.
 bench-test:
 	go test -bench=. -benchmem
 
@@ -113,26 +102,29 @@ crash:
 
 # load (part of ci) is the serving gate: build both serving binaries,
 # boot a throwaway picl-simd on an ephemeral port with a temp store,
-# fire the committed 1000-request mixed sweep at it, and gate against
-# SERVE_PR10.json — cell and plan digests must match byte-for-byte on
-# every host; the req/s floor applies only when the host fingerprint
-# matches the recording host (the bench-check skip discipline). The
-# 50% tolerance is loose on purpose: HTTP round-trips on a shared
-# container jitter far more than in-process benchmarks, and the gate's
-# real teeth are the digests.
+# fire the committed 1000-request mixed sweep at it, and gate every
+# cell digest and the plan digest byte for byte against the model
+# registry (internal/golden). Its req/s and latency percentiles go to
+# stderr and load-report.json; nothing gates on them.
+LOAD = bin/picl-load -spawn bin/picl-simd -n 1000 -c 8 -seed 1 -check
+
 load:
 	go build -o bin/picl-simd ./cmd/picl-simd
 	go build -o bin/picl-load ./cmd/picl-load
-	bin/picl-load -spawn bin/picl-simd -n 1000 -c 8 -seed 1 \
-		-check -baseline SERVE_PR10.json -out load-report.json
+	$(LOAD) -out load-report.json
 
-# load-update re-records the serving baseline. Commit the refreshed
-# SERVE_PR10.json together with any intentional change to the response
-# payload or the request plan.
-load-update:
+# golden re-records the model registry after an intentional change to
+# the model's outputs: the golden tests and the load gate run with
+# PICL_GOLDEN_UPDATE naming internal/golden/registry.json, write what
+# they computed into it, and print each entry that moved. Commit the
+# file with the change; its new hash moves every served address.
+GOLDEN_UPDATE = PICL_GOLDEN_UPDATE=$(CURDIR)/internal/golden/registry.json
+
+golden:
 	go build -o bin/picl-simd ./cmd/picl-simd
 	go build -o bin/picl-load ./cmd/picl-load
-	bin/picl-load -spawn bin/picl-simd -n 1000 -c 8 -seed 1 -out SERVE_PR10.json
+	cd internal/exp && $(GOLDEN_UPDATE) go test -run Golden
+	$(GOLDEN_UPDATE) $(LOAD)
 
 # load-soak (nightly) hammers a daemon whose result store runs behind
 # the storage/fault wrapper for 60s: transient injected faults must

@@ -1,6 +1,7 @@
 // Benchmark harness: one testing.B entry per table and figure of the
 // paper's evaluation (see DESIGN.md §4 for the experiment index), plus
-// microbenchmarks of the substrate hot paths.
+// the recovery scan and the durable store. The substrate hot-path
+// microbenchmarks live beside their bodies in internal/perf.
 //
 // The figure benchmarks run the scaled (1/64) experiments on a
 // representative benchmark subset and print the resulting table once, so
@@ -18,7 +19,6 @@ import (
 
 	"picl/internal/exp"
 	"picl/internal/mem"
-	"picl/internal/perf"
 	"picl/internal/stats"
 	"picl/internal/trace"
 	"picl/internal/undolog"
@@ -296,21 +296,6 @@ func BenchmarkAvailabilityReport(b *testing.B) {
 	}
 	reportTable("r3", t)
 }
-
-// --- substrate microbenchmarks ---------------------------------------------
-//
-// The bodies live in internal/perf, shared with cmd/picl-perf so the
-// BENCH_PR9.json comparator gates on exactly what these wrappers run.
-
-func BenchmarkCacheLookupHit(b *testing.B)     { perf.CacheLookupHit(b) }
-func BenchmarkCacheInsertEvict(b *testing.B)   { perf.CacheInsertEvict(b) }
-func BenchmarkHierarchyStore(b *testing.B)     { perf.HierarchyStore(b) }
-func BenchmarkNVMSubmit(b *testing.B)          { perf.NVMSubmit(b) }
-func BenchmarkBloomInsertProbe(b *testing.B)   { perf.BloomInsertProbe(b) }
-func BenchmarkUndoLogAppendGC(b *testing.B)    { perf.UndoLogAppendGC(b) }
-func BenchmarkImageSnapshotCOW(b *testing.B)   { perf.ImageSnapshotCOW(b) }
-func BenchmarkImageSnapshotClone(b *testing.B) { perf.ImageSnapshotClone(b) }
-func BenchmarkSimThroughputPiCL(b *testing.B)  { perf.SimThroughputPiCL(b) }
 
 func BenchmarkRecoveryScan(b *testing.B) {
 	// Recovery speed over a populated log.

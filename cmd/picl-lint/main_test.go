@@ -13,19 +13,28 @@ import (
 
 var (
 	buildOnce sync.Once
+	buildDir  string
 	binPath   string
 	buildErr  error
 )
 
+// TestMain removes the binary the smoke tests built.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
 func lintBin(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "picl-lint-smoke")
-		if err != nil {
-			buildErr = err
+		buildDir, buildErr = os.MkdirTemp("", "picl-lint-smoke")
+		if buildErr != nil {
 			return
 		}
-		binPath = filepath.Join(dir, "picl-lint")
+		binPath = filepath.Join(buildDir, "picl-lint")
 		out, err := exec.Command("go", "build", "-o", binPath, ".").CombinedOutput()
 		if err != nil {
 			buildErr = err

@@ -9,13 +9,15 @@
 // digests, and the combined plan digest — prints on stdout and is
 // byte-identical for a given (seed, n, cells) at any concurrency and
 // against any number of replicas. Wall-clock results (req/s, latency
-// percentiles) go to stderr and the JSON report.
+// percentiles) go to stderr and the JSON report; nothing gates on them
+// (benchmark/ owns timing). -check gates the digests against the model
+// registry (internal/golden), under entries named by the run's scale,
+// epochs, seed, request count and cells.
 //
 // Usage:
 //
 //	picl-load -addr http://127.0.0.1:7097 -n 1000 -c 8 -seed 1
-//	picl-load -spawn bin/picl-simd -n 1000 -c 8 -out SERVE_PR10.json
-//	picl-load -spawn bin/picl-simd -check -baseline SERVE_PR10.json
+//	picl-load -spawn bin/picl-simd -n 1000 -c 8 -seed 1 -check
 //	picl-load -spawn bin/picl-simd -spawn-args "-fault-seed 7" -soak 60s
 package main
 
@@ -31,32 +33,20 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
+
+	"picl/internal/golden"
 )
 
-// Host fingerprints the recording machine; the req/s floor applies only
-// between identical fingerprints (digest gates apply everywhere) —
-// the same skip discipline as picl-perf's bench-check.
-type Host struct {
-	GoOS      string `json:"goos"`
-	GoArch    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	GoVersion string `json:"go_version"`
-}
-
-func hostFingerprint() Host {
-	return Host{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
-}
-
-// Report is the SERVE_PR10.json schema: the deterministic digests plus
-// the recording host's throughput numbers.
+// Report is the -out JSON report: the run's configuration, its
+// digests, and its wall-clock numbers.
 type Report struct {
-	Host        Host              `json:"host"`
+	Factor      float64           `json:"factor"`
+	Epochs      int               `json:"epochs"`
 	Seed        int64             `json:"seed"`
 	Requests    int               `json:"requests"`
 	Concurrency int               `json:"concurrency"`
@@ -67,6 +57,34 @@ type Report struct {
 	P50us       float64           `json:"p50_us"`
 	P90us       float64           `json:"p90_us"`
 	P99us       float64           `json:"p99_us"`
+}
+
+// entries names the run's digests as the registry does: one entry per
+// cell, and one for the plan, keyed by everything that decides it.
+func (r Report) entries() golden.Registry {
+	scale := fmt.Sprintf("1/%g epochs=%d", r.Factor, r.Epochs)
+	reg := golden.Registry{}
+	for _, c := range r.Cells {
+		reg["serve "+scale+" "+c] = r.CellDigests[c]
+	}
+	plan := fmt.Sprintf("load-plan %s seed=%d n=%d %s", scale, r.Seed, r.Requests, strings.Join(r.Cells, ","))
+	reg[plan] = r.PlanDigest
+	return reg
+}
+
+// gate checks a run's registry entries with verify — golden.Verify,
+// which under `make golden` records them instead — and prints the
+// verdict to w.
+func gate(w io.Writer, entries golden.Registry, verify func(golden.Registry) []string) int {
+	fails := verify(entries)
+	for _, f := range fails {
+		fmt.Fprintln(w, "picl-load: FAIL", f)
+	}
+	if len(fails) > 0 {
+		return 1
+	}
+	fmt.Fprintln(w, "picl-load: check ok")
+	return 0
 }
 
 type cellSpec struct {
@@ -95,17 +113,23 @@ func run() int {
 		schemes   = flag.String("schemes", "picl,journal", "schemes in the mix")
 		benches   = flag.String("benches", "gcc,mcf", "benchmarks in the mix")
 		epochs    = flag.Int("epochs", 2, "epochs per cell")
-		factor    = flag.Float64("factor", 256, "daemon scale factor (spawn mode only)")
+		factor    = flag.Float64("factor", 256, "daemon scale factor: the spawned daemon's, and the scale -check's registry entries name")
 		out       = flag.String("out", "", "write the JSON report here")
-		baseline  = flag.String("baseline", "", "committed baseline report to gate against")
-		check     = flag.Bool("check", false, "gate against -baseline: digests everywhere, req/s floor on the recording host")
-		tol       = flag.Float64("tol", 0.5, "allowed fractional req/s regression before -check fails")
+		check     = flag.Bool("check", false, "gate the cell and plan digests against the model registry (internal/golden)")
 		soak      = flag.Duration("soak", 0, "run for this long instead of -n requests (digest checks stay on; plan table off)")
 	)
 	flag.Parse()
 
 	if (*addr == "") == (*spawn == "") {
 		fmt.Fprintln(os.Stderr, "picl-load: exactly one of -addr or -spawn is required")
+		return 2
+	}
+	if *conc < 1 {
+		fmt.Fprintf(os.Stderr, "picl-load: -c %d: need at least one connection\n", *conc)
+		return 2
+	}
+	if *n < 1 && *soak <= 0 {
+		fmt.Fprintf(os.Stderr, "picl-load: -n %d: need at least one request (or -soak)\n", *n)
 		return 2
 	}
 
@@ -240,7 +264,7 @@ func run() int {
 		return float64(sorted[int(float64(len(sorted)-1)*p)].Microseconds())
 	}
 	rep := Report{
-		Host: hostFingerprint(), Seed: *seed, Requests: *n, Concurrency: *conc,
+		Factor: *factor, Epochs: *epochs, Seed: *seed, Requests: *n, Concurrency: *conc,
 		CellDigests: cellDigest, PlanDigest: planDigest,
 		ReqsPerSec: float64(*n) / elapsed.Seconds(),
 		P50us:      pct(0.50), P90us: pct(0.90), P99us: pct(0.99),
@@ -260,57 +284,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "picl-load: report written to %s\n", *out)
 	}
 	if *check {
-		if *baseline == "" {
-			fmt.Fprintln(os.Stderr, "picl-load: -check requires -baseline")
-			return 2
-		}
-		return gate(rep, *baseline, *tol)
+		return gate(os.Stderr, rep.entries(), golden.Verify)
 	}
-	return 0
-}
-
-// gate compares a fresh report against the committed baseline: digest
-// equality everywhere; the req/s floor only when the host fingerprint
-// matches the recording host.
-func gate(cur Report, baselinePath string, tol float64) int {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "picl-load:", err)
-		return 1
-	}
-	var base Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintln(os.Stderr, "picl-load: bad baseline:", err)
-		return 1
-	}
-	failed := false
-	if cur.PlanDigest != base.PlanDigest {
-		fmt.Fprintf(os.Stderr, "picl-load: FAIL plan digest %s != baseline %s\n",
-			cur.PlanDigest[:16], base.PlanDigest[:16])
-		failed = true
-	}
-	for name, want := range base.CellDigests {
-		if got := cur.CellDigests[name]; got != want {
-			fmt.Fprintf(os.Stderr, "picl-load: FAIL cell %s digest %.16s != baseline %.16s\n", name, got, want)
-			failed = true
-		}
-	}
-	if cur.Host == base.Host {
-		floor := base.ReqsPerSec * (1 - tol)
-		if cur.ReqsPerSec < floor {
-			fmt.Fprintf(os.Stderr, "picl-load: FAIL %.0f req/s below floor %.0f (baseline %.0f, tol %.0f%%)\n",
-				cur.ReqsPerSec, floor, base.ReqsPerSec, tol*100)
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "picl-load: req/s gate ok: %.0f >= %.0f\n", cur.ReqsPerSec, floor)
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "picl-load: req/s gate skipped (different host fingerprint); digest gates applied")
-	}
-	if failed {
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "picl-load: check ok")
 	return 0
 }
 
@@ -385,16 +360,20 @@ func fetch(client *http.Client, url string) (string, int, error) {
 	return digest, resp.StatusCode, nil
 }
 
-// daemon is a spawned picl-simd child.
+// daemon is a spawned picl-simd child and the store directory it was
+// booted on.
 type daemon struct {
-	cmd *exec.Cmd
+	cmd   *exec.Cmd
+	store string
 }
 
+// stop SIGTERMs the daemon, waits for it to exit, and removes its store.
 func (d *daemon) stop() {
 	if d.cmd.Process != nil {
 		d.cmd.Process.Signal(syscall.SIGTERM)
 		d.cmd.Wait()
 	}
+	os.RemoveAll(d.store)
 }
 
 // spawnDaemon boots bin on an ephemeral port with a temp store and
@@ -410,14 +389,15 @@ func spawnDaemon(bin, extraArgs string, factor float64) (*daemon, string, error)
 	}
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
+	d := &daemon{cmd: cmd, store: dir}
 	stdout, err := cmd.StdoutPipe()
+	if err == nil {
+		err = cmd.Start()
+	}
 	if err != nil {
+		d.stop()
 		return nil, "", err
 	}
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-	d := &daemon{cmd: cmd}
 	sc := bufio.NewScanner(stdout)
 	urlCh := make(chan string, 1)
 	go func() {

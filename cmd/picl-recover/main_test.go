@@ -15,19 +15,28 @@ import (
 
 var (
 	buildOnce sync.Once
+	buildDir  string
 	binPath   string
 	buildErr  error
 )
 
+// TestMain removes the binary the smoke tests built.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
 func recoverBin(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "picl-recover-smoke")
-		if err != nil {
-			buildErr = err
+		buildDir, buildErr = os.MkdirTemp("", "picl-recover-smoke")
+		if buildErr != nil {
 			return
 		}
-		binPath = filepath.Join(dir, "picl-recover")
+		binPath = filepath.Join(buildDir, "picl-recover")
 		out, err := exec.Command("go", "build", "-o", binPath, ".").CombinedOutput()
 		if err != nil {
 			buildErr = err

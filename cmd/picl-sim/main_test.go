@@ -14,19 +14,28 @@ import (
 // buildOnce compiles the picl-sim binary once for all smoke tests.
 var (
 	buildOnce sync.Once
+	buildDir  string
 	binPath   string
 	buildErr  error
 )
 
+// TestMain removes the binary the smoke tests built.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
 func simBin(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "picl-sim-smoke")
-		if err != nil {
-			buildErr = err
+		buildDir, buildErr = os.MkdirTemp("", "picl-sim-smoke")
+		if buildErr != nil {
 			return
 		}
-		binPath = filepath.Join(dir, "picl-sim")
+		binPath = filepath.Join(buildDir, "picl-sim")
 		out, err := exec.Command("go", "build", "-o", binPath, ".").CombinedOutput()
 		if err != nil {
 			buildErr = err

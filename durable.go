@@ -45,7 +45,8 @@ func wrapStorageErr(err error) error {
 // and two epoch-0 commits, and the new session overwrites the undo log
 // in place from its first block. Only an image grown past two records
 // per live line is rewritten whole. The recovered image and epoch are
-// available via Recovered.
+// available via Recovered; the image is not copied, it becomes the
+// machine's live NVM content.
 //
 // Options are as for New, except the scheme is fixed to "picl"
 // (ErrBackend otherwise).
@@ -100,10 +101,15 @@ func Open(path string, opts ...Option) (*Machine, error) {
 }
 
 // Recovered reports what Open found in the store directory: the
-// consistent memory image recovered from disk (now the machine's
-// baseline) and the epoch it corresponded to in the previous machine's
-// numbering. A machine not built with Open returns an empty image and
-// epoch 0.
+// consistent memory image recovered from disk and the epoch it
+// corresponded to in the previous machine's numbering. A machine not
+// built with Open returns an empty image and epoch 0.
+//
+// The image is the machine's live baseline, not a snapshot: as the
+// machine persists later epochs it reads their values, both through an
+// image held since Open and through a fresh call. A caller who wants
+// the state Open recovered, unchanged, clones it (Image.Clone) before
+// writing.
 func (m *Machine) Recovered() (Image, uint64) {
 	if m.recoveredImg.img == nil {
 		return Image{img: mem.NewImage()}, 0

@@ -74,6 +74,49 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 	writeWorkload(t, re, 10, 2000)
 }
 
+// TestRecoveredIsLiveBaseline pins Recovered's contract: its image is
+// the machine's live NVM baseline, not a snapshot. After Open recovers
+// 7 at line 0, Write(0, 9) and Sync make both the image held since Open
+// and a fresh Recovered() read 9, while a Clone taken at Open keeps 7.
+func TestRecoveredIsLiveBaseline(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir, WithSmallCaches())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, WithSmallCaches())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	held, _ := re.Recovered()
+	snap := held.Clone()
+	if held.Read(0) != 7 || snap.Read(0) != 7 {
+		t.Fatalf("recovered %d, clone %d; want 7", held.Read(0), snap.Read(0))
+	}
+	if err := re.Write(0, 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := re.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := re.Recovered()
+	if held.Read(0) != 9 || fresh.Read(0) != 9 {
+		t.Fatalf("after Write(0, 9) and Sync: held image %d, fresh Recovered() %d; want 9 (the live baseline)",
+			held.Read(0), fresh.Read(0))
+	}
+	if snap.Read(0) != 7 {
+		t.Fatalf("clone taken at Open reads %d, want 7", snap.Read(0))
+	}
+}
+
 // TestOpenAfterCrash: a simulated power cut does not touch the disk
 // mirror — reopening the directory still recovers everything the store
 // had durably persisted.

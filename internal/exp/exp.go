@@ -301,11 +301,11 @@ func (r *Runner) Cached(key RunKey) (*sim.Result, bool) {
 }
 
 // Canonical renders the key as a fixed-field-order string: the
-// content-address input for cross-process stores. Changing this format
-// invalidates every persisted result, deliberately — bump it only with
-// the result-region version. The trailing "|sharded=false" is a frozen
-// literal of the v1 format (it once named an engine choice that no
-// longer exists); it stays so every stored address keeps its bytes.
+// content-address input for cross-process stores, behind the model
+// registry's hash (serve.DigestOf), and the "key" field of every served
+// body. The trailing "|sharded=false" is a frozen literal of the v1
+// format (it once named an engine choice that no longer exists); it
+// stays so every served body keeps its bytes.
 func (k RunKey) Canonical() string {
 	return fmt.Sprintf("picl-runkey-v1|scheme=%s|bench=%s|cores=%d|epochinstr=%d|instr=%d|llc=%d|nvm=%s|acsgap=%d|buf=%d|tracecap=%d|tracemask=%d|sharded=false",
 		k.Scheme, k.Bench, k.Cores, k.EpochInstr, k.Instr, k.LLCSize,

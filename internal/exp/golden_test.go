@@ -3,28 +3,19 @@ package exp
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
+	"strings"
 	"testing"
+
+	"picl/internal/golden"
 )
 
-// Committed SHA-256 digests of the rendered evaluation outputs at the
-// paper's miniature scale (Scaled, 1/64). The fig9 digests were captured
-// BEFORE the PR 4 performance work and must survive it and every future
-// optimization byte for byte: any change to eviction order, LRU
-// tie-breaks, RNG draw sequence, scheduler interleaving, or table
-// formatting shows up here first. cmd/picl-perf records the same digests
-// into BENCH_PR4.json, so CI cross-checks them on every run.
-const (
-	// Fig9 over goldenSubset (the bench_test.go benchSubset).
-	goldenFig9SHA = "60a33812fa4860dc8896c037523ede10f69b678fae84b5463f1e32dda98b8a02"
-	// Fig9 over goldenShortSubset (the cheap CI subset).
-	goldenFig9ShortSHA = "9d85443942e10cc518eb2c5118daabd58f4a85ebf2d06658c7e670b3805d4d89"
-	// Table5 (workload mix table; scale-independent).
-	goldenTable5SHA = "777eca81ed9d0f6d9f8473b7d4657bea1fb7f0845bceb165c4ed23cb0e15c18e"
-	// Fig10 at testScale: the eight 8-core mixes contending for one
-	// shared LLC and NVM controller (paper §VI-B).
-	goldenFig10TestSHA = "36e148180626c62ad4dfcd78f0914b6a7645018587e2b9359c6970a63382c0df"
-)
-
+// The rendered evaluation outputs are pinned by SHA-256 in the model
+// registry (internal/golden), under the entries these tests name. The
+// Fig. 9 digests were captured before the first performance work and
+// must survive every optimization byte for byte: any change to
+// eviction order, LRU tie-breaks, RNG draw sequence, scheduler
+// interleaving, or table formatting shows up here first.
 var (
 	goldenSubset      = []string{"gcc", "bzip2", "mcf", "astar", "lbm", "libquantum", "gamess", "povray"}
 	goldenShortSubset = []string{"gcc", "lbm"}
@@ -32,32 +23,72 @@ var (
 
 func sha(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))) }
 
-// TestGoldenOutputDigests renders Fig. 9 and Table 5 at the real
-// miniature scale, serially and with a parallel worker pool, and pins
-// every rendering to the committed pre-optimization digests. In -short
-// mode (and under the race detector, where a full-subset run costs
-// minutes) only the two-workload subset runs; the full subset is the
-// default `go test` path.
-func TestGoldenOutputDigests(t *testing.T) {
-	subset, want := goldenSubset, goldenFig9SHA
-	if testing.Short() || raceEnabled {
-		subset, want = goldenShortSubset, goldenFig9ShortSHA
-	}
-	for _, jobs := range []int{1, 8} {
-		r := NewRunner(Scaled())
-		r.Jobs = jobs
-		tb, err := r.Fig9(subset)
+// verifyGolden renders each output at scale s at -j 1 and at -j jobs,
+// requires the two to agree byte for byte, and checks the renderings
+// against the registry; render returns each output's registry entry
+// and rendering.
+func verifyGolden(t *testing.T, s Scale, jobs int, render func(r *Runner) (map[string]string, error)) {
+	t.Helper()
+	var runs []golden.Registry
+	var texts map[string]string
+	for _, j := range []int{1, jobs} {
+		r := NewRunner(s)
+		r.Jobs = j
+		out, err := render(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sha(tb.String()); got != want {
-			t.Errorf("Fig9(%d benches) -j %d digest %s, want committed %s\n%s",
-				len(subset), jobs, got, want, tb.String())
+		got := golden.Registry{}
+		for name, text := range out {
+			got[name] = sha(text)
+		}
+		runs, texts = append(runs, got), out
+	}
+	if !maps.Equal(runs[0], runs[1]) {
+		t.Fatalf("-j 1 and -j %d render different bytes: %v vs %v", jobs, runs[0], runs[1])
+	}
+	if fails := golden.Verify(runs[0]); len(fails) > 0 {
+		for _, f := range fails {
+			t.Error(f)
+		}
+		for name, text := range texts {
+			t.Logf("%s:\n%s", name, text)
 		}
 	}
-	if got := sha(Table5()); got != goldenTable5SHA {
-		t.Errorf("Table5 digest %s, want committed %s", got, goldenTable5SHA)
+}
+
+// TestGoldenOutputDigests renders Fig. 9 and Table 5 at the real
+// miniature scale, serially and with a parallel worker pool. Beside each
+// table it pins the exact cycle count of every cell behind it, which
+// the table's three decimals would round away. In -short mode (and
+// under the race detector, where the eight-benchmark subset costs
+// minutes) only the two-workload subset runs; otherwise both do, the
+// small one from the runner's memo.
+func TestGoldenOutputDigests(t *testing.T) {
+	subsets := [][]string{goldenShortSubset, goldenSubset}
+	if testing.Short() || raceEnabled {
+		subsets = subsets[:1]
 	}
+	verifyGolden(t, Scaled(), 8, func(r *Runner) (map[string]string, error) {
+		out := map[string]string{"table5": Table5()}
+		for _, subset := range subsets {
+			tb, err := r.Fig9(subset)
+			if err != nil {
+				return nil, err
+			}
+			inputs := r.Scale.Name + " " + strings.Join(subset, ",")
+			out["fig9 "+inputs] = tb.String()
+			var cycles strings.Builder
+			for _, b := range subset {
+				for _, s := range append([]string{"ideal"}, Schemes...) {
+					res := r.MustRun(s, []string{b})
+					fmt.Fprintf(&cycles, "%s %s %d\n", b, s, res.Cycles)
+				}
+			}
+			out["fig9-cycles "+inputs] = cycles.String()
+		}
+		return out, nil
+	})
 }
 
 // TestFig10GoldenDigest pins the multicore figure byte for byte at the
@@ -65,16 +96,11 @@ func TestGoldenOutputDigests(t *testing.T) {
 // are the paper's shared-LLC machines, so any change to contention in
 // the shared hierarchy or the NVM queue shows up here.
 func TestFig10GoldenDigest(t *testing.T) {
-	for _, jobs := range []int{1, 2} {
-		r := NewRunner(testScale())
-		r.Jobs = jobs
+	verifyGolden(t, testScale(), 2, func(r *Runner) (map[string]string, error) {
 		tb, err := r.Fig10()
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		if got := sha(tb.String()); got != goldenFig10TestSHA {
-			t.Errorf("Fig10 -j %d digest %s, want committed %s\n%s",
-				jobs, got, goldenFig10TestSHA, tb.String())
-		}
-	}
+		return map[string]string{"fig10 " + r.Scale.Name: tb.String()}, nil
+	})
 }

@@ -1,9 +1,7 @@
-// Package perf holds the substrate microbenchmark bodies shared by the
-// `go test -bench` harness (bench_test.go wrappers) and cmd/picl-perf,
-// the standalone runner that records them into the committed baseline
-// report (BENCH_PR9.json) and gates CI on regressions. Keeping one copy
-// of each body guarantees the number a developer sees from `go test
-// -bench` is the number the comparator gates on.
+// Package perf holds the substrate microbenchmark bodies. Its tests
+// wrap each as a `go test -bench` benchmark (`make bench`) and gate
+// their allocations per operation; timing lives in benchmark/, whose
+// per-layer rows run several of the same bodies.
 package perf
 
 import (
@@ -19,25 +17,6 @@ import (
 	"picl/internal/trace"
 	"picl/internal/undolog"
 )
-
-// calibSink keeps Calibrate's spin from being optimized away.
-var calibSink uint64
-
-// Calibrate spins a fixed pure-ALU workload (64 xorshift rounds per
-// op). Its ns/op tracks the host's effective CPU speed — frequency
-// scaling, steal time — so cmd/picl-perf can gate the other benchmarks
-// on calibration-relative time and stay stable across host-load drift.
-func Calibrate(b *testing.B) {
-	x := uint64(88172645463325252)
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 64; j++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-	}
-	calibSink = x
-}
 
 // CacheLookupHit measures the tag-array hit path (scan + LRU touch).
 func CacheLookupHit(b *testing.B) {
@@ -171,7 +150,7 @@ func ImageSnapshotClone(b *testing.B) {
 
 // SimThroughputPiCL measures end-to-end simulator speed (simulated
 // instructions per host second) on a single-core PiCL run of the scaled
-// gcc profile — the headline number the committed baseline gates on.
+// gcc profile.
 func SimThroughputPiCL(b *testing.B) {
 	g := trace.NewSynthetic(trace.MustProfile("gcc").Scale(1.0/64), 0, 1)
 	h := exp.Scaled().Hierarchy(1)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"picl/internal/exp"
+	"picl/internal/golden"
 	"picl/internal/trace"
 )
 
@@ -93,6 +95,51 @@ func TestRunEndpointBadParams(t *testing.T) {
 	}
 	if rec := get(t, s, "/run?bench=no-such-bench"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown bench = %d, want 400", rec.Code)
+	}
+}
+
+// TestRunIgnoresPreRegistryAddress: the address is the SHA-256 of the
+// model registry's hash and the canonical key, so a result stored under
+// the address of the key alone, sha256(Canonical()) — what every store
+// written before the registry holds — is never served as a hit. The
+// cell is recomputed, and with the model unchanged its bytes are the
+// stored ones.
+func TestRunIgnoresPreRegistryAddress(t *testing.T) {
+	r := testRunner()
+	key, err := r.KeyFor("picl", []string{"gcc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := key.Canonical()
+	if DigestOf(canon) != sha256.Sum256([]byte(string(golden.Hash[:])+canon)) {
+		t.Fatal("DigestOf is not sha256(golden.Hash || Canonical())")
+	}
+	want := get(t, NewServer(testRunner(), nil, nil), "/run?scheme=picl&bench=gcc").Body.Bytes()
+
+	dir := t.TempDir()
+	writer, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Put(sha256.Sum256([]byte(canon)), want); err != nil {
+		t.Fatal(err)
+	}
+	writer.Close()
+
+	st, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rec := get(t, NewServer(r, st, nil), "/run?scheme=picl&bench=gcc")
+	if got := rec.Header().Get("X-Picl-Source"); got != "computed" {
+		t.Fatalf("source = %q, want computed: the pre-registry record was served", got)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("recomputed body differs from the stored one:\n%s\n%s", rec.Body, want)
+	}
+	if body, ok := st.Get(DigestOf(canon)); !ok || !bytes.Equal(body, want) {
+		t.Fatal("the recomputed body is not stored under the new address")
 	}
 }
 

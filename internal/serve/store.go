@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"picl/internal/golden"
 	"picl/internal/storage"
 )
 
@@ -56,11 +57,16 @@ func (s Source) String() string {
 }
 
 // DigestOf is the content address of a run cell: the SHA-256 of the
-// RunKey's canonical rendering. Two replicas built from the same source
-// derive the same digest for the same request, which is what makes the
-// store shareable without any coordination beyond the filesystem.
+// model registry's hash (golden.Hash) followed by the RunKey's
+// canonical rendering. Two replicas built from the same source derive
+// the same digest for the same request, which is what makes the store
+// shareable without any coordination beyond the filesystem; a build
+// whose model was re-recorded derives different ones, so it never
+// serves a result the old model produced.
 func DigestOf(canonicalKey string) [32]byte {
-	return sha256.Sum256([]byte(canonicalKey))
+	// A key fits the stack buffer, so hashing allocates nothing.
+	var buf [256]byte
+	return sha256.Sum256(append(append(buf[:0], golden.Hash[:]...), canonicalKey...))
 }
 
 // Store is the durable, cross-process result store: a storage.Results

@@ -18,6 +18,9 @@ func TestDigestOfStable(t *testing.T) {
 	if a == DigestOf("picl-runkey-v1|y") {
 		t.Fatal("distinct keys collided")
 	}
+	if n := testing.AllocsPerRun(10, func() { DigestOf("picl-runkey-v1|x") }); n != 0 {
+		t.Fatalf("DigestOf allocates %v times per call", n)
+	}
 }
 
 func TestSourceString(t *testing.T) {

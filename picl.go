@@ -467,6 +467,10 @@ func (im Image) Read(addr uint64) uint64 {
 // Lines reports how many lines hold non-zero content.
 func (im Image) Lines() int { return im.img.Len() }
 
+// Clone returns a copy of the image that nothing else changes: the
+// snapshot to take of the live baseline Recovered returns.
+func (im Image) Clone() Image { return Image{img: im.img.Clone()} }
+
 // Recover runs the OS crash-recovery procedure against durable state and
 // returns the consistent memory image plus the epoch it corresponds to.
 func (m *Machine) Recover() (Image, uint64, error) {
