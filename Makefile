@@ -1,4 +1,4 @@
-.PHONY: ci vet fmt-check tidy-check lint lint-fix lint-sarif build test race cover cover-update bench bench-test benchmark-module crash fuzz load golden load-soak
+.PHONY: ci vet fmt-check tidy-check lint lint-fix lint-sarif build test race cover cover-update bench bench-test benchmark-module examples examples-sweeps crash fuzz load golden load-soak
 
 # ci is the tier-1 gate: vet, formatting and go.mod hygiene, the
 # project-specific invariant linter, build everything, the full test
@@ -8,13 +8,14 @@
 # unsuppressed diagnostic, so a determinism/epoch/lock violation fails
 # the build exactly like a vet error. The test suite also pins every
 # rendered figure and table against the model registry
-# (internal/golden) and every substrate body's allocs/op
-# (internal/perf). load boots a real picl-simd and gates the served
-# bytes against the same registry. benchmark-module vets and tests the
-# separate benchmark/ module, which the root-level go commands never
-# reach. Nothing here compares wall-clock time: benchmark/ is the one
-# timing harness.
-ci: vet fmt-check tidy-check lint build race cover benchmark-module crash fuzz load
+# (internal/golden) and every substrate body's allocations per 1,000
+# operations (internal/perf). load boots a real picl-simd and gates the
+# served bytes against the same registry. benchmark-module vets and
+# tests the separate benchmark/ module, which the root-level go
+# commands never reach. examples runs the fast examples, each of which
+# exits nonzero on a violated guarantee. Nothing here compares
+# wall-clock time: benchmark/ is the one timing harness.
+ci: vet fmt-check tidy-check lint build race cover benchmark-module examples crash fuzz load
 
 vet:
 	go vet ./...
@@ -32,15 +33,14 @@ tidy-check:
 
 # lint runs picl-lint (see internal/lint and DESIGN.md "Static
 # analysis") over every non-test package in the module. Stale
-# //lint:ignore directives fail the gate too (-unused-ignores defaults
-# to on).
+# //lint:ignore directives fail the gate too.
 lint:
 	go run ./cmd/picl-lint ./...
 
 # lint-fix applies picl-lint's mechanical rewrites (eidcmp helper
-# calls, errwrap %w) in place, then fails if the tree changed — run it
-# locally to fix, while in CI it proves the committed tree and the
-# autofixes cannot drift apart.
+# calls) in place, then fails if the tree changed — run it locally to
+# fix, while in CI it proves the committed tree and the autofixes
+# cannot drift apart.
 lint-fix:
 	go run ./cmd/picl-lint -fix ./... || true
 	git diff --exit-code
@@ -74,8 +74,8 @@ cover-update:
 
 # bench runs the substrate microbenchmarks (internal/perf) and prints
 # their ns/op, B/op and allocs/op. Nothing gates on the timing; their
-# allocs/op are gated by internal/perf's TestAllocsPerOp in every test
-# run.
+# allocation rates are gated by internal/perf's TestAllocsPerOp in
+# every test run.
 bench:
 	go test -run '^$$' -bench . -benchmem ./internal/perf
 
@@ -91,6 +91,30 @@ bench-test:
 # fails here rather than at the next benchmark run.
 benchmark-module:
 	cd benchmark && go vet ./... && go test ./...
+
+# examples (part of ci) builds every example and runs the five fast
+# ones end to end; each exits through log.Fatal on a violated guarantee
+# (a torn store, a wrong recovered value). They run under a fresh
+# TMPDIR that must be empty afterwards. examples-sweeps (nightly) runs
+# the two sweeps, multiprogram and sensitivity, about a minute together.
+EXAMPLES = quickstart kvstore linkedlist ioconsistency timetravel
+EXAMPLE_SWEEPS = multiprogram sensitivity
+
+examples:
+	go build -o bin/examples/ ./examples/...
+	@tmp="$$(mktemp -d)"; \
+	for ex in $(EXAMPLES); do \
+		echo "== example $$ex"; \
+		TMPDIR="$$tmp" bin/examples/$$ex || { rm -rf "$$tmp"; exit 1; }; \
+	done; \
+	left="$$(ls -A "$$tmp")"; rm -rf "$$tmp"; \
+	if [ -n "$$left" ]; then echo "examples left in TMPDIR: $$left"; exit 1; fi
+
+examples-sweeps:
+	go build -o bin/examples/ ./examples/...
+	@for ex in $(EXAMPLE_SWEEPS); do \
+		echo "== example $$ex"; bin/examples/$$ex || exit 1; \
+	done
 
 # crash (part of ci) is the SIGKILL crash-recovery gate: 100 real child
 # processes are killed at seeded random points mid-workload and every

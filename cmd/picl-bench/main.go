@@ -114,6 +114,18 @@ func main() {
 	)
 	flag.Parse()
 
+	scale, err := exp.ScaleOf(*factor, 8)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "picl-bench:", err)
+		os.Exit(2)
+	}
+	// The figures' scale: 8 single-core and 4 eight-core epochs, at
+	// factor 64 exactly exp.Scaled() and at factor 1 exp.Full().
+	scale.Name, scale.MulticoreEpochs = "scaled-"+scale.Name, 4
+	if *factor == 1 {
+		scale = exp.Full()
+	}
+
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -153,21 +165,6 @@ func main() {
 		return
 	}
 
-	scale := exp.Scaled()
-	//lint:ignore floateq exact test of the literal the user typed on the flag, not computed timing
-	if *factor != 64 {
-		scale = exp.Scale{
-			Name:            fmt.Sprintf("scaled-1/%g", *factor),
-			Factor:          1 / *factor,
-			EpochInstr:      uint64(30_000_000 / *factor),
-			Epochs:          8,
-			MulticoreEpochs: 4,
-		}
-		//lint:ignore floateq exact test of the literal the user typed on the flag, not computed timing
-		if *factor == 1 {
-			scale = exp.Full()
-		}
-	}
 	runner := exp.NewRunner(scale)
 	runner.Clock = time.Now // injected: internal/exp itself must stay wall-clock-free
 	runner.Jobs = *jobs

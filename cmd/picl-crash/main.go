@@ -119,6 +119,10 @@ func main() {
 		keep   = flag.Bool("keep", false, "keep per-point store directories (for post-mortem)")
 	)
 	flag.Parse()
+	if *points < 1 {
+		fmt.Fprintf(os.Stderr, "picl-crash: -points %d: want at least 1\n", *points)
+		os.Exit(2)
+	}
 
 	if *verify != "" {
 		img, info, err := storage.RecoverDir(*verify)

@@ -80,6 +80,17 @@ func TestSmokeCrashPoints(t *testing.T) {
 	}
 }
 
+// TestSmokeBadPointsExits2: a campaign of no points would report
+// success vacuously.
+func TestSmokeBadPointsExits2(t *testing.T) {
+	for _, n := range []string{"0", "-2"} {
+		out, stderr, code := run(t, "-points", n)
+		if code != 2 || out != "" || !strings.Contains(stderr, "-points "+n) {
+			t.Errorf("-points %s: exit %d, stdout %q, stderr %q; want exit 2", n, code, out, stderr)
+		}
+	}
+}
+
 // TestSmokeVerifyMode: -verify recovers a directory a killed child left
 // behind and reports what it found.
 func TestSmokeVerifyMode(t *testing.T) {

@@ -67,6 +67,10 @@ func main() {
 		keep    = flag.Bool("keep", false, "keep per-point store directories (for post-mortem)")
 	)
 	flag.Parse()
+	if *points < 1 {
+		fmt.Fprintf(os.Stderr, "picl-fuzz: -points %d: want at least 1\n", *points)
+		os.Exit(2)
+	}
 
 	// PICL_FUZZ_LONG scales the campaign to nightly size unless the
 	// caller pinned -points explicitly.

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -56,5 +58,21 @@ func TestSimPointsVerify(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("10 seeds exercised only %v schemes", seen)
+	}
+}
+
+// TestSmokeBadPointsExits2: a campaign of no points would pass
+// vacuously, so the binary refuses it before any work.
+func TestSmokeBadPointsExits2(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "picl-fuzz")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, n := range []string{"0", "-1"} {
+		out, err := exec.Command(bin, "-points", n).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "-points "+n) {
+			t.Errorf("-points %s: err %v, output %q; want exit 2", n, err, out)
+		}
 	}
 }

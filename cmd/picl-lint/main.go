@@ -1,16 +1,16 @@
 // picl-lint checks the PiCL-specific invariants the Go compiler and
 // `go vet` cannot see: simulator determinism, 4-bit epoch-tag
-// arithmetic, lock discipline (per-field and call-graph), the durable
-// store's write-ahead ordering contract, sentinel error wrapping, and
-// floating-point timing equality. It exits 1 when any unsuppressed
-// diagnostic is found (this is what fails the `make ci` gate) and 2 on
-// operational errors such as packages that do not type-check.
+// arithmetic, the mutex discipline of the module's lock owners, the
+// durable store's write-ahead ordering contract, and the pairing of
+// hot-path counters with trace events. It exits 1 when any
+// unsuppressed diagnostic is found (this is what fails the `make ci`
+// gate) and 2 on operational errors such as packages that do not
+// type-check.
 //
 // Usage:
 //
 //	picl-lint [packages]       # defaults to ./...
 //	picl-lint -rules           # list the rule set
-//	picl-lint -json            # findings as a JSON array on stdout
 //	picl-lint -sarif out.sarif # also write a SARIF 2.1.0 report
 //	picl-lint -fix             # apply suggested fixes, then re-check
 //
@@ -19,8 +19,8 @@
 //
 //	//lint:ignore <rule>[,<rule>] <reason>
 //
-// Stale suppressions (directives that no longer match any finding) are
-// themselves findings unless -unused-ignores=false.
+// A directive that no longer suppresses any finding is itself a
+// finding (rule "unused-ignore").
 package main
 
 import (
@@ -33,13 +33,11 @@ import (
 
 func main() {
 	rules := flag.Bool("rules", false, "print the rule set and exit")
-	asJSON := flag.Bool("json", false, "emit findings as JSON on stdout")
 	sarifPath := flag.String("sarif", "", "write a SARIF 2.1.0 report to this `file`")
 	fix := flag.Bool("fix", false, "apply suggested fixes in place, then re-check")
-	unusedIgnores := flag.Bool("unused-ignores", true, "report //lint:ignore directives that suppress nothing")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: picl-lint [-rules] [-json] [-sarif file] [-fix] [-unused-ignores=false] [packages]\n")
+			"usage: picl-lint [-rules] [-sarif file] [-fix] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -59,8 +57,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := lint.Options{UnusedIgnores: *unusedIgnores}
-	diags := load(wd, patterns, opts)
+	diags := load(wd, patterns)
 
 	if *fix {
 		fixed, n, err := lint.ApplyFixes(diags)
@@ -76,7 +73,7 @@ func main() {
 		if n > 0 {
 			// Re-check from the rewritten sources so remaining findings
 			// carry accurate positions.
-			diags = load(wd, patterns, opts)
+			diags = load(wd, patterns)
 		}
 	}
 
@@ -93,14 +90,8 @@ func main() {
 		}
 	}
 
-	if *asJSON {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "picl-lint: %d unsuppressed diagnostic(s)\n", len(diags))
@@ -108,12 +99,12 @@ func main() {
 	}
 }
 
-func load(wd string, patterns []string, opts lint.Options) []lint.Diagnostic {
+func load(wd string, patterns []string) []lint.Diagnostic {
 	pkgs, err := lint.LoadModule(wd, patterns...)
 	if err != nil {
 		fatal(err)
 	}
-	return lint.RunOpts(pkgs, lint.All(), opts)
+	return lint.Run(pkgs, lint.All())
 }
 
 func fatal(err error) {

@@ -39,6 +39,7 @@ import (
 	"syscall"
 	"time"
 
+	"picl/internal/exp"
 	"picl/internal/golden"
 )
 
@@ -132,6 +133,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "picl-load: -n %d: need at least one request (or -soak)\n", *n)
 		return 2
 	}
+	scale, err := exp.ScaleOf(*factor, *epochs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "picl-load:", err)
+		return 2
+	}
 
 	base := *addr
 	if *spawn != "" {
@@ -162,9 +168,15 @@ func run() int {
 
 	// Warm phase: compute every distinct cell once, untimed, so the
 	// measured phase exercises the serving path (warm hits), not the
-	// simulator.
+	// simulator. Each warm body must carry the scale -factor and
+	// -epochs name: a daemon booted at another scale serves other
+	// digests, which -check would otherwise report as model drift.
 	for _, c := range cells {
-		if _, _, err := fetch(client, c.url(base)); err != nil {
+		_, _, body, err := fetch(client, c.url(base))
+		if err == nil {
+			err = sameScale(body, scale)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "picl-load: warming %s: %v\n", c.name(), err)
 			return 1
 		}
@@ -197,7 +209,7 @@ func run() int {
 			for i := range idx {
 				u := cells[plan[i]].url(base)
 				r0 := time.Now()
-				digest, status, err := fetch(client, u)
+				digest, status, _, err := fetch(client, u)
 				latencies[i] = time.Since(r0)
 				if err != nil {
 					errMu.Do(func() { firstErr = fmt.Errorf("%s: %w", u, err) })
@@ -305,7 +317,7 @@ func runSoak(client *http.Client, base string, cells []cellSpec, conc int, seed 
 			rng := rand.New(rand.NewSource(seed + int64(w)))
 			for time.Now().Before(deadline) {
 				c := cells[rng.Intn(len(cells))]
-				digest, status, err := fetch(client, c.url(base))
+				digest, status, _, err := fetch(client, c.url(base))
 				mu.Lock()
 				total++
 				if err != nil || status != http.StatusOK {
@@ -338,26 +350,51 @@ func runSoak(client *http.Client, base string, cells []cellSpec, conc int, seed 
 }
 
 // fetch GETs one /run URL and returns the response digest (verified
-// against the body) and status.
-func fetch(client *http.Client, url string) (string, int, error) {
+// against the body), status and body.
+func fetch(client *http.Client, url string) (string, int, []byte, error) {
 	resp, err := client.Get(url)
 	if err != nil {
-		return "", 0, err
+		return "", 0, nil, err
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return "", 0, err
+		return "", 0, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return "", resp.StatusCode, fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		return "", resp.StatusCode, nil, fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	sum := sha256.Sum256(body)
 	digest := hex.EncodeToString(sum[:])
 	if hdr := resp.Header.Get("X-Picl-Digest"); hdr != "" && hdr != digest {
-		return "", resp.StatusCode, fmt.Errorf("X-Picl-Digest %s does not match body %s", hdr[:16], digest[:16])
+		return "", resp.StatusCode, nil, fmt.Errorf("X-Picl-Digest %s does not match body %s", hdr[:16], digest[:16])
 	}
-	return digest, resp.StatusCode, nil
+	return digest, resp.StatusCode, body, nil
+}
+
+// sameScale checks a served body's RunKey against scale: its
+// epochinstr and instr fields must be the ones the scale implies for a
+// cell scale.Epochs long.
+func sameScale(body []byte, scale exp.Scale) error {
+	var cell struct {
+		Key string `json:"key"`
+	}
+	if err := json.Unmarshal(body, &cell); err != nil {
+		return fmt.Errorf("body carries no RunKey: %w", err)
+	}
+	fields := make(map[string]string)
+	for _, f := range strings.Split(cell.Key, "|") {
+		if k, v, ok := strings.Cut(f, "="); ok {
+			fields[k] = v
+		}
+	}
+	got := fmt.Sprintf("epochinstr=%s instr=%s", fields["epochinstr"], fields["instr"])
+	want := fmt.Sprintf("epochinstr=%d instr=%d", scale.EpochInstr, uint64(scale.Epochs)*scale.EpochInstr)
+	if got != want {
+		return fmt.Errorf("scale mismatch: the daemon serves %s, but scale %s epochs=%d is %s",
+			got, scale.Name, scale.Epochs, want)
+	}
+	return nil
 }
 
 // daemon is a spawned picl-simd child and the store directory it was

@@ -210,6 +210,28 @@ func TestSmokeCheckCatchesDigestDrift(t *testing.T) {
 	assertEmpty(t, tmp)
 }
 
+// TestSmokeCheckScaleMismatch: a daemon at another scale than -factor
+// names (here booted at 1/1024 while picl-load expects 1/256) fails
+// with one line naming both scales, before any digest is printed or
+// gated.
+func TestSmokeCheckScaleMismatch(t *testing.T) {
+	_, sb := bins(t)
+	tmp := t.TempDir()
+	out, stderr, code := runLoad(t, tmp, "-spawn", sb, "-spawn-args", "-factor 1024",
+		"-check", "-n", "20", "-c", "4", "-factor", "256", "-epochs", "2")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out, stderr)
+	}
+	want := "scale mismatch: the daemon serves epochinstr=29296 instr=58592, but scale 1/256 epochs=2 is epochinstr=117187 instr=234374"
+	if strings.Count(stderr, want) != 1 {
+		t.Errorf("stderr does not name both scales once (%q):\n%s", want, stderr)
+	}
+	if strings.Contains(out+stderr, "digest") {
+		t.Errorf("a digest was printed or gated:\nstdout: %s\nstderr: %s", out, stderr)
+	}
+	assertEmpty(t, tmp)
+}
+
 // TestSmokeFlagValidation: bad flags exit 2 before any daemon starts,
 // so no store directory is made.
 func TestSmokeFlagValidation(t *testing.T) {
@@ -226,6 +248,10 @@ func TestSmokeFlagValidation(t *testing.T) {
 		{"-n -3", "-n -3: need at least one request"},
 		{"-c 0", "-c 0: need at least one connection"},
 		{"-c 0 -soak 1s", "-c 0: need at least one connection"},
+		{"-factor 0", "scale factor 0: want a positive number"},
+		{"-factor -4", "scale factor -4: want a positive number"},
+		{"-factor NaN", "scale factor NaN: want a positive number"},
+		{"-epochs 0", "0 epochs: want at least 1"},
 	} {
 		args := append([]string{"-spawn", sb}, strings.Fields(c.args)...)
 		if _, stderr, code := runLoad(t, tmp, args...); code != 2 || !strings.Contains(stderr, c.want) {

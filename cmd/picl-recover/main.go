@@ -43,6 +43,10 @@ func main() {
 		logDir = flag.String("log", "", "audit this on-disk durable store directory instead of a simulated run")
 	)
 	flag.Parse()
+	if *trials < 1 {
+		fmt.Fprintf(os.Stderr, "picl-recover: -trials %d: want at least 1\n", *trials)
+		os.Exit(2)
+	}
 
 	if *logDir != "" {
 		os.Exit(auditStore(*logDir))

@@ -82,6 +82,17 @@ func TestSmokeSingleTrial(t *testing.T) {
 	}
 }
 
+// TestSmokeBadTrialsExits2: an audit of no trials would report success
+// vacuously.
+func TestSmokeBadTrialsExits2(t *testing.T) {
+	for _, n := range []string{"0", "-3"} {
+		out, stderr, code := run(t, "-trials", n)
+		if code != 2 || out != "" || !strings.Contains(stderr, "-trials "+n) {
+			t.Errorf("-trials %s: exit %d, stdout %q, stderr %q; want exit 2", n, code, out, stderr)
+		}
+	}
+}
+
 func TestSmokeUnknownBenchExits2(t *testing.T) {
 	_, stderr, code := run(t, "-bench", "nonesuch")
 	if code != 2 {

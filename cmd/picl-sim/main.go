@@ -46,13 +46,25 @@ func main() {
 	)
 	flag.Parse()
 
+	scale, err := exp.ScaleOf(*factor, *epochs)
+	if err == nil && *recordN < 1 {
+		err = fmt.Errorf("-n %d: want at least 1", *recordN)
+	}
+	if err == nil && *traceCap < 1 {
+		err = fmt.Errorf("-trace-cap %d: want at least 1", *traceCap)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "picl-sim:", err)
+		os.Exit(2)
+	}
+
 	if *record != "" {
 		p, err := trace.ProfileFor(*bench)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		g := trace.NewSynthetic(p.Scale(1 / *factor), 1<<34, 13)
+		g := trace.NewSynthetic(p.Scale(scale.Factor), 1<<34, 13)
 		f, err := os.Create(*record)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -77,13 +89,6 @@ func main() {
 		return
 	}
 
-	scale := exp.Scale{
-		Name:            fmt.Sprintf("1/%g", *factor),
-		Factor:          1 / *factor,
-		EpochInstr:      uint64(30_000_000 / *factor),
-		Epochs:          *epochs,
-		MulticoreEpochs: *epochs,
-	}
 	runner := exp.NewRunner(scale)
 	runner.Jobs = *jobs
 
@@ -105,7 +110,6 @@ func main() {
 	}
 
 	var res *sim.Result
-	var err error
 	switch {
 	case *replay != "":
 		res, err = runTraceFile(*replay, *scheme, scale, tcap)

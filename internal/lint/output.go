@@ -7,37 +7,6 @@ import (
 	"sort"
 )
 
-// jsonDiag is the machine-readable finding shape for -json output.
-type jsonDiag struct {
-	File    string    `json:"file"`
-	Line    int       `json:"line"`
-	Col     int       `json:"col"`
-	Rule    string    `json:"rule"`
-	Message string    `json:"message"`
-	Related []Related `json:"related,omitempty"`
-	Fixable bool      `json:"fixable,omitempty"`
-}
-
-// WriteJSON renders diagnostics as a JSON array (one object per
-// finding, rule = stable RuleID).
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:    d.Pos.Filename,
-			Line:    d.Pos.Line,
-			Col:     d.Pos.Column,
-			Rule:    d.RuleID(),
-			Message: d.Message,
-			Related: d.Related,
-			Fixable: d.Fix != nil,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // SARIF 2.1.0 subset — the fields GitHub code scanning needs to render
 // findings as PR annotations. Kept as explicit structs so the output
 // shape is visible here rather than spread over map literals.

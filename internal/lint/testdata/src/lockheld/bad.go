@@ -32,8 +32,8 @@ func (j *jar) Bad() int {
 	return j.sizeLocked()
 }
 
-// free shows the cross-function hole lockdiscipline could not see: a
-// plain function calling a Locked method lock-free.
+// free is a plain function calling a Locked method with no lock
+// held.
 func free(j *jar) int {
 	return j.sizeLocked()
 }

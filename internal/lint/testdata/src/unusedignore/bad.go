@@ -10,7 +10,7 @@ func live(a, b mem.EpochID) bool {
 	return a < b
 }
 
-//lint:ignore floateq historic suppression, the comparison moved away
+//lint:ignore determinism historic suppression, the wall clock read moved away
 func grow(n int) int {
 	return n + 1
 }

@@ -13,8 +13,8 @@
 //     any worker-pool width above it.
 //   - The Tracer interface is nil-safe by convention: every emit site in
 //     the engine is guarded with `if tr != nil`, so a disabled tracer
-//     costs one predictable branch and zero allocations (gated by
-//     internal/perf's allocs/op test on the store/submit hot paths).
+//     costs one predictable branch and no allocation (internal/perf's
+//     allocation-rate test gates the store/submit hot paths).
 //   - Event is a flat value struct. Recording one is a bounds check and a
 //     56-byte copy into a preallocated ring — no per-event allocation.
 package obs
