@@ -251,6 +251,7 @@ func TestSmokeFlagValidation(t *testing.T) {
 		{"-factor 0", "scale factor 0: want a positive number"},
 		{"-factor -4", "scale factor -4: want a positive number"},
 		{"-factor NaN", "scale factor NaN: want a positive number"},
+		{"-factor 100", "scale factor 100: 1-core hierarchy: cache \"l2\": set count 5 not a power of two"},
 		{"-epochs 0", "0 epochs: want at least 1"},
 	} {
 		args := append([]string{"-spawn", sb}, strings.Fields(c.args)...)

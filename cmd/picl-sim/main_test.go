@@ -105,12 +105,15 @@ func TestSmokeBadMixExits2(t *testing.T) {
 	}
 }
 
-// TestSmokeBadFlagsExit2: flags that would hang the run, print NaN or
-// record nothing exit 2 before any work.
+// TestSmokeBadFlagsExit2: flags that would hang the run, print NaN,
+// build a cache geometry that cannot exist or record nothing exit 2
+// before any work.
 func TestSmokeBadFlagsExit2(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-factor -4", "scale factor -4: want a positive number"},
 		{"-factor 0", "scale factor 0: want a positive number"},
+		{"-factor 100", `scale factor 100: 1-core hierarchy: cache "l2": set count 5 not a power of two`},
+		{"-factor 200 -mix 0", `scale factor 200: 8-core hierarchy: cache "llc": set count 163 not a power of two`},
 		{"-epochs -1", "-1 epochs: want at least 1"},
 		{"-epochs 0", "0 epochs: want at least 1"},
 		{"-record x.trace -n 0", "-n 0"},

@@ -66,6 +66,9 @@ const (
 	maxWays = 16
 	dShift  = 16
 	pShift  = 32
+	// wayBits is way 0's valid, dirty and PrivDirty bits; shifted left by
+	// j, way j's.
+	wayBits = 1 | 1<<dShift | 1<<pShift
 )
 
 // noIdx is an idx-plane word with both packed indices unknown (-1).
@@ -83,20 +86,22 @@ func packIdx(llci, l2i int32) uint64 {
 //
 // Way scans — the single hottest operation in the whole simulator, every
 // access runs several of them — touch only the plane they need: the tag
-// scan reads the set's tag words from one host cache line, the LRU
-// victim scan reads the stamp plane, and the flush/ACS walks read the
-// per-set state words and the EID plane without ever striding 32-byte
-// structs. The Valid/Dirty/PrivDirty flags live packed in one state
-// word per set (see dShift/pShift), so "any free way" and "any dirty
-// line in this set" are single word tests, and free-way selection is
-// one bits.TrailingZeros64.
+// scan reads the set's tag words from one host cache line, the victim
+// pick reads one recency word, and the flush/ACS walks read the per-set
+// state words and the EID plane without ever striding 32-byte structs.
+// The Valid/Dirty/PrivDirty flags live packed in one state word per set
+// (see dShift/pShift), so "any free way" and "any dirty line in this
+// set" are single word tests, and free-way selection is one
+// bits.TrailingZeros64. Recency is one order word per set (see order):
+// the LRU victim is one shift, and the MRU way one mask.
 //
 // Invariants: bit j of state[s] is set exactly when tags[s*ways+j] != 0,
 // and then tags[i] == uint64(addr)+1; dirty and priv bits are only ever
 // set for valid ways. Every mutation point (Place, victimSlot+installAt,
-// Invalidate, Reset, the LineRef setters) maintains this. In the LLC,
-// bit s of dirtySets is set whenever set s holds a dirty or PrivDirty
-// way (see dirtySets).
+// Invalidate, Reset, the LineRef setters) maintains this. order[s]
+// always holds each of the set's ways at exactly one of its low `ways`
+// ranks and zero above them. In the LLC, bit s of dirtySets is set
+// whenever set s holds a dirty or PrivDirty way (see dirtySets).
 type Cache struct {
 	cfg     Config
 	sets    int
@@ -104,13 +109,24 @@ type Cache struct {
 	ways    int
 	// fullMask has the low `ways` bits set: the valid field of a full set.
 	fullMask uint64
+	// lruShift is the bit offset of rank ways-1 in an order word: the
+	// least recently used way's nibble.
+	lruShift uint
 
 	tags  []uint64      // per line: addr+1, or 0 when invalid
-	lru   []uint64      // per line: last-touch stamp
 	data  []mem.Word    // per line: payload
 	eids  []mem.EpochID // per line: epoch tag
 	owner []int8        // per line: private holder (LLC only; -1 none)
 	state []uint64      // per set: valid | dirty<<dShift | priv<<pShift
+	// order is each set's recency word: nibble k holds the way at recency
+	// rank k, rank 0 the most recently touched way and rank ways-1 the
+	// least, with every nibble above rank ways-1 zero. A touch (a hit or
+	// an install) moves its way to rank 0; maxWays nibbles fill the word.
+	// A full set's victim is the way at rank ways-1, which is the way with
+	// the first minimal stamp under a per-access stamp counter: stamps
+	// are unique and only grow, so the least recently touched way holds
+	// the smallest one (DESIGN.md §8.3).
+	order []uint64
 	// dirtySets summarizes the state words for the bulk scan: bit s%64 of
 	// word s/64 is set whenever set s holds a dirty or PrivDirty way, so
 	// Hierarchy.FlushDirty visits only flagged sets instead of every
@@ -133,36 +149,40 @@ type Cache struct {
 	// private levels have the plane (newPrivate); it is nil in the LLC,
 	// whose lines are never reached through an outer level.
 	idx []uint64
-	// hint caches, per set, the way of the last hit or install — an MRU
-	// shortcut for the tag scan. With the workloads' locality most
-	// lookups resolve on the single hinted-tag compare. Tags are unique
-	// within a set, so the hint can only ever find the same way the scan
-	// would: correctness never depends on it.
-	hint []uint8
 
-	stamp uint64
 	stats Stats
 	// victim is Place's eviction scratch slot; see Place.
 	victim Line
 }
 
-// New builds a cache. Size/Ways must yield a power-of-two set count, and
-// the packed per-set state words cap associativity at maxWays.
-func New(cfg Config) *Cache {
+// Validate reports why cfg cannot build a cache: a non-positive size or
+// associativity, more ways than the packed per-set words hold
+// (maxWays), or a set count that is not a power of two.
+func (cfg Config) Validate() error {
 	if cfg.Ways <= 0 || cfg.Size <= 0 {
-		panic(fmt.Sprintf("cache %q: invalid geometry %+v", cfg.Name, cfg))
+		return fmt.Errorf("cache %q: invalid geometry %+v", cfg.Name, cfg)
 	}
 	if cfg.Ways > maxWays {
-		panic(fmt.Sprintf("cache %q: %d ways exceed the %d-way packed state words", cfg.Name, cfg.Ways, maxWays))
+		return fmt.Errorf("cache %q: %d ways exceed the %d-way packed state words", cfg.Name, cfg.Ways, maxWays)
 	}
-	linesTotal := cfg.Size / mem.LineSize
-	sets := linesTotal / cfg.Ways
-	if sets == 0 {
-		sets = 1
+	if sets := cfg.sets(); sets&(sets-1) != 0 {
+		return fmt.Errorf("cache %q: set count %d not a power of two", cfg.Name, sets)
 	}
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache %q: set count %d not a power of two", cfg.Name, sets))
+	return nil
+}
+
+// sets is the set count cfg builds: its lines divided among the ways,
+// at least one.
+func (cfg Config) sets() int {
+	return max(cfg.Size/mem.LineSize/cfg.Ways, 1)
+}
+
+// New builds a cache. It panics on a geometry Validate refuses.
+func New(cfg Config) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
+	sets := cfg.sets()
 	n := sets * cfg.Ways
 	c := &Cache{
 		cfg:       cfg,
@@ -170,17 +190,20 @@ func New(cfg Config) *Cache {
 		setMask:   uint64(sets - 1),
 		ways:      cfg.Ways,
 		fullMask:  (uint64(1) << uint(cfg.Ways)) - 1,
+		lruShift:  uint(4 * (cfg.Ways - 1)),
 		tags:      make([]uint64, n),
-		lru:       make([]uint64, n),
 		data:      make([]mem.Word, n),
 		eids:      make([]mem.EpochID, n),
 		owner:     make([]int8, n),
 		state:     make([]uint64, sets),
+		order:     make([]uint64, sets),
 		dirtySets: make([]uint64, (sets+63)/64),
-		hint:      make([]uint8, sets),
 	}
 	for i := range c.owner {
 		c.owner[i] = -1
+	}
+	for s := range c.order {
+		c.order[s] = identityOrder(c.ways)
 	}
 	return c
 }
@@ -310,137 +333,90 @@ func (c *Cache) snapshotAt(i, s int) Line {
 	}
 }
 
-// lookupIdx returns the plane index of line l, or -1 on miss. touch
-// refreshes LRU and records hit/miss statistics; probes that must not
-// disturb replacement state (snoops, scans) pass touch=false.
+// identityOrder is the recency word of a set nothing has touched: way k
+// at rank k for each of the ways, zero above.
+func identityOrder(ways int) uint64 {
+	return 0xFEDCBA9876543210 & (uint64(1)<<uint(4*ways) - 1)
+}
+
+// nibbles has a 1 in every nibble: the SWAR broadcast and borrow
+// constant of toFront.
+const nibbles = 0x1111111111111111
+
+// toFront returns the recency word order with way w moved to rank 0 and
+// the ways ranked ahead of it moved back one rank each. w's rank is
+// found by SWAR: the nibbles of x are zero exactly where order holds w,
+// and the zero-nibble test's lowest flag is exact (borrows run only
+// upwards, out of a zero nibble), so it marks w's rank even where a
+// zero rank above ways-1 also matches w == 0. m then covers ranks 0..r.
+func toFront(order uint64, w int) uint64 {
+	x := order ^ uint64(w)*nibbles
+	t := (x - nibbles) &^ x & (nibbles << 3)
+	m := t ^ (t - 1)
+	return order&^m | order<<4&m | uint64(w)
+}
+
+// lru returns the least recently used way of recency word o: the way at
+// rank ways-1, one shift because every higher rank is zero.
+func (c *Cache) lru(o uint64) int { return int(o >> c.lruShift) }
+
+// find returns the plane index of line l, or -1 on miss: the bare tag
+// scan, touching neither recency nor statistics. Snoops, drains and
+// checks probe through it; demand accesses go through lookup, which
+// adds the recency update and the hit or miss count.
 //
 // The scan stays a plain early-exit loop on purpose: a branch-free
 // zero-detect mask over the whole set (see DESIGN.md §8 negative
 // results) measured ~10% slower end-to-end — the extra ALU work per way
-// costs more than the occasional variable-exit mispredict. The per-set
-// MRU hint fast path lives hand-inlined in Hierarchy.fetch (hint logic
-// here would push lookupIdx past the inlining budget, which costs more
-// than the hint saves).
-func (c *Cache) lookupIdx(l mem.LineAddr, touch bool) int {
+// costs more than the occasional variable-exit mispredict. Keeping the
+// bookkeeping out keeps find inlinable at every probe site.
+func (c *Cache) find(l mem.LineAddr) int {
 	base := int(uint64(l)&c.setMask) * c.ways
 	tag := uint64(l) + 1
 	for j, t := range c.tags[base : base+c.ways] {
 		if t == tag {
-			i := base + j
-			if touch {
-				c.stamp++
-				c.lru[i] = c.stamp
-				c.stats.Hits++
-			}
-			return i
+			return base + j
 		}
-	}
-	if touch {
-		c.stats.Misses++
 	}
 	return -1
 }
 
+// hit records a demand hit on plane index i, which holds line l: its way
+// moves to rank 0 of the set's recency word.
+func (c *Cache) hit(l mem.LineAddr, i int) {
+	s := int(uint64(l) & c.setMask)
+	c.order[s] = toFront(c.order[s], i-s*c.ways)
+	c.stats.Hits++
+}
+
+// lookup is find for touch=false; for touch=true it is a demand probe,
+// find then a hit or a counted miss.
+func (c *Cache) lookup(l mem.LineAddr, touch bool) int {
+	i := c.find(l)
+	if touch {
+		if i >= 0 {
+			c.hit(l, i)
+		} else {
+			c.stats.Misses++
+		}
+	}
+	return i
+}
+
 // Lookup returns a ref to the line holding l; the ref is !Ok() on miss.
+// touch makes it a demand access (recency and hit/miss statistics);
+// probes that must not disturb replacement state pass touch=false.
 func (c *Cache) Lookup(l mem.LineAddr, touch bool) LineRef {
-	return LineRef{c, int32(c.lookupIdx(l, touch))}
-}
-
-// lruWay returns the way holding the minimal LRU stamp, branchless:
-// stamps are unique (stamp is a monotone counter and every way of a full
-// set holds one), so packing the way index into the low bits keeps the
-// min unambiguous and the reduction compiles to a conditional move
-// instead of a data-dependent branch that mispredicts on nearly every
-// eviction.
-// The common associativities get unrolled pairwise reduction trees:
-// the naive scan's conditional moves form a serial dependency chain
-// (each min depends on the previous), while the tree runs the
-// comparisons in parallel, halving the latency of the hottest loop in
-// the simulator. The switch on len lets the compiler drop every bounds
-// check.
-func lruWay(lru []uint64) int {
-	switch len(lru) {
-	case 8:
-		a := lru[0] << 4
-		b := lru[1]<<4 | 1
-		c := lru[2]<<4 | 2
-		d := lru[3]<<4 | 3
-		e := lru[4]<<4 | 4
-		f := lru[5]<<4 | 5
-		g := lru[6]<<4 | 6
-		h := lru[7]<<4 | 7
-		if b < a {
-			a = b
-		}
-		if d < c {
-			c = d
-		}
-		if f < e {
-			e = f
-		}
-		if h < g {
-			g = h
-		}
-		if c < a {
-			a = c
-		}
-		if g < e {
-			e = g
-		}
-		if e < a {
-			a = e
-		}
-		return int(a & (maxWays - 1))
-	case 4:
-		a := lru[0] << 4
-		b := lru[1]<<4 | 1
-		c := lru[2]<<4 | 2
-		d := lru[3]<<4 | 3
-		if b < a {
-			a = b
-		}
-		if d < c {
-			c = d
-		}
-		if c < a {
-			a = c
-		}
-		return int(a & (maxWays - 1))
-	}
-	best := lru[0] << 4
-	for j := 1; j < len(lru); j++ {
-		if v := lru[j]<<4 | uint64(j); v < best {
-			best = v
-		}
-	}
-	return int(best & (maxWays - 1))
-}
-
-// lruWay4 is the 4-way reduction with the set base folded in, small
-// enough to inline into the L1 install path (lruWay's switch is not).
-func lruWay4(lru []uint64, base int) int {
-	a := lru[base] << 4
-	b := lru[base+1]<<4 | 1
-	c := lru[base+2]<<4 | 2
-	d := lru[base+3]<<4 | 3
-	if b < a {
-		a = b
-	}
-	if d < c {
-		c = d
-	}
-	if c < a {
-		a = c
-	}
-	return int(a & (maxWays - 1))
+	return LineRef{c, int32(c.lookup(l, touch))}
 }
 
 // victimSlot picks the way that will receive the missing line l: the
 // first free way of the set (one TrailingZeros over the inverted valid
-// field — no way scan at all), else the first-minimal-LRU way. evict
-// reports whether the slot still holds a valid line, in which case the
-// eviction is counted here and the caller gathers whatever victim state
-// it needs from the planes before calling installAt.
+// field — no way scan at all), else the least recently used way, read
+// off rank ways-1 of the recency word. evict reports whether the slot
+// still holds a valid line, in which case the eviction is counted here
+// and the caller gathers whatever victim state it needs from the planes
+// before calling installAt.
 func (c *Cache) victimSlot(l mem.LineAddr) (i int, evict bool) {
 	s := int(uint64(l) & c.setMask)
 	base := s * c.ways
@@ -448,7 +424,7 @@ func (c *Cache) victimSlot(l mem.LineAddr) (i int, evict bool) {
 	if v := w & c.fullMask; v != c.fullMask {
 		return base + bits.TrailingZeros64(^v), false
 	}
-	slot := lruWay(c.lru[base : base+c.ways])
+	slot := c.lru(c.order[s])
 	c.stats.Evictions++
 	c.stats.DirtyEvictions += (w>>dShift | w>>pShift) >> uint(slot) & 1
 	return base + slot, true
@@ -459,14 +435,12 @@ func (c *Cache) victimSlot(l mem.LineAddr) (i int, evict bool) {
 // PrivDirty marker. An idx hint left by the way's previous line stays:
 // every reader validates it against the tag.
 func (c *Cache) installAt(i int, l mem.LineAddr, data mem.Word, eid mem.EpochID, dirty bool) {
-	c.stamp++
 	c.tags[i] = uint64(l) + 1
-	c.lru[i] = c.stamp
 	c.data[i] = data
 	c.eids[i] = eid
 	c.owner[i] = -1
 	s := int(uint64(l) & c.setMask)
-	c.hint[s] = uint8(i - s*c.ways)
+	c.order[s] = toFront(c.order[s], i-s*c.ways)
 	bit := uint64(1) << uint(i-s*c.ways)
 	w := c.state[s] | bit
 	if dirty {
@@ -490,28 +464,23 @@ func (c *Cache) installAt(i int, l mem.LineAddr, data mem.Word, eid mem.EpochID,
 // drains each victim (write-back, back-invalidation of inner copies)
 // before it places again on that array.
 func (c *Cache) Place(l mem.LineAddr, data mem.Word, eid mem.EpochID, dirty bool) (ln LineRef, victim *Line) {
-	base := int(uint64(l)&c.setMask) * c.ways
-	tag := uint64(l) + 1
-	for j, t := range c.tags[base : base+c.ways] {
-		if t == tag {
-			// Already present: update in place. Dirty is sticky — a clean
-			// re-place must not launder a dirty line.
-			i := base + j
-			c.hint[base/c.ways] = uint8(j)
-			c.stamp++
-			c.data[i] = data
-			c.eids[i] = eid
-			c.lru[i] = c.stamp
-			if dirty {
-				c.state[base/c.ways] |= (uint64(1) << uint(j)) << dShift
-				c.markDirty(base / c.ways)
-			}
-			return LineRef{c, int32(i)}, nil
+	s := int(uint64(l) & c.setMask)
+	if i := c.find(l); i >= 0 {
+		// Already present: update in place. Dirty is sticky — a clean
+		// re-place must not launder a dirty line.
+		j := i - s*c.ways
+		c.order[s] = toFront(c.order[s], j)
+		c.data[i] = data
+		c.eids[i] = eid
+		if dirty {
+			c.state[s] |= (uint64(1) << uint(j)) << dShift
+			c.markDirty(s)
 		}
+		return LineRef{c, int32(i)}, nil
 	}
 	i, evict := c.victimSlot(l)
 	if evict {
-		c.victim = c.snapshotAt(i, base/c.ways)
+		c.victim = c.snapshotAt(i, s)
 		victim = &c.victim
 	}
 	c.installAt(i, l, data, eid, dirty)
@@ -522,39 +491,37 @@ func (c *Cache) Place(l mem.LineAddr, data mem.Word, eid mem.EpochID, dirty bool
 // state word and tag are cleared; the stale payload planes are dead
 // until the way is reused.
 func (c *Cache) Invalidate(l mem.LineAddr) (Line, bool) {
-	base := int(uint64(l)&c.setMask) * c.ways
-	tag := uint64(l) + 1
-	for j, t := range c.tags[base : base+c.ways] {
-		if t == tag {
-			i := base + j
-			s := base / c.ways
-			old := c.snapshotAt(i, s)
-			bit := uint64(1) << uint(j)
-			c.tags[i] = 0
-			c.state[s] &^= bit | bit<<dShift | bit<<pShift
-			return old, true
-		}
-	}
-	return Line{}, false
-}
-
-// drop removes line l, returning its payload only when it was dirty.
-// The hierarchy's victim-drain paths need nothing else from the dying
-// line, so this skips the full plane-crossing snapshot Invalidate
-// builds (owner and PrivDirty are private-cache don't-cares).
-func (c *Cache) drop(l mem.LineAddr) (data mem.Word, eid mem.EpochID, dirty, ok bool) {
-	i := c.lookupIdx(l, false)
+	i := c.find(l)
 	if i < 0 {
-		return 0, 0, false, false
+		return Line{}, false
 	}
 	s, bit := c.setBitOf(l, i)
-	w := c.state[s]
-	if dirty = w&(bit<<dShift) != 0; dirty {
-		data, eid = c.data[i], c.eids[i]
-	}
+	old := c.snapshotAt(i, s)
 	c.tags[i] = 0
-	c.state[s] = w &^ (bit | bit<<dShift | bit<<pShift)
-	return data, eid, dirty, true
+	c.state[s] &^= bit * wayBits
+	return old, true
+}
+
+// drop removes line l, returning its plane index (-1 when absent) and
+// whether it was dirty; the payload planes at the index stay readable
+// until the way is reused. The hierarchy's victim-drain paths need
+// nothing else from the dying line, so this skips the full
+// plane-crossing snapshot Invalidate builds (owner and PrivDirty are
+// private-cache don't-cares). It scans the tags itself rather than
+// through find: find plus the way arithmetic would push it past the
+// inlining budget, and it inlines into every victim drain.
+func (c *Cache) drop(l mem.LineAddr) (int, bool) {
+	s := int(uint64(l) & c.setMask)
+	base := s * c.ways
+	for j, t := range c.tags[base : base+c.ways] {
+		if t == uint64(l)+1 {
+			w := c.state[s]
+			c.tags[base+j] = 0
+			c.state[s] = w &^ (wayBits << j)
+			return base + j, w&(1<<dShift<<j) != 0
+		}
+	}
+	return -1, false
 }
 
 // Scan visits every valid line in plane order; fn may mutate the line
@@ -584,11 +551,11 @@ func (c *Cache) CountDirty() int {
 	return n
 }
 
-// Reset invalidates every line (used between experiment runs).
+// Reset invalidates every line and restores every set's identity
+// recency order (used between experiment runs).
 func (c *Cache) Reset() {
 	for i := range c.tags {
 		c.tags[i] = 0
-		c.lru[i] = 0
 		c.data[i] = 0
 		c.eids[i] = 0
 		c.owner[i] = -1
@@ -598,9 +565,8 @@ func (c *Cache) Reset() {
 	}
 	for s := range c.state {
 		c.state[s] = 0
-		c.hint[s] = 0
+		c.order[s] = identityOrder(c.ways)
 	}
 	clear(c.dirtySets)
-	c.stamp = 0
 	c.stats = Stats{}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"picl/internal/mem"
@@ -180,7 +181,7 @@ func TestVictimSlotMatchesPlace(t *testing.T) {
 		if va != nil && *va != vb {
 			t.Fatalf("op %d: victim %+v vs %+v", i, *va, vb)
 		}
-		if got := a.lookupIdx(l, false); got != ib {
+		if got := a.find(l); got != ib {
 			t.Fatalf("op %d: slot %d vs %d", i, got, ib)
 		}
 	}
@@ -255,4 +256,25 @@ func TestPlaneOpsZeroAlloc(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// TestConfigValidate: Validate refuses exactly the geometries New
+// panics on, naming the cache and the offending value.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string // "" = valid
+	}{
+		{Config{Name: "ok", Size: 512, Ways: 2}, ""},
+		{Config{Name: "one", Size: 64, Ways: 4}, ""}, // fewer lines than ways: one set
+		{Config{Name: "zero", Size: 0, Ways: 2}, `cache "zero": invalid geometry`},
+		{Config{Name: "noways", Size: 512, Ways: 0}, `cache "noways": invalid geometry`},
+		{Config{Name: "wide", Size: 32 * 64, Ways: 32}, `cache "wide": 32 ways exceed`},
+		{Config{Name: "odd", Size: 3 * 64, Ways: 1}, `cache "odd": set count 3 not a power of two`},
+	} {
+		err := c.cfg.Validate()
+		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: Validate() = %v, want %q", c.cfg, err, c.want)
+		}
+	}
 }

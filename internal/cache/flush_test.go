@@ -45,8 +45,8 @@ func samePlanes(a, b *Cache) string {
 	switch {
 	case !slices.Equal(a.tags, b.tags):
 		return "tags"
-	case !slices.Equal(a.lru, b.lru):
-		return "lru"
+	case !slices.Equal(a.order, b.order):
+		return "order"
 	case !slices.Equal(a.data, b.data):
 		return "data"
 	case !slices.Equal(a.eids, b.eids):
@@ -57,10 +57,8 @@ func samePlanes(a, b *Cache) string {
 		return "state"
 	case !slices.Equal(a.idx, b.idx):
 		return "idx"
-	case !slices.Equal(a.hint, b.hint):
-		return "hint"
-	case a.stamp != b.stamp || a.stats != b.stats:
-		return "stamp/stats"
+	case a.stats != b.stats:
+		return "stats"
 	}
 	return ""
 }
@@ -84,8 +82,9 @@ func flushPred(p byte) (string, func(mem.LineAddr, mem.EpochID) bool) {
 // operation: a Load, Store, FlushDirty with a random predicate, or an
 // epoch advance on one of two cores over a small shared footprint — on
 // two tiny hierarchies, flushing one with FlushDirty and the other with
-// the full walk. After every operation the dirty-set summary must hold
-// and both hierarchies must agree plane for plane; every flush must
+// the full walk. After every operation inclusion, ownership and the
+// dirty-set summary must hold and both hierarchies must agree plane for
+// plane; every flush must
 // return the same lines in the same order.
 func checkFlushModel(t *testing.T, ops []byte) {
 	t.Helper()
@@ -118,10 +117,7 @@ func checkFlushModel(t *testing.T, ops []byte) {
 			ho.system++
 			ro.system++
 		}
-		if err := h.CheckDirtySummary(); err != nil {
-			t.Fatalf("op %d (%s): %v", i/3, what, err)
-		}
-		if err := h.CheckInclusion(); err != nil {
+		if err := checkInvariants(h); err != nil {
 			t.Fatalf("op %d (%s): %v", i/3, what, err)
 		}
 		for c := 0; c < 2; c++ {

@@ -126,8 +126,8 @@ func (h *Hierarchy) snoopPrivate(li, s int, bit uint64, inval bool) (data mem.Wo
 	if own >= 0 {
 		addr := mem.LineAddr(llc.tags[li] - 1)
 		l1, l2 := h.l1[own], h.l2[own]
-		i1 := l1.lookupIdx(addr, false)
-		i2 := l2.lookupIdx(addr, false)
+		i1 := l1.find(addr)
+		i2 := l2.find(addr)
 		// Prefer L1 (newest), then L2.
 		if i2 >= 0 {
 			if s2, b2 := l2.setBitOf(addr, i2); l2.state[s2]&(b2<<dShift) != 0 {
@@ -178,11 +178,12 @@ func (h *Hierarchy) evictLLCVictim(now uint64, v *Line) uint64 {
 	data, eid, dirty := v.Data, v.EID, v.Dirty
 	if v.Owner >= 0 {
 		owner := int(v.Owner)
-		if d, e, dt, ok := h.l2[owner].drop(v.Addr); ok && dt {
-			data, eid, dirty = d, e, true
+		l1, l2 := h.l1[owner], h.l2[owner]
+		if i, dt := l2.drop(v.Addr); dt {
+			data, eid, dirty = l2.data[i], l2.eids[i], true
 		}
-		if d, e, dt, ok := h.l1[owner].drop(v.Addr); ok && dt {
-			data, eid, dirty = d, e, true
+		if i, dt := l1.drop(v.Addr); dt {
+			data, eid, dirty = l1.data[i], l1.eids[i], true
 		}
 	}
 	if dirty {
@@ -199,22 +200,23 @@ func (h *Hierarchy) evictLLCVictim(now uint64, v *Line) uint64 {
 // installLLC inserts a line into the LLC, processing the victim cascade,
 // and returns (plane index of the installed line, stall-until). Callers
 // have always just missed in the LLC, so there is no tag scan: the slot
-// comes straight from the state word (free way) or the LRU plane. The
-// pick and the install share one state-word load/store. LLC victims need
-// the full plane-crossing snapshot (owner, PrivDirty, payload) because
-// the drain may snoop private copies and hand data to the backend.
+// comes straight from the state word (free way) or the recency word's
+// last rank. The pick and the install share one state-word and one
+// order-word load/store. LLC victims need the full plane-crossing
+// snapshot (owner, PrivDirty, payload) because the drain may snoop
+// private copies and hand data to the backend.
 func (h *Hierarchy) installLLC(now uint64, l mem.LineAddr, data mem.Word, eid mem.EpochID, dirty bool, owner int) (int, uint64) {
 	llc := h.llc
 	s := int(uint64(l) & llc.setMask)
 	base := s * llc.ways
-	w := llc.state[s]
+	w, o := llc.state[s], llc.order[s]
 	var li int
 	var v Line
 	evict := false
 	if free := w & llc.fullMask; free != llc.fullMask {
 		li = base + bits.TrailingZeros64(^free)
 	} else {
-		slot := lruWay(llc.lru[base : base+llc.ways])
+		slot := llc.lru(o)
 		li = base + slot
 		llc.stats.Evictions++
 		llc.stats.DirtyEvictions += (w>>dShift | w>>pShift) >> uint(slot) & 1
@@ -230,10 +232,8 @@ func (h *Hierarchy) installLLC(now uint64, l mem.LineAddr, data mem.Word, eid me
 		}
 		evict = true
 	}
-	llc.hint[s] = uint8(li - base)
-	llc.stamp++
+	llc.order[s] = toFront(o, li-base)
 	llc.tags[li] = uint64(l) + 1
-	llc.lru[li] = llc.stamp
 	llc.data[li] = data
 	llc.eids[li] = eid
 	bit := uint64(1) << uint(li-base)
@@ -263,7 +263,7 @@ func (h *Hierarchy) installL2(now uint64, core int, l mem.LineAddr, data mem.Wor
 	l2 := h.l2[core]
 	s2 := int(uint64(l) & l2.setMask)
 	base := s2 * l2.ways
-	w := l2.state[s2]
+	w, o := l2.state[s2], l2.order[s2]
 	var i2 int
 	var vaddr mem.LineAddr
 	var vdata mem.Word
@@ -274,7 +274,7 @@ func (h *Hierarchy) installL2(now uint64, core int, l mem.LineAddr, data mem.Wor
 	if free := w & l2.fullMask; free != l2.fullMask {
 		i2 = base + bits.TrailingZeros64(^free)
 	} else {
-		slot := lruWay(l2.lru[base : base+l2.ways])
+		slot := l2.lru(o)
 		i2 = base + slot
 		l2.stats.Evictions++
 		l2.stats.DirtyEvictions += (w>>dShift | w>>pShift) >> uint(slot) & 1
@@ -286,10 +286,8 @@ func (h *Hierarchy) installL2(now uint64, core int, l mem.LineAddr, data mem.Wor
 		vdata, veid = l2.data[i2], l2.eids[i2]
 		evict = true
 	}
-	l2.hint[s2] = uint8(i2 - base)
-	l2.stamp++
+	l2.order[s2] = toFront(o, i2-base)
 	l2.tags[i2] = uint64(l) + 1
-	l2.lru[i2] = l2.stamp
 	l2.data[i2] = data
 	l2.eids[i2] = eid
 	l2.idx[i2] = packIdx(lidx, -1)
@@ -298,13 +296,14 @@ func (h *Hierarchy) installL2(now uint64, core int, l mem.LineAddr, data mem.Wor
 	if !evict {
 		return i2, now
 	}
-	if d, e, dt, ok := h.l1[core].drop(vaddr); ok && dt {
-		vdata, veid, vdirty = d, e, true
+	l1 := h.l1[core]
+	if i, dt := l1.drop(vaddr); dt {
+		vdata, veid, vdirty = l1.data[i], l1.eids[i], true
 	}
 	llc := h.llc
 	li := int(vlidx)
 	if li < 0 || llc.tags[li] != uint64(vaddr)+1 {
-		li = llc.lookupIdx(vaddr, false)
+		li = llc.find(vaddr)
 	}
 	if li < 0 {
 		// Inclusion violated only if the LLC raced it out; reinstall.
@@ -332,7 +331,7 @@ func (h *Hierarchy) installL1(core int, l mem.LineAddr, data mem.Word, eid mem.E
 	l1 := h.l1[core]
 	s1 := int(uint64(l) & l1.setMask)
 	base := s1 * l1.ways
-	w := l1.state[s1]
+	w, o := l1.state[s1], l1.order[s1]
 	var i int
 	var vaddr mem.LineAddr
 	var vdata mem.Word
@@ -342,12 +341,7 @@ func (h *Hierarchy) installL1(core int, l mem.LineAddr, data mem.Word, eid mem.E
 	if free := w & l1.fullMask; free != l1.fullMask {
 		i = base + bits.TrailingZeros64(^free)
 	} else {
-		var slot int
-		if l1.ways == 4 {
-			slot = lruWay4(l1.lru, base)
-		} else {
-			slot = lruWay(l1.lru[base : base+l1.ways])
-		}
+		slot := l1.lru(o)
 		i = base + slot
 		l1.stats.Evictions++
 		l1.stats.DirtyEvictions += (w>>dShift | w>>pShift) >> uint(slot) & 1
@@ -357,10 +351,8 @@ func (h *Hierarchy) installL1(core int, l mem.LineAddr, data mem.Word, eid mem.E
 			vl2i = int32(l1.idx[i])
 		}
 	}
-	l1.hint[s1] = uint8(i - base)
-	l1.stamp++
+	l1.order[s1] = toFront(o, i-base)
 	l1.tags[i] = uint64(l) + 1
-	l1.lru[i] = l1.stamp
 	l1.data[i] = data
 	l1.eids[i] = eid
 	// No owner store: private-cache owner planes are invariantly -1
@@ -382,7 +374,7 @@ func (h *Hierarchy) drainL1Victim(core int, vaddr mem.LineAddr, vdata mem.Word, 
 	l2 := h.l2[core]
 	i2 := int(vl2i)
 	if i2 < 0 || l2.tags[i2] != uint64(vaddr)+1 {
-		i2 = l2.lookupIdx(vaddr, false)
+		i2 = l2.find(vaddr)
 	}
 	if i2 >= 0 {
 		s2, b2 := l2.setBitOf(vaddr, i2)
@@ -393,7 +385,7 @@ func (h *Hierarchy) drainL1Victim(core int, vaddr mem.LineAddr, vdata mem.Word, 
 	// L2 lost it (its own eviction back-invalidated L1 already, so
 	// this cannot normally happen); fold into the LLC directly.
 	llc := h.llc
-	if li := llc.lookupIdx(vaddr, false); li >= 0 {
+	if li := llc.find(vaddr); li >= 0 {
 		s, bit := llc.setBitOf(vaddr, li)
 		llc.data[li], llc.eids[li] = vdata, veid
 		llc.state[s] |= bit << dShift
@@ -408,37 +400,48 @@ func (h *Hierarchy) drainL1Victim(core int, vaddr mem.LineAddr, vdata mem.Word, 
 // stall-until time from any eviction backpressure. The LLC way the line
 // lives in travels down the packed idx planes, so the store path never
 // rescans the LLC.
+//
+// Past the L1 MRU check, the LLC is probed first, untouched: the owner
+// invariant (every valid L1 or L2 line of core c has an LLC copy owned
+// by c; see CheckOwnership) means a line the LLC misses, or holds for
+// another owner, is in neither of this core's private levels, so their
+// scans are skipped and only their misses counted. Every cache still
+// sees the hits, misses and recency updates of an L1, L2, LLC walk.
 func (h *Hierarchy) fetch(now uint64, core int, l mem.LineAddr) (l1i int, lat uint64, memDone uint64, stall uint64) {
 	stall = now
 	lat = h.cfg.L1.Latency
 	l1 := h.l1[core]
-	// Hand-inlined L1 MRU-hint fast path: with the workloads' locality
-	// most accesses resolve on this single hinted-tag compare. Tags are
-	// unique within a set, so the hint can only find the same way the
-	// scan would; the fallback is the ordinary lookup plus a hint update.
+	// Hand-inlined L1 MRU fast path: with the workloads' locality most
+	// L1 hits land on the set's rank-0 way, and a hit there leaves the
+	// recency word as it is.
 	s1 := int(uint64(l) & l1.setMask)
-	if i := s1*l1.ways + int(l1.hint[s1]); l1.tags[i] == uint64(l)+1 {
-		l1.stamp++
-		l1.lru[i] = l1.stamp
+	if i := s1*l1.ways + int(l1.order[s1]&15); l1.tags[i] == uint64(l)+1 {
 		l1.stats.Hits++
 		return i, lat, 0, stall
 	}
-	if l1i = l1.lookupIdx(l, true); l1i >= 0 {
-		l1.hint[s1] = uint8(l1i - s1*l1.ways)
-		return l1i, lat, 0, stall
-	}
-	lat += h.cfg.L2.Latency
-	l2 := h.l2[core]
-	// No hint fast path here: the L2 probe only runs after an L1 miss,
-	// where set locality is poor enough that the extra hinted compare
-	// measured as a net loss (DESIGN.md §8 negative results).
-	if i2 := l2.lookupIdx(l, true); i2 >= 0 {
-		l1i = h.installL1(core, l, l2.data[i2], l2.eids[i2], int32(l2.idx[i2]>>32), int32(i2))
-		return l1i, lat, 0, stall
+	l2, llc := h.l2[core], h.llc
+	llci := llc.find(l)
+	if llci >= 0 && int(llc.owner[llci]) == core {
+		if l1i = l1.lookup(l, true); l1i >= 0 {
+			return l1i, lat, 0, stall
+		}
+		lat += h.cfg.L2.Latency
+		// No MRU fast path here: the L2 probe only runs after an L1 miss,
+		// where set locality is poor enough that an extra MRU compare
+		// measured as a net loss (DESIGN.md §8 negative results).
+		if i2 := l2.lookup(l, true); i2 >= 0 {
+			l1i = h.installL1(core, l, l2.data[i2], l2.eids[i2], int32(l2.idx[i2]>>32), int32(i2))
+			return l1i, lat, 0, stall
+		}
+	} else {
+		// Neither private level holds l: count their misses only.
+		l1.stats.Misses++
+		l2.stats.Misses++
+		lat += h.cfg.L2.Latency
 	}
 	lat += h.cfg.LLC.Latency
-	llc := h.llc
-	if llci := llc.lookupIdx(l, true); llci >= 0 {
+	if llci >= 0 {
+		llc.hit(l, llci)
 		s, bit := llc.setBitOf(l, llci)
 		data, eid := llc.data[llci], llc.eids[llci]
 		if own := llc.owner[llci]; own >= 0 && int(own) != core {
@@ -463,6 +466,7 @@ func (h *Hierarchy) fetch(now uint64, core int, l mem.LineAddr) (l1i int, lat ui
 		l1i = h.installL1(core, l, data, eid, int32(llci), int32(i2))
 		return l1i, lat, 0, stall
 	}
+	llc.stats.Misses++
 	// Full miss: fetch from the persistence backend.
 	data, done := h.backend.Fill(now+lat, l)
 	// Paper §IV-A: a line loaded from memory has no EID associated.
@@ -504,7 +508,7 @@ func (h *Hierarchy) Store(now uint64, core int, l mem.LineAddr, data mem.Word) u
 	llc := h.llc
 	llci := int(int32(h.l1[core].idx[l1i] >> 32))
 	if llci < 0 || llc.tags[llci] != uint64(l)+1 {
-		llci = llc.lookupIdx(l, false)
+		llci = llc.find(l)
 	}
 	l1 := h.l1[core]
 	s1, b1 := l1.setBitOf(l, l1i)
@@ -594,7 +598,7 @@ func (h *Hierarchy) CheckInclusion() error {
 		var err error
 		check := func(level string, c *Cache) {
 			c.Scan(func(ln LineRef) bool {
-				if h.llc.lookupIdx(ln.Addr(), false) < 0 {
+				if h.llc.find(ln.Addr()) < 0 {
 					err = fmt.Errorf("inclusion violated: core %d %s holds %v not in LLC", core, level, ln.Addr())
 					return false
 				}
@@ -605,6 +609,30 @@ func (h *Hierarchy) CheckInclusion() error {
 		check("l2", h.l2[core])
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// CheckOwnership verifies the owner invariant fetch's LLC-first probe
+// relies on: every valid L1 or L2 line of core c has an LLC copy whose
+// owner is c. (The converse need not hold: an owned LLC line may have
+// left the owner's private levels.)
+func (h *Hierarchy) CheckOwnership() error {
+	for core := range h.l1 {
+		for _, c := range []*Cache{h.l1[core], h.l2[core]} {
+			var err error
+			c.Scan(func(ln LineRef) bool {
+				if li := h.llc.find(ln.Addr()); li < 0 || int(h.llc.owner[li]) != core {
+					err = fmt.Errorf("ownership violated: core %d %s holds %v, but the LLC copy is not owned by it",
+						core, c.cfg.Name, ln.Addr())
+					return false
+				}
+				return true
+			})
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -221,22 +221,50 @@ func TestInclusionInvariantUnderRandomTraffic(t *testing.T) {
 			h.Load(uint64(i), core, l)
 		}
 		if i%4000 == 0 {
-			if err := h.CheckInclusion(); err != nil {
-				t.Fatalf("iteration %d: %v", i, err)
-			}
-			if err := h.CheckDirtySummary(); err != nil {
+			if err := checkInvariants(h); err != nil {
 				t.Fatalf("iteration %d: %v", i, err)
 			}
 			o.system++
 		}
 	}
-	if err := h.CheckInclusion(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.CheckDirtySummary(); err != nil {
+	if err := checkInvariants(h); err != nil {
 		t.Fatal(err)
 	}
 	_ = b
+}
+
+// checkInvariants runs the hierarchy's invariant checks: inclusion,
+// ownership and the dirty-set summary.
+func checkInvariants(h *Hierarchy) error {
+	if err := h.CheckInclusion(); err != nil {
+		return err
+	}
+	if err := h.CheckOwnership(); err != nil {
+		return err
+	}
+	return h.CheckDirtySummary()
+}
+
+// TestCheckOwnershipCatchesStaleOwner: an L1/L2 line whose LLC copy is
+// unowned or owned by another core fails the check; fetch's LLC-first
+// probe would skip the scans that find it.
+func TestCheckOwnershipCatchesStaleOwner(t *testing.T) {
+	h, _, _ := tinyHierarchy(2)
+	h.Load(0, 1, 7)
+	if err := h.CheckOwnership(); err != nil {
+		t.Fatal(err)
+	}
+	for _, own := range []int{-1, 0} {
+		h.LLC().Lookup(7, false).SetOwner(own)
+		if err := h.CheckOwnership(); err == nil {
+			t.Fatalf("core 1 holds line 7 privately, its LLC copy is owned by %d, and CheckOwnership passed", own)
+		}
+	}
+	h.LLC().Lookup(7, false).SetOwner(1)
+	h.LLC().Invalidate(7)
+	if err := h.CheckOwnership(); err == nil {
+		t.Fatal("core 1 holds line 7 privately with no LLC copy, and CheckOwnership passed")
+	}
 }
 
 func TestFunctionalCoherence(t *testing.T) {

@@ -133,10 +133,7 @@ func TestSharedLineMigration(t *testing.T) {
 			t.Fatalf("iteration %d core %d: load(%v) = %v, want %v", i, core, l, got, ref[l])
 		}
 		if i%5000 == 0 {
-			if err := h.CheckInclusion(); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.CheckDirtySummary(); err != nil {
+			if err := checkInvariants(h); err != nil {
 				t.Fatal(err)
 			}
 			o.system++

@@ -82,7 +82,10 @@ func Full() Scale {
 // paper's parameters), with single-core and multicore runs epochs long.
 // It rejects epochs below 1 and a factor that is not a positive
 // finite number (or leaves an epoch under one instruction): such a
-// scale runs for ever or prints NaN.
+// scale runs for ever or prints NaN. It also rejects a factor that
+// leaves a scaled L1, L2 or LLC, of one core or of a Table V mix's
+// cores, with a geometry cache.New refuses (a set count that is not a
+// power of two), where every run would panic.
 func ScaleOf(factor float64, epochs int) (Scale, error) {
 	if !(factor > 0) || uint64(30_000_000/factor) == 0 {
 		return Scale{}, fmt.Errorf("exp: scale factor %g: want a positive number of at most 30000000", factor)
@@ -90,13 +93,22 @@ func ScaleOf(factor float64, epochs int) (Scale, error) {
 	if epochs < 1 {
 		return Scale{}, fmt.Errorf("exp: %d epochs: want at least 1", epochs)
 	}
-	return Scale{
+	s := Scale{
 		Name:            fmt.Sprintf("1/%g", factor),
 		Factor:          1 / factor,
 		EpochInstr:      uint64(30_000_000 / factor),
 		Epochs:          epochs,
 		MulticoreEpochs: epochs,
-	}, nil
+	}
+	for _, cores := range []int{1, len(trace.Mixes()[0])} {
+		h := s.Hierarchy(cores)
+		for _, c := range []cache.Config{h.L1, h.L2, h.LLC} {
+			if err := c.Validate(); err != nil {
+				return Scale{}, fmt.Errorf("exp: scale factor %g: %d-core hierarchy: %v", factor, cores, err)
+			}
+		}
+	}
+	return s, nil
 }
 
 // Hierarchy returns the Table IV hierarchy scaled by s.Factor.

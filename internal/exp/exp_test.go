@@ -87,6 +87,32 @@ func TestScaleOf(t *testing.T) {
 	}
 }
 
+// TestScaleOfGeometry: a factor whose scaled caches would have a set
+// count that is not a power of two is refused with an error naming the
+// level and the set count (cache.New would panic on it), and every
+// power-of-two factor the CLIs and registry use is accepted.
+func TestScaleOfGeometry(t *testing.T) {
+	for _, c := range []struct {
+		factor float64
+		want   string // "" = accepted
+	}{
+		{1, ""}, {16, ""}, {64, ""}, {256, ""}, {1024, ""}, {1 << 20, ""},
+		{100, `1-core hierarchy: cache "l2": set count 5 not a power of two`},
+		{3, `1-core hierarchy: cache "l1": set count 42 not a power of two`},
+		{48, `1-core hierarchy: cache "l2": set count 10 not a power of two`},
+		{63.5, `8-core hierarchy: cache "llc": set count 516 not a power of two`},
+		{200, `8-core hierarchy: cache "llc": set count 163 not a power of two`},
+	} {
+		_, err := ScaleOf(c.factor, 2)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("ScaleOf(%g): %v, want it accepted", c.factor, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("ScaleOf(%g): error %v, want one containing %q", c.factor, err, c.want)
+		}
+	}
+}
+
 func TestParamsScaling(t *testing.T) {
 	p := Scaled().Params()
 	if p.TableEntries != 26 {

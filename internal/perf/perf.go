@@ -18,7 +18,7 @@ import (
 	"picl/internal/undolog"
 )
 
-// CacheLookupHit measures the tag-array hit path (scan + LRU touch).
+// CacheLookupHit measures the tag-array hit path (scan + recency touch).
 func CacheLookupHit(b *testing.B) {
 	c := cache.New(cache.Config{Name: "b", Size: 2 << 20, Ways: 8, Latency: 1})
 	for i := 0; i < 1024; i++ {
@@ -31,8 +31,8 @@ func CacheLookupHit(b *testing.B) {
 }
 
 // CacheInsertEvict measures Place on a full cache: the tag scan, the
-// LRU victim scan over the stamp plane, and the victim hand-off through
-// the scratch slot.
+// victim read off the set's recency word and its move to rank 0, and
+// the victim hand-off through the scratch slot.
 func CacheInsertEvict(b *testing.B) {
 	c := cache.New(cache.Config{Name: "b", Size: 64 << 10, Ways: 8, Latency: 1})
 	b.ResetTimer()

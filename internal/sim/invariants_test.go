@@ -167,6 +167,9 @@ func TestSharedMemoryCrashRecovery(t *testing.T) {
 	if err := m.Hierarchy().CheckInclusion(); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Hierarchy().CheckOwnership(); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Hierarchy().CheckDirtySummary(); err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,10 @@ type Result struct {
 	// BoundaryStallCycles is time lost to stop-the-world commits.
 	BoundaryStallCycles uint64
 	NVM                 nvm.Stats
-	Counters            *stats.Counters
+	// Counters is a copy of the scheme's counters at the end of the run,
+	// taken once per RunUntil call: like Cycles and NVM, it does not move
+	// when the machine runs on.
+	Counters *stats.Counters
 	// LogPeakBytes/LogTotalBytes report PiCL's undo-log footprint.
 	LogPeakBytes  uint64
 	LogTotalBytes uint64
@@ -539,7 +542,7 @@ func (m *Machine) result() *Result {
 		Commits:             m.scheme.Commits(),
 		BoundaryStallCycles: m.stallCyc,
 		NVM:                 m.ctl.Stats(),
-		Counters:            m.scheme.Counters(),
+		Counters:            m.scheme.Counters().Clone(),
 	}
 	r.Timeline = m.timeline
 	if m.ring != nil {

@@ -340,3 +340,25 @@ func TestCrashRecoveryUnderForcedCommits(t *testing.T) {
 		})
 	}
 }
+
+// TestResultCountersFrozen: a Result keeps the scheme counters of the
+// moment its RunUntil call returned, as it keeps Cycles and NVM, while
+// the machine runs on and the scheme's own counters move.
+func TestResultCountersFrozen(t *testing.T) {
+	m, err := New(tinyConfig("picl", 1, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := m.RunUntil(func(_ uint64, instr uint64) bool { return instr >= 100_000 })
+	prom, acs := early.PromText(), early.Counters.Get("acs_writebacks")
+	late := m.Run()
+	if late.Counters.Get("acs_writebacks") == acs {
+		t.Fatalf("acs_writebacks stayed at %d from 100k to %d instructions; the test needs counters that move", acs, late.Instructions)
+	}
+	if got := early.Counters.Get("acs_writebacks"); got != acs {
+		t.Fatalf("the early Result's acs_writebacks moved from %d to %d when the machine ran on", acs, got)
+	}
+	if early.PromText() != prom {
+		t.Fatal("the early Result's PromText changed when the machine ran on")
+	}
+}

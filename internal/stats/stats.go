@@ -117,6 +117,10 @@ func (c *Counters) Snapshot() map[string]uint64 {
 	return out
 }
 
+// Clone returns a new bag holding a point-in-time copy of c's values:
+// later increments to c do not reach it.
+func (c *Counters) Clone() *Counters { return &Counters{m: c.Snapshot()} }
+
 // String renders the counters one per line, sorted by name.
 func (c *Counters) String() string {
 	snap := c.Snapshot()

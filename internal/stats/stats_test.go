@@ -43,6 +43,26 @@ func TestCountersMergeAndNames(t *testing.T) {
 	}
 }
 
+// TestCountersClone: a clone holds the values at the time it was taken,
+// pending handle increments included, and neither bag sees the other's
+// later increments.
+func TestCountersClone(t *testing.T) {
+	a := NewCounters()
+	a.Add("x", 1)
+	h := a.Handle("y")
+	h.Add(2)
+	b := a.Clone()
+	a.Add("x", 10)
+	h.Add(20)
+	b.Add("z", 3)
+	if b.Get("x") != 1 || b.Get("y") != 2 || b.Get("z") != 3 {
+		t.Fatalf("clone reads x=%d y=%d z=%d, want 1 2 3", b.Get("x"), b.Get("y"), b.Get("z"))
+	}
+	if a.Get("x") != 11 || a.Get("y") != 22 || a.Get("z") != 0 {
+		t.Fatalf("original reads x=%d y=%d z=%d, want 11 22 0", a.Get("x"), a.Get("y"), a.Get("z"))
+	}
+}
+
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("GeoMean(2,8) = %v, want 4", got)

@@ -17,6 +17,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -156,13 +157,12 @@ type Synthetic struct {
 	gapMean float64
 
 	// Per-access constants hoisted out of Next. The selection and write
-	// thresholds are the profile probabilities pre-scaled by 2^53 so Next
-	// can compare the raw 53-bit PRNG draw directly: both float() (divide
-	// by 2^53) and this scaling are exact power-of-two exponent shifts,
-	// so every comparison resolves identically to the unscaled form.
+	// thresholds are integers in the domain of the raw 53-bit PRNG draw
+	// (see below53), so Next compares draws without converting them and
+	// every comparison resolves as float() against the probability would.
 	gapN                  int
-	streamT, coldT, warmT float64
-	writeT, streamWriteT  float64
+	streamT, coldT, warmT uint64
+	writeT, streamWriteT  uint64
 	hotB, warmB, coldB    mem.LineAddr
 	hotN, warmN, coldN    int
 	// Divide-free x % n helpers for the fixed region sizes above (each
@@ -173,6 +173,23 @@ type Synthetic struct {
 
 // scale53 converts a probability into the raw-draw domain of float().
 const scale53 = 1 << 53
+
+// below53 returns the integer threshold t for probability p: a raw
+// draw d < 2^53 satisfies float() < p, that is float64(d) < p*2^53,
+// exactly when d < t. Converting d and scaling by 2^53 are exact, and
+// an integer d is below a real x exactly when it is below ceil(x). A
+// threshold past 2^53, which every draw is below, is clamped there;
+// one at or under zero (or NaN), which no draw is below, is zero.
+func below53(p float64) uint64 {
+	switch x := math.Ceil(p * scale53); {
+	case !(x > 0):
+		return 0
+	case x >= scale53:
+		return scale53
+	default:
+		return uint64(x)
+	}
+}
 
 // NewSynthetic builds a generator over profile p with its address space
 // starting at base (cores get disjoint bases) and deterministic seed.
@@ -190,11 +207,11 @@ func NewSynthetic(p Profile, base mem.LineAddr, seed uint64) *Synthetic {
 	g.gapMean = (1 - p.MemFrac) / p.MemFrac
 	g.p = p
 	g.gapN = int(2*g.gapMean) + 1
-	g.streamT = p.PStream * scale53
-	g.coldT = (p.PStream + p.PCold) * scale53
-	g.warmT = (p.PStream + p.PCold + p.PWarm) * scale53
-	g.writeT = p.WriteFrac * scale53
-	g.streamWriteT = p.StreamWriteFrac * scale53
+	g.streamT = below53(p.PStream)
+	g.coldT = below53(p.PStream + p.PCold)
+	g.warmT = below53(p.PStream + p.PCold + p.PWarm)
+	g.writeT = below53(p.WriteFrac)
+	g.streamWriteT = below53(p.StreamWriteFrac)
 	g.hotB, g.warmB, g.coldB = g.hotBase(), g.warmBase(), g.coldBase()
 	g.hotN = max(p.HotLines, 1)
 	g.warmN = max(p.WarmLines, 1)
@@ -232,15 +249,15 @@ func (g *Synthetic) Next() Access {
 	// Gap: uniform in [0, 2*mean] keeps the configured memory fraction
 	// with cheap arithmetic and bounded bursts.
 	gap := uint32(g.gapD.mod(g.r.next()))
-	u := float64(g.r.next() >> 11)
+	u := g.r.next() >> 11
 	var line mem.LineAddr
-	write := float64(g.r.next()>>11) < g.writeT
+	write := g.r.next()>>11 < g.writeT
 	switch {
 	case u < g.streamT:
 		s := g.streamD.mod(g.r.next())
 		g.streams[s]++
 		line = g.coldB + mem.LineAddr(g.coldD.mod(g.streams[s]))
-		write = float64(g.r.next()>>11) < g.streamWriteT
+		write = g.r.next()>>11 < g.streamWriteT
 	case u < g.coldT:
 		line = g.coldB + mem.LineAddr(g.coldD.mod(g.r.next()))
 	case u < g.warmT:

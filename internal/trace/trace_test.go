@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"picl/internal/mem"
@@ -82,6 +83,73 @@ func TestSyntheticDeterminism(t *testing.T) {
 	}
 	if same > 100 {
 		t.Fatalf("different seeds produced %d/1000 identical accesses", same)
+	}
+}
+
+// floatChainNext is Synthetic.Next written the plain way: each draw
+// converted by float() and compared against the profile's probability
+// sums in its stream, cold, warm, hot chain, every remainder taken
+// with %.
+// streams is the reference's own copy of the stream pointers.
+func floatChainNext(g *Synthetic, r *rng, streams []uint64) Access {
+	p := g.p
+	gap := uint32(r.next() % uint64(g.gapN))
+	u := r.float()
+	write := r.float() < p.WriteFrac
+	var line mem.LineAddr
+	switch {
+	case u < p.PStream:
+		s := r.next() % uint64(len(streams))
+		streams[s]++
+		line = g.coldBase() + mem.LineAddr(streams[s]%uint64(max(p.ColdLines, 1)))
+		write = r.float() < p.StreamWriteFrac
+	case u < p.PStream+p.PCold:
+		line = g.coldBase() + mem.LineAddr(r.next()%uint64(max(p.ColdLines, 1)))
+	case u < p.PStream+p.PCold+p.PWarm:
+		line = g.warmBase() + mem.LineAddr(r.next()%uint64(max(p.WarmLines, 1)))
+	default:
+		line = g.hotBase() + mem.LineAddr(r.next()%uint64(max(p.HotLines, 1)))
+	}
+	return Access{Gap: gap, Write: write, Line: line}
+}
+
+// TestNextMatchesFloatChain: the integer thresholds draw exactly the
+// float-compared stream, for every benchmark profile and for
+// probabilities that are zero, negative, NaN, out of order or sum past
+// one.
+func TestNextMatchesFloatChain(t *testing.T) {
+	var cases []Profile
+	for _, name := range Benchmarks() {
+		cases = append(cases, MustProfile(name).Scale(1.0/64))
+	}
+	odd := MustProfile("gcc").Scale(1.0 / 64)
+	for _, ps := range [][4]float64{
+		{0, 0, 0, 0},
+		{0.5, 0.3, 0.4, 1.2},
+		{-0.1, 0.2, -0.3, 0.5},
+		{0.1, math.NaN(), 0.3, math.NaN()},
+		{0.7, 0.1, 0.1, 1},
+		{1, 0, 0, 0.3},
+	} {
+		q := odd
+		q.PStream, q.PCold, q.PWarm, q.WriteFrac = ps[0], ps[1], ps[2], ps[3]
+		q.StreamWriteFrac = ps[3] / 2
+		q.Streams = 3
+		cases = append(cases, q)
+	}
+	for k, p := range cases {
+		seed := uint64(k*7 + 1)
+		g := NewSynthetic(p, mem.LineAddr(k)<<30, seed)
+		r := rng{state: seed ^ 0x5bf03635}
+		streams := make([]uint64, len(g.streams))
+		for i := range streams {
+			streams[i] = uint64(r.intn(max(p.ColdLines, 1)))
+		}
+		for i := 0; i < 20000; i++ {
+			if got, want := g.Next(), floatChainNext(g, &r, streams); got != want {
+				t.Fatalf("profile %d (%s %+v), access %d: %+v, the float chain draws %+v", k, p.Name, p, i, got, want)
+			}
+		}
 	}
 }
 
