@@ -49,7 +49,8 @@ func wrapStorageErr(err error) error {
 // machine's live NVM content.
 //
 // Options are as for New, except the scheme is fixed to "picl"
-// (ErrBackend otherwise).
+// (ErrBackend otherwise). Open checks them before it touches path: a
+// rejected Open creates no directory and changes no file.
 //
 // The machine must be released with Close; a machine that is SIGKILLed
 // instead leaves a directory that the next Open recovers bit-exactly to
@@ -61,6 +62,10 @@ func Open(path string, opts ...Option) (*Machine, error) {
 	}
 	if probe.scheme != "picl" {
 		return nil, fmt.Errorf("%w: scheme %q cannot drive a durable store (need \"picl\")", ErrBackend, probe.scheme)
+	}
+	m, err := New(opts...)
+	if err != nil {
+		return nil, err
 	}
 
 	d, err := storage.OpenDir(path)
@@ -77,12 +82,6 @@ func Open(path string, opts ...Option) (*Machine, error) {
 	if err := d.Reset(); err != nil {
 		d.Close()
 		return nil, wrapStorageErr(err)
-	}
-
-	m, err := New(opts...)
-	if err != nil {
-		d.Close()
-		return nil, err
 	}
 	// Fault middleware wraps after recovery and reset (both run against
 	// the real files — the injector models failures of the NEW machine's

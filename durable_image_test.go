@@ -478,7 +478,9 @@ func TestDurableCommitImageAppendOnly(t *testing.T) {
 // disk can leave the earlier session's block there: stale, whole and
 // CRC-valid. Every combination of those blocks landing whole, stale, as
 // zeros, as garbage or torn reopens to the commit's epoch bit-exactly; a
-// bad block inside the named prefix fails Open with ErrTornLog.
+// bad block inside the named prefix fails Open with ErrTornLog, also
+// when a sealed image batch has rotted too: the prefix check runs beside
+// the image load, and its error wins.
 func TestOpenUnsyncedLogMatrix(t *testing.T) {
 	const lines = 1024
 	root := t.TempDir()
@@ -626,16 +628,35 @@ func TestOpenUnsyncedLogMatrix(t *testing.T) {
 	}
 
 	// Rot in the prefix, its final block included, is never taken for
-	// an unsynced block.
+	// an unsynced block, and wins over rot in a sealed image batch.
+	img, err := os.ReadFile(filepath.Join(dir, storage.ImageFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[8+2*24+3] ^= 0x10 // the third record, sealed over by later commits
+	copyStore(t, dir, dst)
+	if err := os.WriteFile(filepath.Join(dst, storage.ImageFileName), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dst, WithSmallCaches()); !errors.Is(err, storage.ErrCorruptImage) || errors.Is(err, ErrTornLog) {
+		t.Fatalf("rot in the image alone: Open = %v, want ErrBackend wrapping ErrCorruptImage", err)
+	}
 	for b := named - 1; b >= 0; b -= 1 + b/4 {
 		bad := bytes.Clone(full)
 		bad[undolog.SuperBytes+b*undolog.BlockBytes+undolog.BlockBytes/2] ^= 0x10
-		copyStore(t, dir, dst)
-		if err := os.WriteFile(filepath.Join(dst, storage.LogFileName), bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(dst, WithSmallCaches()); !errors.Is(err, ErrTornLog) {
-			t.Fatalf("rot in block %d of the %d-block named prefix: Open = %v, want ErrTornLog", b, named, err)
+		for _, imgRot := range []bool{false, true} {
+			copyStore(t, dir, dst)
+			if err := os.WriteFile(filepath.Join(dst, storage.LogFileName), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if imgRot {
+				if err := os.WriteFile(filepath.Join(dst, storage.ImageFileName), img, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := Open(dst, WithSmallCaches()); !errors.Is(err, ErrTornLog) || errors.Is(err, storage.ErrCorruptImage) {
+				t.Fatalf("rot in block %d of the %d-block named prefix (image rotted too: %v): Open = %v, want ErrTornLog alone", b, named, imgRot, err)
+			}
 		}
 	}
 }

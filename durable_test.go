@@ -258,9 +258,9 @@ func TestOpenStoreIsFile(t *testing.T) {
 	}
 }
 
-// TestOpenReleasesStoreOnNewError: when machine construction fails after
-// the store was opened and recovered, Open releases the directory — a
-// follow-up Open with good options succeeds immediately.
+// TestOpenReleasesStoreOnNewError: when machine construction fails,
+// Open leaves the directory free — a follow-up Open with good options
+// succeeds immediately.
 func TestOpenReleasesStoreOnNewError(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	if _, err := Open(dir, WithCores(0)); !errors.Is(err, ErrNeedCore) {
@@ -272,6 +272,75 @@ func TestOpenReleasesStoreOnNewError(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenRejectsOptionsUntouched: Open checks its options before it
+// touches the store. A bad core count, a geometry no cache can build
+// and a scheme other than "picl" each fail Open, leave every file of an
+// existing store byte for byte as it was, and create no missing
+// directory.
+func TestOpenRejectsOptionsUntouched(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string][]byte {
+		files := map[string][]byte{}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range ents {
+			raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[ent.Name()] = raw
+		}
+		return files
+	}
+	before := snapshot()
+	llc := LevelGeometry{SizeBytes: 3000, Ways: 8, LatencyCycles: 30} // 5 sets
+	wide := LevelGeometry{SizeBytes: 64 << 10, Ways: 32, LatencyCycles: 30}
+	small := LevelGeometry{SizeBytes: 1 << 10, Ways: 4, LatencyCycles: 1}
+	for _, c := range []struct {
+		name string
+		opt  Option
+		want error
+	}{
+		{"no core", WithCores(0), ErrNeedCore},
+		{"5-set LLC", WithHierarchy(small, small, llc), ErrBadHierarchy},
+		{"32-way LLC", WithHierarchy(small, small, wide), ErrBadHierarchy},
+		{"journal scheme", WithScheme("journal"), ErrBackend},
+	} {
+		if _, err := Open(dir, c.opt); !errors.Is(err, c.want) {
+			t.Fatalf("%s: Open = %v, want %v", c.name, err, c.want)
+		}
+		after := snapshot()
+		if len(after) != len(before) {
+			t.Fatalf("%s: the rejected Open left %d files, want %d", c.name, len(after), len(before))
+		}
+		for name, raw := range before {
+			if !bytes.Equal(after[name], raw) {
+				t.Fatalf("%s: the rejected Open changed %s (%d -> %d bytes)", c.name, name, len(raw), len(after[name]))
+			}
+		}
+		missing := filepath.Join(root, "missing", "store")
+		if _, err := Open(missing, c.opt); !errors.Is(err, c.want) {
+			t.Fatalf("%s: Open of a missing directory = %v, want %v", c.name, err, c.want)
+		}
+		if _, err := os.Stat(filepath.Join(root, "missing")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: the rejected Open created a directory (stat: %v)", c.name, err)
+		}
 	}
 }
 

@@ -34,6 +34,11 @@ import (
 // start with no lock held: a closure that touches a guarded field
 // locks mu itself. Keyed composite literals name fields by identifier,
 // not selector, so constructing an owner before it is shared is exempt.
+//
+// Owners and guarded fields are matched by package path and name, and
+// callees through CallGraph.Canon: another module package sees an
+// owner through export data, as objects distinct from its declaration,
+// and its misuse must not slip through on that.
 var LockHeld = &Analyzer{
 	Name:      "lockheld",
 	Doc:       "mutex discipline: fields after mu only touched by the owner's methods with mu held; ...Locked methods only reachable with mu held; double-acquisition paths flagged",
@@ -59,10 +64,11 @@ type acqInfo struct {
 type lockEngine struct {
 	cg   *CallGraph
 	fset *token.FileSet
-	// owned holds the named struct types with a mu mutex field; guarded
-	// maps each field declared after an owner's mu to that owner.
-	owned   map[*types.Named]bool
-	guarded map[*types.Var]*types.Named
+	// owned holds the typeKey of each named struct type with a mu
+	// mutex field, and guarded the fields each declares after its mu,
+	// as the owner's typeKey, ".", and the field's name.
+	owned   map[string]bool
+	guarded map[string]bool
 	acq     map[*types.Func]*acqInfo
 	walking map[*types.Func]bool
 }
@@ -93,7 +99,7 @@ func runLockHeld(mp *ModulePass) {
 		st := make(lockState)
 		// A ...Locked method's contract is that its receiver's mu is
 		// held on entry.
-		if owner := recvNamed(node.Fn); owner != nil && eng.owned[owner] &&
+		if eng.owned[typeKey(recvNamed(node.Fn))] &&
 			strings.HasSuffix(node.Fn.Name(), "Locked") {
 			if key := canonExpr(node.Pkg.Info, recvIdent(node.Decl)); key != "" {
 				st[key] = lockEx
@@ -121,10 +127,11 @@ func isMutex(t types.Type) bool {
 
 // muOwnedTypes finds the named struct types with a `mu` mutex field —
 // the owners whose Locked/lock protocol the analyzer enforces — and
-// the fields each declares after mu, which mu guards.
-func muOwnedTypes(pkgs []*Package) (map[*types.Named]bool, map[*types.Var]*types.Named) {
-	owned := make(map[*types.Named]bool)
-	guarded := make(map[*types.Var]*types.Named)
+// the fields each declares after mu, which mu guards, keyed as
+// lockEngine keys them.
+func muOwnedTypes(pkgs []*Package) (owned, guarded map[string]bool) {
+	owned = make(map[string]bool)
+	guarded = make(map[string]bool)
 	for _, pkg := range pkgs {
 		for _, obj := range pkg.Info.Defs {
 			tn, ok := obj.(*types.TypeName)
@@ -139,17 +146,55 @@ func muOwnedTypes(pkgs []*Package) (map[*types.Named]bool, map[*types.Var]*types
 			if !ok {
 				continue
 			}
+			key := typeKey(named)
 			for i := 0; i < st.NumFields(); i++ {
 				switch fld := st.Field(i); {
-				case owned[named]:
-					guarded[fld] = named
+				case owned[key]:
+					guarded[key+"."+fld.Name()] = true
 				case fld.Name() == "mu" && isMutex(fld.Type()):
-					owned[named] = true
+					owned[key] = true
 				}
 			}
 		}
 	}
 	return owned, guarded
+}
+
+// typeKey names a named type by its package path and name ("" for
+// nil): what its declaration and another package's export-data view of
+// it share.
+func typeKey(n *types.Named) string {
+	if n == nil {
+		return ""
+	}
+	obj := n.Origin().Obj()
+	if obj.Pkg() == nil {
+		return obj.Name()
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// fieldOwner returns the named struct type that declares the field a
+// selection selects, following its path through embedded fields (nil
+// for a field of an unnamed struct).
+func fieldOwner(s *types.Selection) *types.Named {
+	t := s.Recv()
+	for i, j := range s.Index() {
+		if p, ok := types.Unalias(t).(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		t = types.Unalias(t)
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return nil
+		}
+		if i == len(s.Index())-1 {
+			n, _ := t.(*types.Named)
+			return n
+		}
+		t = st.Field(j).Type()
+	}
+	return nil
 }
 
 // lockState maps canonical receiver expressions ("the variable r",
@@ -338,13 +383,14 @@ func (w *lockWalker) field(sel *ast.SelectorExpr, st lockState) {
 	if s == nil || s.Kind() != types.FieldVal {
 		return
 	}
-	fld, _ := s.Obj().(*types.Var)
-	owner := w.eng.guarded[fld]
-	if owner == nil {
+	fld := s.Obj()
+	owner := fieldOwner(s)
+	key := typeKey(owner)
+	if owner == nil || !w.eng.guarded[key+"."+fld.Name()] {
 		return
 	}
 	name := owner.Obj().Name()
-	if w.fn == nil || recvNamed(w.fn) != owner {
+	if w.fn == nil || typeKey(recvNamed(w.fn)) != key {
 		w.mp.Report(sel.Sel.Pos(), Diagnostic{
 			Code: "field-foreign",
 			Message: fmt.Sprintf("field %s.%s is guarded by %s.mu; access it only through %s's methods",
@@ -418,8 +464,9 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState) {
 	if !isSel {
 		return
 	}
+	callee = w.eng.cg.Canon(callee)
 	owner := recvNamed(callee)
-	if owner == nil || !w.eng.owned[owner] {
+	if !w.eng.owned[typeKey(owner)] {
 		return
 	}
 	key := canonExpr(info, sel.X)
@@ -500,7 +547,10 @@ func (e *lockEngine) acquire(fn *types.Func) *acqInfo {
 				return true
 			}
 			callee := calleeFunc(node.Pkg.Info, n)
-			if callee == nil || callee == fn {
+			if callee == nil {
+				return true
+			}
+			if callee = e.cg.Canon(callee); callee == fn {
 				return true
 			}
 			sel, isSel := ast.Unparen(n.Fun).(*ast.SelectorExpr)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -113,6 +115,44 @@ func TestLockHeldGolden(t *testing.T) {
 		{75, "lockheld"}, // box.go total: package-level initializer
 		{82, "lockheld"}, // box.go Each: closure called under the lock
 	})
+}
+
+// TestLockHeldAcrossPackages runs lockheld over testdata/lockmod, a
+// module of its own whose package user sees package own's lock owner
+// through export data, as picl-lint sees one module package from
+// another. Each misuse is found in user as it is in own: the Locked
+// call with no lock held, the guarded field read from outside the
+// owner, and the same field promoted through an embedding; the locking
+// method and the unguarded field are asserted by absence.
+func TestLockHeldAcrossPackages(t *testing.T) {
+	pkgs, err := LoadModule(filepath.Join("testdata", "lockmod"))
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	type finding struct {
+		file string
+		line int
+		code string
+	}
+	want := []finding{
+		{"own.go", 24, "locked-no-lock"}, // Bad
+		{"user.go", 9, "locked-no-lock"}, // Use: t.SizeLocked()
+		{"user.go", 9, "field-foreign"},  // Use: t.N
+		{"user.go", 19, "field-foreign"}, // Wrapped.Count: w.N
+	}
+	var got []finding
+	for _, d := range Run(pkgs, []*Analyzer{LockHeld}) {
+		got = append(got, finding{filepath.Base(d.Pos.Filename), d.Pos.Line, d.Code})
+	}
+	sort.SliceStable(got, func(i, j int) bool {
+		if got[i].file != got[j].file {
+			return got[i].file < got[j].file
+		}
+		return got[i].line < got[j].line
+	})
+	if !slices.Equal(got, want) {
+		t.Errorf("findings = %v, want %v", got, want)
+	}
 }
 
 // TestLockDisciplineGolden pins the guarded-field half of lockheld, the

@@ -159,7 +159,11 @@ func PayloadFor(l LineAddr, e EpochID, seq uint64) Word {
 // image is a table of dense pages, LinesPerPage lines each: a page is
 // allocated when one of its lines first holds non-zero content and
 // dropped when its last one returns to zero, so a dense footprint costs
-// one word per line and no hashing per line.
+// one word per line and no hashing per line. Swap remembers the page it
+// touched last, so a run of writes to one page — the durable image's
+// load replays its records in page runs — costs one table lookup, not
+// one per line; Read never consults or updates that memo, so concurrent
+// readers of an image nobody writes stay race-free.
 //
 // An Image can additionally record its own history (EnableHistory): each
 // write logs the line's pre-write content the first time the line changes
@@ -171,6 +175,10 @@ func PayloadFor(l LineAddr, e EpochID, seq uint64) Word {
 type Image struct {
 	pages map[PageAddr]*page
 	n     int // lines holding non-zero content
+	// last is the page Swap touched last, lastKey its number; nil once
+	// that page drops out of the table.
+	last    *page
+	lastKey PageAddr
 
 	track bool
 	// cur holds the pre-write content of every line changed since the
@@ -205,9 +213,13 @@ func (im *Image) Write(l LineAddr, w Word) { im.Swap(l, w) }
 // Swap sets the content of line l and returns what it held before,
 // with one page lookup for both: the write-back path, which keeps the
 // old word for its crash rollback, reads and writes the line at once.
+// A write to the page the previous Swap touched takes no lookup at all.
 func (im *Image) Swap(l LineAddr, w Word) Word {
 	k := l.Page()
-	p := im.pages[k]
+	p := im.last
+	if p == nil || im.lastKey != k {
+		p = im.pages[k]
+	}
 	var old Word
 	if p != nil {
 		old = p.w[l%LinesPerPage]
@@ -224,6 +236,7 @@ func (im *Image) Swap(l LineAddr, w Word) Word {
 		p = new(page)
 		im.pages[k] = p
 	}
+	im.last, im.lastKey = p, k
 	p.w[l%LinesPerPage] = w
 	switch {
 	case old == 0 && w != 0:
@@ -234,6 +247,7 @@ func (im *Image) Swap(l LineAddr, w Word) Word {
 		im.n--
 		if p.n == 0 {
 			delete(im.pages, k)
+			im.last = nil
 		}
 	}
 	return old

@@ -137,17 +137,22 @@ type RecoverInfo struct {
 
 // Recover rebuilds the consistent memory image from the directory's
 // durable state (paper §IV-B, on real files): read the marker, validate
-// every block of the log prefix its commit record names, load the
-// image, scan the prefix backward from its end applying every entry
-// covering the marker epoch until the first block that expired at or
-// before it, and drop the log past the prefix. The log is read in
-// fixed-size chunks and decoded a block at a time, so recovery's memory
-// is bounded by the image, not by the log. Every block of the prefix
-// was synced before the commit sealed, so a block of it that fails
-// validation, or is missing, is rot (undolog.ErrCorruptBlock); whatever
-// lies past it was never synced under any commit and is dropped,
-// whatever its shape. Recover also keeps what Reset seals: the image
-// it returns and the lines its scan changed.
+// every block of the log prefix its commit record names while the image
+// loads beside it, scan the prefix backward from its end applying every
+// entry covering the marker epoch until the first block that expired at
+// or before it, and drop the log past the prefix. The validation and
+// the load read different files and share no state, so they run on two
+// goroutines (see Wrapper) and recovery waits for the longer of them,
+// the load. The validation's error wins: rot in the prefix is reported
+// even when the image fails too, and a failed load only once the prefix
+// validates. The log is read in fixed-size chunks and decoded a block
+// at a time, so recovery's memory is bounded by the image, not by the
+// log. Every block of the prefix was synced before the commit sealed,
+// so a block of it that fails validation, or is missing, is rot
+// (undolog.ErrCorruptBlock); whatever lies past it was never synced
+// under any commit and is dropped, whatever its shape. Recover also
+// keeps what Reset seals: the image it returns and the lines its scan
+// changed.
 func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 	d.rec = nil
 	if err := d.removeStaleTmp(); err != nil {
@@ -162,10 +167,12 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 		return nil, RecoverInfo{}, fmt.Errorf("%w: the marker's commit names a %d-block log prefix, the log holds blocks [%d, %d) (media rot, not an unsynced block)",
 			undolog.ErrCorruptBlock, named, start, have)
 	}
-	if err := checkLog(d.Log, start, named); err != nil {
-		return nil, RecoverInfo{}, err
-	}
+	checked := make(chan error, 1)
+	go func() { checked <- checkLog(d.Log, start, named) }()
 	img, err := d.Img.Load()
+	if cerr := <-checked; cerr != nil {
+		return nil, RecoverInfo{}, cerr
+	}
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}

@@ -523,7 +523,8 @@ func (l *Log) crash() {
 	}
 }
 
-// Pass-through reads and metadata.
+// Pass-through reads and metadata. They touch no injector state, so
+// ReadBlocks may run beside Image.Load, as Dir.Recover runs them.
 
 func (l *Log) Blocks() uint64                          { return l.b.Blocks() }
 func (l *Log) ReadAll() ([]byte, error)                { return l.b.ReadAll() }

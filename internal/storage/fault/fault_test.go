@@ -203,6 +203,50 @@ func TestBitRotDetected(t *testing.T) {
 	}
 }
 
+// TestWrappedRecover: Dir.Recover runs the log's ReadBlocks on a
+// goroutine of its own beside the image's Load; through the injector's
+// pass-throughs (race-checked under -race) it recovers what the
+// unwrapped store recovers.
+func TestWrappedRecover(t *testing.T) {
+	d, _ := openWrapped(t, 5, Profile{})
+	for i := 0; i < 64; i++ {
+		raw, _ := undolog.EncodeBlock(undolog.Block{
+			Entries:      []undolog.Entry{{Line: mem.LineAddr(i), ValidTill: mem.EpochID(i + 1)}},
+			MaxValidTill: mem.EpochID(i + 1),
+		})
+		if err := d.Log.AppendBlock(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Img.WriteLine(mem.LineAddr(i), mem.Word(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.PersistMarker(mem.EpochID(i + 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := d.Path()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, wantInfo, err := storage.RecoverDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantInfo.BlocksRead == 0 || want.Len() == 0 {
+		t.Fatalf("store names %d log blocks and holds %d lines; want both non-zero", wantInfo.BlocksRead, want.Len())
+	}
+	wd, err := storage.OpenDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wd.Close()
+	wd.Wrap(New(5, Profile{}))
+	got, info, err := wd.Recover()
+	if err != nil || !got.Equal(want) || info != wantInfo {
+		t.Fatalf("wrapped Recover: %+v, err %v; unwrapped: %+v", info, err, wantInfo)
+	}
+}
+
 // TestPermanentSyncFailure: from PermanentSyncFrom on, every log sync
 // fails with an ErrInjected-wrapped EIO.
 func TestPermanentSyncFailure(t *testing.T) {

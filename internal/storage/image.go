@@ -358,9 +358,13 @@ func (im *ImageFile) Records() int64 {
 // image, in file order, so a line's last record wins; staged records
 // are not yet part of the file. Records whose word is zero collapse
 // into the image's implicit zero state, matching mem.Image semantics
-// exactly. OpenImage already dropped the torn batch, so an invalid
+// exactly. The records of one page mostly arrive together — a
+// populated or compacted file is all 64-record page runs — and
+// mem.Image.Write remembers the page it wrote last, so a run costs one
+// page lookup. OpenImage already dropped the torn batch, so an invalid
 // record, or a commit record whose batch does not match it, is rot and
-// fails with ErrCorruptImage.
+// fails with ErrCorruptImage. Load only reads the file: Dir.Recover
+// runs it beside the log prefix's validation.
 func (im *ImageFile) Load() (*mem.Image, error) {
 	out := mem.NewImage()
 	if im.size == 0 {

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"picl/internal/mem"
@@ -680,4 +682,95 @@ func TestResetWritesImageFormat(t *testing.T) {
 	if err != nil || !img.Equal(want) {
 		t.Fatalf("load after compaction and commit: err %v", err)
 	}
+}
+
+// TestLoadShapes: Load replays the three record orders an image file
+// holds into the image its records build one at a time — the 64-record
+// page runs of a populated store, a random-order tail that returns
+// lines to zero (dropping whole pages, then writing some back), and the
+// compacted file of both, whose records compaction writes in ascending
+// line order — and holds every line a plain map of the writes holds.
+func TestLoadShapes(t *testing.T) {
+	dir := t.TempDir()
+	const pages = 8
+	var runs []lineWrite
+	for i := range pages * mem.LinesPerPage {
+		l := mem.LineAddr(i)
+		runs = append(runs, lineWrite{l, mem.PayloadFor(l, 1, 0)})
+	}
+	rng := rand.New(rand.NewSource(5))
+	var tail []lineWrite
+	for i := range 600 {
+		l := mem.LineAddr(rng.Intn((pages + 1) * mem.LinesPerPage)) // a page past the runs too
+		w := mem.PayloadFor(l, 2, uint64(i))
+		if rng.Intn(3) == 0 {
+			w = 0
+		}
+		tail = append(tail, lineWrite{l, w})
+	}
+	page2 := mem.PageAddr(2).FirstLine()
+	for i := range mem.LinesPerPage {
+		tail = append(tail, lineWrite{page2 + mem.LineAddr(i), 0})
+	}
+	tail = append(tail, lineWrite{page2 + 9, 77})
+
+	write := func(name string, writes []lineWrite, batch int) string {
+		path := filepath.Join(dir, name)
+		for b := 0; b < len(writes); b += batch {
+			commitImage(t, path, writes[b:min(b+batch, len(writes))], 1)
+		}
+		return path
+	}
+	check := func(what string, im *ImageFile, writes []lineWrite) {
+		t.Helper()
+		got, err := im.Load()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if want := replay(writes); !got.Equal(want) {
+			t.Fatalf("%s: Load differs from the record-by-record image at %v", what, got.Diff(want, 4))
+		}
+		ref := map[mem.LineAddr]mem.Word{}
+		for _, x := range writes {
+			ref[x.l] = x.w
+		}
+		n := 0
+		for l, w := range ref {
+			if got.Read(l) != w {
+				t.Fatalf("%s: line %v = %d, want %d", what, l, got.Read(l), w)
+			}
+			if w != 0 {
+				n++
+			}
+		}
+		if got.Len() != n {
+			t.Fatalf("%s: Load holds %d lines, want %d", what, got.Len(), n)
+		}
+	}
+	open := func(path string) *ImageFile {
+		im, err := OpenImage(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { im.Close() })
+		return im
+	}
+	check("page runs", open(write("runs.dat", runs, 2*mem.LinesPerPage)), runs)
+	all := append(slices.Clone(runs), tail...)
+	tailed := open(write("tail.dat", all, 50))
+	check("random tail", tailed, all)
+	img, err := tailed.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(dir, "compacted.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := writeCompacted(f, img, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer compacted.Close()
+	check("compacted", compacted, all)
 }

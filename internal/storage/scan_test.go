@@ -214,7 +214,10 @@ func TestStreamedRecoverMatchesInMemory(t *testing.T) {
 // the next epoch, a bit flipped in any block of the named prefix — the
 // first, one in the middle, one older than the block the scan stops
 // at, that stop block, and the last — is rot (ErrCorruptBlock), though
-// the scan itself decodes only the blocks behind the stop.
+// the scan itself decodes only the blocks behind the stop. The prefix
+// check runs beside the image load, and its error wins: with rot in a
+// sealed image batch as well, Recover still fails with ErrCorruptBlock
+// alone, while that image rot alone is ErrCorruptImage.
 func TestStreamedRecoverRot(t *testing.T) {
 	scanStore(t, func(e mem.EpochID, store string, _ *mem.Image) {
 		if e != 5 {
@@ -230,20 +233,33 @@ func TestStreamedRecoverRot(t *testing.T) {
 		if info.Scanned == 0 || stop < 3 {
 			t.Fatalf("named prefix of %d blocks scanned %d: the rot positions are not distinct", info.BlocksRead, info.Scanned)
 		}
+		flip := func(dir, name string, off int) {
+			path := filepath.Join(dir, name)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[off] ^= 0x10
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const imgRot = imageHeaderBytes + imageRecBytes + 3 // the first batch's second line record
+		rotImg := copyStore(t, store)
+		flip(rotImg, ImageFileName, imgRot)
+		if _, _, err := RecoverDir(rotImg); !errors.Is(err, ErrCorruptImage) || errors.Is(err, undolog.ErrCorruptBlock) {
+			t.Fatalf("rot in the first image batch: Recover = %v, want ErrCorruptImage", err)
+		}
 		for what, b := range blocks {
 			for _, off := range []int{0, 9, 200, undolog.BlockBytes - 1} { // magic, tag, an entry, the CRC
 				rot := copyStore(t, store)
-				path := filepath.Join(rot, LogFileName)
-				raw, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw[undolog.SuperBytes+int(b)*undolog.BlockBytes+off] ^= 0x10
-				if err := os.WriteFile(path, raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
+				flip(rot, LogFileName, undolog.SuperBytes+int(b)*undolog.BlockBytes+off)
 				if _, err := diffRecover(t, what+" block", rot); !errors.Is(err, undolog.ErrCorruptBlock) {
 					t.Fatalf("rot at byte %d of the %s block (%d): Recover = %v, want ErrCorruptBlock", off, what, b, err)
+				}
+				flip(rot, ImageFileName, imgRot)
+				if _, _, err := RecoverDir(rot); !errors.Is(err, undolog.ErrCorruptBlock) || errors.Is(err, ErrCorruptImage) {
+					t.Fatalf("rot at byte %d of the %s block (%d) and in the image: Recover = %v, want ErrCorruptBlock alone", off, what, b, err)
 				}
 			}
 		}

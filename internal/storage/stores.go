@@ -24,7 +24,8 @@ type LogStore interface {
 	TornBytes() uint64
 	// ReadBlocks fills p, a whole number of blocks long, with the
 	// stored blocks from block first on (absolute numbering, as Blocks
-	// counts).
+	// counts). Dir.Recover calls it from a goroutine of its own while
+	// the image's Load runs.
 	ReadBlocks(first uint64, p []byte) error
 	// Rewind moves the append point back to block n, between the GC'd
 	// prefix and Blocks, without I/O: the blocks from n on stay stored,
@@ -37,7 +38,8 @@ type LogStore interface {
 // ImageStore is what a Dir needs from its image component — the durable
 // line-granular memory image. ImageFile implements it; its Sync writes
 // nothing, since staged records reach the file only sealed by the
-// marker's commit.
+// marker's commit. Load only reads, and Dir.Recover runs it while the
+// log's ReadBlocks runs on another goroutine.
 type ImageStore interface {
 	WriteLine(l mem.LineAddr, w mem.Word) error
 	Sync() error
@@ -59,7 +61,11 @@ type MarkerStore interface {
 // hook the fault-injection campaign uses to interpose torn writes,
 // failing fsyncs, bit rot, and power cuts between the machine and the
 // real files (see internal/storage/fault). Dir remembers the wrapper and
-// re-applies it to the fresh components Reset opens.
+// re-applies it to the fresh components Reset opens. The components it
+// returns are called from one goroutine at a time, with one exception:
+// Recover runs the log's ReadBlocks beside the image's Load, so a
+// wrapper that keeps state across the two synchronizes it (the fault
+// injector's pass both straight through).
 type Wrapper interface {
 	WrapLog(LogStore) LogStore
 	WrapImage(ImageStore) ImageStore

@@ -96,7 +96,6 @@ type options struct {
 	piclCfg   Config
 	nvmCfg    nvm.Config
 	hierarchy *cache.HierarchyConfig
-	geometry  *[3]LevelGeometry // retained for New's validation
 	traceCap  int
 	wrapper   StoreWrapper
 }
@@ -134,24 +133,10 @@ type LevelGeometry struct {
 	LatencyCycles uint64
 }
 
-// valid reports whether the geometry builds a legal cache: positive size
-// and ways, at least one 64 B line per way, and a power-of-two set count
-// (the index function is a mask).
-func (g LevelGeometry) valid() bool {
-	if g.SizeBytes <= 0 || g.Ways <= 0 {
-		return false
-	}
-	sets := g.SizeBytes / mem.LineSize / g.Ways
-	if sets == 0 {
-		sets = 1
-	}
-	return sets&(sets-1) == 0
-}
-
 // WithHierarchy replaces the default Table IV cache hierarchy with an
 // arbitrary three-level geometry. New reports ErrBadHierarchy if any
-// level is degenerate (non-positive size or ways, or a set count that is
-// not a power of two).
+// level cannot build a cache: non-positive size or ways, more than 16
+// ways, or a set count that is not a power of two.
 func WithHierarchy(l1, l2, llc LevelGeometry) Option {
 	return func(o *options) {
 		o.hierarchy = &cache.HierarchyConfig{
@@ -159,7 +144,6 @@ func WithHierarchy(l1, l2, llc LevelGeometry) Option {
 			L2:  cache.Config{Name: "l2", Size: l2.SizeBytes, Ways: l2.Ways, Latency: l2.LatencyCycles},
 			LLC: cache.Config{Name: "llc", Size: llc.SizeBytes, Ways: llc.Ways, Latency: llc.LatencyCycles},
 		}
-		o.geometry = &[3]LevelGeometry{l1, l2, llc}
 	}
 }
 
@@ -219,10 +203,10 @@ func New(opts ...Option) (*Machine, error) {
 	if o.cores < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrNeedCore, o.cores)
 	}
-	if o.geometry != nil {
-		for i, level := range o.geometry {
-			if !level.valid() {
-				return nil, fmt.Errorf("%w: level %d (%+v)", ErrBadHierarchy, i+1, level)
+	if h := o.hierarchy; h != nil {
+		for _, level := range []cache.Config{h.L1, h.L2, h.LLC} {
+			if err := level.Validate(); err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrBadHierarchy, err)
 			}
 		}
 	}

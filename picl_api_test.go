@@ -53,6 +53,9 @@ func TestWithHierarchy(t *testing.T) {
 		t.Fatalf("read = %d", got)
 	}
 
+	// Every geometry the cache cannot build is ErrBadHierarchy at any
+	// level, never a panic: more than the 16 ways a set's packed state
+	// words hold as much as the degenerate shapes.
 	bad := []struct {
 		name string
 		g    LevelGeometry
@@ -60,12 +63,22 @@ func TestWithHierarchy(t *testing.T) {
 		{"zero size", LevelGeometry{SizeBytes: 0, Ways: 4, LatencyCycles: 1}},
 		{"zero ways", LevelGeometry{SizeBytes: 1 << 10, Ways: 0, LatencyCycles: 1}},
 		{"non-pow2 sets", LevelGeometry{SizeBytes: 3 << 10, Ways: 4, LatencyCycles: 1}},
+		{"17 ways", LevelGeometry{SizeBytes: 17 * 64 * 4, Ways: 17, LatencyCycles: 1}},
+		{"32 ways", LevelGeometry{SizeBytes: 32 * 64 * 4, Ways: 32, LatencyCycles: 1}},
 	}
 	ok := LevelGeometry{SizeBytes: 8 << 10, Ways: 8, LatencyCycles: 4}
 	for _, tc := range bad {
-		if _, err := New(WithHierarchy(tc.g, ok, ok)); !errors.Is(err, ErrBadHierarchy) {
-			t.Errorf("%s: err = %v, want ErrBadHierarchy", tc.name, err)
+		for at := range 3 {
+			g := [3]LevelGeometry{ok, ok, ok}
+			g[at] = tc.g
+			if _, err := New(WithHierarchy(g[0], g[1], g[2])); !errors.Is(err, ErrBadHierarchy) {
+				t.Errorf("%s at level %d: err = %v, want ErrBadHierarchy", tc.name, at+1, err)
+			}
 		}
+	}
+	wide := LevelGeometry{SizeBytes: 16 * 64 * 4, Ways: 16, LatencyCycles: 1}
+	if _, err := New(WithHierarchy(wide, wide, wide)); err != nil {
+		t.Errorf("16 ways at every level: %v", err)
 	}
 }
 
