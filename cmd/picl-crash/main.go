@@ -21,7 +21,9 @@
 //	picl-crash                 # 100 crash points, seed 2018
 //	picl-crash -points 500 -seed 7
 //	picl-crash -points 1 -seed 2043   # replay point 25 of the default run
-//	picl-crash -verify DIR            # recover an existing store, print what was found
+//
+// A store a point leaves behind (-keep) is audited with
+// picl-recover -log DIR.
 package main
 
 import (
@@ -115,24 +117,12 @@ func main() {
 		child  = flag.String("child", "", "internal: run as crash child against this store directory")
 		seed   = flag.Uint64("seed", 2018, "base seed; point i uses seed+i")
 		points = flag.Int("points", 100, "number of SIGKILL crash points")
-		verify = flag.String("verify", "", "recover an existing store directory, print what was found, and exit")
 		keep   = flag.Bool("keep", false, "keep per-point store directories (for post-mortem)")
 	)
 	flag.Parse()
 	if *points < 1 {
 		fmt.Fprintf(os.Stderr, "picl-crash: -points %d: want at least 1\n", *points)
 		os.Exit(2)
-	}
-
-	if *verify != "" {
-		img, info, err := storage.RecoverDir(*verify)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: marker epoch %d, %d blocks read (%d log bytes past them dropped), %d entries applied over %d blocks, %d live lines\n",
-			*verify, info.Marker, info.BlocksRead, info.TornBytes, info.Applied, info.Scanned, img.Len())
-		return
 	}
 
 	if *child != "" {

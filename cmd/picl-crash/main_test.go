@@ -91,32 +91,6 @@ func TestSmokeBadPointsExits2(t *testing.T) {
 	}
 }
 
-// TestSmokeVerifyMode: -verify recovers a directory a killed child left
-// behind and reports what it found.
-func TestSmokeVerifyMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes; skipped in -short")
-	}
-	work := t.TempDir()
-	// Run one point with -keep inside our tempdir via TMPDIR.
-	cmd := exec.Command(crashBin(t), "-points", "1", "-seed", "3", "-keep")
-	cmd.Env = append(os.Environ(), "TMPDIR="+work)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	matches, err := filepath.Glob(filepath.Join(work, "picl-crash*", "point0000"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("kept store not found: %v %v", matches, err)
-	}
-	out, stderr, code := run(t, "-verify", matches[0])
-	if code != 0 {
-		t.Fatalf("exit %d: %s%s", code, out, stderr)
-	}
-	if !strings.Contains(out, "marker epoch") || !strings.Contains(out, "blocks read") {
-		t.Fatalf("unexpected -verify output:\n%s", out)
-	}
-}
-
 // TestDiedBySIGKILL: the harness only trusts a child that died by its
 // own SIGKILL — clean exits, other signals, and a command that never
 // started (nil ProcessState) are all verification failures.

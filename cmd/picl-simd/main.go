@@ -1,8 +1,9 @@
 // Command picl-simd is the experiment-serving daemon: the runner's
 // memoized, deterministic simulation cells behind an HTTP API, with a
-// durable content-addressed result store shared across processes and a
-// claim/lease protocol that coalesces duplicate computation between
-// replicas (see internal/serve).
+// durable content-addressed result store shared across processes and
+// flock(2) claims that coalesce duplicate computation between replicas
+// (see internal/serve). A claim lasts as long as its holder's
+// simulation and ends with the holder's process.
 //
 // Usage:
 //
@@ -47,7 +48,6 @@ func run() int {
 		jobs      = flag.Int("j", 0, "worker-pool width for sweeps (0 = NumCPU)")
 		peersFlag = flag.String("peers", "", "comma-separated base URLs of every replica (rendezvous routing)")
 		self      = flag.String("self", "", "this replica's base URL as it appears in -peers (default http://<addr>)")
-		lease     = flag.Duration("lease", serve.DefaultLease, "claim lease: how long a dead holder blocks a cell before waiters steal it")
 		faultSeed = flag.Uint64("fault-seed", 0, "wrap the result store in the deterministic fault injector with this seed (0 = off; soak testing)")
 	)
 	flag.Parse()
@@ -71,7 +71,6 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		store.Lease = *lease
 		fmt.Printf("picl-simd: store %s: %d warm results, %d blocks\n",
 			*storeDir, store.Len(), store.Blocks())
 	} else {

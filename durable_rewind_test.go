@@ -138,6 +138,50 @@ func TestSyncOnlyLogBounded(t *testing.T) {
 	}
 }
 
+// TestOpenKeepsSyncOnlyLog: Open after a session that committed only
+// with Sync leaves undo.log as it found it, same inode and same size.
+// Recovery reads none of the stale blocks past the prefix the last
+// commit names, and the next session overwrites them in place, so
+// cutting them would only make that session regrow the file.
+func TestOpenKeepsSyncOnlyLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	m, err := Open(dir, WithSmallCaches())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := uint64(1)
+	for range 200 {
+		commitWrites(t, m, &x)
+		if _, err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, storage.LogFileName)
+	fi0, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi0.Size() <= undolog.SuperBytes {
+		t.Fatalf("the Sync-only session left a %d-byte undo.log: no stale blocks to keep", fi0.Size())
+	}
+	m, err = Open(dir, WithSmallCaches())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	fi1, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(fi0, fi1) || fi1.Size() != fi0.Size() {
+		t.Fatalf("Open turned a %d-byte undo.log into %d bytes (same file: %v); want it untouched",
+			fi0.Size(), fi1.Size(), os.SameFile(fi0, fi1))
+	}
+}
+
 // TestReopenSessionsImageBounded: sessions that reopen the store and
 // rewrite part of it keep image.dat's sealed bytes within CompactRatio
 // records per live line plus what one session appends, however many

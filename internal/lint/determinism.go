@@ -37,12 +37,13 @@ var deterministicScope = []string{
 }
 
 // deterministicExempt names the serving layer explicitly: these
-// packages sit ABOVE the deterministic world (leases, latency, request
-// plans are wall-clock and PRNG business) and must stay exempt even if
-// the scope list above ever grows a parent subtree of theirs. The
-// boundary is deliberate — everything the daemon returns is produced by
-// in-scope packages, so the response bytes stay deterministic while the
-// serving machinery times and randomizes freely.
+// packages sit ABOVE the deterministic world (claim polling, latency
+// and request plans are wall-clock and PRNG business) and must stay
+// exempt even if the scope list above ever grows a parent subtree of
+// theirs. The boundary is deliberate — everything the daemon returns
+// is produced by in-scope packages, so the response bytes stay
+// deterministic while the serving machinery times and randomizes
+// freely.
 var deterministicExempt = []string{
 	modulePath + "/internal/serve",
 	modulePath + "/cmd/picl-simd",

@@ -139,8 +139,10 @@ const (
 	// time.
 	KindServeRequest
 	// KindServeClaim marks claim-protocol activity on a cell. A = 1 for
-	// a claim acquired, 2 for a wait on another replica's claim, 3 for a
-	// stale lease stolen, 4 for a claim abandoned by a cancelled client.
+	// a claim acquired, 2 for a wait on another replica's claim, 4 for a
+	// claim abandoned by a cancelled client. Code 3 (a stale lease
+	// stolen) is retired with the leases and must not be reused: traces
+	// written before then carry it.
 	KindServeClaim
 	// KindServeStore marks result-store activity. A = 1 for an append,
 	// 2 for a cross-process refresh that found new records; B = bytes

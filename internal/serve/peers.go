@@ -25,8 +25,8 @@ type Peers struct {
 	Self string
 	// All lists every replica's base URL, self included.
 	All []string
-	// Client issues forwards. The zero value gets a 2-minute timeout
-	// (a cold cell simulates on the owner within the claim lease).
+	// Client issues forwards. The zero value gets a 2-minute timeout,
+	// long enough for a cold cell to simulate on the owner.
 	Client *http.Client
 }
 

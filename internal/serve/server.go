@@ -102,8 +102,10 @@ func (s *Server) emit(ev obs.Event) {
 	s.ringMu.Unlock()
 }
 
+// emitClaim counts one obs.KindServeClaim action (1, 2 or 4; code 3,
+// the retired lease steal, is never emitted).
 func (s *Server) emitClaim(action uint64) {
-	s.counters.Add("claim_"+[...]string{"", "acquired", "waited", "stolen", "abandoned"}[action], 1)
+	s.counters.Add("claim_"+[...]string{1: "acquired", 2: "waited", 4: "abandoned"}[action], 1)
 	s.emit(obs.Event{Kind: obs.KindServeClaim, Time: s.nowCycles(), A: action})
 }
 
@@ -254,8 +256,7 @@ func (s *Server) cell(ctx context.Context, cr cellRequest) ([]byte, Source, erro
 			s.counters.Add("claim_errors", 1)
 			state = ClaimAcquired
 		}
-		switch state {
-		case ClaimAcquired:
+		if state == ClaimAcquired {
 			s.emitClaim(1)
 			res, rerr := s.Runner.RunCtx(ctx, cr.Scheme, cr.Benches, cr.Opts...)
 			if rerr != nil {
@@ -269,22 +270,18 @@ func (s *Server) cell(ctx context.Context, cr cellRequest) ([]byte, Source, erro
 			s.persist(d, body)
 			s.Store.Release(d)
 			return body, SourceComputed, nil
-		case ClaimStolen:
-			s.emitClaim(3)
-			continue
-		case ClaimHeld:
-			if !waited {
-				waited = true
-				s.emitClaim(2)
-			}
-			select {
-			case <-ctx.Done():
-				return nil, 0, ctx.Err()
-			case <-time.After(s.Store.Poll):
-			}
-			if n, err := s.Store.Refresh(); err == nil && n > 0 {
-				s.emit(obs.Event{Kind: obs.KindServeStore, Time: s.nowCycles(), A: 2, B: uint64(n)})
-			}
+		}
+		if !waited {
+			waited = true
+			s.emitClaim(2)
+		}
+		select {
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
+		case <-time.After(s.Store.Poll):
+		}
+		if n, err := s.Store.Refresh(); err == nil && n > 0 {
+			s.emit(obs.Event{Kind: obs.KindServeStore, Time: s.nowCycles(), A: 2, B: uint64(n)})
 		}
 	}
 }

@@ -1,13 +1,13 @@
 // Package serve turns the experiment runner into a long-lived service:
-// a content-addressed result store with a cross-process claim/lease
-// protocol (Store), an HTTP daemon over it (Server), and rendezvous
-// routing across replicas (Peers). It is the one package in the tree
-// that deliberately lives OUTSIDE the determinism contract — it reads
-// wall clocks for leases and latency, and the picl-lint determinism
-// analyzer exempts it explicitly (internal/lint, deterministicExempt):
-// the boundary is that everything BELOW the serve layer stays
-// byte-deterministic, which is exactly what lets replicas coalesce on
-// content digests at all.
+// a content-addressed result store shared across processes, with
+// kernel-lock claims that coalesce computation of one cell (Store), an
+// HTTP daemon over it (Server), and rendezvous routing across replicas
+// (Peers). It is the one package in the tree that deliberately lives
+// OUTSIDE the determinism contract — it reads wall clocks for polling
+// and latency, and the picl-lint determinism analyzer exempts it
+// explicitly (internal/lint, deterministicExempt): the boundary is that
+// everything BELOW the serve layer stays byte-deterministic, which is
+// exactly what lets replicas coalesce on content digests at all.
 package serve
 
 import (
@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"time"
 
 	"picl/internal/golden"
@@ -70,28 +71,35 @@ func DigestOf(canonicalKey string) [32]byte {
 }
 
 // Store is the durable, cross-process result store: a storage.Results
-// log (content-addressed payloads with torn-tail repair) plus a
-// claim/lease directory that coalesces computation of the same cell
-// across processes. All methods are safe for concurrent use.
+// log (content-addressed payloads with torn-tail repair) plus a claim
+// directory that coalesces computation of the same cell across
+// processes. All methods are safe for concurrent use. Every lock below
+// is a flock(2) lock, which belongs to an open file: two Stores on one
+// directory exclude each other as two processes do, and a process that
+// dies drops its locks with its files.
 //
-// # Claim/lease protocol
+// # Claims
 //
-// One claim file per digest under claims/, created with O_CREATE|O_EXCL
-// — the filesystem's atomic test-and-set. The holder computes the cell,
-// appends the result, and removes the claim. Waiters poll: each tick
-// they refresh the result log (a foreign append satisfies them,
-// Source-Waited) and re-examine the claim. A claim older than the lease
-// TTL is presumed orphaned (holder crashed mid-simulation) and stolen:
-// removed, then re-contended through the same O_EXCL create. The steal
-// races benignly — the worst case is two processes simulating the same
-// deterministic cell and appending identical payloads, which the
-// last-write-wins result log absorbs.
+// One claim file per digest under claims/. TryClaim opens it and takes
+// LOCK_EX|LOCK_NB: exactly one open file wins, and keeps the lock while
+// its holder computes the cell, appends the result, and releases —
+// removing the file while still locked, then closing it. A lock won on
+// a file that is no longer at its path guards nothing (its holder
+// removed it between our open and our lock) and counts as held. Waiters
+// poll: each tick they refresh the result log (a foreign append
+// satisfies them, SourceWaited) and try the claim again.
 //
-// Appends are serialized across processes by store.lock (same
-// acquire/steal discipline, short TTL): the result log is a sequence of
-// block appends, and interleaving two processes' blocks would tear both
-// records. Under the lock the writer refreshes to the true tail first,
-// so foreign records are never overwritten.
+// # Append lock
+//
+// store.lock is held with LOCK_EX from a Put's refresh through its
+// append and fsync, so two processes' blocks never interleave, each
+// appends after the other's records, and a partial record found there
+// is a dead writer's, which the append cuts first. OpenStore holds it
+// around the log's open, whose torn-tail repair would otherwise cut
+// another process's append in flight.
+//
+// A daemon that still uses mtime lease files does not see these locks:
+// only daemons of one build may share a store.
 //
 // # Degraded mode
 //
@@ -102,9 +110,6 @@ func DigestOf(canonicalKey string) [32]byte {
 // once for observability.
 type Store struct {
 	dir string
-	// Lease is how old a claim file may grow before waiters steal it.
-	// It must comfortably exceed the longest cell simulation.
-	Lease time.Duration
 	// Poll is the waiter's re-check interval.
 	Poll time.Duration
 	// OnDegrade, if non-nil, is called exactly once, when the store
@@ -112,36 +117,39 @@ type Store struct {
 	OnDegrade func(error)
 
 	mu       sync.Mutex
+	lock     *os.File // store.lock, open for the Store's life
+	claims   map[[32]byte]*os.File
 	res      *storage.Results
 	degraded error
 	degOnce  sync.Once
 }
 
-// Store tuning defaults.
-const (
-	// DefaultLease bounds claim-holder absence: a simulation exceeding
-	// it will have its claim stolen and the cell recomputed. Scaled
-	// cells run in milliseconds-to-seconds; 30s is generous.
-	DefaultLease = 30 * time.Second
-	// DefaultPoll is the waiter tick. Cheap: a stat of the claim file
-	// plus an incremental log rescan.
-	DefaultPoll = 20 * time.Millisecond
-	// lockLease bounds the append lock (held only for one refresh +
-	// append, never a simulation).
-	lockLease = 5 * time.Second
-)
+// DefaultPoll is the waiter tick. Cheap: one incremental log rescan
+// plus an open and a non-blocking flock of the claim file.
+const DefaultPoll = 20 * time.Millisecond
 
 // OpenStore mounts (creating if needed) a store directory: results.log
-// for payloads, claims/ for the lease protocol. wrap, if non-nil,
-// decorates the log backend before the result region mounts on it —
-// the fault-injection hook the nightly soak uses to storm the store
-// with transient I/O failures.
+// for payloads, store.lock for appends, claims/ for claims. wrap, if
+// non-nil, decorates the log backend before the result region mounts
+// on it — the fault-injection hook the nightly soak uses to storm the
+// store with transient I/O failures.
 func OpenStore(dir string, wrap storage.Wrapper) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "claims"), 0o755); err != nil {
 		return nil, err
 	}
+	lock, err := os.OpenFile(filepath.Join(dir, "store.lock"), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	// Opening the log repairs a torn tail, so it runs under the append
+	// lock. Closing the lock file on an error path drops the lock.
+	if err := flock(lock, syscall.LOCK_EX); err != nil {
+		lock.Close()
+		return nil, err
+	}
 	f, err := storage.OpenFile(filepath.Join(dir, "results.log"), 0)
 	if err != nil {
+		lock.Close()
 		return nil, err
 	}
 	var b storage.Backend = f
@@ -151,15 +159,22 @@ func OpenStore(dir string, wrap storage.Wrapper) (*Store, error) {
 	res, err := storage.OpenResults(b)
 	if err != nil {
 		b.Close()
+		lock.Close()
 		return nil, err
 	}
-	return &Store{dir: dir, Lease: DefaultLease, Poll: DefaultPoll, res: res}, nil
+	flock(lock, syscall.LOCK_UN)
+	return &Store{dir: dir, Poll: DefaultPoll, lock: lock, claims: map[[32]byte]*os.File{}, res: res}, nil
 }
 
-// Close syncs and releases the result log.
+// flock applies how (syscall.LOCK_*) to f's open file. LOCK_UN on an
+// open file cannot fail, so the unlocking calls drop the error.
+func flock(f *os.File, how int) error { return syscall.Flock(int(f.Fd()), how) }
+
+// Close syncs and releases the result log and the append lock.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.lock.Close()
 	return s.res.Close()
 }
 
@@ -231,12 +246,11 @@ func (s *Store) Put(d [32]byte, payload []byte) error {
 	if s.degraded != nil {
 		return nil
 	}
-	lock := filepath.Join(s.dir, "store.lock")
-	if err := acquireLockFile(lock, lockLease, s.Poll); err != nil {
+	if err := flock(s.lock, syscall.LOCK_EX); err != nil {
 		s.degradeLocked(fmt.Errorf("serve: append lock: %w", err))
 		return err
 	}
-	defer os.Remove(lock)
+	defer flock(s.lock, syscall.LOCK_UN)
 	// Refresh to the true tail first: another process may have appended
 	// since our last scan, and the backend must append after its blocks.
 	if err := s.res.Refresh(); err != nil {
@@ -264,76 +278,57 @@ type ClaimState int
 const (
 	// ClaimAcquired: we hold the claim; compute, Put, then Release.
 	ClaimAcquired ClaimState = iota + 1
-	// ClaimHeld: a live foreign claim exists; poll and retry.
+	// ClaimHeld: another Store or another of this Store's requests
+	// holds the claim; poll and retry.
 	ClaimHeld
-	// ClaimStolen: a stale claim was removed; re-contend immediately.
-	ClaimStolen
 )
 
-// TryClaim attempts to take the claim for d, stealing a lease older
-// than s.Lease. In degraded mode it reports ClaimAcquired without
-// touching the disk — coalescing is off, every requester computes.
+// TryClaim attempts to take the claim for d without blocking. In
+// degraded mode it reports ClaimAcquired without touching the disk —
+// coalescing is off, every requester computes.
 func (s *Store) TryClaim(d [32]byte) (ClaimState, error) {
-	if deg, _ := s.Degraded(); deg {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.degraded != nil {
 		return ClaimAcquired, nil
+	}
+	if s.claims[d] != nil {
+		return ClaimHeld, nil
 	}
 	path := s.claimPath(d)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err == nil {
-		fmt.Fprintf(f, "pid=%d\n", os.Getpid())
-		f.Close()
-		return ClaimAcquired, nil
-	}
-	if !errors.Is(err, os.ErrExist) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
 		return 0, err
 	}
-	fi, serr := os.Stat(path)
-	if serr != nil {
-		// Claim vanished between create and stat: the holder finished.
-		return ClaimStolen, nil
+	if err := flock(f, syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return ClaimHeld, nil
+		}
+		return 0, err
 	}
-	if time.Since(fi.ModTime()) > s.Lease {
-		// Orphaned by a crashed holder. Removal races with other
-		// stealers and with a holder's own Release; every outcome
-		// converges on at most a duplicate compute of a deterministic
-		// cell.
-		os.Remove(path)
-		return ClaimStolen, nil
+	// The lock counts only on the file at the path now: one its holder
+	// removed after our open guards nothing.
+	held, herr := f.Stat()
+	cur, cerr := os.Stat(path)
+	if herr != nil || cerr != nil || !os.SameFile(held, cur) {
+		f.Close()
+		return ClaimHeld, nil
 	}
-	return ClaimHeld, nil
+	s.claims[d] = f
+	return ClaimAcquired, nil
 }
 
-// Release drops the claim for d (holder side).
+// Release drops the claim for d if this Store holds it, degraded or
+// not: the file is removed while still locked, so no open that follows
+// can lock it, and closing it drops the lock. A claim this Store did
+// not take is left alone.
 func (s *Store) Release(d [32]byte) {
-	if deg, _ := s.Degraded(); deg {
-		return
-	}
-	os.Remove(s.claimPath(d))
-}
-
-// acquireLockFile takes a short-TTL mutex file, spinning at the poll
-// interval and stealing stale instances. Unlike claims there is no
-// result to wait for — the lock only serializes appends — so the loop
-// is bounded by the TTL itself: if the lock cannot be won within two
-// leases something is genuinely wedged and the store degrades.
-func acquireLockFile(path string, ttl, poll time.Duration) error {
-	deadline := time.Now().Add(2 * ttl)
-	for {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			fmt.Fprintf(f, "pid=%d\n", os.Getpid())
-			return f.Close()
-		}
-		if !errors.Is(err, os.ErrExist) {
-			return err
-		}
-		if fi, serr := os.Stat(path); serr == nil && time.Since(fi.ModTime()) > ttl {
-			os.Remove(path)
-			continue
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("serve: lock %s held past %v", filepath.Base(path), 2*ttl)
-		}
-		time.Sleep(poll)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f := s.claims[d]; f != nil {
+		os.Remove(s.claimPath(d)) // a file left behind is unlocked: the next TryClaim takes it
+		f.Close()
+		delete(s.claims, d)
 	}
 }

@@ -105,11 +105,12 @@ type RecoverInfo struct {
 	// record names: every block of it was validated, and the backward
 	// scan decoded the ones it reached.
 	BlocksRead int
-	// TornBytes is how many log bytes past that prefix were dropped:
-	// blocks appended after the last log sync, whether a crash left
-	// them whole, zeroed, garbage or torn; stale blocks a rewind left
-	// behind the append point, which the session never overwrote; and
-	// any partial tail.
+	// TornBytes is how many log bytes past that prefix recovery
+	// ignored: blocks appended after the last log sync, whether a crash
+	// left them whole, zeroed, garbage or torn; stale blocks a rewind
+	// left behind the append point, which the session never overwrote;
+	// and any partial tail, which the open cut. The whole blocks stay on
+	// file for the next session to overwrite in place.
 	TornBytes uint64
 	// ImageTornBytes is how many torn image batch bytes — a commit the
 	// crash interrupted, or rot in the final batch — were discarded at
@@ -140,7 +141,7 @@ type RecoverInfo struct {
 // every block of the log prefix its commit record names while the image
 // loads beside it, scan the prefix backward from its end applying every
 // entry covering the marker epoch until the first block that expired at
-// or before it, and drop the log past the prefix. The validation and
+// or before it, and ignore the log past the prefix. The validation and
 // the load read different files and share no state, so they run on two
 // goroutines (see Wrapper) and recovery waits for the longer of them,
 // the load. The validation's error wins: rot in the prefix is reported
@@ -150,7 +151,7 @@ type RecoverInfo struct {
 // log. Every block of the prefix was synced before the commit sealed,
 // so a block of it that fails validation, or is missing, is rot
 // (undolog.ErrCorruptBlock); whatever lies past it was never synced
-// under any commit and is dropped, whatever its shape. Recover also
+// under any commit and is ignored, whatever its shape. Recover also
 // keeps what Reset seals: the image it returns and the lines its scan
 // changed.
 func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
@@ -178,9 +179,6 @@ func (d *Dir) Recover() (*mem.Image, RecoverInfo, error) {
 	}
 	applied, scanned, changed, err := applyLog(d.Log, start, named, img, marker)
 	if err != nil {
-		return nil, RecoverInfo{}, err
-	}
-	if err := d.Log.Truncate(named); err != nil {
 		return nil, RecoverInfo{}, err
 	}
 	d.rec = &recovered{img: img, marker: marker, changed: changed}

@@ -34,10 +34,10 @@ import (
 //
 // A Results is not safe for concurrent use; internal/serve serializes
 // access behind its store mutex. Cross-process sharing is append-only
-// and externally serialized (the store's lock file): writers refresh to
-// the true tail before appending, readers pick up foreign appends via
-// Refresh, which never truncates — an unreadable tail there may simply
-// be another process's append still in flight.
+// and externally serialized (the store's flock'd append lock): writers
+// refresh to the true tail before appending, readers pick up foreign
+// appends via Refresh, which never truncates — an unreadable tail there
+// may simply be another process's append still in flight.
 type Results struct {
 	b Backend
 	// idx maps digest -> payload for every complete record scanned so
@@ -161,10 +161,16 @@ func (r *Results) Digests() [][32]byte {
 // Put appends one record and makes it durable before returning. A
 // digest already present is re-appended (last write wins on the next
 // scan); callers coalesce via the claim protocol, so duplicates are
-// rare and harmless.
+// rare and harmless. Appends are serialized, so blocks past the last
+// complete record are no append in flight but a dead writer's partial
+// record: Put cuts them first, as the next open would, or that open
+// would cut this record with them.
 func (r *Results) Put(d [32]byte, payload []byte) error {
 	if len(payload) > MaxResultBytes {
 		return fmt.Errorf("storage: result payload %d bytes exceeds %d", len(payload), MaxResultBytes)
+	}
+	if err := r.b.Truncate(r.scanned); err != nil {
+		return err
 	}
 	total := resultHeaderBytes + len(payload)
 	nblocks := (total + undolog.BlockBytes - 1) / undolog.BlockBytes

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -278,6 +279,54 @@ func TestResultsRefreshCrossProcess(t *testing.T) {
 		t.Fatal("reader truncated the shared file")
 	}
 	writer.Close()
+}
+
+// TestResultsPutCutsDeadWritersTail: appends are serialized, so the
+// whole blocks a Refresh finds past the last complete record are a dead
+// writer's partial record, not an append in flight. Put cuts them before
+// appending: behind them, its record would be cut with them at the next
+// open.
+func TestResultsPutCutsDeadWritersTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shared.log")
+	df, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := OpenResults(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dead writer landed the first block of a three-block record.
+	first := make([]byte, undolog.BlockBytes)
+	copy(first, resultMagic[:])
+	binary.LittleEndian.PutUint32(first[4:8], 5000)
+	if err := df.AppendBlock(first); err != nil {
+		t.Fatal(err)
+	}
+	df.Close()
+	if err := writer.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Put(digestOf("after"), []byte("acknowledged")); err != nil {
+		t.Fatal(err)
+	}
+	writer.Close()
+	rf, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenResults(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, ok := r.Get(digestOf("after")); !ok || string(got) != "acknowledged" || r.Blocks() != 1 {
+		t.Fatalf("reopened log holds %d blocks and %q (found: %v); want the acknowledged record alone", r.Blocks(), got, ok)
+	}
 }
 
 // TestResultsPutBounds rejects oversized payloads before touching the

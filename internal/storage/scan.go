@@ -95,12 +95,13 @@ func applyLog(lg LogStore, start, named uint64, img *mem.Image, marker mem.Epoch
 	return applied, scanned, changed, err
 }
 
-// EachBlock calls fn on every block the log stores, oldest first,
-// decoding one block at a time from chunked positional reads, and
-// stops at the first error. After Recover that is the prefix recovery
-// read (cmd/picl-recover's structural audit).
+// EachBlock calls fn on every block of the log prefix the newest sealed
+// commit names — the prefix recovery reads — oldest first, decoding one
+// block at a time from chunked positional reads, and stops at the first
+// error (cmd/picl-recover's structural audit). The stale or unsynced
+// blocks past it are not read.
 func (d *Dir) EachBlock(fn func(undolog.Block) error) error {
-	return eachStored(d.Log, d.Log.Super().Start, d.Log.Blocks(), false, func(_ uint64, raw []byte) (bool, error) {
+	return eachStored(d.Log, d.Log.Super().Start, d.mk.im.LogBlocks(), false, func(_ uint64, raw []byte) (bool, error) {
 		b, err := undolog.DecodeBlock(raw)
 		if err == nil {
 			err = fn(b)

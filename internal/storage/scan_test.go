@@ -342,8 +342,8 @@ func TestFileReadBlocks(t *testing.T) {
 	}
 }
 
-// TestDirEachBlock: EachBlock walks the stored blocks oldest first,
-// across read chunks, and stops at the callback's first error.
+// TestDirEachBlock: EachBlock walks the committed log prefix oldest
+// first, across read chunks, and stops at the callback's first error.
 func TestDirEachBlock(t *testing.T) {
 	d, err := OpenDir(t.TempDir())
 	if err != nil {
@@ -359,6 +359,9 @@ func TestDirEachBlock(t *testing.T) {
 		if err := d.Log.AppendBlock(raw); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := d.PersistMarker(1); err != nil {
+		t.Fatal(err)
 	}
 	var seen []mem.EpochID
 	stop := errors.New("stop")

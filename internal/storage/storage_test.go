@@ -343,7 +343,9 @@ func TestDirRecoverCycle(t *testing.T) {
 	// Reset keeps the image — 12 line records and a commit record for 8
 	// live lines — and appends the lines the scan changed, ascending,
 	// sealed under epoch 1 and naming an empty log prefix, then epoch 0
-	// twice. The log stays where it is, its block now stale.
+	// twice. The log stays where it is, both its blocks now stale: the
+	// recovery past the crash ignored the one no commit names and cut
+	// nothing.
 	imgPath, logPath := filepath.Join(dir, ImageFileName), filepath.Join(dir, LogFileName)
 	before := readSealed(t, imgPath)
 	logBefore, _ := os.ReadFile(logPath)
@@ -380,8 +382,8 @@ func TestDirRecoverCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info2.Marker.AtMost(0) || info2.BlocksRead != 0 || info2.Applied != 0 || info2.TornBytes != undolog.BlockBytes {
-		t.Fatalf("post-reset info = %+v, want epoch 0, nothing read and the stale block dropped", info2)
+	if !info2.Marker.AtMost(0) || info2.BlocksRead != 0 || info2.Applied != 0 || info2.TornBytes != 2*undolog.BlockBytes {
+		t.Fatalf("post-reset info = %+v, want epoch 0, nothing read and both stale blocks ignored", info2)
 	}
 	if !img2.Equal(want) {
 		t.Fatalf("post-reset image differs: %v", img2.Diff(want, 5))

@@ -147,10 +147,10 @@ func WithHierarchy(l1, l2, llc LevelGeometry) Option {
 	}
 }
 
-// WithSmallCaches swaps in a miniature hierarchy (1 KB L1 / 8 KB L2 /
-// 32 KB-per-core LLC) so small example workloads still exercise
-// evictions and memory traffic. It is WithHierarchy with a canned
-// geometry.
+// WithSmallCaches swaps in a miniature hierarchy (1 KB L1 and 8 KB L2
+// per core, one 32 KB LLC shared by all cores, however many) so small
+// example workloads still exercise evictions and memory traffic. It is
+// WithHierarchy with a canned geometry.
 func WithSmallCaches() Option {
 	return WithHierarchy(
 		LevelGeometry{SizeBytes: 1 << 10, Ways: 4, LatencyCycles: 1},
