@@ -160,10 +160,12 @@ load-soak:
 	bin/picl-load -spawn bin/picl-simd -spawn-args "-fault-seed 7" -soak 60s
 
 # fuzz (part of ci) is the storage fault-injection campaign: 200 seeded
-# fault schedules per mode (sim crash sweeps + injected torn writes,
-# lying fsyncs, ENOSPC, bit rot, power cuts against real store
-# directories), every survivor verified against the golden replay and
-# every recovery checked bit-exactly (see cmd/picl-fuzz and DESIGN.md
-# §11). PICL_FUZZ_LONG=1 scales to the nightly campaign size (x10).
+# fault schedules per mode (sim crash sweeps + failing writes and
+# fsyncs, bit rot, and power cuts that land or lose every sector
+# written since each file's last fsync, under real store directories),
+# every survivor verified against the golden replay, every recovery
+# checked bit-exactly and never below the last Sync that returned nil
+# (see cmd/picl-fuzz and DESIGN.md §11). PICL_FUZZ_LONG=1 scales to the
+# nightly campaign size (x10).
 fuzz:
 	go run ./cmd/picl-fuzz -points 200

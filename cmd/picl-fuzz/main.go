@@ -13,18 +13,18 @@
 //     (sim.CrashAndRecover's internal bit-exact check).
 //
 //   - storage: durable-store fault injection. Each point opens a real
-//     store directory wrapped in the deterministic fault injector
-//     (internal/storage/fault), drives the shared crashplan workload
-//     through the full facade, and verifies the directory left behind:
-//     power cuts and degradations must recover bit-exactly to the epoch
-//     the marker names, whatever shape the cut left the unsynced log
-//     blocks in; injected bit rot must surface as a hard corruption
-//     error, never pass silently — a recovery that succeeds over a log
-//     prefix holding a rotted block fails the point; a torn commit
-//     append, in order or out
-//     of it, must recover the last completed commit; stale
-//     *.tmp files must be swept; and a degraded machine must keep
-//     serving reads and stats while writes fail (graceful degradation).
+//     store directory whose files run behind the deterministic fault
+//     injector (internal/storage/fault), drives the shared crashplan
+//     workload through the full facade, and verifies the directory left
+//     behind: power cuts and degradations must recover bit-exactly to
+//     the epoch the marker names, whichever of the sectors written since
+//     each file's last fsync the cut landed; the marker must not be
+//     below the epoch of the last Sync that returned nil; injected bit
+//     rot must surface as a hard corruption error, never pass silently
+//     — a recovery that succeeds over a log prefix holding a rotted
+//     block fails the point; stale *.tmp files must be swept; and a
+//     degraded machine must keep serving reads and stats while writes
+//     fail (graceful degradation).
 //
 // Usage:
 //
@@ -273,8 +273,8 @@ func profileFor(seed uint64) fault.Profile {
 		return fault.Transient()
 	default:
 		p := fault.Default()
-		p.CrashAtMin = 20
-		p.CrashWindow = 400
+		p.CrashAtMin = 10
+		p.CrashWindow = 200
 		return p
 	}
 }
@@ -297,10 +297,12 @@ func runStoragePoint(dir string, seed uint64, gaps []int) (string, string, fault
 	}
 
 	// Drive the shared crashplan workload, tracking the application's
-	// view (cur) and a golden snapshot per sealed epoch.
+	// view (cur), a golden snapshot per epoch ended, and the epoch of
+	// the last Sync that returned nil: durable, whatever happens next.
 	ops, _ := crashplan.Plan(crashplan.Splitmix64(seed))
 	cur := mem.NewImage()
 	snaps := []*mem.Image{cur.Clone()}
+	synced := 0
 	var opErr error
 	for _, o := range ops {
 		if err := m.Write(o.Line*64, o.Val); err != nil {
@@ -316,11 +318,15 @@ func runStoragePoint(dir string, seed uint64, gaps []int) (string, string, fault
 			snaps = append(snaps, cur.Clone())
 		}
 		if o.Sync {
-			if _, err := m.Sync(); err != nil {
+			// A Sync that fails still ended its epoch, and its commit
+			// may be on disk: the write can land though the fsync failed.
+			_, err := m.Sync()
+			snaps = append(snaps, cur.Clone())
+			if err != nil {
 				opErr = err
 				break
 			}
-			snaps = append(snaps, cur.Clone())
+			synced = len(snaps) - 1
 		}
 	}
 
@@ -359,13 +365,17 @@ func runStoragePoint(dir string, seed uint64, gaps []int) (string, string, fault
 		// could observe it.
 		outcome = "cut"
 	}
+	closeErr := m.Close() // errors expected after a cut or degradation
 	if outcome == "clean" {
 		// Close force-persists the tail epoch; its state is the full
 		// replay. Close may itself degrade or hit the cut — the marker
-		// bound check below covers every case.
+		// bound check below covers every case — and a Close that
+		// returns nil is a Sync that did.
 		snaps = append(snaps, crashplan.Final(ops))
+		if closeErr == nil {
+			synced = len(snaps) - 1
+		}
 	}
-	_ = m.Close() // errors expected after a cut or degradation
 
 	// Verify the directory left behind.
 	c := inj.Counts()
@@ -374,8 +384,9 @@ func runStoragePoint(dir string, seed uint64, gaps []int) (string, string, fault
 		// Injected bit rot in a named log block or image record MUST
 		// surface as hard corruption — a detected, reported failure,
 		// never a silent wrong answer.
-		if c.RotBits > 0 && errors.Is(err, undolog.ErrCorruptBlock) ||
-			c.ImgRotBits > 0 && errors.Is(err, storage.ErrCorruptImage) {
+		logFlips := uint64(len(inj.LogRot()))
+		if logFlips > 0 && errors.Is(err, undolog.ErrCorruptBlock) ||
+			c.RotBits > logFlips && errors.Is(err, storage.ErrCorruptImage) {
 			return "", "rot-detected", c
 		}
 		return fmt.Sprintf("recovery error: %v (%v)", err, c), outcome, c
@@ -385,6 +396,9 @@ func runStoragePoint(dir string, seed uint64, gaps []int) (string, string, fault
 	}
 	if int(info.Marker) >= len(snaps) {
 		return fmt.Sprintf("marker %d but only %d epochs sealed (%v)", info.Marker, len(snaps)-1, c), outcome, c
+	}
+	if int(info.Marker) < synced {
+		return fmt.Sprintf("marker %d below epoch %d, which a Sync that returned nil made durable (%v)", info.Marker, synced, c), outcome, c
 	}
 	if want := snaps[info.Marker]; !img.Equal(want) {
 		return fmt.Sprintf("image differs from golden epoch %d at lines %v (blocks=%d applied=%d torn=%dB, %v)",

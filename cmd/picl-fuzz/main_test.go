@@ -3,8 +3,11 @@ package main
 import (
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"picl/internal/storage/fault"
 )
 
 var testGaps = []int{0, 1, 3}
@@ -25,6 +28,37 @@ func TestStoragePointsVerify(t *testing.T) {
 	}
 	if len(outcomes) < 3 {
 		t.Fatalf("40 seeds hit only %v; fault schedule too tame", outcomes)
+	}
+}
+
+// TestStorageCampaignCoverage: over `make fuzz`'s storage campaign —
+// 200 points from seed 2018 — every fault class injects and every
+// outcome class occurs, so a class that stopped firing fails here
+// rather than reading 0 in the campaign's summary line.
+func TestStorageCampaignCoverage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the 200-point storage campaign; skipped in -short")
+	}
+	var agg fault.Counts
+	outcomes := map[string]int{}
+	for seed := uint64(2018); seed < 2018+200; seed++ {
+		msg, outcome, c := runStoragePoint(filepath.Join(t.TempDir(), "store"), seed, testGaps)
+		if msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+		agg.Add(c)
+		outcomes[outcome]++
+	}
+	v := reflect.ValueOf(agg)
+	for i := range v.NumField() {
+		if v.Field(i).Uint() == 0 {
+			t.Errorf("no point injected %s: %v", v.Type().Field(i).Name, agg)
+		}
+	}
+	for _, o := range []string{"clean", "cut", "degraded", "rot-detected"} {
+		if outcomes[o] == 0 {
+			t.Errorf("no point ended %s: %v", o, outcomes)
+		}
 	}
 }
 

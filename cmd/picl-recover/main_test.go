@@ -225,17 +225,34 @@ func TestSmokeLogAuditTornBatch(t *testing.T) {
 	work := t.TempDir()
 	store := filepath.Join(work, "store")
 	buildStore(t, store)
-	im, err := storage.OpenImage(filepath.Join(store, storage.ImageFileName))
+	// Commit one more line, then put the image back as it was but for
+	// bytes 30..48 of that commit's 48-byte batch (the line record and
+	// the commit record sealing it): the part that landed.
+	path := filepath.Join(store, storage.ImageFileName)
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := im.WriteLine(3, 77); err != nil {
+	d, err := storage.OpenDir(store)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if torn, _, err := im.Cut(30, true, false, true); !torn || err != nil {
-		t.Fatalf("cut: torn=%v err=%v", torn, err)
+	if err := d.Img.WriteLine(3, 77); err != nil {
+		t.Fatal(err)
 	}
-	if err := im.Close(); err != nil {
+	if err := d.Mk.Set(8); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(bytes.TrimRight(before, "\x00")) // the sealed end
+	copy(before[end+30:end+48], after[end+30:])
+	if err := os.WriteFile(path, before, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"picl/internal/mem"
 	"picl/internal/storage"
 )
 
@@ -121,5 +122,81 @@ func TestDegradedModeReadOnly(t *testing.T) {
 	defer m2.Close()
 	if m2.Degraded() {
 		t.Fatal("healthy reopen reports degraded")
+	}
+}
+
+// failingSet fails every marker Set while *fail is true: the commit's
+// write or fsync died.
+type failingSet struct {
+	storage.MarkerStore
+	fail *bool
+}
+
+func (f failingSet) Set(e mem.EpochID) error {
+	if *f.fail {
+		return errors.New("injected commit failure")
+	}
+	return f.MarkerStore.Set(e)
+}
+
+// failSetWrapper wraps only the marker.
+type failSetWrapper struct{ fail *bool }
+
+func (w failSetWrapper) WrapLog(l storage.LogStore) storage.LogStore       { return l }
+func (w failSetWrapper) WrapImage(i storage.ImageStore) storage.ImageStore { return i }
+func (w failSetWrapper) WrapMarker(m storage.MarkerStore) storage.MarkerStore {
+	return failingSet{m, w.fail}
+}
+
+// TestSyncReportsFailedCommit: a Sync whose durable commit fails
+// returns ErrBackend — its epoch is not durable — and ReleaseIO holds
+// back the I/O queued before it (paper §IV-C), before Close and after
+// it, while a Sync that commits releases its I/O. The reopened store
+// recovers the last Sync that returned nil.
+func TestSyncReportsFailedCommit(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	fail := false
+	m, err := Open(dir, WithSmallCaches(), WithStoreWrapper(failSetWrapper{&fail}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync := func(v uint64, tag string) error {
+		if err := m.Write(0, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.QueueIO(tag); err != nil {
+			t.Fatal(err)
+		}
+		_, err := m.Sync()
+		return err
+	}
+	if err := sync(7, "first"); err != nil {
+		t.Fatalf("healthy Sync: %v", err)
+	}
+	if got := m.ReleaseIO(); len(got) != 1 || got[0] != "first" {
+		t.Fatalf("after a committed Sync ReleaseIO = %q, want [first]", got)
+	}
+	fail = true
+	if err := sync(9, "second"); !errors.Is(err, ErrBackend) || !m.Degraded() {
+		t.Fatalf("Sync over a failing commit = %v (degraded %v), want ErrBackend", err, m.Degraded())
+	}
+	if got := m.ReleaseIO(); len(got) != 0 {
+		t.Fatalf("ReleaseIO after a failed commit released %q", got)
+	}
+	if err := m.Close(); !errors.Is(err, ErrBackend) {
+		t.Fatalf("Close of the degraded machine = %v, want ErrBackend", err)
+	}
+	if got := m.ReleaseIO(); len(got) != 0 {
+		t.Fatalf("ReleaseIO after Close released %q", got)
+	}
+
+	m2, err := Open(dir, WithSmallCaches())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	img, epoch := m2.Recovered()
+	if epoch != 1 || img.Read(0) != 7 {
+		t.Fatalf("reopened at epoch %d with line 0 = %d, want the first Sync's epoch 1 holding 7", epoch, img.Read(0))
 	}
 }

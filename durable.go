@@ -10,11 +10,11 @@ import (
 )
 
 // StoreWrapper intercepts a durable store's three components (undo log,
-// image file, marker) with arbitrary middleware. Its one in-tree
-// implementation is the deterministic fault injector
-// (internal/storage/fault), which the crash-fuzz campaign uses to
-// subject a live machine to torn appends, failing syncs, bit rot, and
-// scheduled power cuts.
+// image file, marker) with arbitrary middleware. The deterministic
+// fault injector (internal/storage/fault) is one: it interposes on the
+// files behind them, and the crash-fuzz campaign uses it to subject a
+// live machine to failing writes and fsyncs, bit rot, and scheduled
+// power cuts that land or lose whatever no fsync covered.
 type StoreWrapper = storage.Wrapper
 
 // WithStoreWrapper installs a component wrapper on the durable store a

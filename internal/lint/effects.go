@@ -141,6 +141,11 @@ func classOf(t types.Type) recvClass {
 		}
 		return clsNone
 	}
+	// FileOps is storage's file seam: a raw file like *os.File, whose
+	// fsync is no log sync, though its name holds "file".
+	if name == "FileOps" {
+		return clsOSFile
+	}
 	// Case-insensitive so unexported implementations (imageFile,
 	// tornMarker) classify like their exported interfaces. Image is
 	// tested before the log words: "ImageFile" is an image.

@@ -315,3 +315,30 @@ func (g *engine) ForcePersist(e uint64) error { return g.seal(e) }
 func (g *engine) EpochBoundary(e uint64) error {
 	return g.seal(e)
 }
+
+// FileOps is the file seam storage's files do their I/O through: a raw
+// file, classified like *os.File, not as the undo log its name suggests.
+type FileOps interface {
+	WriteAt(p []byte, off int64) (int, error)
+	Sync() error
+}
+
+// opsMarker writes its commit through a FileOps field and returns
+// before fsyncing it: rule 3's marker-not-in-place.
+type opsMarker struct{ f FileOps }
+
+func (m *opsMarker) Set(e uint64) error {
+	_, err := m.f.WriteAt([]byte{byte(e)}, 0)
+	return err
+}
+
+// syncedOpsMarker writes its commit through a FileOps field, then
+// fsyncs that file: in place, and clean.
+type syncedOpsMarker struct{ f FileOps }
+
+func (m *syncedOpsMarker) Set(e uint64) error {
+	if _, err := m.f.WriteAt([]byte{byte(e)}, 0); err != nil {
+		return err
+	}
+	return m.f.Sync()
+}

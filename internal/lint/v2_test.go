@@ -20,12 +20,14 @@ import (
 // the bulk ACS shares (316); W3's truncating rewrite (192), renaming
 // marker (201, plus its rename at 206 twice: no file fsync and no dir
 // fsync), unsynced positional write (213), non-staging rename (224),
-// O_TRUNC reopen (235) and a commit helper that truncates the image
-// (278). The clean shapes — GoodDirect, the unsynced AppendOnly,
+// O_TRUNC reopen (235), a commit helper that truncates the image
+// (278) and a positional write through a FileOps field with no fsync
+// (330). The clean shapes — GoodDirect, the unsynced AppendOnly,
 // evictOrdered, GoodMarker, the zero-marker reset, both ForcePersists
 // reaching the bulk commit, the in-place goodMarker.Set, sealMarker.Set
-// committing through the image log, the createLayout replace and the
-// suppressed migrateRaw — are asserted by absence.
+// committing through the image log, syncedOpsMarker.Set fsyncing its
+// FileOps, the createLayout replace and the suppressed migrateRaw — are
+// asserted by absence.
 func TestWALOrderGolden(t *testing.T) {
 	runGolden(t, "walorder", "picl/internal/storage/wtest", WALOrder, []expect{
 		{29, "walorder"},  // BadDirect: write, no undo coverage
@@ -46,6 +48,7 @@ func TestWALOrderGolden(t *testing.T) {
 		{286, "walorder"}, // splitBeforeHelper: image synced, then GoodMarker
 		{300, "walorder"}, // store.EpochBoundary takes the bulk commit
 		{316, "walorder"}, // engine.EpochBoundary shares seal with ForcePersist
+		{330, "walorder"}, // opsMarker.Set: write through FileOps, no fsync
 	})
 }
 

@@ -152,7 +152,7 @@ func OpenStore(dir string, wrap storage.Wrapper) (*Store, error) {
 		lock.Close()
 		return nil, err
 	}
-	var b storage.Backend = f
+	var b storage.LogStore = f
 	if wrap != nil {
 		b = wrap.WrapLog(f)
 	}

@@ -22,9 +22,10 @@ const (
 // persisted-epoch marker, living together in one directory. It is what
 // `picl.Open` mounts, what the SIGKILL crash harness leaves behind, and
 // what `picl-recover -log` audits.
-// The component fields are interfaces so a Wrapper (fault injection)
-// can interpose on every durable operation; without a wrapper they hold
-// the concrete *File, *ImageFile, and *Marker directly.
+// The component fields are interfaces so a Wrapper can decorate them
+// (the benchmark's timer); without one, or under the fault injector,
+// which interposes on the files behind them, they hold the concrete
+// *File, *ImageFile, and *Marker.
 type Dir struct {
 	path string
 	Log  LogStore
@@ -80,10 +81,10 @@ func OpenDir(path string) (*Dir, error) {
 // Path returns the directory the store lives in.
 func (d *Dir) Path() string { return d.path }
 
-// Wrap interposes w on every component and remembers it, so Reset
-// re-wraps the image its compaction opens. Install after Recover/Reset
-// (mount-time recovery should read the real files) and before handing
-// the Dir to a machine.
+// Wrap hands every component to w and keeps what it returns, and
+// remembers w, so Reset re-wraps the image its compaction opens.
+// Install after Recover/Reset (mount-time recovery should read the real
+// files) and before handing the Dir to a machine.
 func (d *Dir) Wrap(w Wrapper) {
 	if w == nil {
 		return
@@ -352,7 +353,7 @@ func writeCompacted(f *os.File, img *mem.Image, e mem.EpochID, start uint64) (*I
 		return nil, err
 	}
 	size := imageHeaderBytes + (n+3)*imageRecBytes
-	return &ImageFile{f: f, size: size, alloc: size, sealedLog: start, syncedLog: start}, nil
+	return &ImageFile{f: f, size: size, final: size - imageRecBytes, alloc: size, sealedLog: start, syncedLog: start}, nil
 }
 
 // PersistMarker durably advances the persisted-epoch marker, enforcing
@@ -387,6 +388,11 @@ func (d *Dir) PersistBulk(e mem.EpochID) error {
 	}
 	return d.Log.Rewind(d.mk.im.LogBlocks())
 }
+
+// Committed reports the epoch of the last commit that completed, its
+// write and its fsync both: the newest epoch the store holds durably
+// (0 before the session's first commit).
+func (d *Dir) Committed() mem.EpochID { return d.mk.im.epoch }
 
 // Close releases every component; image records no commit sealed are
 // dropped.

@@ -1,57 +1,47 @@
 // Package fault is a deterministic storage fault injector: a
-// storage.Wrapper that interposes on a durable store's three components
-// (undo log, image file, marker) and injects per-operation failures
-// from a splitmix64-seeded schedule — torn appends, short writes,
-// failing or silently dropped syncs, failing commits, ENOSPC,
-// single-bit rot in cold log blocks and image records, and a scheduled
-// power cut at operation N.
+// storage.Wrapper that interposes on the files behind a durable store
+// — the undo log and the image file of a Dir, or a result log — at
+// their storage.FileOps seam, and injects per-operation failures from a
+// splitmix64-seeded schedule: writes that fail with ENOSPC, whole or
+// after a prefix landed, fsyncs that fail with EIO once or for good,
+// single-bit rot, and a power cut at operation N.
 //
 // Determinism contract (DESIGN.md §11): every injection decision is a
 // pure function of (seed, operation index, decision class). The
-// operation index is a single counter shared by all three wrapped
-// components, advanced once per intercepted mutating call, so a machine
-// driven by a deterministic workload sees a reproducible fault sequence
-// — the whole campaign failure collapses to one (seed, schedule) pair.
+// operation index is a single counter shared by every interposed file,
+// advanced once per write, truncate and fsync, so a machine driven by a
+// deterministic workload sees a reproducible fault sequence — the whole
+// campaign failure collapses to one (seed, schedule) pair. The seed is
+// hashed before the index is added, so neighbouring seeds draw
+// independent schedules rather than one schedule shifted by an
+// operation.
 //
-// Fault model boundaries, chosen so that every injected fault is either
-// survivable or detectably fatal (never silently corrupting):
+// The power cut knows no file format. Each file keeps what its last
+// fsync made durable; every 512-byte sector written since lands either
+// as written or as that fsync left it, independently across sectors and
+// files; and each file ends at its synced length or its current one.
+// A write that failed, whole or short, is no different: whatever of it
+// reached the file is unsynced like any other write. After the cut
+// every write, truncate and fsync fails with storage.ErrPowerLost.
 //
-//   - A silently dropped sync is modeled as the data SURVIVING a later
-//     power cut (the device acknowledged; treating acknowledged data as
-//     lost would manufacture corruption the recovery contract cannot be
-//     expected to survive). What it exercises is the accounting path.
-//   - Bit rot strikes only log blocks of the prefix the last sealed
-//     commit names, which recovery reads whole, so it MUST surface as a
-//     hard undolog.ErrCorruptBlock, never pass with the unsynced blocks
-//     recovery drops behind that prefix.
-//   - Image rot likewise strikes only image records with a sealed batch
-//     behind them, so it MUST surface as a hard storage.ErrCorruptImage.
-//     (Rot in the final batch reads as a torn batch and recovers one
-//     commit back; the storage tests cover it.)
-//   - A power cut keeps the log up to the last acknowledged-sync
-//     watermark; every block appended since lands whole, as zeros, as
-//     garbage or torn, each independently of the others, in any order
-//     a page cache may write them back. The log is reused in place
-//     (Rewind), so an append can overwrite a stale block: unwritten, it
-//     leaves that old, CRC-valid block where it went, and torn, the old
-//     block's tail behind its own head. A Rewind lowers the watermark
-//     with it. The cut discards the image's staged records, optionally
-//     tearing the commit the next marker Set would make: a prefix of
-//     it, or — out of order — its later part behind zeros or garbage,
-//     over the zero padding, and where the commit would have extended
-//     the padding, that extension landed or lost with the file at its
-//     previous length. Sealed batches are never touched, so the marker
-//     stays the last completed Set. After the cut every intercepted call
-//     fails with storage.ErrPowerLost.
+// Rot is the one fault that is not survivable, so it strikes only bytes
+// recovery validates, and must surface as a hard error, never pass
+// silently: after a successful fsync, one bit may flip in the undo-log
+// prefix the last sealed commit names (undolog.ErrCorruptBlock) or in
+// the image bytes in front of its final sealed batch
+// (storage.ErrCorruptImage). The flip goes to the real file, outside
+// the sector tracking, so no cut undoes it.
 package fault
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"slices"
 	"syscall"
 
-	"picl/internal/mem"
 	"picl/internal/storage"
 	"picl/internal/undolog"
 )
@@ -61,23 +51,17 @@ import (
 // underneath so callers exercising errno-specific paths see them too.
 var ErrInjected = errors.New("fault: injected storage failure")
 
+// sectorBytes is the unit a power cut lands or loses independently.
+const sectorBytes = 512
+
 // Profile sets the 1-in-N odds of each fault class (0 disables a
 // class) plus the power-cut schedule. Rates are independent: each
 // class rolls its own splitmix64 stream per operation.
 type Profile struct {
-	// Undo log faults.
-	SyncFailEvery     int // log fsync returns EIO (retryable upstream)
-	SyncDropEvery     int // log fsync acknowledged but not performed
-	AppendShortEvery  int // block append torn mid-row, error returned
-	AppendENOSPCEvery int // block append fails with ENOSPC
-	RotEvery          int // one bit flips in a block of the log prefix the last commit names
-
-	// Image faults.
-	LineENOSPCEvery int // image line write fails with ENOSPC
-	ImgRotEvery     int // one bit flips in a sealed image batch after a commit
-
-	// Marker faults.
-	MarkerFailEvery int // the commit append's write or fsync fails with EIO (retryable)
+	WriteFailEvery  int // a write fails with ENOSPC before any byte lands
+	ShortWriteEvery int // a write lands a prefix, then fails with ENOSPC
+	SyncFailEvery   int // an fsync fails with EIO (retryable upstream)
+	RotEvery        int // after a successful fsync, one bit flips in bytes recovery validates
 
 	// Power cut: when CrashWindow > 0 the injector schedules a cut at
 	// operation CrashAtMin + seededRand%CrashWindow (the sentinel is
@@ -85,7 +69,7 @@ type Profile struct {
 	CrashAtMin  uint64
 	CrashWindow uint64
 
-	// PermanentSyncFrom, when nonzero, makes every log sync from that
+	// PermanentSyncFrom, when nonzero, makes every fsync from that
 	// operation index on fail — the permanent-device-death scenario that
 	// must land the machine in read-only degraded mode.
 	PermanentSyncFrom uint64
@@ -96,84 +80,56 @@ type Profile struct {
 // no scheduled power cut, no permanent failure.
 func Default() Profile {
 	return Profile{
-		SyncFailEvery:     48,
-		SyncDropEvery:     64,
-		AppendShortEvery:  160,
-		AppendENOSPCEvery: 200,
-		RotEvery:          160,
-		LineENOSPCEvery:   400,
-		ImgRotEvery:       160,
-		MarkerFailEvery:   96,
+		WriteFailEvery:  200,
+		ShortWriteEvery: 200,
+		SyncFailEvery:   48,
+		RotEvery:        96,
 	}
 }
 
-// Transient returns a profile limited to classes the machine retries
-// (failing syncs, dropped syncs, marker write failures): a run under
-// it usually survives to a clean close, exercising the bounded-retry
-// path rather than degradation.
+// Transient returns a profile limited to the class the machine always
+// retries, failing fsyncs: a run under it usually survives to a clean
+// close, exercising the bounded-retry path rather than degradation.
 func Transient() Profile {
-	return Profile{
-		SyncFailEvery:   48,
-		SyncDropEvery:   64,
-		MarkerFailEvery: 96,
-	}
+	return Profile{SyncFailEvery: 48}
 }
 
 // Counts aggregates what the injector actually did — campaign drivers
 // print these so coverage of each fault class is visible, never
 // silently zero.
 type Counts struct {
-	Ops         uint64 // intercepted mutating operations
+	Ops         uint64 // intercepted writes, truncates and fsyncs
+	WriteFails  uint64 // writes failed before any byte landed
+	ShortWrites uint64 // writes failed after a prefix landed
 	SyncFails   uint64
-	SyncDrops   uint64
-	ShortWrites uint64
-	ENOSPC      uint64 // log append + image line ENOSPC, combined
-	RotBits     uint64
-	MarkerFails uint64
+	RotBits     uint64 // bits flipped in validated bytes
 	PowerCuts   uint64
-	TornAppends uint64 // unsynced log blocks the power cut left torn
-	ImageTears  uint64 // commit appends torn by the power cut
-	ImgRotBits  uint64 // bits flipped in sealed image batches
-	ImgReorders uint64 // torn commit appends whose later part landed first
-	// LogReorders counts power cuts that left an unsynced log block
-	// zeroed, garbage or torn with a later one landed behind it: the
-	// shape a log read without a named prefix takes for mid-log rot.
-	LogReorders uint64
-	// LogStale counts power cuts that left an unsynced overwrite as the
-	// stale block it overwrote in place: a whole, CRC-valid block from
-	// before a rewind, past the prefix the last commit names.
-	LogStale uint64
-	// ImgExtLost counts power cuts that lost the image's unsynced zero
-	// padding extension with the commit that made it: the file kept its
-	// previous length, and the batch bytes past it never landed.
-	ImgExtLost uint64
+	// Landed and Lost count the sectors written since their file's last
+	// fsync, differing from what it left, that a cut landed as written
+	// or left as the fsync did.
+	Landed, Lost uint64
+	// LenLost counts files a cut left at their synced length rather
+	// than their current one.
+	LenLost uint64
 }
 
 // String renders the counts as one stable line.
 func (c Counts) String() string {
-	return fmt.Sprintf(
-		"ops=%d sync_fail=%d sync_drop=%d short=%d enospc=%d rot=%d marker_fail=%d cuts=%d torn=%d img_tear=%d img_rot=%d img_reorder=%d log_reorder=%d log_stale=%d img_ext_lost=%d",
-		c.Ops, c.SyncFails, c.SyncDrops, c.ShortWrites, c.ENOSPC,
-		c.RotBits, c.MarkerFails, c.PowerCuts, c.TornAppends, c.ImageTears, c.ImgRotBits, c.ImgReorders, c.LogReorders, c.LogStale, c.ImgExtLost)
+	return fmt.Sprintf("ops=%d write_fail=%d short=%d sync_fail=%d rot=%d cuts=%d landed=%d lost=%d len_lost=%d",
+		c.Ops, c.WriteFails, c.ShortWrites, c.SyncFails, c.RotBits, c.PowerCuts, c.Landed, c.Lost, c.LenLost)
 }
 
 // Add accumulates other into c (campaign aggregation).
 func (c *Counts) Add(other Counts) {
 	c.Ops += other.Ops
-	c.SyncFails += other.SyncFails
-	c.SyncDrops += other.SyncDrops
+	c.WriteFails += other.WriteFails
 	c.ShortWrites += other.ShortWrites
-	c.ENOSPC += other.ENOSPC
+	c.SyncFails += other.SyncFails
 	c.RotBits += other.RotBits
-	c.MarkerFails += other.MarkerFails
 	c.PowerCuts += other.PowerCuts
-	c.TornAppends += other.TornAppends
-	c.ImageTears += other.ImageTears
-	c.ImgRotBits += other.ImgRotBits
-	c.ImgReorders += other.ImgReorders
-	c.LogReorders += other.LogReorders
-	c.LogStale += other.LogStale
-	c.ImgExtLost += other.ImgExtLost
+	c.Landed += other.Landed
+	c.Lost += other.Lost
+	c.LenLost += other.LenLost
 }
 
 // Decision classes: each fault roll mixes its class into the stream so
@@ -182,31 +138,13 @@ func (c *Counts) Add(other Counts) {
 // slot, so an earlier seed rolls the same values for the classes it had.
 const (
 	classSyncFail uint64 = iota + 1
-	classSyncDrop
-	classAppendShort
+	classWriteFail
+	classShortWrite
 	classShortLen
-	classAppendENOSPC
 	classRot
-	classRotBlock
-	classRotBit
-	classLineENOSPC
-	_ // retired: the image sync failed (commits carry the image now)
-	_ // retired: the image sync was dropped
-	classMarkerFail
+	classRotAt
 	classCrashAt
-	_ // retired: the cut tore the first unsynced log block (every one now rolls classCrashLogSuffix)
-	_ // retired: that tear's length
-	classCrashImgTear
-	classCrashImgTearLen
-	_ // retired: the cut tore a slot of the two-slot marker file
-	_ // retired: that tear's length
-	_ // retired: that tear was garbage
-	classCrashImgGarbage
-	classImgRot
-	classImgRotBit
-	classCrashImgReorder
-	classCrashLogSuffix
-	classCrashImgExtend
+	classCut
 )
 
 // splitmix64 is the standard 64-bit mixer (Steele et al.); one round
@@ -219,19 +157,23 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Injector implements storage.Wrapper. One Injector serves one store
-// directory (one machine); it is not safe for concurrent use, matching
-// the storage layer's contract.
+// directory (one machine) or one result log; it is not safe for
+// concurrent use, matching the storage layer's contract, except that
+// its files' reads touch no injector state.
 type Injector struct {
-	seed    uint64
+	key     uint64 // splitmix64(seed): the base every decision adds the op to
 	prof    Profile
-	op      uint64 // shared operation counter across all components
+	op      uint64 // shared operation counter across all files
 	crashAt uint64 // 0 = no cut scheduled
 	crashed bool
 	counts  Counts
 	flips   []Flip // every bit rot flipped in a log block, in order
 
-	log *Log
-	img *Image
+	files []*file            // every file interposed on, in wrap order
+	log   *storage.File      // the undo log (or result log), if any
+	img   *storage.ImageFile // the image file, if any
+	logf  *file              // the interposers behind them
+	imgf  *file
 }
 
 // Flip is one bit the injector flipped in a stored log block (absolute
@@ -242,7 +184,7 @@ type Flip struct{ Block, Bit uint64 }
 // operation index, if the profile schedules one, is derived from the
 // seed immediately so CrashAt can be reported before any operation.
 func New(seed uint64, prof Profile) *Injector {
-	in := &Injector{seed: seed, prof: prof}
+	in := &Injector{key: splitmix64(seed), prof: prof}
 	if prof.CrashWindow > 0 {
 		in.crashAt = prof.CrashAtMin + splitmix64(seed^classCrashAt)%prof.CrashWindow
 		if in.crashAt == 0 {
@@ -252,16 +194,14 @@ func New(seed uint64, prof Profile) *Injector {
 	return in
 }
 
-// Seed returns the injector's seed (repro-line printing).
-func (in *Injector) Seed() uint64 { return in.seed }
-
 // CrashAt reports the scheduled power-cut operation index (0 = none).
 func (in *Injector) CrashAt() uint64 { return in.crashAt }
 
 // Crashed reports whether the scheduled power cut has fired.
 func (in *Injector) Crashed() bool { return in.crashed }
 
-// Ops reports how many mutating operations have been intercepted.
+// Ops reports how many writes, truncates and fsyncs have been
+// intercepted.
 func (in *Injector) Ops() uint64 { return in.op }
 
 // Counts returns a snapshot of the injection counters.
@@ -274,7 +214,7 @@ func (in *Injector) LogRot() []Flip { return slices.Clone(in.flips) }
 
 // rand derives the decision value for (current op, class).
 func (in *Injector) rand(class uint64) uint64 {
-	return splitmix64(splitmix64(in.seed+in.op) ^ class)
+	return splitmix64(splitmix64(in.key+in.op) ^ class)
 }
 
 // roll reports whether the 1-in-every fault of the given class fires at
@@ -284,8 +224,9 @@ func (in *Injector) roll(class uint64, every int) bool {
 }
 
 // step advances the shared operation counter, firing the scheduled
-// power cut when its index is reached. Every intercepted mutating call
-// starts here; after a cut, everything fails with ErrPowerLost.
+// power cut when its index is reached. Every intercepted write,
+// truncate and fsync starts here; after a cut, each fails with
+// ErrPowerLost.
 func (in *Injector) step() error {
 	if in.crashed {
 		return fmt.Errorf("%w: operation after the cut at op %d", storage.ErrPowerLost, in.crashAt)
@@ -299,340 +240,275 @@ func (in *Injector) step() error {
 	return nil
 }
 
-// crash simulates the power cut across all wrapped components: the log
-// keeps its acknowledged-sync watermark with the unsynced blocks behind
-// it landed in any shape, and the image loses its staged records
-// (optionally with a torn commit append). Teardown I/O errors are
-// swallowed — there is no one left to report them to after a power cut,
-// and recovery verifies the resulting directory either way.
+// crash cuts the power under every interposed file, in wrap order,
+// drawing one decision per sector and per file length from the cut's
+// own stream. A file already closed is out of its reach. Teardown I/O
+// errors are swallowed — there is no one left to report them to after
+// a power cut, and recovery verifies the resulting directory either
+// way.
 func (in *Injector) crash() {
 	in.crashed = true
 	in.counts.PowerCuts++
-	if in.log != nil {
-		in.log.crash()
-	}
-	if in.img != nil {
-		in.img.crash()
+	roll := in.rand(classCut)
+	n := uint64(0)
+	next := func() uint64 { n++; return splitmix64(roll + n) }
+	for _, f := range in.files {
+		f.cut(next)
 	}
 }
 
-// namedLog reports the log block count the last sealed commit names (0
-// without a file-backed image).
-func (in *Injector) namedLog() uint64 {
-	if in.img == nil || in.img.f == nil {
-		return 0
+// interpose wraps ops in a file the injector tracks and schedules.
+func (in *Injector) interpose(ops storage.FileOps) *file {
+	f := &file{in: in, ops: ops, old: map[int64][]byte{}}
+	if fi, err := ops.Stat(); err == nil {
+		f.synced = fi.Size() // what is on file when the store mounts is durable
 	}
-	return in.img.f.LogBlocks()
+	in.files = append(in.files, f)
+	return f
 }
 
-// WrapLog implements storage.Wrapper.
+// WrapLog implements storage.Wrapper: it interposes on the file behind
+// a *storage.File and returns the store itself. Any other store passes
+// through unchanged.
 func (in *Injector) WrapLog(b storage.LogStore) storage.LogStore {
-	f, _ := b.(*storage.File)
-	in.log = &Log{in: in, b: b, f: f, durable: b.Blocks()}
-	return in.log
+	if lf, ok := b.(*storage.File); ok {
+		in.log = lf
+		lf.WrapFile(func(ops storage.FileOps) storage.FileOps {
+			in.logf = in.interpose(ops)
+			return in.logf
+		})
+	}
+	return b
 }
 
-// WrapImage implements storage.Wrapper.
+// WrapImage implements storage.Wrapper: it interposes on the file
+// behind a *storage.ImageFile — the one Reset's compaction opens too —
+// and returns the store itself.
 func (in *Injector) WrapImage(b storage.ImageStore) storage.ImageStore {
-	f, _ := b.(*storage.ImageFile)
-	in.img = &Image{in: in, b: b, f: f}
-	return in.img
+	if im, ok := b.(*storage.ImageFile); ok {
+		in.img = im
+		im.WrapFile(func(ops storage.FileOps) storage.FileOps {
+			in.imgf = in.interpose(ops)
+			return in.imgf
+		})
+	}
+	return b
 }
 
-// WrapMarker implements storage.Wrapper.
-func (in *Injector) WrapMarker(b storage.MarkerStore) storage.MarkerStore {
-	return &Marker{in: in, b: b}
-}
+// WrapMarker implements storage.Wrapper: the marker is returned
+// unchanged, since its commit is the image file's write and fsync.
+func (in *Injector) WrapMarker(b storage.MarkerStore) storage.MarkerStore { return b }
 
 var _ storage.Wrapper = (*Injector)(nil)
 
-// Log interposes on the undo-log store. Appends write through
-// immediately (the real file is the model's staging area); durable
-// tracks the block count a power cut preserves whole — it advances only
-// when a sync is acknowledged.
-type Log struct {
-	in *Injector
-	b  storage.LogStore
-	f  *storage.File // non-nil when the wrapped store is file-backed
-	// durable is the absolute block count surviving a power cut (the
-	// watermark of the last acknowledged sync).
-	durable uint64
-	// pending holds clones of blocks appended since that sync — what the
-	// cut lands in any shape — and old, for each, the stale block it
-	// overwrote in place (nil where the file held none).
-	pending, old [][]byte
+// rot flips one bit that recovery validates, chosen uniformly over the
+// log prefix the last sealed commit names and the image bytes in front
+// of its final sealed batch. Without an image there is no named prefix,
+// and nothing rots.
+func (in *Injector) rot() {
+	if in.img == nil || !in.roll(classRot, in.prof.RotEvery) {
+		return
+	}
+	var logBytes uint64
+	if in.log != nil {
+		logBytes = (in.img.LogBlocks() - in.log.Super().Start) * undolog.BlockBytes
+	}
+	total := logBytes + uint64(in.img.FinalBatchAt())
+	if total == 0 {
+		return
+	}
+	at := in.rand(classRotAt) % (total * 8)
+	if at < logBytes*8 {
+		blk := at / (undolog.BlockBytes * 8)
+		bit := at % (undolog.BlockBytes * 8)
+		if in.logf.flip(undolog.SuperBytes+int64(at/8), byte(1)<<(at%8)) == nil {
+			in.counts.RotBits++
+			in.flips = append(in.flips, Flip{in.log.Super().Start + blk, bit})
+		}
+		return
+	}
+	at -= logBytes * 8
+	if in.imgf.flip(int64(at/8), byte(1)<<(at%8)) == nil {
+		in.counts.RotBits++
+	}
 }
 
-// AppendBlock implements storage.Backend with injected ENOSPC, short
-// writes (torn mid-row, error returned), and bit rot in the named log
-// prefix.
-func (l *Log) AppendBlock(raw []byte) error {
-	if err := l.in.step(); err != nil {
-		return err
+// file interposes on one durable file. old holds, for every sector
+// written or truncated since the file's last fsync, its content as that
+// fsync left it (zeros past the file's end then); synced is the file's
+// length at that fsync.
+type file struct {
+	in     *Injector
+	ops    storage.FileOps
+	synced int64
+	old    map[int64][]byte
+}
+
+// sector reads sector s of the file as it stands, zeros past its end.
+func (f *file) sector(s int64) ([]byte, error) {
+	b := make([]byte, sectorBytes)
+	if _, err := f.ops.ReadAt(b, s*sectorBytes); err != nil && !errors.Is(err, io.EOF) {
+		return nil, err
 	}
-	p := &l.in.prof
-	if l.in.roll(classAppendENOSPC, p.AppendENOSPCEvery) {
-		l.in.counts.ENOSPC++
-		return fmt.Errorf("%w: undo log append: %w", ErrInjected, syscall.ENOSPC)
-	}
-	if l.f != nil && len(raw) > 1 && l.in.roll(classAppendShort, p.AppendShortEvery) {
-		n := 1 + int(l.in.rand(classShortLen)%uint64(len(raw)-1))
-		l.in.counts.ShortWrites++
-		if err := l.f.TearTail(raw, n); err != nil {
+	return b, nil
+}
+
+// track records, for every sector of [lo, hi) not yet written since the
+// last fsync, its content as that fsync left it: what it holds now.
+func (f *file) track(lo, hi int64) error {
+	for s := lo / sectorBytes; s*sectorBytes < hi; s++ {
+		if _, ok := f.old[s]; ok {
+			continue
+		}
+		b, err := f.sector(s)
+		if err != nil {
 			return err
 		}
-		return fmt.Errorf("%w: short append: %d of %d bytes reached the device", ErrInjected, n, len(raw))
-	}
-	var old []byte
-	if l.f != nil {
-		old = make([]byte, len(raw))
-		if l.b.ReadBlocks(l.b.Blocks(), old) != nil {
-			old = nil // no stale block there: the append extends the file
-		}
-	}
-	if err := l.b.AppendBlock(raw); err != nil {
-		return err
-	}
-	l.pending = append(l.pending, append([]byte(nil), raw...))
-	l.old = append(l.old, old)
-	if l.f != nil && l.in.roll(classRot, p.RotEvery) {
-		// Single-bit rot, only in the log prefix the last sealed commit
-		// names: recovery reads every block of it, so the CRC failure
-		// must surface as rot, never be dropped with the unsynced blocks
-		// behind the prefix. Later commits name longer prefixes, never
-		// shorter ones.
-		lo, hi := l.b.Super().Start, l.in.namedLog()
-		if hi > lo {
-			blk := lo + l.in.rand(classRotBlock)%(hi-lo)
-			bit := l.in.rand(classRotBit) % (undolog.BlockBytes * 8)
-			if err := l.f.RotBit(blk, bit); err != nil {
-				return err
-			}
-			l.in.counts.RotBits++
-			l.in.flips = append(l.in.flips, Flip{blk, bit})
-		}
+		f.old[s] = b
 	}
 	return nil
 }
 
-// Sync implements storage.Backend with injected failures (EIO,
-// retryable), silent drops (acknowledged without fsync), and the
-// permanent-failure regime from Profile.PermanentSyncFrom.
-func (l *Log) Sync() error {
-	if err := l.in.step(); err != nil {
+// WriteAt implements storage.FileOps with injected ENOSPC, before any
+// byte lands or after a prefix of p did.
+func (f *file) WriteAt(p []byte, off int64) (int, error) {
+	in := f.in
+	if err := in.step(); err != nil {
+		return 0, err
+	}
+	if in.roll(classWriteFail, in.prof.WriteFailEvery) {
+		in.counts.WriteFails++
+		return 0, fmt.Errorf("%w: write of %d bytes to %s: %w", ErrInjected, len(p), f.ops.Name(), syscall.ENOSPC)
+	}
+	n, short := len(p), false
+	if n > 1 && in.roll(classShortWrite, in.prof.ShortWriteEvery) {
+		n, short = 1+int(in.rand(classShortLen)%uint64(n-1)), true
+		in.counts.ShortWrites++
+	}
+	if err := f.track(off, off+int64(n)); err != nil {
+		return 0, err
+	}
+	w, err := f.ops.WriteAt(p[:n], off)
+	if err == nil && short {
+		err = fmt.Errorf("%w: short write: %d of %d bytes reached %s: %w", ErrInjected, n, len(p), f.ops.Name(), syscall.ENOSPC)
+	}
+	return w, err
+}
+
+// Truncate implements storage.FileOps: the sectors it shortens are
+// tracked like written ones, so a cut may restore them.
+func (f *file) Truncate(size int64) error {
+	if err := f.in.step(); err != nil {
 		return err
 	}
-	p := &l.in.prof
-	if p.PermanentSyncFrom != 0 && l.in.op >= p.PermanentSyncFrom {
-		l.in.counts.SyncFails++
-		return fmt.Errorf("%w: undo log sync (permanent): %w", ErrInjected, syscall.EIO)
-	}
-	if l.in.roll(classSyncFail, p.SyncFailEvery) {
-		l.in.counts.SyncFails++
-		return fmt.Errorf("%w: undo log sync: %w", ErrInjected, syscall.EIO)
-	}
-	if l.in.roll(classSyncDrop, p.SyncDropEvery) {
-		// Acknowledged but not flushed. Modeled as surviving a later cut —
-		// see the package comment for why the opposite model would
-		// manufacture unrecoverable-by-design corruption.
-		l.in.counts.SyncDrops++
-		l.durable = l.b.Blocks()
-		l.pending, l.old = nil, nil
-		return nil
-	}
-	if err := l.b.Sync(); err != nil {
+	fi, err := f.ops.Stat()
+	if err != nil {
 		return err
 	}
-	l.durable = l.b.Blocks()
-	l.pending, l.old = nil, nil
+	if err := f.track(size, fi.Size()); err != nil {
+		return err
+	}
+	return f.ops.Truncate(size)
+}
+
+// Sync implements storage.FileOps with injected EIO, once or, from
+// Profile.PermanentSyncFrom on, for good. A successful fsync makes the
+// file's sectors and length durable, and may be followed by rot.
+func (f *file) Sync() error {
+	in := f.in
+	if err := in.step(); err != nil {
+		return err
+	}
+	if p := in.prof.PermanentSyncFrom; p != 0 && in.op >= p {
+		in.counts.SyncFails++
+		return fmt.Errorf("%w: fsync of %s (permanent): %w", ErrInjected, f.ops.Name(), syscall.EIO)
+	}
+	if in.roll(classSyncFail, in.prof.SyncFailEvery) {
+		in.counts.SyncFails++
+		return fmt.Errorf("%w: fsync of %s: %w", ErrInjected, f.ops.Name(), syscall.EIO)
+	}
+	if err := f.ops.Sync(); err != nil {
+		return err
+	}
+	fi, err := f.ops.Stat()
+	if err != nil {
+		return err
+	}
+	f.synced = fi.Size()
+	clear(f.old)
+	in.rot()
 	return nil
 }
 
-// Rewind implements storage.LogStore. It does no I/O, so nothing is
-// injected, but the acknowledged watermark follows the append point
-// down: the blocks from n on are stale, and a cut lands the appends
-// that overwrite them in any shape, the stale block itself included.
-func (l *Log) Rewind(n uint64) error {
-	if l.in.crashed {
-		return fmt.Errorf("%w: log rewind after the cut at op %d", storage.ErrPowerLost, l.in.crashAt)
-	}
-	if err := l.b.Rewind(n); err != nil {
+// flip xors mask into the byte at off, on the real file and in the
+// copy a cut would restore, so the cut keeps it either way.
+func (f *file) flip(off int64, mask byte) error {
+	var b [1]byte
+	if _, err := f.ops.ReadAt(b[:], off); err != nil {
 		return err
 	}
-	l.durable = min(l.durable, n)
-	keep := min(n-l.durable, uint64(len(l.pending)))
-	l.pending, l.old = l.pending[:keep], l.old[:keep]
+	b[0] ^= mask
+	if _, err := f.ops.WriteAt(b[:], off); err != nil {
+		return err
+	}
+	if old, ok := f.old[off/sectorBytes]; ok {
+		old[off%sectorBytes] ^= mask
+	}
 	return nil
 }
 
-// crash keeps the file up to the acknowledged watermark and lands every
-// block appended since as a page cache may have written it back when
-// the power went: each one independently whole, as zeros (it never
-// reached the disk), as garbage, or torn (a prefix of it, zeros
-// behind), whatever became of the blocks in front of it. An append that
-// overwrote a stale block in place leaves that old block where it
-// never reached the disk, and the old block's tail behind a torn head.
-// The file then ends after the last block that landed — mid-block if
-// that one is torn — or, half the time, after the last block appended,
-// as when the size update reached the disk and the data did not.
-func (l *Log) crash() {
-	if l.f == nil {
-		return
-	}
-	roll := l.in.rand(classCrashLogSuffix)
-	landed := make([][]byte, len(l.pending))
-	var torn uint64
-	damaged, reordered, stale := false, false, false
-	for i, raw := range l.pending {
-		old := l.old[i]
-		r := splitmix64(roll + uint64(i) + 1)
-		switch r % 4 {
-		case 0:
-			landed[i] = raw
-		case 1: // nothing written: zeros, or the stale block it overwrote
-			landed[i] = old
-			stale = stale || old != nil
-		case 2:
-			landed[i] = make([]byte, len(raw))
-			for j, b := range raw {
-				landed[i][j] = b ^ 0xA5 // every byte differs from the block's
-			}
-		case 3:
-			n := 1 + (r>>2)%uint64(len(raw)-1)
-			landed[i] = raw[:n:n]
-			if old != nil {
-				landed[i] = append(landed[i], old[n:]...)
-			}
-			torn++
-		}
-		reordered = reordered || damaged && len(landed[i]) > 0
-		damaged = damaged || r%4 != 0
-	}
-	if n := len(landed); n > 0 && roll%2 == 0 {
-		landed[n-1] = append(landed[n-1], make([]byte, undolog.BlockBytes-len(landed[n-1]))...)
-	}
-	if l.f.LandUnsynced(l.durable, landed) != nil {
-		return
-	}
-	l.in.counts.TornAppends += torn
-	if reordered {
-		l.in.counts.LogReorders++
-	}
-	if stale {
-		l.in.counts.LogStale++
-	}
-}
-
-// Pass-through reads and metadata. They touch no injector state, so
-// ReadBlocks may run beside Image.Load, as Dir.Recover runs them.
-
-func (l *Log) Blocks() uint64                          { return l.b.Blocks() }
-func (l *Log) ReadAll() ([]byte, error)                { return l.b.ReadAll() }
-func (l *Log) ReadBlocks(first uint64, p []byte) error { return l.b.ReadBlocks(first, p) }
-func (l *Log) Truncate(n uint64) error                 { return l.b.Truncate(n) }
-func (l *Log) Super() undolog.Super                    { return l.b.Super() }
-func (l *Log) TornBytes() uint64                       { return l.b.TornBytes() }
-
-// Close releases the underlying store with no injection: after a power
-// cut the process still releases its descriptors, and recovery reopens
-// the files fresh.
-func (l *Log) Close() error { return l.b.Close() }
-
-// Image interposes on the image store: line writes can hit ENOSPC, and
-// a power cut discards the staged records and can tear the commit
-// append that would have sealed them.
-type Image struct {
-	in *Injector
-	b  storage.ImageStore
-	f  *storage.ImageFile
-}
-
-// WriteLine implements storage.ImageStore with injected ENOSPC.
-func (im *Image) WriteLine(l mem.LineAddr, w mem.Word) error {
-	if err := im.in.step(); err != nil {
-		return err
-	}
-	if im.in.roll(classLineENOSPC, im.in.prof.LineENOSPCEvery) {
-		im.in.counts.ENOSPC++
-		return fmt.Errorf("%w: image line write: %w", ErrInjected, syscall.ENOSPC)
-	}
-	return im.b.WriteLine(l, w)
-}
-
-// crash discards the image's staged records — they never left the
-// process — and half the time tears the commit that would have sealed
-// them: in order, a prefix of it or as many garbage bytes; out of
-// order, its later part behind zeros or garbage. A batch that would run
-// past the file's length comes with the zero padding extension the
-// commit makes first, which lands or, half the time, is lost, leaving
-// the file at its previous length. The records belong to writes after
-// the last commit, which the undo log covers (write-ahead rules 1 and
-// 2), and the torn batch never validates, so recovery lands on the last
-// commit and rolls the writes back.
-func (im *Image) crash() {
-	if im.f == nil {
-		return
-	}
-	var tear uint64
-	if im.in.rand(classCrashImgTear)%2 == 0 {
-		tear = 1 + im.in.rand(classCrashImgTearLen)>>1
-	}
-	reorder := im.in.rand(classCrashImgReorder)%2 == 0
-	garbage := im.in.rand(classCrashImgGarbage)%2 == 0
-	extended := im.in.rand(classCrashImgExtend)%2 == 0
-	torn, lost, err := im.f.Cut(tear, reorder, garbage, extended)
+// cut applies the power cut to the file: each tracked sector, in
+// ascending order, lands as written or as the last fsync left it, and
+// the file ends at its synced length or its current one, each decision
+// drawn from next.
+func (f *file) cut(next func() uint64) {
+	fi, err := f.ops.Stat()
 	if err != nil {
 		return
 	}
-	if torn {
-		im.in.counts.ImageTears++
-		if reorder {
-			im.in.counts.ImgReorders++
+	end := fi.Size()
+	if end != f.synced && next()%2 == 0 {
+		end = f.synced
+		f.in.counts.LenLost++
+	}
+	sectors := make([]int64, 0, len(f.old))
+	for s := range f.old {
+		sectors = append(sectors, s)
+	}
+	slices.Sort(sectors)
+	land := make([][]byte, len(sectors))
+	for i, s := range sectors {
+		now, err := f.sector(s)
+		if err != nil {
+			return
+		}
+		land[i] = now
+		if bytes.Equal(now, f.old[s]) {
+			continue
+		}
+		if next()%2 == 0 {
+			f.in.counts.Landed++
+		} else {
+			land[i] = f.old[s]
+			f.in.counts.Lost++
 		}
 	}
-	if lost {
-		im.in.counts.ImgExtLost++
+	if f.ops.Truncate(end) != nil {
+		return
 	}
-}
-
-func (im *Image) Sync() error               { return im.b.Sync() }
-func (im *Image) Load() (*mem.Image, error) { return im.b.Load() }
-func (im *Image) Close() error              { return im.b.Close() }
-
-// Marker interposes on the persisted-epoch marker: the commit append
-// can fail, and a bit can rot in a sealed image batch after it.
-type Marker struct {
-	in *Injector
-	b  storage.MarkerStore
-}
-
-// Set implements storage.MarkerStore with injected failures of the
-// commit append's write or fsync (retryable upstream through the
-// PersistMarker protocol): the records stay staged and the tail where it
-// was, so the last completed Set stands and a retry appends the same
-// batch. After a commit, one bit may rot in an image record with a
-// sealed batch behind it; Load must report it, never pass it as a torn
-// batch.
-func (mk *Marker) Set(e mem.EpochID) error {
-	if err := mk.in.step(); err != nil {
-		return err
-	}
-	p := &mk.in.prof
-	if mk.in.roll(classMarkerFail, p.MarkerFailEvery) {
-		mk.in.counts.MarkerFails++
-		return fmt.Errorf("%w: image commit write: %w", ErrInjected, syscall.EIO)
-	}
-	if err := mk.b.Set(e); err != nil {
-		return err
-	}
-	if img := mk.in.img; img != nil && img.f != nil && mk.in.roll(classImgRot, p.ImgRotEvery) {
-		if img.f.RotBit(mk.in.rand(classImgRotBit)) == nil {
-			mk.in.counts.ImgRotBits++
+	for i, s := range sectors {
+		if at := s * sectorBytes; at < end {
+			f.ops.WriteAt(land[i][:min(sectorBytes, end-at)], at)
 		}
 	}
-	return nil
 }
 
-func (mk *Marker) Get() (mem.EpochID, error) { return mk.b.Get() }
-func (mk *Marker) SyncDir() error            { return mk.b.SyncDir() }
-func (mk *Marker) Close() error              { return mk.b.Close() }
+// Pass-through reads, metadata and Close. They touch no injector state,
+// so the log's reads may run beside the image's Load, as Dir.Recover
+// runs them; after a power cut the process still releases its
+// descriptors, and recovery reopens the files fresh.
+
+func (f *file) ReadAt(p []byte, off int64) (int, error) { return f.ops.ReadAt(p, off) }
+func (f *file) Stat() (os.FileInfo, error)              { return f.ops.Stat() }
+func (f *file) Name() string                            { return f.ops.Name() }
+func (f *file) Close() error                            { return f.ops.Close() }

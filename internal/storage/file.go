@@ -8,17 +8,17 @@ import (
 	"picl/internal/undolog"
 )
 
-// File is the file-backed Backend: the undo log on a real disk. The
-// layout is the durable byte representation itself — a 64 B superblock
-// at offset 0 followed by whole 2 KB blocks — so a File's content can
-// be fed straight to undolog.ReadLog. Appends are sequential positional
-// writes of exactly one block (the row-buffer-sized flush the paper's
-// on-chip undo buffer issues); durability is deferred to Sync, which
-// maps to fsync. Rewind moves the append point back without I/O, so a
+// File is the undo log on a real disk, and the block store a Results
+// region lives on. The layout is the durable byte representation itself
+// — a 64 B superblock at offset 0 followed by whole 2 KB blocks — so a
+// File's content can be fed straight to undolog.ReadLog. Appends are
+// sequential positional writes of exactly one block (the
+// row-buffer-sized flush the paper's on-chip undo buffer issues);
+// durability is deferred to Sync, which maps to fsync. Rewind moves the append point back without I/O, so a
 // log's space is reused where it lies: the blocks past the append point
 // stay on file, stale, until appends overwrite them in place.
 type File struct {
-	f      *os.File
+	f      FileOps
 	super  undolog.Super
 	blocks uint64 // the append point: total blocks including the GC'd prefix
 	stored uint64 // whole blocks on file, stale ones past a Rewind included
@@ -98,7 +98,7 @@ func (lf *File) Super() undolog.Super { return lf.super }
 // file was opened (0 for a cleanly closed log).
 func (lf *File) TornBytes() uint64 { return lf.torn }
 
-// AppendBlock implements Backend: one sequential positional block
+// AppendBlock implements LogStore: one sequential positional block
 // write at the append point, over a stale block if a Rewind left one
 // there. The data is staged in the OS page cache until Sync.
 func (lf *File) AppendBlock(raw []byte) error {
@@ -129,7 +129,7 @@ func (lf *File) Rewind(n uint64) error {
 	return nil
 }
 
-// Sync implements Backend: fsync, making every appended block durable.
+// Sync implements LogStore: fsync, making every appended block durable.
 func (lf *File) Sync() error {
 	if !lf.dirty {
 		return nil
@@ -141,22 +141,12 @@ func (lf *File) Sync() error {
 	return nil
 }
 
-// Blocks implements Backend.
+// Blocks implements LogStore.
 func (lf *File) Blocks() uint64 { return lf.blocks }
-
-// ReadAll implements Backend.
-func (lf *File) ReadAll() ([]byte, error) {
-	size := undolog.SuperBytes + int64(lf.blocks-lf.super.Start)*undolog.BlockBytes
-	out := make([]byte, size)
-	if _, err := io.ReadFull(io.NewSectionReader(lf.f, 0, size), out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // ReadBlocks implements LogStore: one positional read of the stored
 // blocks from block first on into p — stale blocks past a Rewind
-// included, which only fault injection reads.
+// included.
 func (lf *File) ReadBlocks(first uint64, p []byte) error {
 	n := uint64(len(p)) / undolog.BlockBytes
 	if uint64(len(p))%undolog.BlockBytes != 0 || first < lf.super.Start || first+n > lf.stored {
@@ -167,7 +157,7 @@ func (lf *File) ReadBlocks(first uint64, p []byte) error {
 	return err
 }
 
-// Truncate implements Backend: discard tail blocks so n total remain,
+// Truncate implements LogStore: discard tail blocks so n total remain,
 // durably, stale ones included.
 func (lf *File) Truncate(n uint64) error {
 	if n < lf.super.Start {
@@ -183,12 +173,12 @@ func (lf *File) Truncate(n uint64) error {
 	return lf.f.Sync()
 }
 
-// Refresh re-stats the file and extends the logical block count to
-// cover whole blocks another process appended to the shared region
-// (the serving daemon's cross-process result store). A partial tail —
-// a foreign append still in flight — is left alone: it is not this
-// process's crash to repair. Refresh never shrinks the count, and is
-// for logs that never Rewind.
+// Refresh implements LogStore: it re-stats the file and extends the
+// logical block count to cover whole blocks another process appended
+// to the shared region (the serving daemon's cross-process result
+// store). A partial tail — a foreign append still in flight — is left
+// alone: it is not this process's crash to repair. Refresh never
+// shrinks the count, and is for logs that never Rewind.
 func (lf *File) Refresh() error {
 	fi, err := lf.f.Stat()
 	if err != nil {
@@ -206,66 +196,7 @@ func (lf *File) Refresh() error {
 	return nil
 }
 
-// TearTail simulates a block append interrupted mid-row by a power
-// failure: only the first n bytes of raw land at the append offset,
-// forced to media, leaving a partial tail block for the next open to
-// repair. The logical block count does not advance — the append never
-// completed. Fault injection only (internal/storage/fault).
-func (lf *File) TearTail(raw []byte, n int) error {
-	if n <= 0 || n >= len(raw) {
-		return fmt.Errorf("storage: tear of %d bytes of a %d-byte block", n, len(raw))
-	}
-	off := undolog.SuperBytes + int64(lf.blocks-lf.super.Start)*undolog.BlockBytes
-	if _, err := lf.f.WriteAt(raw[:n], off); err != nil {
-		return err
-	}
-	return lf.f.Sync()
-}
-
-// LandUnsynced simulates what a power cut leaves of the blocks appended
-// after the last sync: the file is cut back to n total blocks, then
-// landed[i] is written where block n+i went — a short slice is a torn
-// block, an empty one never reached the disk (zeros, if anything landed
-// behind it) — and forced to media. The logical count becomes n, and
-// the file is reopened before it is read again. Fault injection only
-// (internal/storage/fault).
-func (lf *File) LandUnsynced(n uint64, landed [][]byte) error {
-	if err := lf.Truncate(n); err != nil {
-		return err
-	}
-	off := undolog.SuperBytes + int64(n-lf.super.Start)*undolog.BlockBytes
-	for i, b := range landed {
-		if _, err := lf.f.WriteAt(b, off+int64(i)*undolog.BlockBytes); err != nil {
-			return err
-		}
-	}
-	return lf.f.Sync()
-}
-
-// RotBit flips a single bit inside stored block b (absolute numbering,
-// as Blocks counts) and forces it to media — simulated media rot. Fault
-// injection only; the injector targets blocks of the prefix the last
-// commit names, so the corruption must be detected by recovery rather
-// than dropped with the unsynced blocks behind it.
-func (lf *File) RotBit(block, bit uint64) error {
-	if block < lf.super.Start || block >= lf.blocks {
-		return fmt.Errorf("storage: rot of block %d outside stored range [%d, %d)",
-			block, lf.super.Start, lf.blocks)
-	}
-	bit %= undolog.BlockBytes * 8
-	off := undolog.SuperBytes + int64(block-lf.super.Start)*undolog.BlockBytes + int64(bit/8)
-	var b [1]byte
-	if _, err := lf.f.ReadAt(b[:], off); err != nil {
-		return err
-	}
-	b[0] ^= 1 << (bit % 8)
-	if _, err := lf.f.WriteAt(b[:], off); err != nil {
-		return err
-	}
-	return lf.f.Sync()
-}
-
-// Close implements Backend.
+// Close implements LogStore.
 func (lf *File) Close() error {
 	if err := lf.Sync(); err != nil {
 		lf.f.Close()
@@ -274,4 +205,14 @@ func (lf *File) Close() error {
 	return lf.f.Close()
 }
 
-var _ Backend = (*File)(nil)
+// WrapFile interposes w on the file's I/O: every later read, write,
+// truncate and fsync goes through the FileOps w returns.
+func (lf *File) WrapFile(w func(FileOps) FileOps) { lf.f = w(lf.f) }
+
+// checkBlock validates an encoded block's size before it is accepted.
+func checkBlock(raw []byte) error {
+	if len(raw) != undolog.BlockBytes {
+		return fmt.Errorf("storage: block is %d bytes, want %d", len(raw), undolog.BlockBytes)
+	}
+	return nil
+}

@@ -90,8 +90,9 @@ var ErrCorruptImage = errors.New("storage: corrupt image file")
 // it is rot, and Load fails with ErrCorruptImage rather than return an
 // older line.
 type ImageFile struct {
-	f      *os.File
+	f      FileOps
 	size   int64       // bytes on file: header through the last sealed commit record (0 until the first commit)
+	final  int64       // where the last sealed commit's batch starts (0 until the first commit)
 	alloc  int64       // the file's length: size, then the zero padding commits overwrite
 	staged []byte      // line records staged since the last commit
 	torn   uint64      // torn batch bytes dropped at open
@@ -180,7 +181,7 @@ func (im *ImageFile) findSealed(n int64) (int64, error) {
 			return 0, err
 		}
 		if h.Sum32() == c.sum {
-			im.size, im.epoch, im.sealedLog = at+imageRecBytes, c.epoch, c.logBlocks
+			im.size, im.final, im.epoch, im.sealedLog = at+imageRecBytes, start, c.epoch, c.logBlocks
 			return end, nil
 		}
 	}
@@ -310,6 +311,10 @@ func (im *ImageFile) commit(e mem.EpochID) error {
 			e, im.syncedLog, imageHeader[4])
 	}
 	buf := im.batch(e)
+	final := im.size // where the batch's records start, behind any header
+	if im.size == 0 {
+		final = imageHeaderBytes
+	}
 	if err := im.extend(im.size + int64(len(buf))); err != nil {
 		return err
 	}
@@ -320,7 +325,7 @@ func (im *ImageFile) commit(e mem.EpochID) error {
 		return err
 	}
 	im.size += int64(len(buf))
-	im.epoch, im.sealedLog = e, im.syncedLog
+	im.final, im.epoch, im.sealedLog = final, e, im.syncedLog
 	im.staged = im.staged[:0]
 	return nil
 }
@@ -344,6 +349,16 @@ func (im *ImageFile) extend(end int64) error {
 // names (0 for an image with none): recovery at the marker reads the
 // log up to there and drops the rest.
 func (im *ImageFile) LogBlocks() uint64 { return im.sealedLog }
+
+// FinalBatchAt reports the offset at which the last sealed commit's
+// batch starts (0 for an image with none). Every byte in front of it
+// has a sealed batch behind it, so a bit flipped there is rot Load
+// reports, never a torn batch: where the fault injector's rot strikes.
+func (im *ImageFile) FinalBatchAt() int64 { return im.final }
+
+// WrapFile interposes w on the file's I/O: every later read, write,
+// truncate and fsync goes through the FileOps w returns.
+func (im *ImageFile) WrapFile(w func(FileOps) FileOps) { im.f = w(im.f) }
 
 // Records reports how many records the file holds up to the last sealed
 // commit: line records and commit records alike.
@@ -412,100 +427,6 @@ func (im *ImageFile) Load() (*mem.Image, error) {
 // file was opened: the bytes past the sealed end up to the last
 // non-zero one (0 for a cleanly closed image, whatever its padding).
 func (im *ImageFile) TornBytes() uint64 { return im.torn }
-
-// Cut simulates a power cut against the image: every staged record is
-// lost with the process. With tear > 0 (0 tears nothing) the cut lands
-// partway through the n-byte commit the next Set would make — the
-// staged records and a commit record sealing the next epoch — at byte
-// split = 1 + (tear-1) mod (n-1) of it. In order, the first split bytes
-// land, or as many garbage bytes. Out of order (reorder), the bytes
-// from split on land and the first split bytes are zeros, or garbage:
-// the page cache wrote the later pages back first. A batch that runs
-// past the file's length comes with the padding extension the commit
-// makes first: with extended it landed, and without it the file keeps
-// its previous length, and whatever of the batch lay past it is lost.
-// Either way the batch never validates, and sealed records are never
-// touched. It reports whether it tore anything — whether a non-zero
-// byte landed past the sealed end — and whether it lost an extension
-// the batch needed. Fault injection only.
-func (im *ImageFile) Cut(tear uint64, reorder, garbage, extended bool) (torn, lost bool, err error) {
-	buf := im.batch(im.epoch + 1)
-	im.staged = nil
-	if tear == 0 {
-		return false, false, nil
-	}
-	head := 0
-	if im.size == 0 {
-		head = imageHeaderBytes // the header lands with the first batch
-	}
-	b := append([]byte(nil), buf[head:]...)
-	split := 1 + int((tear-1)%uint64(len(b)-1))
-	damaged := b[:split] // the part that reached media wrong, or not at all
-	if !reorder {
-		b = damaged
-	}
-	switch {
-	case garbage: // every byte differs from the batch's
-		for i := range damaged {
-			if damaged[i] == 0xA5 {
-				damaged[i] = 0x5A
-			} else {
-				damaged[i] = 0xA5
-			}
-		}
-	case reorder:
-		if bytes.Equal(damaged, make([]byte, split)) {
-			return false, false, nil // the batch's own bytes are zeros there: nothing would be torn
-		}
-		clear(damaged)
-	}
-	lost = im.size+int64(len(buf)) > im.alloc && !extended
-	if !lost {
-		if err := im.extend(im.size + int64(len(buf))); err != nil {
-			return false, lost, err
-		}
-	}
-	landed := append(buf[:head:head], b...)
-	landed = landed[:min(int64(len(landed)), im.alloc-im.size)]
-	if lastNonZero(landed) < 0 {
-		return false, lost, im.f.Sync() // only zeros landed: nothing is torn
-	}
-	if _, err := im.f.WriteAt(landed, im.size); err != nil {
-		return false, lost, err
-	}
-	return true, lost, im.f.Sync()
-}
-
-// RotBit flips one bit of a record with a sealed batch behind it — rot
-// in the final batch reads as a torn batch — and forces it to media:
-// simulated media rot, which Load must report. bit indexes the bits of
-// those records, modulo their count; a file whose only batch is the
-// final one is an error. Fault injection only.
-func (im *ImageFile) RotBit(bit uint64) error {
-	var n int64 // bytes in front of the final batch
-	if im.size > 0 {
-		var rec [imageRecBytes]byte
-		if _, err := im.f.ReadAt(rec[:], im.size-imageRecBytes); err != nil {
-			return err
-		}
-		c, _ := decodeCommitRecord(rec[:])
-		n = im.size - imageRecBytes - c.count*imageRecBytes - imageHeaderBytes
-	}
-	if n == 0 {
-		return fmt.Errorf("storage: image rot needs a record with a sealed batch behind it, the file has none")
-	}
-	bit %= uint64(n) * 8
-	off := imageHeaderBytes + int64(bit/8)
-	var b [1]byte
-	if _, err := im.f.ReadAt(b[:], off); err != nil {
-		return err
-	}
-	b[0] ^= 1 << (bit % 8)
-	if _, err := im.f.WriteAt(b[:], off); err != nil {
-		return err
-	}
-	return im.f.Sync()
-}
 
 // Close releases the image file. Staged records are dropped: no commit
 // sealed them, and the undo log covers every write they carry.

@@ -294,47 +294,6 @@ func TestImageRotPaddedUntouched(t *testing.T) {
 	}
 }
 
-// TestImageRotBit: the fault hook refuses an image whose only batch is
-// the final one and never flips a bit of the final batch.
-func TestImageRotBit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "image.dat")
-	im, err := OpenImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer im.Close()
-	im.WriteLine(1, 1)
-	if err := im.commit(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := im.RotBit(0); err == nil {
-		t.Fatal("rot of a one-batch image accepted")
-	}
-	for i := 2; i <= 4; i++ {
-		im.WriteLine(mem.LineAddr(i), mem.Word(i))
-	}
-	if err := im.commit(2); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := os.ReadFile(path)
-	final := len(before) - 4*imageRecBytes
-	for bit := uint64(0); bit < 4*imageRecBytes*8; bit += 37 {
-		if err := im.RotBit(bit); err != nil {
-			t.Fatal(err)
-		}
-		after, _ := os.ReadFile(path)
-		if !bytes.Equal(after[final:], before[final:]) {
-			t.Fatalf("bit %d rotted the final batch", bit)
-		}
-		if _, err := im.Load(); !errors.Is(err, ErrCorruptImage) {
-			t.Fatalf("bit %d: load = %v, want ErrCorruptImage", bit, err)
-		}
-		if err := im.RotBit(bit); err != nil { // flip it back
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestImageLegacyRefused: images of the older layouts — headerless
 // 16-byte records (version 1) and the version-2 header with line
 // records and no commit records — and a file that does not start with a
@@ -426,189 +385,6 @@ func TestCommitRecordOverflow(t *testing.T) {
 	if sealed := len(readSealed(t, path)); im.LogBlocks() != 7 || sealed != imageHeaderBytes+2*imageRecBytes {
 		t.Fatalf("commit names %d log blocks in a file sealed to byte %d, want 7 to %d",
 			im.LogBlocks(), sealed, imageHeaderBytes+2*imageRecBytes)
-	}
-}
-
-// landedTear is what Cut(tear, reorder, garbage, ...) lands of batch
-// (its bytes behind any header): in order, the first split bytes, or
-// as many garbage bytes; out of order, the whole batch with the first
-// split bytes zeroed or garbage.
-func landedTear(batch []byte, tear uint64, reorder, garbage bool) []byte {
-	split := 1 + int((tear-1)%uint64(len(batch)-1))
-	b := bytes.Clone(batch)
-	if !reorder {
-		b = b[:split]
-	}
-	for i := range b[:split] {
-		switch {
-		case garbage && b[i] == 0xA5:
-			b[i] = 0x5A
-		case garbage:
-			b[i] = 0xA5
-		case reorder:
-			b[i] = 0
-		}
-	}
-	return b
-}
-
-// TestImageTearTail: a power cut (Cut) drops every staged record and,
-// only when asked, tears the commit that would have sealed them — in
-// order or out of it, with zeros or garbage where the batch did not
-// land — over the zero padding past the sealed records only; the
-// following Close writes nothing, and the next open drops the torn
-// bytes, reports them and lands on the last commit.
-func TestImageTearTail(t *testing.T) {
-	for _, c := range []struct{ reorder, garbage bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "image.dat")
-		im, err := OpenImage(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A tear of the first commit into an empty file lands behind the
-		// header.
-		im.WriteLine(9, 9)
-		first := bytes.Clone(im.batch(1)[imageHeaderBytes:])
-		if torn, _, err := im.Cut(5, c.reorder, c.garbage, true); !torn || err != nil {
-			t.Fatalf("%+v: cut of a first commit: torn=%v err=%v", c, torn, err)
-		}
-		landed := append(imageHeader[:], landedTear(first, 5, c.reorder, c.garbage)...)
-		want := len(sealedPart(landed))
-		if raw, _ := os.ReadFile(path); !bytes.Equal(raw[:len(landed)], landed) || len(sealedPart(raw)) != want {
-			t.Fatalf("%+v: first-commit tear left %x, want the header and %x over zeros", c, sealedPart(raw), landed)
-		}
-		im.Close()
-		if o, err := loadImage(t, path); err != nil || o.torn != uint64(want) || o.img.Len() != 0 || o.epoch != 0 {
-			t.Fatalf("%+v: after first-commit tear: %d lines epoch %d torn=%d err=%v", c, o.img.Len(), o.epoch, o.torn, err)
-		}
-
-		im, err = OpenImage(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		writes := []lineWrite{{1, 1}, {2, 2}, {3, 3}}
-		for _, x := range writes {
-			im.WriteLine(x.l, x.w)
-		}
-		if err := im.commit(6); err != nil {
-			t.Fatal(err)
-		}
-		sealed := readSealed(t, path)
-		im.WriteLine(5, 5)
-		if torn, _, err := im.Cut(0, c.reorder, c.garbage, true); torn || err != nil {
-			t.Fatalf("%+v: cut without a tear: torn=%v err=%v", c, torn, err)
-		}
-		if after := readSealed(t, path); !bytes.Equal(after, sealed) {
-			t.Fatalf("%+v: a cut without a tear changed the file", c)
-		}
-		for tear := uint64(1); tear < 3*imageRecBytes; tear++ {
-			im.WriteLine(6, 6)
-			im.WriteLine(7, 7)
-			batch := bytes.Clone(im.batch(7))
-			if torn, _, err := im.Cut(tear, c.reorder, c.garbage, true); !torn || err != nil {
-				t.Fatalf("%+v: cut at %d: torn=%v err=%v", c, tear, torn, err)
-			}
-			cut, _ := os.ReadFile(path)
-			landed := landedTear(batch, tear, c.reorder, c.garbage)
-			n := len(sealedPart(landed))
-			if len(sealedPart(cut)) != len(sealed)+n || !bytes.Equal(cut[:len(sealed)], sealed) ||
-				!bytes.Equal(cut[len(sealed):len(sealed)+len(landed)], landed) {
-				t.Fatalf("%+v: cut at %d left the file sealed to byte %d, want the %d sealed bytes untouched plus %x over zeros",
-					c, tear, len(sealedPart(cut)), len(sealed), landed)
-			}
-			if err := im.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if after, _ := os.ReadFile(path); !bytes.Equal(after, cut) {
-				t.Fatalf("%+v: Close after a cut wrote to the image", c)
-			}
-			o, err := loadImage(t, path)
-			if err != nil || o.torn != uint64(n) || o.epoch != 6 || !o.img.Equal(replay(writes)) {
-				t.Fatalf("%+v: reopen after cut at %d: epoch %d torn=%d err=%v", c, tear, o.epoch, o.torn, err)
-			}
-			if im, err = OpenImage(path); err != nil {
-				t.Fatal(err)
-			}
-		}
-		im.Close()
-	}
-}
-
-// TestImageCutZeros: an out-of-order tear whose lost bytes are zeros in
-// the batch itself would land the whole batch, so Cut writes nothing.
-func TestImageCutZeros(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "image.dat")
-	im, err := OpenImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer im.Close()
-	if err := im.commit(1); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := os.ReadFile(path)
-	im.WriteLine(0, 0) // 16 zero bytes lead the batch
-	if torn, _, err := im.Cut(16, true, false, true); torn || err != nil {
-		t.Fatalf("zero-prefix reorder: torn=%v err=%v, want nothing torn", torn, err)
-	}
-	if after, _ := os.ReadFile(path); len(sealedPart(after)) != imageHeaderBytes+imageRecBytes || !bytes.Equal(after, before) {
-		t.Fatalf("zero-prefix reorder wrote to the image: sealed to byte %d", len(sealedPart(after)))
-	}
-}
-
-// TestImageCutLosesExtension: a cut during a commit whose batch runs
-// past the file's length can lose the zero padding extension the commit
-// made first, with whatever of the batch lay past the old length: the
-// file keeps its previous length and only the batch bytes inside it
-// land. With the extension landed the whole tear lands over zeros.
-func TestImageCutLosesExtension(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "image.dat")
-	im, err := OpenImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer im.Close()
-	var writes []lineWrite
-	for i := 0; i < imageIOBytes/imageRecBytes-2; i++ { // one commit short of the padding's end
-		writes = append(writes, lineWrite{mem.LineAddr(i), mem.Word(i + 1)})
-		im.WriteLine(mem.LineAddr(i), mem.Word(i+1))
-	}
-	if err := im.commit(1); err != nil {
-		t.Fatal(err)
-	}
-	sealed, _ := os.ReadFile(path)
-	if len(sealed) != imageIOBytes || len(sealedPart(sealed)) != imageIOBytes-imageRecBytes+imageHeaderBytes {
-		t.Fatalf("the commit left %d bytes sealed to %d, want %d with one record's room of padding short of a header",
-			len(sealed), len(sealedPart(sealed)), imageIOBytes)
-	}
-	for _, extended := range []bool{false, true} {
-		im.WriteLine(7, 70)
-		im.WriteLine(8, 80)
-		batch := bytes.Clone(im.batch(2))
-		torn, lost, err := im.Cut(uint64(len(batch)-1), false, false, extended)
-		if err != nil || !torn || lost == extended {
-			t.Fatalf("extended=%v: torn=%v lost=%v err=%v, want the tear with the extension lost=%v", extended, torn, lost, err, !extended)
-		}
-		cut, _ := os.ReadFile(path)
-		landed := landedTear(batch, uint64(len(batch)-1), false, false)
-		wantLen := len(sealed)
-		if extended {
-			wantLen += imageIOBytes
-		} else {
-			landed = landed[:len(sealed)-len(sealedPart(sealed))]
-		}
-		if len(cut) != wantLen || !bytes.Equal(cut[:len(sealedPart(sealed))], sealedPart(sealed)) ||
-			!bytes.Equal(cut[len(sealedPart(sealed)):len(sealedPart(sealed))+len(landed)], landed) {
-			t.Fatalf("extended=%v: the cut left %d bytes, want %d: the sealed ones untouched, then %x", extended, len(cut), wantLen, landed)
-		}
-		o, err := loadImage(t, path)
-		if err != nil || o.epoch != 1 || o.torn != uint64(len(sealedPart(landed))) || !o.img.Equal(replay(writes)) {
-			t.Fatalf("extended=%v: reopen: epoch %d torn=%d err=%v, want epoch 1 and %d torn", extended, o.epoch, o.torn, err, len(sealedPart(landed)))
-		}
-		if err := os.WriteFile(path, sealed, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

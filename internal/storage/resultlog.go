@@ -9,7 +9,7 @@ import (
 )
 
 // Results is the content-addressed result region: an append-only log of
-// (digest, payload) records living on a Backend, so experiment results
+// (digest, payload) records living on a LogStore, so experiment results
 // persist with exactly the durability machinery the undo log already
 // has — 2 KB sequential block appends, a validated superblock, and
 // torn-tail repair at open. internal/serve keys it on the SHA-256 of
@@ -39,7 +39,7 @@ import (
 // appends via Refresh, which never truncates — an unreadable tail there
 // may simply be another process's append still in flight.
 type Results struct {
-	b Backend
+	b LogStore
 	// idx maps digest -> payload for every complete record scanned so
 	// far. Payloads are retained in memory: the warm result cache IS the
 	// serving daemon's working set.
@@ -47,8 +47,8 @@ type Results struct {
 	// order records insertion order of digests (scan order, then local
 	// appends) so listings are deterministic without sorting raw hashes.
 	order [][32]byte
-	// scanned is the absolute block index (Backend.Blocks numbering) the
-	// scan has consumed up to.
+	// scanned is the absolute block index (LogStore.Blocks numbering)
+	// the scan has consumed up to.
 	scanned uint64
 }
 
@@ -64,10 +64,10 @@ const (
 
 // OpenResults mounts a result region on b, scanning every stored record
 // into the in-memory index. A torn or corrupt tail (the record a crash
-// interrupted) is discarded and the backend truncated back to the last
+// interrupted) is discarded and the log truncated back to the last
 // complete record, mirroring the undo log's open-time repair.
-func OpenResults(b Backend) (*Results, error) {
-	r := &Results{b: b, idx: make(map[[32]byte][]byte)}
+func OpenResults(b LogStore) (*Results, error) {
+	r := &Results{b: b, idx: make(map[[32]byte][]byte), scanned: b.Super().Start}
 	good, err := r.scan()
 	if err != nil {
 		return nil, err
@@ -80,31 +80,20 @@ func OpenResults(b Backend) (*Results, error) {
 	return r, nil
 }
 
-// raw reads the region's live blocks: it returns the bytes after the
-// superblock and the absolute index of their first block (the region's
-// GC'd prefix is not in the ReadAll image).
-func (r *Results) raw() ([]byte, uint64, error) {
-	raw, err := r.b.ReadAll()
-	if err != nil {
-		return nil, 0, err
-	}
-	start := r.b.Blocks() - uint64(len(raw)-undolog.SuperBytes)/undolog.BlockBytes
-	return raw[undolog.SuperBytes:], start, nil
-}
-
-// scan consumes complete records beyond r.scanned, indexing them, and
-// returns the absolute block index one past the last complete record.
-// An invalid or incomplete tail stops the scan without error.
+// scan reads the blocks past r.scanned, indexes the complete records
+// among them, and returns the absolute block index one past the last
+// complete record. An invalid or incomplete tail stops the scan
+// without error, and the next scan reads it again.
 func (r *Results) scan() (uint64, error) {
-	payload, start, err := r.raw()
-	if err != nil {
+	if r.b.Blocks() <= r.scanned {
+		return r.scanned, nil
+	}
+	payload := make([]byte, (r.b.Blocks()-r.scanned)*undolog.BlockBytes)
+	if err := r.b.ReadBlocks(r.scanned, payload); err != nil {
 		return 0, err
 	}
-	if r.scanned < start {
-		r.scanned = start
-	}
+	var off uint64
 	for {
-		off := (r.scanned - start) * undolog.BlockBytes
 		if off+resultHeaderBytes > uint64(len(payload)) {
 			return r.scanned, nil
 		}
@@ -136,6 +125,7 @@ func (r *Results) scan() (uint64, error) {
 		copy(body, rec[resultHeaderBytes:total])
 		r.idx[d] = body
 		r.scanned += nblocks
+		off += nblocks * undolog.BlockBytes
 	}
 }
 
@@ -148,7 +138,7 @@ func (r *Results) Get(d [32]byte) ([]byte, bool) {
 // Len reports how many distinct digests are indexed.
 func (r *Results) Len() int { return len(r.idx) }
 
-// Blocks reports the backend's total block count.
+// Blocks reports the log's total block count.
 func (r *Results) Blocks() uint64 { return r.b.Blocks() }
 
 // Digests returns the indexed digests in first-seen order.
@@ -200,23 +190,17 @@ func (r *Results) Put(d [32]byte, payload []byte) error {
 	return nil
 }
 
-// refresher is implemented by backends whose media can grow underneath
-// them (File, when other processes append to the shared region).
-type refresher interface{ Refresh() error }
-
 // Refresh picks up records other processes appended since the last
 // scan. Unlike open, it never truncates: an unreadable tail here is as
 // likely a foreign append in flight as a crash, and crash repair
 // belongs to the next open anyway.
 func (r *Results) Refresh() error {
-	if ref, ok := r.b.(refresher); ok {
-		if err := ref.Refresh(); err != nil {
-			return err
-		}
+	if err := r.b.Refresh(); err != nil {
+		return err
 	}
 	_, err := r.scan()
 	return err
 }
 
-// Close syncs and releases the backend.
+// Close syncs and releases the log.
 func (r *Results) Close() error { return r.b.Close() }

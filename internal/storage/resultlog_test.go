@@ -15,7 +15,7 @@ import (
 func digestOf(s string) [32]byte { return sha256.Sum256([]byte(s)) }
 
 func TestResultsRoundTripMem(t *testing.T) {
-	r, err := OpenResults(NewMem(undolog.Super{RegionBytes: undolog.DefaultRegionBytes}))
+	r, err := OpenResults(openLog(t, undolog.Super{RegionBytes: undolog.DefaultRegionBytes}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +262,14 @@ func TestResultsRefreshCrossProcess(t *testing.T) {
 
 	// A foreign torn tail (append in flight) must not break Refresh or
 	// get truncated away by the reader.
-	if err := wf.TearTail(bytes.Repeat([]byte{0xab}, undolog.BlockBytes), 700); err != nil {
+	tail, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := tail.Write(bytes.Repeat([]byte{0xab}, 700)); err != nil {
+		t.Fatal(err)
+	}
+	tail.Close()
 	if err := reader.Refresh(); err != nil {
 		t.Fatalf("Refresh over foreign torn tail: %v", err)
 	}
@@ -329,10 +334,53 @@ func TestResultsPutCutsDeadWritersTail(t *testing.T) {
 	}
 }
 
+// wrappedLog is a LogStore decorator that overrides nothing, as every
+// Wrapper's log does for the methods it does not time or fault.
+type wrappedLog struct{ LogStore }
+
+// TestResultsWrappedMountSeesForeignAppends: a mount whose log is
+// wrapped still refreshes through the wrapper, so its Put appends after
+// another mount's record instead of over it.
+func TestResultsWrappedMountSeesForeignAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shared.log")
+	mount := func(wrap bool) *Results {
+		f, err := OpenFile(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b LogStore = f
+		if wrap {
+			b = wrappedLog{f}
+		}
+		r, err := OpenResults(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	a, b := mount(false), mount(true)
+	if err := a.Put(digestOf("a"), []byte("from A")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(digestOf("b"), []byte("from B")); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	b.Close()
+	r := mount(false)
+	defer r.Close()
+	if r.Len() != 2 {
+		t.Fatalf("reopened log holds %d of the 2 acknowledged records", r.Len())
+	}
+}
+
 // TestResultsPutBounds rejects oversized payloads before touching the
-// backend.
+// log.
 func TestResultsPutBounds(t *testing.T) {
-	r, err := OpenResults(NewMem(undolog.Super{RegionBytes: undolog.DefaultRegionBytes}))
+	r, err := OpenResults(openLog(t, undolog.Super{RegionBytes: undolog.DefaultRegionBytes}))
 	if err != nil {
 		t.Fatal(err)
 	}

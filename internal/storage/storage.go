@@ -9,16 +9,12 @@
 // cmd/picl-crash SIGKILLs real child processes against it, and
 // cmd/picl-recover audits what it left behind.
 //
-// Two Backend implementations exist:
-//
-//   - Mem models the simulated in-NVM log region: the byte image it
-//     accumulates is identical to undolog.Log.WriteTo output (the golden
-//     byte-identity tests pin this), so everything that consumes durable
-//     log bytes is agnostic to which backend produced them.
-//   - File stores the same bytes in a real file, one sequential 2 KB
-//     block write per append (cf. pmembench's LogWriterZeroCached
-//     staging/flush discipline), made durable by fsync in Sync, which
-//     only the commits that need it call.
+// File stores the undo log in a real file, one sequential 2 KB block
+// write per append (cf. pmembench's LogWriterZeroCached staging/flush
+// discipline), made durable by fsync in Sync, which only the commits
+// that need it call; its bytes are exactly undolog.Log.WriteTo's, so
+// undolog.ReadLog reads the file as it lies. Every durable file does
+// its I/O through FileOps, the seam the fault injector interposes on.
 //
 // # Ordering contract
 //
@@ -61,12 +57,15 @@
 //
 // # Torn data and rot
 //
-// A crash can leave the log's unsynced blocks — everything past the
-// count of its last sync — in any shape: each one whole, zeros,
-// garbage, torn, or the stale block from before a rewind that it
-// overwrote, in any order, since a page cache writes unsynced pages
-// back as it likes; and it can tear the image's in-flight commit
-// batch, in order or out of it. Both are survivable by construction.
+// A crash keeps what each file's last fsync made durable; every
+// sector written since may land as written or as that fsync left it,
+// in any combination across sectors and files, and each file may end
+// at its synced length or its current one. For the log, that leaves
+// its unsynced blocks — everything past the count of its last sync —
+// in any shape: each one whole, zeros, torn, or the stale block from
+// before a rewind that it overwrote; for the image, its in-flight
+// commit batch torn, in order or out of it, with or without the
+// padding extension it made. Both are survivable by construction.
 // Dir.Recover reads the log only up to the prefix the last sealed
 // commit names and drops the rest, whatever its shape — stale blocks a
 // rewind left behind the append point included: no commit needed it.
@@ -102,65 +101,3 @@
 // superblock, or an image without this format's header (the older
 // layouts included), is likewise unrecoverable.
 package storage
-
-import (
-	"fmt"
-
-	"picl/internal/undolog"
-)
-
-// Backend is durable, append-only block storage for the undo log. All
-// implementations present the identical durable byte representation:
-// one undolog superblock followed by whole 2 KB blocks.
-//
-// AppendBlock may stage; data is guaranteed durable only after Sync
-// returns. Implementations are not safe for concurrent use.
-type Backend interface {
-	// AppendBlock appends one encoded block (exactly undolog.BlockBytes
-	// long, as produced by undolog.EncodeBlock).
-	AppendBlock(raw []byte) error
-	// Sync makes every appended block durable (fsync for files; a
-	// no-op for memory regions).
-	Sync() error
-	// Blocks reports the total block count including the GC'd prefix
-	// recorded in the superblock — the same watermark as
-	// undolog.Log.Blocks.
-	Blocks() uint64
-	// ReadAll returns the full durable byte representation: the
-	// superblock followed by every stored block, ready for
-	// undolog.ReadLog.
-	ReadAll() ([]byte, error)
-	// Truncate discards appended blocks from the tail so that n total
-	// blocks remain (crash support and torn-tail repair). n below the
-	// GC'd prefix is an error; n at or above the current count is a
-	// no-op.
-	Truncate(n uint64) error
-	// Close releases the backend, syncing staged data first.
-	Close() error
-}
-
-// checkBlock validates an encoded block's size before it is accepted.
-func checkBlock(raw []byte) error {
-	if len(raw) != undolog.BlockBytes {
-		return fmt.Errorf("storage: block is %d bytes, want %d", len(raw), undolog.BlockBytes)
-	}
-	return nil
-}
-
-// DumpLog replays a live log (superblock geometry plus every live
-// block) into a backend and syncs it. Dumping into a fresh Mem created
-// with l.Super() yields bytes identical to l.WriteTo — the byte-identity
-// bridge between the simulated region and real files.
-func DumpLog(l *undolog.Log, b Backend) error {
-	err := l.EachBlock(func(bl undolog.Block) error {
-		raw, err := undolog.EncodeBlock(bl)
-		if err != nil {
-			return err
-		}
-		return b.AppendBlock(raw)
-	})
-	if err != nil {
-		return err
-	}
-	return b.Sync()
-}

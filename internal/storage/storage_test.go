@@ -49,21 +49,49 @@ func TestGoldenRegionBytes(t *testing.T) {
 	}
 }
 
-// openBackends returns one of each Backend implementation, both empty
-// with the same geometry.
-func openBackends(t *testing.T, super undolog.Super) map[string]Backend {
+// openLog returns an empty log file of the given geometry, closed
+// when the test ends.
+func openLog(t *testing.T, super undolog.Super) *File {
 	t.Helper()
 	lf, err := OpenFile(filepath.Join(t.TempDir(), "undo.log"), super.RegionBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lf.Close() })
-	return map[string]Backend{"mem": NewMem(super), "file": lf}
+	return lf
 }
 
-// TestBackendByteIdentity is the tentpole contract: dumping the same
-// log through the simulated backend and the file backend yields bytes
-// identical to each other and to Log.WriteTo — the in-image
+// dumpLog appends every live block of l to lf and syncs it.
+func dumpLog(t *testing.T, l *undolog.Log, lf *File) {
+	t.Helper()
+	err := l.EachBlock(func(b undolog.Block) error {
+		raw, err := undolog.EncodeBlock(b)
+		if err != nil {
+			return err
+		}
+		return lf.AppendBlock(raw)
+	})
+	if err == nil {
+		err = lf.Sync()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fileBytes reads what undolog.ReadLog reads from lf: its superblock and
+// every block up to the append point.
+func fileBytes(t *testing.T, lf *File) []byte {
+	t.Helper()
+	b := make([]byte, undolog.SuperBytes+(lf.Blocks()-lf.Super().Start)*undolog.BlockBytes)
+	if _, err := lf.f.ReadAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestBackendByteIdentity pins the format contract: dumping a log into
+// a File yields bytes identical to Log.WriteTo — the in-image
 // representation and the on-disk file are the same format.
 func TestBackendByteIdentity(t *testing.T) {
 	l := fixtureLog(5)
@@ -71,25 +99,18 @@ func TestBackendByteIdentity(t *testing.T) {
 	if _, err := l.WriteTo(&want); err != nil {
 		t.Fatal(err)
 	}
-	for name, b := range openBackends(t, l.Super()) {
-		if err := DumpLog(l, b); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := b.ReadAll()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("%s: backend bytes differ from WriteTo (%d vs %d bytes)", name, len(got), want.Len())
-		}
-		if b.Blocks() != l.Blocks() {
-			t.Fatalf("%s: blocks = %d, want %d", name, b.Blocks(), l.Blocks())
-		}
+	lf := openLog(t, l.Super())
+	dumpLog(t, l, lf)
+	if got := fileBytes(t, lf); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file bytes differ from WriteTo (%d vs %d bytes)", len(got), want.Len())
+	}
+	if lf.Blocks() != l.Blocks() {
+		t.Fatalf("blocks = %d, want %d", lf.Blocks(), l.Blocks())
 	}
 }
 
-// TestBackendContract exercises the shared Backend semantics on both
-// implementations: append/read round trip, truncate, and size checks.
+// TestBackendContract exercises the LogStore block semantics on File:
+// append/read round trip, truncate, and size checks.
 func TestBackendContract(t *testing.T) {
 	l := fixtureLog(3)
 	var raws [][]byte
@@ -101,62 +122,34 @@ func TestBackendContract(t *testing.T) {
 		raws = append(raws, raw)
 		return nil
 	})
-	for name, b := range openBackends(t, undolog.Super{RegionBytes: 1 << 20}) {
-		if err := b.AppendBlock(make([]byte, 100)); err == nil {
-			t.Fatalf("%s: undersized block accepted", name)
-		}
-		for _, raw := range raws {
-			if err := b.AppendBlock(raw); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		if err := b.Sync(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := b.Truncate(5); err != nil {
-			t.Fatalf("%s: truncate past end: %v", name, err)
-		}
-		if b.Blocks() != 3 {
-			t.Fatalf("%s: truncate past end moved the watermark to %d", name, b.Blocks())
-		}
-		if err := b.Truncate(1); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := b.ReadAll()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != undolog.SuperBytes+undolog.BlockBytes {
-			t.Fatalf("%s: %d bytes after truncate", name, len(got))
-		}
-		rl, read, err := undolog.ReadLog(bytes.NewReader(got), 0)
-		if err != nil || read != 1 || rl.Blocks() != 1 {
-			t.Fatalf("%s: re-read %d blocks err=%v", name, read, err)
+	b := openLog(t, undolog.Super{RegionBytes: 1 << 20})
+	if err := b.AppendBlock(make([]byte, 100)); err == nil {
+		t.Fatal("undersized block accepted")
+	}
+	for _, raw := range raws {
+		if err := b.AppendBlock(raw); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// TestMemHonorsGCPrefix: a Mem created from a GC'd log's superblock
-// numbers blocks from the start index, and refuses truncation below it.
-func TestMemHonorsGCPrefix(t *testing.T) {
-	m := NewMem(undolog.Super{RegionBytes: 1 << 20, Start: 7})
-	if m.Blocks() != 7 {
-		t.Fatalf("blocks = %d, want the GC'd prefix 7", m.Blocks())
-	}
-	if err := m.Truncate(3); err == nil {
-		t.Fatal("truncate below GC'd prefix accepted")
-	}
-	raw, _ := undolog.EncodeBlock(undolog.Block{
-		Entries:      []undolog.Entry{{Line: 1, ValidFrom: 8, ValidTill: 9, Old: 42}},
-		MaxValidTill: 9,
-	})
-	if err := m.AppendBlock(raw); err != nil {
+	if err := b.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	all, _ := m.ReadAll()
-	rl, read, err := undolog.ReadLog(bytes.NewReader(all), 0)
-	if err != nil || read != 1 || rl.Start() != 7 || rl.Blocks() != 8 {
-		t.Fatalf("read=%d start=%d blocks=%d err=%v", read, rl.Start(), rl.Blocks(), err)
+	if err := b.Truncate(5); err != nil {
+		t.Fatalf("truncate past end: %v", err)
+	}
+	if b.Blocks() != 3 {
+		t.Fatalf("truncate past end moved the watermark to %d", b.Blocks())
+	}
+	if err := b.Truncate(1); err != nil {
+		t.Fatal(err)
+	}
+	got := fileBytes(t, b)
+	if len(got) != undolog.SuperBytes+undolog.BlockBytes {
+		t.Fatalf("%d bytes after truncate", len(got))
+	}
+	rl, read, err := undolog.ReadLog(bytes.NewReader(got), 0)
+	if err != nil || read != 1 || rl.Blocks() != 1 {
+		t.Fatalf("re-read %d blocks err=%v", read, err)
 	}
 }
 
@@ -169,9 +162,7 @@ func TestFileReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DumpLog(l, lf); err != nil {
-		t.Fatal(err)
-	}
+	dumpLog(t, l, lf)
 	if err := lf.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +175,9 @@ func TestFileReopen(t *testing.T) {
 	if re.Blocks() != 4 || re.TornBytes() != 0 {
 		t.Fatalf("reopen: blocks=%d torn=%d", re.Blocks(), re.TornBytes())
 	}
-	got, err := re.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want bytes.Buffer
 	l.WriteTo(&want)
-	if !bytes.Equal(got, want.Bytes()) {
+	if !bytes.Equal(fileBytes(t, re), want.Bytes()) {
 		t.Fatal("reopened file bytes differ")
 	}
 }
@@ -447,7 +434,7 @@ func TestFileErrorPaths(t *testing.T) {
 		t.Fatalf("append after Close = %v, want ErrClosed", err)
 	}
 
-	// ReadAll over a region the filesystem no longer holds (out-of-band
+	// A read of blocks the filesystem no longer holds (out-of-band
 	// truncation below the block watermark) is an error, never a short
 	// or zero-padded result.
 	path := filepath.Join(t.TempDir(), "undo.log")
@@ -467,8 +454,8 @@ func TestFileErrorPaths(t *testing.T) {
 	if err := os.Truncate(path, undolog.SuperBytes+undolog.BlockBytes); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lf3.ReadAll(); err == nil {
-		t.Fatal("ReadAll past the file's real size reported success")
+	if err := lf3.ReadBlocks(0, make([]byte, 3*undolog.BlockBytes)); err == nil {
+		t.Fatal("ReadBlocks past the file's real size reported success")
 	}
 }
 
@@ -485,8 +472,11 @@ func TestRecoverSweepsStaleTmp(t *testing.T) {
 	if err := d.PersistMarker(3); err != nil {
 		t.Fatal(err)
 	}
-	d.Img.WriteLine(1, 1)
-	if _, _, err := d.mk.im.Cut(12, true, false, true); err != nil {
+	// A commit torn out of order: the tail of its batch (one line
+	// record and the commit record) landed, its first 12 bytes did not.
+	batch := appendImageRecord(nil, 1, 1)
+	batch = appendCommitRecord(batch, commitRec{epoch: 4, count: 1, sum: crc32.Checksum(batch, castagnoli)})
+	if _, err := d.mk.im.f.WriteAt(batch[12:], d.mk.im.size+12); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -678,141 +668,6 @@ func TestResetOrder(t *testing.T) {
 	// The compaction left eight records for five lines.
 	if got, want := steps(dir), "[set 0 set 0 rewind 0]"; got != want {
 		t.Fatalf("Reset after the compaction: %s, want %s", got, want)
-	}
-}
-
-// TestMemClose: the simulated backend's Close is a successful no-op —
-// the region lives in the NVM image, not behind a descriptor.
-func TestMemClose(t *testing.T) {
-	if err := NewMem(undolog.Super{RegionBytes: 1 << 20}).Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFileTearTail: a torn append leaves a partial tail block that does
-// not advance the watermark, and the next open repairs it, reporting
-// the torn byte count.
-func TestFileTearTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "undo.log")
-	lf, err := OpenFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := undolog.EncodeBlock(undolog.Block{
-		Entries:      []undolog.Entry{{Line: 1, ValidTill: 1, Old: 7}},
-		MaxValidTill: 1,
-	})
-	if err := lf.AppendBlock(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := lf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lf.TearTail(raw, 0); err == nil {
-		t.Fatal("empty tear accepted")
-	}
-	if err := lf.TearTail(raw, len(raw)); err == nil {
-		t.Fatal("full-block tear accepted (that is an append, not a tear)")
-	}
-	if err := lf.TearTail(raw, 100); err != nil {
-		t.Fatal(err)
-	}
-	if lf.Blocks() != 1 {
-		t.Fatalf("tear advanced the watermark to %d", lf.Blocks())
-	}
-	if err := lf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Blocks() != 1 || re.TornBytes() != 100 {
-		t.Fatalf("reopen after tear: blocks=%d torn=%d, want 1 and 100", re.Blocks(), re.TornBytes())
-	}
-}
-
-// TestFileLandUnsynced: a cut lands the blocks past the durable count
-// as given — whole, absent (zeros behind a later block), or torn — and
-// the count falls back to it; the next open sees the whole blocks the
-// file holds and drops the partial tail.
-func TestFileLandUnsynced(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "undo.log")
-	lf, err := OpenFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := undolog.EncodeBlock(undolog.Block{
-		Entries:      []undolog.Entry{{Line: 1, ValidTill: 1, Old: 7}},
-		MaxValidTill: 1,
-	})
-	for range 4 {
-		if err := lf.AppendBlock(raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lf.LandUnsynced(1, [][]byte{nil, raw, raw[:100]}); err != nil {
-		t.Fatal(err)
-	}
-	if lf.Blocks() != 1 {
-		t.Fatalf("count after the cut = %d, want 1", lf.Blocks())
-	}
-	if err := lf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append(undolog.EncodeSuper(lf.Super()), raw...)
-	want = append(append(append(want, make([]byte, len(raw))...), raw...), raw[:100]...)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("the cut left %d bytes, want %d: the durable block, zeros, the block, a 100-byte tear", len(got), len(want))
-	}
-	re, err := OpenFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Blocks() != 3 || re.TornBytes() != 100 {
-		t.Fatalf("reopen: blocks=%d torn=%d, want 3 and 100", re.Blocks(), re.TornBytes())
-	}
-}
-
-// TestFileRotBit: a flipped bit in a stored block is out of TearTail's
-// reach — ReadLog must reject the block as corrupt, and out-of-range
-// rot targets are refused.
-func TestFileRotBit(t *testing.T) {
-	lf, err := OpenFile(filepath.Join(t.TempDir(), "undo.log"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lf.Close()
-	raw, _ := undolog.EncodeBlock(undolog.Block{
-		Entries:      []undolog.Entry{{Line: 1, ValidTill: 1, Old: 7}},
-		MaxValidTill: 1,
-	})
-	for i := 0; i < 2; i++ {
-		if err := lf.AppendBlock(raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lf.RotBit(2, 0); err == nil {
-		t.Fatal("rot past the watermark accepted")
-	}
-	if err := lf.RotBit(0, 12345); err != nil {
-		t.Fatal(err)
-	}
-	all, err := lf.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := undolog.ReadLog(bytes.NewReader(all), 0); !errors.Is(err, undolog.ErrCorruptBlock) {
-		t.Fatalf("rotted block read back as %v, want ErrCorruptBlock", err)
 	}
 }
 

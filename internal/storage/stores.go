@@ -2,24 +2,59 @@ package storage
 
 import (
 	"errors"
+	"os"
 
 	"picl/internal/mem"
 	"picl/internal/undolog"
 )
 
-// ErrPowerLost is the sentinel a fault-injecting store wrapper returns
-// once its scheduled crash point is reached: the simulated power is off,
-// every subsequent operation on the store fails the same way, and the
-// only way forward is reopening the directory and running recovery.
+// ErrPowerLost is the sentinel a fault-injecting file seam returns once
+// its scheduled crash point is reached: the simulated power is off,
+// every subsequent write, truncate and fsync fails the same way, and
+// the only way forward is reopening the directory and running recovery.
 // Match it with errors.Is — it arrives wrapped with operation context.
 var ErrPowerLost = errors.New("storage: simulated power loss")
 
-// LogStore is what a Dir needs from its undo-log component: the Backend
-// block operations plus the superblock geometry, torn-tail report,
-// positional block reads and the in-place rewind File provides. File
-// implements it; fault wrappers decorate it.
+// FileOps is the I/O a durable file does: File (the undo log and the
+// result log) and ImageFile make every read, write, truncate and fsync
+// through it. *os.File is the default; WrapFile interposes another
+// (internal/storage/fault's power-cut model). WriteAt is declared here,
+// not embedded, so picl-lint's walorder sees a commit's positional
+// write on the same receiver as its fsync.
+type FileOps interface {
+	ReadAt(p []byte, off int64) (int, error)
+	WriteAt(p []byte, off int64) (int, error)
+	Truncate(size int64) error
+	Sync() error
+	Stat() (os.FileInfo, error)
+	Name() string
+	Close() error
+}
+
+var _ FileOps = (*os.File)(nil)
+
+// LogStore is what a Dir needs from its undo-log component, and what a
+// Results region lives on: durable, append-only storage of whole 2 KB
+// blocks behind one undolog superblock. File implements it; a Wrapper
+// may decorate it. AppendBlock may stage: data is guaranteed durable
+// only after Sync returns. Implementations are not safe for concurrent
+// use, except that ReadBlocks may run beside the image's Load.
 type LogStore interface {
-	Backend
+	// AppendBlock appends one encoded block (exactly undolog.BlockBytes
+	// long, as produced by undolog.EncodeBlock).
+	AppendBlock(raw []byte) error
+	// Sync makes every appended block durable.
+	Sync() error
+	// Blocks reports the total block count including the GC'd prefix
+	// recorded in the superblock — the same watermark as
+	// undolog.Log.Blocks.
+	Blocks() uint64
+	// Truncate discards blocks from the tail so that n total remain,
+	// durably (crash support and torn-tail repair). n below the GC'd
+	// prefix is an error; n at or above the current count is a no-op.
+	Truncate(n uint64) error
+	// Close releases the store, syncing staged data first.
+	Close() error
 	Super() undolog.Super
 	TornBytes() uint64
 	// ReadBlocks fills p, a whole number of blocks long, with the
@@ -33,6 +68,9 @@ type LogStore interface {
 	// keeps the overwrite invariant: n is at or above every log prefix
 	// the two newest sealed commits name.
 	Rewind(n uint64) error
+	// Refresh extends Blocks over whole blocks another process
+	// appended to the shared file (the serving daemon's result log).
+	Refresh() error
 }
 
 // ImageStore is what a Dir needs from its image component — the durable
@@ -57,15 +95,17 @@ type MarkerStore interface {
 	Close() error
 }
 
-// Wrapper decorates a Dir's components as they are (re)opened — the
-// hook the fault-injection campaign uses to interpose torn writes,
-// failing fsyncs, bit rot, and power cuts between the machine and the
-// real files (see internal/storage/fault). Dir remembers the wrapper and
-// re-applies it to the fresh components Reset opens. The components it
-// returns are called from one goroutine at a time, with one exception:
-// Recover runs the log's ReadBlocks beside the image's Load, so a
-// wrapper that keeps state across the two synchronizes it (the fault
-// injector's pass both straight through).
+// Wrapper decorates a Dir's components as they are (re)opened, and the
+// log a Results region mounts on. A wrapper may return a component of
+// its own (the benchmark's timer does), or interpose on the file behind
+// a *File or *ImageFile with WrapFile and return the component itself,
+// as the fault injector does (internal/storage/fault): its power cut
+// acts on the files, so it knows no file format. Dir remembers the
+// wrapper and re-applies it to the image Reset's compaction opens. The
+// components it returns are called from one goroutine at a time, with
+// one exception: Recover runs the log's ReadBlocks beside the image's
+// Load, so a wrapper that keeps state across the two synchronizes it
+// (the fault injector's reads touch none).
 type Wrapper interface {
 	WrapLog(LogStore) LogStore
 	WrapImage(ImageStore) ImageStore

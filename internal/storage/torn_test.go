@@ -54,10 +54,7 @@ func TestTornTailMatrix(t *testing.T) {
 		if lf.Blocks() != wantBlocks || lf.TornBytes() != uint64(off%undolog.BlockBytes) {
 			t.Fatalf("off %d: blocks=%d torn=%d", off, lf.Blocks(), lf.TornBytes())
 		}
-		raw, err := lf.ReadAll()
-		if err != nil {
-			t.Fatalf("off %d: %v", off, err)
-		}
+		raw := fileBytes(t, lf)
 		if err := lf.Close(); err != nil {
 			t.Fatalf("off %d: %v", off, err)
 		}
@@ -105,11 +102,7 @@ func TestTornThenAppend(t *testing.T) {
 	if err := lf.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	all, err := lf.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl, read, err := undolog.ReadLog(bytes.NewReader(all), 0)
+	rl, read, err := undolog.ReadLog(bytes.NewReader(fileBytes(t, lf)), 0)
 	if err != nil || read != 3 || rl.Blocks() != 3 {
 		t.Fatalf("read=%d blocks=%d err=%v", read, rl.Blocks(), err)
 	}

@@ -381,6 +381,9 @@ func (m *Machine) CrashAt(t uint64) {
 // was extended with ahead of it: recovery at the synced epoch needs no
 // undo entry, so the undo log is not synced. Stop-the-world schemes
 // simply commit and drain. Returns the number of cycles the sync cost.
+// If the durable store's commit fails (after its bounded retry), Sync
+// returns ErrBackend and the machine is degraded: the epoch it ended may
+// or may not be on disk.
 func (m *Machine) Sync() (uint64, error) {
 	if err := m.checkWritable(); err != nil {
 		return 0, err
@@ -390,6 +393,11 @@ func (m *Machine) Sync() (uint64, error) {
 	if fp, ok := m.scheme.(forcePersister); ok {
 		if resume := fp.ForcePersist(m.clock); resume > m.clock {
 			m.clock = resume
+		}
+		// A durable store whose commit failed degraded during it: the
+		// epoch is not durable, and the caller must not act as if it were.
+		if err := m.checkWritable(); err != nil {
+			return 0, err
 		}
 	} else {
 		if err := m.CommitEpoch(); err != nil {
@@ -414,9 +422,11 @@ func (m *Machine) QueueIO(tag string) error {
 
 // ReleaseIO returns the tags of buffered I/O writes whose epochs have
 // persisted since the last call (in issue order). Call after
-// CommitEpoch/Advance/Sync. After a crash nothing further releases:
-// whatever was still pending is gone with the power, which is precisely
-// why it was never shown to the outside world.
+// CommitEpoch/Advance/Sync. On a machine built with Open an epoch has
+// persisted only once the store's commit of it completed, so a degraded
+// store releases nothing past its last commit. After a crash nothing
+// further releases: whatever was still pending is gone with the power,
+// which is precisely why it was never shown to the outside world.
 func (m *Machine) ReleaseIO() []string {
 	if m.crashed {
 		return nil
@@ -427,6 +437,9 @@ func (m *Machine) ReleaseIO() []string {
 
 func (m *Machine) releaseIO() []string {
 	persisted := m.scheme.PersistedEID()
+	if m.durablePiCL != nil && m.durablePiCL.Durable() != nil { // built with Open, closed or not
+		persisted = min(persisted, m.durablePiCL.Durable().Committed())
+	}
 	var out []string
 	i := 0
 	for i < len(m.ioQueue) && m.ioQueue[i].epoch.AtMost(persisted) {
