@@ -253,6 +253,7 @@ func TestSmokeFlagValidation(t *testing.T) {
 		{"-factor NaN", "scale factor NaN: want a positive number"},
 		{"-factor 100", "scale factor 100: 1-core hierarchy: cache \"l2\": set count 5 not a power of two"},
 		{"-epochs 0", "0 epochs: want at least 1"},
+		{"-factor 1024 -epochs 4611686018427387904", "4611686018427387904 epochs of 29296 instructions: the run length overflows 64 bits"},
 	} {
 		args := append([]string{"-spawn", sb}, strings.Fields(c.args)...)
 		if _, stderr, code := runLoad(t, tmp, args...); code != 2 || !strings.Contains(stderr, c.want) {

@@ -116,6 +116,7 @@ func TestSmokeBadFlagsExit2(t *testing.T) {
 		{"-factor 200 -mix 0", `scale factor 200: 8-core hierarchy: cache "llc": set count 163 not a power of two`},
 		{"-epochs -1", "-1 epochs: want at least 1"},
 		{"-epochs 0", "0 epochs: want at least 1"},
+		{"-factor 1024 -epochs 4611686018427387904", "4611686018427387904 epochs of 29296 instructions: the run length overflows 64 bits"},
 		{"-record x.trace -n 0", "-n 0"},
 		{"-trace x.json -trace-cap 0", "-trace-cap 0"},
 	} {

@@ -194,7 +194,8 @@ func TestSmokeNoStoreMode(t *testing.T) {
 // TestSmokeBadScaleExits2: a scale that would hang every cell, serve
 // NaN or panic building its caches exits 2 before the daemon listens.
 func TestSmokeBadScaleExits2(t *testing.T) {
-	for _, args := range [][]string{{"-factor", "-4"}, {"-factor", "0"}, {"-factor", "100"}, {"-epochs", "0"}} {
+	for _, args := range [][]string{{"-factor", "-4"}, {"-factor", "0"}, {"-factor", "100"}, {"-epochs", "0"},
+		{"-factor", "1024", "-epochs", "4611686018427387904"}} {
 		out, err := exec.Command(simdBin(t), append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 2 || strings.Contains(string(out), "listening") {

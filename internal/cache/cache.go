@@ -1,7 +1,8 @@
 // Package cache implements the SRAM cache hierarchy of the evaluated
 // system (paper Table IV): per-core private L1 and L2 plus a shared,
 // inclusive last-level cache, all write-back with LRU replacement. Cache
-// lines carry the PiCL epoch-ID (EID) tag and a dirty bit; the hierarchy
+// lines carry the PiCL epoch-ID (EID) tag and a dirty bit, held once per
+// line in its LLC way (the private levels keep tags); the hierarchy
 // exposes exactly the hook points the paper adds to the cache state
 // machines (Figs. 7 and 8): a pre-store observation (where undo entries
 // are created), a dirty-eviction path into the persistence scheme, and a
@@ -22,6 +23,8 @@ import (
 // and the PiCL state. Since the structure-of-arrays refactor the Cache
 // does not store Lines — state lives in per-field planes — and Line is
 // only the currency for victims, invalidations, and test assertions.
+// A snapshot from a private level (Hierarchy.L1, L2) carries the
+// address alone: its state lives in the line's LLC record.
 type Line struct {
 	Addr mem.LineAddr
 	// EID is the epoch the line was last stored to in, or mem.NoEpoch for
@@ -35,11 +38,6 @@ type Line struct {
 	// Maintained only in the LLC; the evaluated workloads are
 	// multiprogrammed so a line has at most one private holder.
 	Owner int8
-	// PrivDirty marks an LLC line whose freshest data lives dirty in the
-	// owner's private caches (the LLC copy is stale). Set by the private
-	// stores' EID-forwarding (paper Fig. 8), cleared when the data drains
-	// back or is snooped by ACS/flush.
-	PrivDirty bool
 }
 
 // Config describes one cache array.
@@ -52,33 +50,21 @@ type Config struct {
 
 // Stats counts cache events.
 type Stats struct {
-	Hits, Misses   uint64
-	Evictions      uint64
-	DirtyEvictions uint64
+	Hits, Misses uint64
+	Evictions    uint64
 }
 
-// The per-set state word packs three way bitsets into one uint64, so
+// The per-set state word packs two way bitsets into one uint64, so
 // every flag read, install, and invalidation is a single word
-// load/store: bit j is way j's valid bit, bit dShift+j its dirty bit,
-// and bit pShift+j its PrivDirty bit. maxWays keeps the three fields
-// disjoint.
+// load/store: bit j is way j's valid bit and bit dShift+j its dirty
+// bit, so the word shifted right by dShift is the set's dirty ways.
+// maxWays keeps the two fields disjoint.
 const (
 	maxWays = 16
 	dShift  = 16
-	pShift  = 32
-	// wayBits is way 0's valid, dirty and PrivDirty bits; shifted left by
-	// j, way j's.
-	wayBits = 1 | 1<<dShift | 1<<pShift
+	// wayBits is way 0's valid and dirty bits; shifted left by j, way j's.
+	wayBits = 1 | 1<<dShift
 )
-
-// noIdx is an idx-plane word with both packed indices unknown (-1).
-const noIdx = ^uint64(0)
-
-// packIdx packs an LLC plane index (high 32 bits) and an L2 plane index
-// (low 32 bits) into one idx-plane word; either may be -1 (unknown).
-func packIdx(llci, l2i int32) uint64 {
-	return uint64(uint32(llci))<<32 | uint64(uint32(l2i))
-}
 
 // Cache is a set-associative, LRU, write-back cache array laid out as a
 // structure of arrays: one dense plane per field instead of an array of
@@ -89,19 +75,25 @@ func packIdx(llci, l2i int32) uint64 {
 // scan reads the set's tag words from one host cache line, the victim
 // pick reads one recency word, and the flush/ACS walks read the per-set
 // state words and the EID plane without ever striding 32-byte structs.
-// The Valid/Dirty/PrivDirty flags live packed in one state word per set
-// (see dShift/pShift), so "any free way" and "any dirty line in this
-// set" are single word tests, and free-way selection is one
+// The Valid/Dirty flags live packed in one state word per set (see
+// dShift), so "any free way" and "any dirty line in this set" are
+// single word tests, and free-way selection is one
 // bits.TrailingZeros64. Recency is one order word per set (see order):
 // the LRU victim is one shift, and the MRU way one mask.
 //
+// A cache built by New (the LLC, or a standalone array) has every plane
+// but idx. A hierarchy's private levels (newPrivate) have only tags,
+// state (valid bits alone), order and idx: a privately held line's
+// data, EID and dirty bit live in its LLC way, the one record of the
+// line (see Hierarchy).
+//
 // Invariants: bit j of state[s] is set exactly when tags[s*ways+j] != 0,
-// and then tags[i] == uint64(addr)+1; dirty and priv bits are only ever
-// set for valid ways. Every mutation point (Place, victimSlot+installAt,
+// and then tags[i] == uint64(addr)+1; dirty bits are only ever set for
+// valid ways. Every mutation point (Place, victimSlot+installAt,
 // Invalidate, Reset, the LineRef setters) maintains this. order[s]
 // always holds each of the set's ways at exactly one of its low `ways`
 // ranks and zero above them. In the LLC, bit s of dirtySets is set
-// whenever set s holds a dirty or PrivDirty way (see dirtySets).
+// whenever set s holds a dirty way (see dirtySets).
 type Cache struct {
 	cfg     Config
 	sets    int
@@ -114,10 +106,10 @@ type Cache struct {
 	lruShift uint
 
 	tags  []uint64      // per line: addr+1, or 0 when invalid
-	data  []mem.Word    // per line: payload
-	eids  []mem.EpochID // per line: epoch tag
-	owner []int8        // per line: private holder (LLC only; -1 none)
-	state []uint64      // per set: valid | dirty<<dShift | priv<<pShift
+	data  []mem.Word    // per line: payload (nil in a private level)
+	eids  []mem.EpochID // per line: epoch tag (nil in a private level)
+	owner []int8        // per line: private holder (-1 none; nil in a private level)
+	state []uint64      // per set: valid | dirty<<dShift
 	// order is each set's recency word: nibble k holds the way at recency
 	// rank k, rank 0 the most recently touched way and rank ways-1 the
 	// least, with every nibble above rank ways-1 zero. A touch (a hit or
@@ -128,27 +120,21 @@ type Cache struct {
 	// the smallest one (DESIGN.md §8.3).
 	order []uint64
 	// dirtySets summarizes the state words for the bulk scan: bit s%64 of
-	// word s/64 is set whenever set s holds a dirty or PrivDirty way, so
+	// word s/64 is set whenever set s holds a dirty way, so
 	// Hierarchy.FlushDirty visits only flagged sets instead of every
 	// state word. The invariant is one-way and holds for the LLC: every
-	// transition that sets a dirty or priv bit there marks the set (the
-	// hierarchy's LLC installs, victim folds and EID forwarding, plus
-	// installAt, Place and the LineRef setters on any cache); only
-	// FlushDirty clears a bit, once its set holds neither, and Reset
-	// clears them all. A stale bit costs one wasted visit, never a
-	// missed line.
+	// transition that sets a dirty bit there marks the set (Hierarchy's
+	// Store, plus installAt, Place and SetDirty on any cache); only
+	// FlushDirty clears a bit, once its set holds no dirty way, and Reset
+	// clears them all. A stale bit costs one wasted visit, never a missed
+	// line. Nil in a private level.
 	dirtySets []uint64
-	// idx packs, per private-cache line, two outer-level plane indices
-	// the line was fetched through: the LLC index in the high 32 bits and
-	// (for L1 lines) the L2 index in the low 32, each -1 when unknown.
-	// The store path and the victim drains reach the inclusive outer copy
-	// without a tag scan. Purely a performance hint: every consumer
-	// validates the tag at the index and falls back to a scan, so a stale
-	// entry costs one extra compare and can never change behavior. One
-	// packed word keeps the install path at a single hint store. Only the
-	// private levels have the plane (newPrivate); it is nil in the LLC,
-	// whose lines are never reached through an outer level.
-	idx []uint64
+	// idx holds, per private-level line, the LLC way holding the line's
+	// record. It is exact for every valid line, never a hint: the LLC way
+	// of a resident line never moves, and every path that takes a line
+	// out of the LLC first drops its private copies (CheckInclusion
+	// verifies it). Only the private levels have the plane (newPrivate).
+	idx []int32
 
 	stats Stats
 	// victim is Place's eviction scratch slot; see Place.
@@ -177,44 +163,50 @@ func (cfg Config) sets() int {
 	return max(cfg.Size/mem.LineSize/cfg.Ways, 1)
 }
 
-// New builds a cache. It panics on a geometry Validate refuses.
+// New builds a cache with every state plane. It panics on a geometry
+// Validate refuses.
 func New(cfg Config) *Cache {
+	c := newTags(cfg)
+	n := len(c.tags)
+	c.data = make([]mem.Word, n)
+	c.eids = make([]mem.EpochID, n)
+	c.owner = make([]int8, n)
+	for i := range c.owner {
+		c.owner[i] = -1
+	}
+	c.dirtySets = make([]uint64, (c.sets+63)/64)
+	return c
+}
+
+// newPrivate builds a private-level cache (an L1 or L2): tags, valid
+// bits, recency words and the idx plane of LLC indices, and no state
+// planes.
+func newPrivate(cfg Config) *Cache {
+	c := newTags(cfg)
+	c.idx = make([]int32, len(c.tags))
+	return c
+}
+
+// newTags builds the planes every cache has: tags, state words and
+// recency words. It panics on a geometry Validate refuses.
+func newTags(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
 	sets := cfg.sets()
-	n := sets * cfg.Ways
 	c := &Cache{
-		cfg:       cfg,
-		sets:      sets,
-		setMask:   uint64(sets - 1),
-		ways:      cfg.Ways,
-		fullMask:  (uint64(1) << uint(cfg.Ways)) - 1,
-		lruShift:  uint(4 * (cfg.Ways - 1)),
-		tags:      make([]uint64, n),
-		data:      make([]mem.Word, n),
-		eids:      make([]mem.EpochID, n),
-		owner:     make([]int8, n),
-		state:     make([]uint64, sets),
-		order:     make([]uint64, sets),
-		dirtySets: make([]uint64, (sets+63)/64),
-	}
-	for i := range c.owner {
-		c.owner[i] = -1
+		cfg:      cfg,
+		sets:     sets,
+		setMask:  uint64(sets - 1),
+		ways:     cfg.Ways,
+		fullMask: (uint64(1) << uint(cfg.Ways)) - 1,
+		lruShift: uint(4 * (cfg.Ways - 1)),
+		tags:     make([]uint64, sets*cfg.Ways),
+		state:    make([]uint64, sets),
+		order:    make([]uint64, sets),
 	}
 	for s := range c.order {
 		c.order[s] = identityOrder(c.ways)
-	}
-	return c
-}
-
-// newPrivate builds a private-level cache (an L1 or L2): New plus the
-// idx plane of outer-level hints, which only the private levels read.
-func newPrivate(cfg Config) *Cache {
-	c := New(cfg)
-	c.idx = make([]uint64, len(c.tags))
-	for i := range c.idx {
-		c.idx[i] = noIdx
 	}
 	return c
 }
@@ -238,8 +230,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 // index. It replaces the old *Line contract — callers read and mutate
 // the line through accessors that touch exactly one plane each. The zero
 // value and lookup misses are !Ok(); a ref stays coherent until the way
-// is evicted or invalidated (the hierarchy drains victims before
-// reusing a ref, same as with the old pointers).
+// is evicted or invalidated. A ref into a private level (Hierarchy.L1,
+// L2) carries no state: Ok, Addr and Snapshot work, Dirty reads false,
+// and the other accessors panic.
 type LineRef struct {
 	c *Cache
 	i int32
@@ -273,12 +266,6 @@ func (r LineRef) Dirty() bool {
 	return r.c.state[s]&(bit<<dShift) != 0
 }
 
-// PrivDirty reports the private-dirty marker (LLC only).
-func (r LineRef) PrivDirty() bool {
-	s, bit := r.setBit()
-	return r.c.state[s]&(bit<<pShift) != 0
-}
-
 // SetData overwrites the payload.
 func (r LineRef) SetData(w mem.Word) { r.c.data[r.i] = w }
 
@@ -299,17 +286,6 @@ func (r LineRef) SetDirty(d bool) {
 	}
 }
 
-// SetPrivDirty writes the private-dirty marker.
-func (r LineRef) SetPrivDirty(d bool) {
-	s, bit := r.setBit()
-	if d {
-		r.c.state[s] |= bit << pShift
-		r.c.markDirty(s)
-	} else {
-		r.c.state[s] &^= bit << pShift
-	}
-}
-
 // Snapshot copies the line state out as a value.
 func (r LineRef) Snapshot() Line {
 	s := int(r.i) / r.c.ways
@@ -317,20 +293,19 @@ func (r LineRef) Snapshot() Line {
 }
 
 // snapshotAt gathers way i (in set s) from all planes into a Line value.
-// This is the one deliberately plane-crossing read path; the hierarchy
-// install paths avoid it for clean victims.
+// This is the one deliberately plane-crossing read path. A private
+// level has no state planes, so its snapshot is the address alone.
 func (c *Cache) snapshotAt(i, s int) Line {
-	bit := uint64(1) << uint(i-s*c.ways)
-	w := c.state[s]
-	return Line{
-		Addr:      mem.LineAddr(c.tags[i] - 1),
-		EID:       c.eids[i],
-		Data:      c.data[i],
-		Valid:     true,
-		Dirty:     w&(bit<<dShift) != 0,
-		Owner:     c.owner[i],
-		PrivDirty: w&(bit<<pShift) != 0,
+	ln := Line{
+		Addr:  mem.LineAddr(c.tags[i] - 1),
+		Valid: true,
+		Dirty: c.state[s]&(uint64(1)<<uint(i-s*c.ways)<<dShift) != 0,
+		Owner: -1,
 	}
+	if c.data != nil {
+		ln.EID, ln.Data, ln.Owner = c.eids[i], c.data[i], c.owner[i]
+	}
+	return ln
 }
 
 // identityOrder is the recency word of a set nothing has touched: way k
@@ -361,8 +336,8 @@ func toFront(order uint64, w int) uint64 {
 func (c *Cache) lru(o uint64) int { return int(o >> c.lruShift) }
 
 // find returns the plane index of line l, or -1 on miss: the bare tag
-// scan, touching neither recency nor statistics. Snoops, drains and
-// checks probe through it; demand accesses go through lookup, which
+// scan, touching neither recency nor statistics. fetch's LLC probe and
+// the checks go through it; demand accesses go through lookup, which
 // adds the recency update and the hit or miss count.
 //
 // The scan stays a plain early-exit loop on purpose: a branch-free
@@ -419,21 +394,15 @@ func (c *Cache) Lookup(l mem.LineAddr, touch bool) LineRef {
 // before calling installAt.
 func (c *Cache) victimSlot(l mem.LineAddr) (i int, evict bool) {
 	s := int(uint64(l) & c.setMask)
-	base := s * c.ways
-	w := c.state[s]
-	if v := w & c.fullMask; v != c.fullMask {
-		return base + bits.TrailingZeros64(^v), false
+	if v := c.state[s] & c.fullMask; v != c.fullMask {
+		return s*c.ways + bits.TrailingZeros64(^v), false
 	}
-	slot := c.lru(c.order[s])
 	c.stats.Evictions++
-	c.stats.DirtyEvictions += (w>>dShift | w>>pShift) >> uint(slot) & 1
-	return base + slot, true
+	return s*c.ways + c.lru(c.order[s]), true
 }
 
 // installAt writes line l into way i (chosen by victimSlot or a tag
-// scan), leaving it most recently used, unowned, and with a clear
-// PrivDirty marker. An idx hint left by the way's previous line stays:
-// every reader validates it against the tag.
+// scan), leaving it most recently used and unowned.
 func (c *Cache) installAt(i int, l mem.LineAddr, data mem.Word, eid mem.EpochID, dirty bool) {
 	c.tags[i] = uint64(l) + 1
 	c.data[i] = data
@@ -449,7 +418,7 @@ func (c *Cache) installAt(i int, l mem.LineAddr, data mem.Word, eid mem.EpochID,
 	} else {
 		w &^= bit << dShift
 	}
-	c.state[s] = w &^ (bit << pShift)
+	c.state[s] = w
 }
 
 // Place puts line l with the given contents, evicting the LRU way if the
@@ -460,9 +429,8 @@ func (c *Cache) installAt(i int, l mem.LineAddr, data mem.Word, eid mem.EpochID,
 // On eviction the victim's prior contents are returned through a pointer
 // into a per-Cache scratch slot (nil when nothing was evicted), so the
 // common no-eviction call never copies a whole Line. The pointer is
-// valid only until the next Place on the same Cache; the hierarchy
-// drains each victim (write-back, back-invalidation of inner copies)
-// before it places again on that array.
+// valid only until the next Place on the same Cache. A private level
+// has no state planes to place into.
 func (c *Cache) Place(l mem.LineAddr, data mem.Word, eid mem.EpochID, dirty bool) (ln LineRef, victim *Line) {
 	s := int(uint64(l) & c.setMask)
 	if i := c.find(l); i >= 0 {
@@ -502,26 +470,22 @@ func (c *Cache) Invalidate(l mem.LineAddr) (Line, bool) {
 	return old, true
 }
 
-// drop removes line l, returning its plane index (-1 when absent) and
-// whether it was dirty; the payload planes at the index stay readable
-// until the way is reused. The hierarchy's victim-drain paths need
-// nothing else from the dying line, so this skips the full
-// plane-crossing snapshot Invalidate builds (owner and PrivDirty are
-// private-cache don't-cares). It scans the tags itself rather than
+// drop removes line l from a private level, if it holds it: the
+// back-invalidation of an LLC eviction, an L2 eviction's L1 copy, or a
+// migration. A private line has no state to hand back, so this is a tag
+// scan and two word stores. It scans the tags itself rather than
 // through find: find plus the way arithmetic would push it past the
-// inlining budget, and it inlines into every victim drain.
-func (c *Cache) drop(l mem.LineAddr) (int, bool) {
+// inlining budget.
+func (c *Cache) drop(l mem.LineAddr) {
 	s := int(uint64(l) & c.setMask)
 	base := s * c.ways
 	for j, t := range c.tags[base : base+c.ways] {
 		if t == uint64(l)+1 {
-			w := c.state[s]
 			c.tags[base+j] = 0
-			c.state[s] = w &^ (wayBits << j)
-			return base + j, w&(1<<dShift<<j) != 0
+			c.state[s] &^= 1 << uint(j)
+			return
 		}
 	}
-	return -1, false
 }
 
 // Scan visits every valid line in plane order; fn may mutate the line
@@ -539,32 +503,28 @@ func (c *Cache) Scan(fn func(LineRef) bool) {
 	}
 }
 
-// CountDirty returns how many valid lines are dirty (including PrivDirty
-// lines whose fresh data is in inner caches). Pure bitset arithmetic:
-// one popcount per set, no line planes touched.
+// CountDirty returns how many valid lines are dirty. Pure bitset
+// arithmetic: one popcount per set, no line planes touched.
 func (c *Cache) CountDirty() int {
 	n := 0
-	for s := 0; s < c.sets; s++ {
-		w := c.state[s]
-		n += bits.OnesCount64(w & (w>>dShift | w>>pShift) & c.fullMask)
+	for _, w := range c.state {
+		n += bits.OnesCount64(w >> dShift)
 	}
 	return n
 }
 
 // Reset invalidates every line and restores every set's identity
-// recency order (used between experiment runs).
+// recency order (used between experiment runs). The idx plane keeps its
+// words: only a valid line's is ever read.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.data[i] = 0
-		c.eids[i] = 0
+	clear(c.tags)
+	clear(c.data)
+	clear(c.eids)
+	for i := range c.owner {
 		c.owner[i] = -1
 	}
-	for i := range c.idx {
-		c.idx[i] = noIdx
-	}
-	for s := range c.state {
-		c.state[s] = 0
+	clear(c.state)
+	for s := range c.order {
 		c.order[s] = identityOrder(c.ways)
 	}
 	clear(c.dirtySets)

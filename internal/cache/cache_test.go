@@ -141,15 +141,13 @@ func TestLineRefMutators(t *testing.T) {
 	ln.SetData(31)
 	ln.SetEID(2)
 	ln.SetDirty(true)
-	ln.SetPrivDirty(true)
 	ln.SetOwner(1)
 	got := c.Lookup(3, false).Snapshot()
-	want := Line{Addr: 3, EID: 2, Data: 31, Valid: true, Dirty: true, Owner: 1, PrivDirty: true}
+	want := Line{Addr: 3, EID: 2, Data: 31, Valid: true, Dirty: true, Owner: 1}
 	if got != want {
 		t.Fatalf("after mutators: %+v, want %+v", got, want)
 	}
 	ln.SetDirty(false)
-	ln.SetPrivDirty(false)
 	if c.CountDirty() != 0 {
 		t.Fatal("clearing flags left dirty state behind")
 	}
@@ -187,14 +185,15 @@ func TestVictimSlotMatchesPlace(t *testing.T) {
 	}
 }
 
+// TestDirtyEvictionStats: evicting a dirty line counts one eviction and
+// hands back the victim with its dirty bit and payload.
 func TestDirtyEvictionStats(t *testing.T) {
 	c := smallCache()
 	c.Place(0, 1, 0, true)
 	c.Place(4, 2, 0, true)
-	c.Place(8, 3, 0, false) // evicts a dirty line
-	s := c.Stats()
-	if s.Evictions != 1 || s.DirtyEvictions != 1 {
-		t.Fatalf("stats = %+v", s)
+	v, evicted := place(c, 8, 3, 0, false) // evicts a dirty line
+	if s := c.Stats(); s.Evictions != 1 || !evicted || !v.Dirty || v.Addr != 0 || v.Data != 1 {
+		t.Fatalf("stats = %+v, victim = %+v (evicted %v)", s, v, evicted)
 	}
 }
 

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,28 +11,24 @@ import (
 
 // fullWalkFlush is FlushDirty as a walk of every LLC set, the scan the
 // dirty-set summary replaces: the reference the summary's walk must
-// reproduce, output and resulting cache state alike.
+// reproduce, output and resulting cache state alike. It reads each
+// dirty way's record and cleans it.
 func fullWalkFlush(h *Hierarchy, pred func(mem.LineAddr, mem.EpochID) bool) []DirtyLine {
 	var out []DirtyLine
 	llc := h.llc
 	for s := 0; s < llc.sets; s++ {
 		base := s * llc.ways
-		sw := llc.state[s]
-		for w := sw & (sw>>dShift | sw>>pShift) & llc.fullMask; w != 0; w &= w - 1 {
-			j := bits.TrailingZeros64(w)
+		for j := 0; j < llc.ways; j++ {
 			li := base + j
+			if llc.state[s]&(1<<uint(dShift+j)) == 0 {
+				continue
+			}
 			addr := mem.LineAddr(llc.tags[li] - 1)
 			if pred != nil && !pred(addr, llc.eids[li]) {
 				continue
 			}
-			bit := uint64(1) << uint(j)
-			data, eid, dirty := h.snoopPrivate(li, s, bit, false)
-			if !dirty {
-				continue
-			}
-			llc.data[li], llc.eids[li] = data, eid
-			llc.state[s] &^= bit << dShift
-			out = append(out, DirtyLine{Addr: addr, Data: data, EID: eid})
+			llc.state[s] &^= 1 << uint(dShift+j)
+			out = append(out, DirtyLine{Addr: addr, Data: llc.data[li], EID: llc.eids[li]})
 		}
 	}
 	return out
@@ -177,9 +172,8 @@ func FuzzFlushDirty(f *testing.F) {
 }
 
 // TestDirtySummaryMarks: every Cache-level transition that sets a dirty
-// or PrivDirty bit — Place and installAt with dirty data, a dirty
-// re-place, the LineRef setters — flags the set, and Reset clears the
-// summary.
+// bit — Place and installAt with dirty data, a dirty re-place,
+// SetDirty — flags the set, and Reset clears the summary.
 func TestDirtySummaryMarks(t *testing.T) {
 	c := New(Config{Name: "s", Size: 128 * 4 * mem.LineSize, Ways: 4, Latency: 1})
 	flagged := func(l mem.LineAddr) bool {
@@ -208,11 +202,5 @@ func TestDirtySummaryMarks(t *testing.T) {
 	ln.SetDirty(true)
 	if !flagged(5) {
 		t.Fatal("SetDirty(true) did not flag its set")
-	}
-	c.Reset()
-	ln, _ = c.Place(6, 1, 0, false)
-	ln.SetPrivDirty(true)
-	if !flagged(6) {
-		t.Fatal("SetPrivDirty(true) did not flag its set")
 	}
 }

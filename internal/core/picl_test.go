@@ -136,11 +136,11 @@ func TestACSWritesBackOnlyTargetEpochs(t *testing.T) {
 	r.boundary()    // commits 2, ACS target 1: flushes line 1 only
 	llc := r.h.LLC()
 	ln1 := llc.Lookup(1, false)
-	if !ln1.Ok() || ln1.Dirty() || ln1.PrivDirty() {
+	if !ln1.Ok() || ln1.Dirty() {
 		t.Fatalf("epoch-1 line not cleaned by ACS: %+v", ln1.Snapshot())
 	}
 	ln2 := llc.Lookup(2, false)
-	if !ln2.Ok() || !(ln2.Dirty() || ln2.PrivDirty()) {
+	if !ln2.Ok() || !ln2.Dirty() {
 		t.Fatalf("epoch-2 line wrongly flushed: %+v", ln2.Snapshot())
 	}
 	r.settleAll()

@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -82,7 +83,9 @@ func Full() Scale {
 // paper's parameters), with single-core and multicore runs epochs long.
 // It rejects epochs below 1 and a factor that is not a positive
 // finite number (or leaves an epoch under one instruction): such a
-// scale runs for ever or prints NaN. It also rejects a factor that
+// scale runs for ever or prints NaN. It rejects an epoch count whose
+// run length does not fit a uint64 (RunLength), which would wrap to a
+// run of another length. It also rejects a factor that
 // leaves a scaled L1, L2 or LLC, of one core or of a Table V mix's
 // cores, with a geometry cache.New refuses (a set count that is not a
 // power of two), where every run would panic.
@@ -100,6 +103,9 @@ func ScaleOf(factor float64, epochs int) (Scale, error) {
 		Epochs:          epochs,
 		MulticoreEpochs: epochs,
 	}
+	if _, err := RunLength(epochs, s.EpochInstr); err != nil {
+		return Scale{}, err
+	}
 	for _, cores := range []int{1, len(trace.Mixes()[0])} {
 		h := s.Hierarchy(cores)
 		for _, c := range []cache.Config{h.L1, h.L2, h.LLC} {
@@ -109,6 +115,18 @@ func ScaleOf(factor float64, epochs int) (Scale, error) {
 		}
 	}
 	return s, nil
+}
+
+// RunLength returns the instructions per core of a run epochs long at
+// epochInstr instructions per epoch, or an error naming both when the
+// product does not fit a uint64 (it would wrap, and the wrapped length
+// would be simulated and keyed as if asked for).
+func RunLength(epochs int, epochInstr uint64) (uint64, error) {
+	hi, n := bits.Mul64(uint64(epochs), epochInstr)
+	if epochs < 0 || hi != 0 {
+		return 0, fmt.Errorf("exp: %d epochs of %d instructions: the run length overflows 64 bits", epochs, epochInstr)
+	}
+	return n, nil
 }
 
 // Hierarchy returns the Table IV hierarchy scaled by s.Factor.

@@ -87,6 +87,30 @@ func TestScaleOf(t *testing.T) {
 	}
 }
 
+// TestScaleOfRunLength: an epoch count whose run length does not fit a
+// uint64 is refused with an error naming it; ScaleOf once accepted it,
+// and the product wrapped (2^62 epochs of 29296 instructions is 0, a
+// length sim.New replaces with its 8-epoch default). The largest count
+// that fits is accepted, and RunLength refuses a negative count.
+func TestScaleOfRunLength(t *testing.T) {
+	const want = "4611686018427387904 epochs of 29296 instructions: the run length overflows 64 bits"
+	if s, err := ScaleOf(1024, 1<<62); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ScaleOf(1024, 1<<62) = %+v, %v; want an error containing %q", s, err, want)
+	}
+	fits := int(math.MaxUint64 / 29296)
+	if s, err := ScaleOf(1024, fits); err != nil || s.Epochs != fits {
+		t.Fatalf("ScaleOf(1024, %d) = %+v, %v; want it accepted", fits, s, err)
+	}
+	if n, err := RunLength(fits, 29296); err != nil || n != uint64(fits)*29296 {
+		t.Fatalf("RunLength(%d, 29296) = %d, %v", fits, n, err)
+	}
+	for _, epochs := range []int{fits + 1, -1} {
+		if n, err := RunLength(epochs, 29296); err == nil {
+			t.Errorf("RunLength(%d, 29296) = %d, want an error", epochs, n)
+		}
+	}
+}
+
 // TestScaleOfGeometry: a factor whose scaled caches would have a set
 // count that is not a power of two is refused with an error naming the
 // level and the set count (cache.New would panic on it), and every

@@ -117,8 +117,9 @@ type cellRequest struct {
 	Epochs  int // 0 = runner default
 }
 
-// parseCell validates the query parameters of /run and /sweep.
-func parseCell(q url.Values) (cellRequest, error) {
+// parseCell validates the query parameters of /run and /sweep for a
+// runner whose epochs are epochInstr instructions long.
+func parseCell(q url.Values, epochInstr uint64) (cellRequest, error) {
 	cr := cellRequest{Scheme: q.Get("scheme")}
 	if cr.Scheme == "" {
 		cr.Scheme = "picl"
@@ -147,6 +148,9 @@ func parseCell(q url.Values) (cellRequest, error) {
 		n, err := strconv.Atoi(es)
 		if err != nil || n <= 0 {
 			return cr, fmt.Errorf("bad epochs %q", es)
+		}
+		if _, err := exp.RunLength(n, epochInstr); err != nil {
+			return cr, fmt.Errorf("bad epochs %q: %v", es, err)
 		}
 		cr.Epochs = n
 		cr.Opts = append(cr.Opts, exp.WithEpochs(n))
@@ -322,7 +326,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 	}()
 	q := r.URL.Query()
-	cr, err := parseCell(q)
+	cr, err := parseCell(q, s.Runner.Scale.EpochInstr)
 	if err != nil {
 		status = http.StatusBadRequest
 		http.Error(w, err.Error(), status)
@@ -387,7 +391,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if e := q.Get("epochs"); e != "" {
 				v.Set("epochs", e)
 			}
-			cr, err := parseCell(v)
+			cr, err := parseCell(v, s.Runner.Scale.EpochInstr)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return

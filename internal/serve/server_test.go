@@ -8,10 +8,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +97,31 @@ func TestRunEndpointBadParams(t *testing.T) {
 	}
 	if rec := get(t, s, "/run?bench=no-such-bench"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown bench = %d, want 400", rec.Code)
+	}
+}
+
+// TestRunRefusesOverflowingEpochs: an epoch count whose run length does
+// not fit a uint64 is a 400 on /run and /sweep, where it once wrapped
+// (2^62 epochs of 29296 instructions is 0, and the engine ran its
+// 8-epoch default). The largest count that fits is accepted.
+func TestRunRefusesOverflowingEpochs(t *testing.T) {
+	s, _ := newTestServer(t)
+	for _, target := range []string{"/run?epochs=4611686018427387904", "/sweep?epochs=4611686018427387904"} {
+		rec := get(t, s, target)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "overflows 64 bits") {
+			t.Errorf("%s = %d %q, want 400 naming the overflow", target, rec.Code, rec.Body)
+		}
+	}
+	epochInstr := s.Runner.Scale.EpochInstr
+	fits := math.MaxUint64 / epochInstr
+	for _, c := range []struct {
+		epochs uint64
+		ok     bool
+	}{{fits, true}, {fits + 1, false}} {
+		_, err := parseCell(url.Values{"epochs": {strconv.FormatUint(c.epochs, 10)}}, epochInstr)
+		if (err == nil) != c.ok {
+			t.Errorf("%d epochs of %d instructions: parseCell error %v, want accepted %v", c.epochs, epochInstr, err, c.ok)
+		}
 	}
 }
 
@@ -238,7 +265,7 @@ func TestCancelledClientAbandonsClaim(t *testing.T) {
 	s, st := newTestServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cr, err := parseCell(url.Values{"scheme": {"picl"}, "bench": {"gcc"}})
+	cr, err := parseCell(url.Values{"scheme": {"picl"}, "bench": {"gcc"}}, s.Runner.Scale.EpochInstr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestEIDTagRangeInvariant(t *testing.T) {
 				if ln.EID > sys {
 					t.Fatalf("gap=%d: line %v tagged with future epoch %d (system %d)", gap, ln.Addr, ln.EID, sys)
 				}
-				if ln.Dirty || ln.PrivDirty {
+				if ln.Dirty {
 					if ln.EID+mem.TagMask < sys {
 						t.Fatalf("gap=%d: dirty line %v EID %d undecodable at system %d", gap, ln.Addr, ln.EID, sys)
 					}
